@@ -2,7 +2,7 @@
 
 One ``bench_throughput --json`` run is a point measurement; the
 *trajectory* of those measurements across commits is what tells you a
-PR quietly cost 20% of engine throughput.  This tool maintains that
+PR quietly cost 20% of simulator throughput.  This tool maintains that
 trajectory in the repo root as ``BENCH_throughput.json`` -- a small
 append-only JSON ledger, reviewable in diffs like any other file --
 and gates on it.
@@ -11,7 +11,7 @@ Usage::
 
     # Measure, then append the run to the ledger:
     PYTHONPATH=src python benchmarks/bench_throughput.py \
-        --engine batched --json > /tmp/bench.json
+        --json > /tmp/bench.json
     python benchmarks/bench_history.py append --input /tmp/bench.json
 
     # Gate: fail when the newest entry regresses vs the trailing median
@@ -26,8 +26,10 @@ Usage::
 wall-clock time and (when available) the git commit.  ``check``
 compares each design's accesses-per-second in the newest entry against
 the median of up to ``--window`` earlier entries for the same
-(design, engine, workload) series and fails when the newest value
-falls below ``median * (1 - tolerance)``.  Until a series has
+(design, workload) series and fails when the newest value falls below
+``median * (1 - tolerance)``.  Entries from before the simulator picked
+its own replay path carry an ``engine`` tag; it is ignored, so they
+stay in their design's series.  Until a series has
 ``--min-history`` earlier points the gate reports "seeding" and
 passes: medians over one or two CI runners are noise, not a baseline.
 
@@ -98,7 +100,6 @@ def normalize_payload(payload) -> dict:
             "benchmark": "throughput",
             "workload": records[0].get("workload", "unknown"),
             "accesses": records[0].get("accesses", 0),
-            "engine": records[0].get("engine", "scalar"),
             "records": records,
         }
     if isinstance(payload, dict) and isinstance(payload.get("records"), list):
@@ -112,7 +113,6 @@ def make_entry(payload: dict, now: Optional[float] = None,
     records = [
         {
             "design": r["design"],
-            "engine": r.get("engine", payload.get("engine", "scalar")),
             "accesses": r.get("accesses", 0),
             "seconds": r.get("seconds", 0.0),
             "accesses_per_second": r["accesses_per_second"],
@@ -125,7 +125,6 @@ def make_entry(payload: dict, now: Optional[float] = None,
         "commit": commit if commit is not None else _git_commit(),
         "workload": payload.get("workload", "unknown"),
         "accesses": payload.get("accesses", 0),
-        "engine": payload.get("engine", "scalar"),
         "records": records,
     }
 
@@ -133,9 +132,8 @@ def make_entry(payload: dict, now: Optional[float] = None,
 # ----------------------------------------------------------------------
 # Regression check
 # ----------------------------------------------------------------------
-def _series_key(entry: dict, record: dict) -> Tuple[str, str, str]:
-    return (record["design"], record.get("engine", entry.get("engine", "?")),
-            entry.get("workload", "?"))
+def _series_key(entry: dict, record: dict) -> Tuple[str, str]:
+    return (record["design"], entry.get("workload", "?"))
 
 
 def check_trajectory(history: dict, tolerance: float, window: int,
@@ -151,7 +149,7 @@ def check_trajectory(history: dict, tolerance: float, window: int,
         raise SystemExit("bench_history: ledger has no entries; run "
                          "'append' first")
     newest = entries[-1]
-    trailing: Dict[Tuple[str, str, str], List[float]] = {}
+    trailing: Dict[Tuple[str, str], List[float]] = {}
     for entry in entries[:-1]:
         for record in entry.get("records", []):
             trailing.setdefault(_series_key(entry, record), []).append(
@@ -164,7 +162,7 @@ def check_trajectory(history: dict, tolerance: float, window: int,
         rate = record["accesses_per_second"]
         prior = trailing.get(key, [])[-window:]
         verdict = {
-            "design": key[0], "engine": key[1], "workload": key[2],
+            "design": key[0], "workload": key[1],
             "accesses_per_second": rate, "prior_points": len(prior),
         }
         if len(prior) < min_history:
@@ -177,7 +175,7 @@ def check_trajectory(history: dict, tolerance: float, window: int,
             if rate < floor:
                 verdict["status"] = "regression"
                 regressions.append(
-                    f"{key[0]}/{key[1]}/{key[2]}: {rate:,.0f} acc/s is "
+                    f"{key[0]}/{key[1]}: {rate:,.0f} acc/s is "
                     f"below {floor:,.0f} (median {median:,.0f} over "
                     f"{len(prior)} runs, tolerance {tolerance:.0%})")
             else:
@@ -204,7 +202,7 @@ def cmd_append(args: argparse.Namespace) -> int:
     rates = ", ".join(f"{r['design']} {r['accesses_per_second']:,.0f}"
                       for r in entry["records"])
     print(f"bench_history: appended entry #{len(history['entries'])} "
-          f"({entry['engine']}/{entry['workload']}: {rates} acc/s) "
+          f"({entry['workload']}: {rates} acc/s) "
           f"-> {args.history}")
     return 0
 
@@ -214,7 +212,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdicts, regressions = check_trajectory(
         history, args.tolerance, args.window, args.min_history)
     for verdict in verdicts:
-        line = (f"  {verdict['design']:10s} {verdict['engine']:8s} "
+        line = (f"  {verdict['design']:10s} {verdict['workload']:8s} "
                 f"{verdict['accesses_per_second']:14,.0f} acc/s  "
                 f"[{verdict['status']}]")
         if "trailing_median" in verdict:
@@ -248,7 +246,7 @@ def cmd_show(args: argparse.Namespace) -> int:
     for i, entry in enumerate(entries):
         commit = entry.get("commit") or "-"
         print(f"#{i + 1}  {entry.get('timestamp', '?')}  {commit:>9s}  "
-              f"{entry.get('engine', '?')}/{entry.get('workload', '?')} "
+              f"{entry.get('workload', '?')} "
               f"({entry.get('accesses', 0)} accesses)")
         for record in entry.get("records", []):
             print(f"      {record['design']:10s} "

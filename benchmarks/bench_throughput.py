@@ -2,7 +2,7 @@
 
 Unlike the figure benchmarks, this one measures the *simulator*, not the
 simulated machine: how many memory references per wall-clock second the
-per-access engine sustains for each design.  Its numbers form the perf
+simulator sustains for each design.  Its numbers form the perf
 trajectory future PRs are judged against -- a hot-path regression shows
 up here before it shows up as slow figure runs.
 
@@ -20,13 +20,12 @@ thousand accesses so CI can prove the entry point works without paying
 for a real measurement.  The text table is archived to
 ``benchmarks/results/throughput.txt`` like the figure tables, and
 ``--json`` additionally writes the machine-readable records (per-design
-acc/s, best-of-N, engine mode) to
-``benchmarks/results/BENCH_throughput.json`` so perf trajectories can be
-diffed across PRs without parsing tables.
+acc/s, best-of-N) to ``benchmarks/results/BENCH_throughput.json`` so
+perf trajectories can be diffed across PRs without parsing tables.
 
-``--engine batched`` times the fused kernels of :mod:`repro.cpu.batched`
-instead of the per-access loop; the engines are bit-identical, so the
-IPC column is a correctness canary across modes.
+Every point runs ``Simulator.run`` as-is, so tagless times the fused
+kernel of :mod:`repro.cpu.batched` and the other designs the reference
+loop.  The IPC column is a correctness canary across revisions.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.common.config import default_system  # noqa: E402
-from repro.cpu.batched import ENGINE_MODES  # noqa: E402
 from repro.cpu.multicore import BoundTrace  # noqa: E402
 from repro.cpu.simulator import Simulator  # noqa: E402
 from repro.designs.registry import ALL_DESIGN_NAMES  # noqa: E402
@@ -69,9 +67,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help=f"tiny trace ({SMOKE_ACCESSES} accesses, one "
                              "repeat): exercises the entry point, does not "
                              "measure")
-    parser.add_argument("--engine", choices=ENGINE_MODES, default="scalar",
-                        help="execution engine to time (default scalar; "
-                             "batched runs the fused kernels)")
     parser.add_argument("--json", action="store_true",
                         help="emit results as JSON on stdout and archive "
                              "them to benchmarks/results/"
@@ -82,20 +77,19 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def time_design(design_name: str, simulator: Simulator, bindings,
-                repeat: int, engine: str = "scalar") -> dict:
+                repeat: int) -> dict:
     """Best-of-``repeat`` wall time for one design; returns a record."""
     total_accesses = sum(len(b.trace) for b in bindings)
     best = float("inf")
     ipc = None
     for _ in range(repeat):
         start = time.perf_counter()
-        result = simulator.run(design_name, bindings, engine=engine)
+        result = simulator.run(design_name, bindings)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         ipc = result.ipc_sum
     return {
         "design": design_name,
-        "engine": engine,
         "accesses": total_accesses,
         "seconds": best,
         # A zero-length run finishes in ~0s and serves 0 accesses; its
@@ -117,8 +111,7 @@ def run(args: argparse.Namespace) -> list:
     bindings = [BoundTrace(0, 0, trace)]
     records = []
     for design in args.designs:
-        record = time_design(design, simulator, bindings, repeat,
-                             engine=args.engine)
+        record = time_design(design, simulator, bindings, repeat)
         record["workload"] = args.workload
         records.append(record)
         print(f"  {design:8s} {record['accesses_per_second']:12,.0f} acc/s "
@@ -130,7 +123,7 @@ def table(records: list, args: argparse.Namespace) -> str:
     lines = [
         "Simulation-engine throughput "
         f"(workload {args.workload}, {records[0]['accesses']} accesses, "
-        f"engine {args.engine}, best of {1 if args.smoke else args.repeat})",
+        f"best of {1 if args.smoke else args.repeat})",
         f"{'design':10s} {'accesses/s':>14s} {'ms/run':>10s}",
     ]
     for record in records:
@@ -162,7 +155,6 @@ def main(argv=None) -> int:
                 "workload": args.workload,
                 "accesses": records[0]["accesses"] if records else 0,
                 "repeat": args.repeat,
-                "engine": args.engine,
                 "records": records,
             }
             json_path = os.path.join(RESULTS_DIR, "BENCH_throughput.json")

@@ -12,7 +12,6 @@ from typing import List, Optional
 from repro.analysis import experiments
 from repro.common.errors import ConfigurationError
 from repro.common.machine import MachineSpec, build_system
-from repro.cpu.batched import ENGINE_MODES
 from repro.cpu.multicore import BoundTrace
 from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES, DESIGN_NAMES
@@ -71,7 +70,7 @@ def _machine_from_args(args: argparse.Namespace) -> MachineSpec:
 
 
 def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
-    """Execution-engine flags shared by ``experiment`` and ``sweep``."""
+    """Harness flags shared by ``experiment`` and ``sweep``."""
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = serial, the default)")
     parser.add_argument("--cache-dir", default=None,
@@ -109,11 +108,6 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write a JSONL progress time-series "
                              "(jobs/errors/cache hits over wall time) to "
                              "PATH")
-    parser.add_argument("--engine", choices=ENGINE_MODES, default=None,
-                        help="execution engine: scalar (per-access loop) "
-                             "or batched (fused kernels; bit-identical, "
-                             "faster).  Default: $REPRO_ENGINE, else "
-                             "scalar")
     _add_fleet_arguments(parser)
 
 
@@ -216,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--retries", type=int, default=0,
                      help="extra attempts if the run fails (supervised "
                           "mode, like --timeout)")
-    run.add_argument("--engine", choices=ENGINE_MODES, default=None,
-                     help="execution engine: scalar (per-access loop) or "
-                          "batched (fused kernels; bit-identical, "
-                          "faster).  Default: $REPRO_ENGINE, else scalar")
     _add_machine_arguments(run)
 
     experiment = sub.add_parser(
@@ -744,7 +734,6 @@ def _run_supervised(args: argparse.Namespace):
             capacity_scale=args.scale,
             warmup_fraction=args.warmup,
             timeout_s=args.timeout,
-            engine=args.engine,
             machine=_machine_from_args(args),
         )
     except ConfigurationError as exc:
@@ -791,7 +780,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             telemetry = make_telemetry(interval=args.interval)
         result = Simulator(config).run(
             args.design, bindings, warmup_fraction=args.warmup,
-            telemetry=telemetry, engine=args.engine,
+            telemetry=telemetry,
         )
     metrics = {
         "design": args.design,
@@ -983,11 +972,6 @@ def _finish_harness(harness: Harness) -> None:
 def cmd_experiment(args: argparse.Namespace) -> int:
     accesses = args.accesses
     machine = _machine_from_args(args)
-    if args.engine is not None:
-        # The figure runners build their JobSpecs internally; the
-        # environment default reaches them (and forked workers) without
-        # threading a parameter through every runner signature.
-        os.environ["REPRO_ENGINE"] = args.engine
     harness = _build_harness(args, args.figure, args.artifact)
     try:
         if args.figure == "fig7":
@@ -1076,7 +1060,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         capacity_scale=args.scale,
                         warmup_fraction=args.warmup,
                         validate=args.validate,
-                        engine=args.engine,
                         machine=machine,
                     ))
     except ConfigurationError as exc:
@@ -1413,7 +1396,13 @@ def _short_location(filename: str, line: int) -> str:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation run under cProfile and rank the hot spots."""
+    """Profile one simulation run under cProfile and rank the hot spots.
+
+    The run takes the same replay path as ``Simulator.run``: for the
+    tagless design that is the fused kernel, which shows up as one
+    ``_run_tagless_kernel`` frame with only its rare-event fallbacks
+    (fills, NC pages, superpages) broken out beneath it.
+    """
     import cProfile
     import pstats
     import time

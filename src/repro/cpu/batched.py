@@ -1,11 +1,19 @@
-"""Batched (v2) execution engine: fused per-design access kernels.
+"""Fused replay kernel for the tagless design.
 
-PR 2 made :meth:`MemorySystemDesign.access_cycles` a single hand-inlined
+:meth:`MemorySystemDesign.access_cycles` is a single hand-inlined
 function; the remaining per-access overhead is the *call* into it (and,
 inside, the per-access re-hoisting of every structure the path touches).
-This module removes both: a **kernel** replays one core's whole trace in
-a single loop with every hot structure -- TLB dicts, on-die sets, GIPT,
+The tagless kernel removes both: it replays one core's whole trace in a
+single loop with every hot structure -- cTLB dicts, on-die sets, GIPT,
 channel free-lists, timing constants -- bound to locals exactly once.
+The tagless hit path has no tag check (the cTLB hands out a cache
+address directly), so the fused loop covers almost every access.
+
+:func:`run_interleaved_batched` is the simulator's replay entry point.
+:func:`select_kernel` picks the kernel; designs it returns ``None`` for
+run the reference loop, :func:`repro.cpu.multicore.run_interleaved`.
+A fused loop for the other designs' shared path was measured no faster
+than the reference loop, so none exists.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -26,19 +34,17 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   Instead each lives in a *seeded local*: initialised from its
   attribute, advanced by the same additions in the same order as the
   scalar path (same rounding, same result), stored back at exit.  The
-  scalar-fallback sites flush the locals first and reload after, so
+  scalar-fallback site flushes the locals first and reloads after, so
   fallback accesses always see -- and update -- the true totals.
 
-Kernels activate only when the run is unobserved: no event tracer, no
+The kernel runs only when the run is unobserved: no event tracer, no
 telemetry/validation wrapper around ``access_cycles``, no latency
-histograms, no mid-run core attachments.  With any of those installed,
-:func:`run_interleaved_batched` silently degrades to the scalar engine
--- which produces the same numbers, just slower.
+histograms, no mid-run core attachments.  Observed runs replay through
+the reference loop, which produces the same numbers.
 """
 
 from __future__ import annotations
 
-import gc
 from typing import List, Optional
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
@@ -50,9 +56,6 @@ from repro.designs.tagless_design import TaglessDesign
 from repro.obs.events import null_event
 from repro.vm.tlb import TLBEntry
 
-#: Engine mode names accepted by Simulator.run / the CLI.
-ENGINE_MODES = ("scalar", "batched")
-
 
 def _observed(design: MemorySystemDesign) -> bool:
     """True when something is watching the per-access path.
@@ -60,11 +63,17 @@ def _observed(design: MemorySystemDesign) -> bool:
     Installed telemetry/validation wraps ``access_cycles`` as an
     *instance* attribute; event tracers rebind ``trace_event``;
     histograms hang off the DRAM devices.  Any of these means the
-    batched kernels (which bypass all three) must stand down.
+    kernel (which bypasses all three) must stand down.
+
+    The wrapper test compares the bound method's function with the
+    class's instead of probing ``design.__dict__``: on CPython 3.11+
+    reading ``__dict__`` materialises the instance dict and slows every
+    later attribute load on the design.
     """
     return (
         design.trace_event is not null_event
-        or "access_cycles" in design.__dict__
+        or getattr(design.access_cycles, "__func__", None)
+        is not type(design).access_cycles
         or getattr(design, "obs_attach_cores", None) is not None
         or design.in_package.latency_histogram is not None
         or design.off_package.latency_histogram is not None
@@ -72,34 +81,33 @@ def _observed(design: MemorySystemDesign) -> bool:
 
 
 def select_kernel(design: MemorySystemDesign):
-    """Pick the fused kernel for ``design`` (None -> scalar only)."""
-    if _observed(design):
+    """The fused kernel for ``design``, or ``None`` for the reference loop."""
+    if not isinstance(design, TaglessDesign) or _observed(design):
         return None
     if not getattr(design, "batchable", True):
         # Designs that override the scalar access path (the resizable
         # tagless variant's capacity-schedule trigger) must not be fed
-        # to kernels that bypass it.
+        # to a kernel that bypasses it.
         return None
-    if isinstance(design, TaglessDesign):
-        engine = design.engine
-        ondie = design.ondie[0]
-        pow2 = all(
-            n & (n - 1) == 0
-            for n in (
-                ondie.l1.num_sets,
-                ondie.l2.num_sets,
-                design.in_package.channels.num_channels,
-                design.off_package.channels.num_channels,
-            )
+    engine = design.engine
+    ondie = design.ondie[0]
+    pow2 = all(
+        n & (n - 1) == 0
+        for n in (
+            ondie.l1.num_sets,
+            ondie.l2.num_sets,
+            design.in_package.channels.num_channels,
+            design.off_package.channels.num_channels,
         )
-        if (
-            pow2  # the kernel indexes sets/channels with bitmasks
-            and engine.trace_event is null_event
-            and engine.footprint is None
-            and design.caching_policy is None
-        ):
-            return _run_tagless_kernel
-    return _run_generic_kernel
+    )
+    if (
+        pow2  # the kernel indexes sets/channels with bitmasks
+        and engine.trace_event is null_event
+        and engine.footprint is None
+        and design.caching_policy is None
+    ):
+        return _run_tagless_kernel
+    return None
 
 
 def run_interleaved_batched(
@@ -109,242 +117,15 @@ def run_interleaved_batched(
 ) -> List[CoreResult]:
     """Drop-in replacement for :func:`run_interleaved`.
 
-    Multi-core interleaving keeps the scalar argmin stepping (global
+    Multi-core interleaving keeps the reference argmin stepping (global
     event order is what makes contention results meaningful); the
     single-active-core regime -- the whole run for single-programmed
-    workloads, the end-game for mixes -- runs the fused kernel.
-
-    The cyclic collector is suspended for the duration of the replay:
-    the kernels allocate steadily (TLB entries, zip tuples) but create
-    no cycles, so generation-0 sweeps are pure overhead.  Collection
-    state is restored even if the replay raises.
+    workloads, the end-game for mixes -- runs the fused kernel when
+    :func:`select_kernel` finds one.
     """
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
-        return run_interleaved(
-            design, bindings, max_accesses, _kernel=select_kernel(design)
-        )
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-# ----------------------------------------------------------------------
-# Generic kernel: every design's shared path (base.access_cycles).
-# ----------------------------------------------------------------------
-def _run_generic_kernel(design: MemorySystemDesign, state, *,
-                        _next=next, _iter=iter, _len=len) -> None:
-    """Replay ``state``'s remaining trace against any design.
-
-    Inlines the design-independent part of the access path: TLB L1/L2
-    hits and on-die L1/L2 hits.  TLB refills and on-die full misses are
-    design-specific (``_refill_tlb`` / ``_service_l2_miss``), so those
-    accesses fall back -- after read-only classification, before any
-    mutation -- to the scalar ``access_cycles``.
-
-    Shares the tagless kernel's loop shortcuts (see its docstring for
-    the proofs): the *same-page run* skips the TLB dicts when an access
-    repeats the previous page (the page is the MRU key of both levels,
-    so fused-LRU's move-to-end is the identity), and the *zero-stall
-    exit* skips the stall arithmetic when ``tlb_cycles == 0.0`` and the
-    on-die L1 hits (``cost - l1_hit`` is exactly ``0.0``).  The
-    same-page cache survives the on-die-miss fallback -- the scalar
-    call re-runs the translation itself, leaving vp as the MRU entry of
-    both levels -- but not the translation fallback, whose outcome
-    (refill, NC) the kernel cannot see.
-    """
-    model = state.model
-    base_cpi = model.base_cpi
-    mlp = model.mlp
-    l1_hit = model._l1_hit
-    cycle_ns = model._cycle_ns
-    cycles = model.cycles
-    instructions = model.instructions
-    stall_cycles = model.stall_cycles
-
-    core_id = state.core_id
-    process_id = state.process_id
-    access_cycles = design.access_cycles
-
-    tlb = design.tlbs[core_id]
-    l1_tlb = tlb.l1
-    l1_map = l1_tlb._map
-    l1_cap = l1_tlb.capacity
-    l2_map = tlb.l2._map
-    tlb_l2_hit_cycles = design._tlb_l2_hit_cycles
-
-    ondie = design.ondie[core_id]
-    ol1 = ondie.l1
-    ol1_nsets = ol1.num_sets
-    ol1_ent = [s.entries for s in ol1._sets]
-    ol1_ways = ol1._sets[0].ways
-    ol2 = ondie.l2
-    ol2_nsets = ol2.num_sets
-    ol2_ent = [s.entries for s in ol2._sets]
-    ol2_ways = ol2._sets[0].ways
-    pending_wb = ondie.pending_writebacks
-    route_writebacks = design._route_writebacks
-
-    l1_hit_cycles = design._l1_hit_cycles
-    l2_hit_cycles = design._l2_hit_cycles
-    lines_per_page = LINES_PER_PAGE
-
-    n_acc = 0
-    n_t1 = n_t2 = 0
-    n_o1 = n_o2 = 0
-    n_owb = 0
-
-    # Same-page run cache (see the tagless kernel): -1 never equals a
-    # virtual page number.
-    last_vp = -1
-    last_base = 0
-    last_entry = None
-
-    pos = state.pos
-    pages, lines, writes, gaps = (
-        state.pages, state.lines, state.writes, state.gaps
+    return run_interleaved(
+        design, bindings, max_accesses, _kernel=select_kernel(design)
     )
-    if pos:
-        pages, lines, writes, gaps = (
-            pages[pos:], lines[pos:], writes[pos:], gaps[pos:]
-        )
-    for vp, line, w, gap in zip(pages, lines, writes, gaps):
-        instructions += gap
-        cycles += gap * base_cpi
-
-        if vp == last_vp:
-            entry = last_entry
-            t_level = 0  # same-page: TLB dict traffic is the identity
-            line_key = last_base + line
-        else:
-            entry = l1_map.get(vp)
-            t_level = 1
-            if entry is None:
-                entry = l2_map.get(vp)
-                t_level = 2
-            if entry is None or entry.non_cacheable:
-                # TLB refill (design-specific) or NC key space: scalar.
-                cost = access_cycles(
-                    core_id, process_id, vp, line, w, cycles * cycle_ns
-                )
-                last_vp = -1
-                instructions += 1
-                cycles += base_cpi
-                excess = cost - l1_hit
-                if excess > 0:
-                    stall = excess / mlp
-                    cycles += stall
-                    stall_cycles += stall
-                continue
-            line_key = entry.target_page * lines_per_page + line
-        entries = ol1_ent[line_key % ol1_nsets]
-        in_ol1 = line_key in entries
-        if not in_ol1:
-            l2_entries = ol2_ent[line_key % ol2_nsets]
-            if line_key not in l2_entries:
-                # On-die full miss: service is design-specific; scalar.
-                # Its own translation leaves vp MRU in both TLB levels,
-                # so the same-page cache stays armed.
-                cost = access_cycles(
-                    core_id, process_id, vp, line, w, cycles * cycle_ns
-                )
-                last_vp = vp
-                last_base = entry.target_page * lines_per_page
-                last_entry = entry
-                instructions += 1
-                cycles += base_cpi
-                excess = cost - l1_hit
-                if excess > 0:
-                    stall = excess / mlp
-                    cycles += stall
-                    stall_cycles += stall
-                continue
-
-        # --- Fully inlinable: replay mutations in scalar order.
-        n_acc += 1
-        if t_level == 0:
-            n_t1 += 1
-            tlb_cycles = 0.0
-        elif t_level == 1:
-            n_t1 += 1
-            l1_map[vp] = l1_map.pop(vp)
-            moved = l2_map.pop(vp, None)
-            if moved is not None:
-                l2_map[vp] = moved
-            tlb_cycles = 0.0
-            last_vp = vp
-            last_base = line_key - line
-            last_entry = entry
-        else:
-            n_t2 += 1
-            l2_map[vp] = l2_map.pop(vp)
-            if _len(l1_map) >= l1_cap:
-                del l1_map[_next(_iter(l1_map))]
-            l1_map[vp] = entry
-            tlb_cycles = tlb_l2_hit_cycles
-            last_vp = vp
-            last_base = line_key - line
-            last_entry = entry
-        if in_ol1:
-            n_o1 += 1
-            entries[line_key] = entries.pop(line_key) or w
-            instructions += 1
-            cycles += base_cpi
-            if tlb_cycles:
-                excess = tlb_cycles + l1_hit_cycles - l1_hit
-                if excess > 0:
-                    stall = excess / mlp
-                    cycles += stall
-                    stall_cycles += stall
-            continue
-        n_o2 += 1
-        now_ns = cycles * cycle_ns
-        if pending_wb:
-            pending_wb.clear()
-        l2_entries[line_key] = l2_entries.pop(line_key) or w
-        if _len(entries) >= ol1_ways:
-            victim = _next(_iter(entries))
-            if entries.pop(victim):
-                spill_entries = ol2_ent[victim % ol2_nsets]
-                if victim in spill_entries:
-                    spill_entries[victim] = True
-                else:
-                    if _len(spill_entries) >= ol2_ways:
-                        spilled = _next(_iter(spill_entries))
-                        if spill_entries.pop(spilled):
-                            pending_wb.append(spilled)
-                            n_owb += 1
-                    spill_entries[victim] = True
-        entries[line_key] = w
-        if pending_wb:
-            route_writebacks(pending_wb, now_ns)
-        instructions += 1
-        cycles += base_cpi
-        excess = tlb_cycles + l2_hit_cycles - l1_hit
-        if excess > 0:
-            stall = excess / mlp
-            cycles += stall
-            stall_cycles += stall
-
-    model.cycles = cycles
-    model.instructions = instructions
-    model.stall_cycles = stall_cycles
-    state.pos = state.length
-
-    design.accesses += n_acc
-    l1_tlb.hits += n_t1
-    l1_tlb.misses += n_t2
-    tlb.l1_hits += n_t1
-    tlb.l2.hits += n_t2
-    tlb.l2_hits += n_t2
-    ol1.hits += n_o1
-    ol1.misses += n_o2
-    ol2.hits += n_o2
-    ondie.l1_hits += n_o1
-    ondie.l2_hits += n_o2
-    ondie.writebacks += n_owb
 
 
 # ----------------------------------------------------------------------
@@ -354,13 +135,14 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
                         _next=next, _iter=iter, _len=len) -> None:
     """Replay ``state``'s remaining trace against the tagless design.
 
-    Extends the generic kernel with the two paths that dominate the
-    tagless profile: the cTLB full miss resolving as an in-package
-    *victim hit* (walk + GIPT residence + cTLB install, Figure 4's
-    unshaded path) and the on-die full miss serviced by the DRAM cache
-    with zero tag check (``_service_l2_miss``'s cached branch, with the
-    closed-page ``access_block`` arithmetic inlined).  Only genuinely
-    rare events leave the loop: fills, NC pages, superpages, PU waits.
+    Inlines cTLB L1/L2 hits and on-die L1/L2 hits, plus the two paths
+    that dominate the tagless profile: the cTLB full miss resolving as
+    an in-package *victim hit* (walk + GIPT residence + cTLB install,
+    Figure 4's unshaded path) and the on-die full miss serviced by the
+    DRAM cache with zero tag check (``_service_l2_miss``'s cached
+    branch, with the closed-page ``access_block`` arithmetic inlined).
+    Only genuinely rare events leave the loop: fills, NC pages,
+    superpages, PU waits.
 
     Loop-level shortcuts, each a proof that some scalar work is the
     identity:

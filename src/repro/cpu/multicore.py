@@ -148,9 +148,10 @@ def run_interleaved(
     """Replay every bound trace to completion; returns per-core results.
 
     ``max_accesses`` optionally truncates each trace (handy for tests).
-    ``_kernel`` is the batched engine's hook (see :mod:`repro.cpu.batched`):
-    a fused ``kernel(design, state)`` replacement for :func:`_run_single`
-    used in the single-active-core regime when the run is unobserved.
+    ``_kernel`` is the fused-kernel hook (see :mod:`repro.cpu.batched`):
+    a ``kernel(design, state)`` replacement for :func:`_run_single` used
+    in the single-active-core regime when the run is unobserved.  Without
+    it this is the reference loop every kernel must match bit for bit.
     """
     if not bindings:
         return []

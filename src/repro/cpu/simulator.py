@@ -10,14 +10,19 @@ runners and benchmarks are thin loops over this call.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.energy import EnergyBreakdown, compute_energy
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
-from repro.cpu.batched import ENGINE_MODES, run_interleaved_batched
-from repro.cpu.multicore import BoundTrace, CoreResult, run_interleaved
+from repro.cpu.batched import run_interleaved_batched
+# run_interleaved stays importable from here: it is the reference loop
+# that tests and span tracers swap in for (or wrap around) the replay.
+from repro.cpu.multicore import (  # noqa: F401
+    BoundTrace,
+    CoreResult,
+    run_interleaved,
+)
 from repro.designs.base import MemorySystemDesign
 from repro.designs.registry import create_design
 from repro.designs.tagless_design import TaglessDesign
@@ -93,7 +98,6 @@ class Simulator:
         validate: Optional[bool] = None,
         validate_every: Optional[int] = None,
         telemetry=None,
-        engine: Optional[str] = None,
         resize_schedule: Optional[Sequence] = None,
         max_remap_per_resize: int = 64,
     ) -> SimulationResult:
@@ -128,23 +132,15 @@ class Simulator:
         wrapper chain consistent.  Telemetry is strictly observational
         -- results are bit-identical with and without it.
 
-        ``engine`` selects the execution engine: ``"scalar"`` (the
-        per-access loop) or ``"batched"`` (the fused kernels of
-        :mod:`repro.cpu.batched`).  ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable, defaulting to scalar.
-        The engines are bit-identical (the golden-stats oracle runs
-        under both); batched runs that turn out to be observed --
-        telemetry, validation, event tracing -- quietly execute the
-        scalar loop, since the fused kernels bypass every hook.
+        Replay goes through
+        :func:`~repro.cpu.batched.run_interleaved_batched`, which picks
+        the execution path itself: the fused tagless kernel when the
+        design is tagless and the run is unobserved, else the reference
+        loop :func:`~repro.cpu.multicore.run_interleaved`.  Observed
+        runs -- telemetry, validation, event tracing -- always take the
+        reference loop, since the kernel bypasses every hook.  Both
+        paths are bit-identical (the golden-stats oracle locks this).
         """
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE", "scalar")
-        if engine not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {ENGINE_MODES}"
-            )
-        replay = run_interleaved_batched if engine == "batched" \
-            else run_interleaved
         if not (0.0 <= warmup_fraction < 1.0):
             raise ValueError("warmup_fraction must be in [0, 1)")
         if validate is None:
@@ -202,7 +198,7 @@ class Simulator:
                     BoundTrace(binding.core_id, binding.process_id,
                                binding.trace.slice(split, len(binding.trace)))
                 )
-            replay(design, warm)
+            run_interleaved_batched(design, warm)
             design.reset_stats()
             bindings = measured
         if telemetry is not None:
@@ -212,7 +208,7 @@ class Simulator:
             telemetry.install(design)
             if checker is not None:
                 checker.tracer = telemetry.tracer
-        cores = replay(design, bindings)
+        cores = run_interleaved_batched(design, bindings)
         if telemetry is not None:
             telemetry.uninstall()
         if checker is not None:
@@ -230,11 +226,6 @@ class Simulator:
             stats=design.stats(),
             resize_events=self._resize_ledger(design),
         )
-
-    def run_batched(self, design_name: str, bindings: Sequence[BoundTrace],
-                    **kwargs) -> SimulationResult:
-        """:meth:`run` under the batched engine (same results, faster)."""
-        return self.run(design_name, bindings, engine="batched", **kwargs)
 
     @staticmethod
     def _resize_ledger(design) -> Optional[List[Dict[str, object]]]:

@@ -388,21 +388,6 @@ class MemorySystemDesign:
         )
 
     # ------------------------------------------------------------------
-    # Batched engine (repro.cpu.batched)
-    # ------------------------------------------------------------------
-    def run_batched(self, bindings, max_accesses=None):
-        """Replay ``bindings`` through the fused v2 kernels.
-
-        Bit-identical to :func:`repro.cpu.multicore.run_interleaved`
-        (the golden-stats oracle runs under both engines); several
-        times faster when the run is unobserved.  Returns the per-core
-        results.
-        """
-        from repro.cpu.batched import run_interleaved_batched
-
-        return run_interleaved_batched(self, bindings, max_accesses)
-
-    # ------------------------------------------------------------------
     # Validation (repro.validate)
     # ------------------------------------------------------------------
     def register_invariants(self, checker) -> None:

@@ -39,9 +39,9 @@ class TaglessDesign(MemorySystemDesign):
     #: engine without re-deriving the constructor wiring.
     _engine_class = TaglessCacheEngine
 
-    #: Fused batched kernels apply; subclasses that override the access
-    #: path (runtime resizing) clear this so the scalar loop -- which
-    #: honours the override -- always runs.
+    #: The fused tagless kernel applies; subclasses that override the
+    #: access path (runtime resizing) clear this so the reference loop
+    #: -- which honours the override -- always runs.
     batchable = True
 
     def __init__(self, config: SystemConfig):

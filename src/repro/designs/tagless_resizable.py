@@ -23,8 +23,8 @@ paper already has:
 
 The engine's structural invariant generalises to ``live + free +
 pending + gated == capacity`` with the gated set exactly the powered-off
-upper region, so ``repro check`` holds mid-schedule.  The fused batched
-kernels stand down for this design (``batchable = False``): they bypass
+upper region, so ``repro check`` holds mid-schedule.  The fused tagless
+kernel stands down for this design (``batchable = False``): it bypasses
 the scalar access path that triggers resize events.
 """
 
@@ -126,7 +126,7 @@ class TaglessResizableDesign(TaglessDesign):
     name = "tagless-resizable"
     _engine_class = ResizableTaglessEngine
     #: The resize trigger lives in the scalar ``access_cycles`` override;
-    #: fused kernels would silently skip it.
+    #: the fused tagless kernel would silently skip it.
     batchable = False
 
     def __init__(self, config: SystemConfig):

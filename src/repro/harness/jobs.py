@@ -27,7 +27,6 @@ from repro.common import rng
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError
 from repro.common.machine import DEFAULT_MACHINE, MachineSpec, build_system
-from repro.cpu.batched import ENGINE_MODES
 from repro.cpu.multicore import BoundTrace
 from repro.cpu.simulator import SimulationResult, Simulator
 from repro.workloads.generator import TraceGenerator
@@ -42,6 +41,12 @@ SCHEMA_VERSION = 1
 
 #: Recognised workload binding recipes.
 WORKLOAD_KINDS = ("spec", "mix", "parsec", "tenants")
+
+#: Fields earlier builds wrote into spec dicts that no longer exist and
+#: never entered the cache key.  Rows carrying them still describe the
+#: same job, so :meth:`JobSpec.from_dict` ignores them silently.
+#: ``engine`` chose between two bit-identical replay paths.
+RETIRED_FIELDS = frozenset({"engine"})
 
 #: Memoised :func:`code_fingerprint` value (None = not yet computed).
 _FINGERPRINT: Optional[str] = None
@@ -123,11 +128,6 @@ class JobSpec:
     #: to ``$REPRO_JOB_TIMEOUT``).  Excluded from the cache key: how
     #: long a job is *allowed* to run does not change its result.
     timeout_s: Optional[float] = None
-    #: Execution engine ("scalar" or "batched"); ``None`` defers to
-    #: ``$REPRO_ENGINE``.  Excluded from the cache key like
-    #: ``timeout_s``: the engines are bit-identical (the golden oracle
-    #: locks this), so the choice is execution policy, not input.
-    engine: Optional[str] = None
     #: Machine description beyond the scalar knobs above: a preset plus
     #: validated dotted-path overrides (:mod:`repro.common.machine`).
     #: Accepts a :class:`MachineSpec`, a preset name, a dict form, or
@@ -179,11 +179,6 @@ class JobSpec:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive")
-        if self.engine is not None and self.engine not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {ENGINE_MODES}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -213,9 +208,12 @@ class JobSpec:
 
     @staticmethod
     def unknown_keys(data: Mapping[str, object]) -> List[str]:
-        """The keys of ``data`` no JobSpec field matches, sorted."""
+        """The keys of ``data`` no JobSpec field matches, sorted.
+
+        :data:`RETIRED_FIELDS` are not unknown: they are ignored.
+        """
         known = {f.name for f in dataclasses.fields(JobSpec)}
-        return sorted(set(data) - known)
+        return sorted(set(data) - known - RETIRED_FIELDS)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object],
@@ -228,7 +226,8 @@ class JobSpec:
         associate results with the wrong job.  ``strict=True`` (the
         ``--resume-strict`` behaviour) refuses with a
         :class:`ConfigurationError`; the default accepts the spec but
-        emits a warning naming the dropped keys.
+        emits a warning naming the dropped keys.  Keys in
+        :data:`RETIRED_FIELDS` are dropped silently in both modes.
         """
         unknown = cls.unknown_keys(data)
         if unknown:
@@ -258,11 +257,10 @@ class JobSpec:
         """
         payload = self.to_dict()
         # Execution policy, not simulation input: two runs differing
-        # only in how long they allow a job to take -- or which of the
-        # bit-identical engines runs it -- address the same cached
-        # result (and keys stay stable across the fields' introduction).
+        # only in how long they allow a job to take address the same
+        # cached result (and keys stay stable across the field's
+        # introduction).
         payload.pop("timeout_s", None)
-        payload.pop("engine", None)
         # The default machine spec resolves to exactly the machine the
         # scalar knobs already describe, so it is excluded -- keys of
         # every pre-machine-spec JobSpec stay byte-identical.  Any
@@ -400,7 +398,6 @@ def execute_job(spec: JobSpec, bindings=None) -> SimulationResult:
             warmup_fraction=spec.warmup_fraction,
             # False defers to REPRO_VALIDATE; True forces validation on.
             validate=spec.validate or None,
-            engine=spec.engine,
         )
     finally:
         if override:

@@ -40,7 +40,7 @@ def test_rate_guard_handles_zero_elapsed(monkeypatch):
     bench = _load_bench()
 
     class InstantSimulator:
-        def run(self, design_name, bindings, engine="scalar"):
+        def run(self, design_name, bindings):
             class Result:
                 ipc_sum = 0.0
             return Result()

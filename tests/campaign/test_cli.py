@@ -1,6 +1,7 @@
 """End-to-end `repro campaign` CLI tests (tiny grids, no workers)."""
 
 import json
+import warnings
 
 import pytest
 
@@ -74,6 +75,39 @@ def test_campaign_rerun_is_report_identical(capsys, tmp_path, study_path):
     assert summary["resumed"] == 4
     assert summary["computed"] == 0
     assert (tmp_path / "camp" / "report.json").read_text() == first
+
+
+@pytest.mark.parametrize("engine", [None, "batched"])
+def test_campaign_resume_accepts_retired_engine_key(capsys, tmp_path,
+                                                    study_path, engine):
+    """Artifacts written while JobSpec had an ``engine`` field resume
+    and reduce in full, with no warning about unknown keys."""
+    _, _, out_dir = run_study(capsys, tmp_path, study_path)
+    artifact = tmp_path / "camp" / "jobs.jsonl"
+    rows = [json.loads(line) for line in artifact.read_text().splitlines()]
+    for row in rows:
+        if row.get("record") == "job":
+            row["spec"]["engine"] = engine
+    artifact.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    first = (tmp_path / "camp" / "report.json").read_text()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["campaign", "report", out_dir])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "warning" not in captured.err
+        assert (tmp_path / "camp" / "report.json").read_text() == first
+
+        code = main(["campaign", "resume", out_dir,
+                     "--jobs", "1", "--no-cache", "--json"])
+        captured = capsys.readouterr()
+    assert code == 0
+    assert "warning" not in captured.err
+    summary = json.loads(captured.out)
+    assert summary["resumed"] == 4
+    assert summary["computed"] == 0
+    assert summary["missing_points"] == 0
 
 
 def test_campaign_report_reduces_without_running(capsys, tmp_path,

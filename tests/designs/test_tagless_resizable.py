@@ -145,8 +145,8 @@ class TestResizeMechanics:
 
 class TestEngineStanddown:
     def test_batched_kernels_stand_down(self, small_config):
-        """The fused kernels would bypass the access_cycles override
-        that triggers resize events, so they must refuse this design."""
+        """The fused kernel would bypass the access_cycles override
+        that triggers resize events, so it must refuse this design."""
         design = build(small_config)
         assert design.batchable is False
         assert select_kernel(design) is None

@@ -1,6 +1,7 @@
 """JobSpec tests: inference, validation, hashing, execution."""
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -160,7 +161,6 @@ class TestMachineField:
                        accesses=4_000)
         payload = dataclasses.asdict(spec)
         payload.pop("timeout_s", None)
-        payload.pop("engine", None)
         payload.pop("machine", None)  # the pre-machine payload shape
         payload.pop("scenario", None)  # ...and pre-tenant-scenario
         payload["base_seed"] = spec.effective_seed
@@ -241,6 +241,18 @@ class TestMachineField:
         with pytest.warns(RuntimeWarning, match="from_the_future"):
             rebuilt = JobSpec.from_dict(data)
         assert rebuilt == spec
+
+    @pytest.mark.parametrize("engine", [None, "batched"])
+    def test_retired_engine_key_is_ignored(self, engine):
+        """Rows written while ``engine`` was a field still parse, in
+        strict mode too, to the same job and without a warning."""
+        spec = JobSpec(design="tagless", workload="sphinx3")
+        data = {**spec.to_dict(), "engine": engine}
+        assert JobSpec.unknown_keys(data) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert JobSpec.from_dict(data, strict=True) == spec
+            assert JobSpec.from_dict(data) == spec
 
     def test_unknown_keys_helper(self):
         spec = JobSpec(design="tagless", workload="sphinx3")

@@ -10,8 +10,6 @@ crashes without leaking ``/dev/shm`` entries.
 import glob
 import os
 
-import pytest
-
 from repro.harness.jobs import JobSpec
 from repro.harness.runner import run_jobs
 from repro.harness.shm import (
@@ -161,15 +159,3 @@ def test_worker_crash_does_not_leak_segments(monkeypatch):
     assert outcomes[0].ok and outcomes[2].ok
     assert outcomes[0].trace_bytes_shared == 18 * ACCESSES
     assert _segment_names() - before == set()
-
-
-def test_engine_field_rides_specs_through_the_pool():
-    specs = _specs("tagless", engine="batched") + _specs("tagless")
-    outcomes = run_jobs(specs, jobs=2)
-    assert all(o.ok for o in outcomes)
-    # Engines are bit-identical, and the engine choice is execution
-    # policy: both specs address the same cache entry.
-    assert _metrics(outcomes[:1]) == _metrics(outcomes[1:])
-    assert specs[0].cache_key() == specs[1].cache_key()
-    with pytest.raises(Exception):
-        JobSpec(design="tagless", workload="mcf", engine="vector")

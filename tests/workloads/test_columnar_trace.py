@@ -119,10 +119,8 @@ def test_columnar_replay_bit_identical(object_trace, columnar):
 
     simulator = Simulator(default_system(cache_megabytes=256, num_cores=1,
                                          capacity_scale=64))
-    via_object = simulator.run(
-        "tagless", [BoundTrace(0, 0, object_trace)], engine="batched")
-    via_columnar = simulator.run(
-        "tagless", [BoundTrace(0, 0, columnar)], engine="batched")
+    via_object = simulator.run("tagless", [BoundTrace(0, 0, object_trace)])
+    via_columnar = simulator.run("tagless", [BoundTrace(0, 0, columnar)])
     assert via_object.stats == via_columnar.stats
     assert via_object.energy == via_columnar.energy
     assert ([(c.instructions, c.cycles, c.stall_cycles)

@@ -16,7 +16,10 @@ recorded *before or without* the instrumentation::
 Without ``--baseline`` the guard times each design twice in-process --
 once plain, once with a full telemetry bundle attached -- and asserts
 the *enabled* overhead stays within ``--enabled-tolerance``; this keeps
-the guard meaningful even where no baseline file is available.  Both
+the guard meaningful even where no baseline file is available.  An
+observed run always replays through the reference loop, so in this mode
+the plain run is pinned to that loop too: otherwise tagless's
+"overhead" would fold in its fused kernel's speedup.  Both
 comparisons use best-of-N timings, the standard suppressor of scheduler
 noise, and the tolerances are deliberately loose (5% / 150%): this is a
 tripwire for "someone put work on the disabled path", not a profiler.
@@ -25,15 +28,18 @@ tripwire for "someone put work on the disabled path", not a profiler.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import repro.cpu.simulator as simulator_module  # noqa: E402
 from repro.common.config import default_system  # noqa: E402
-from repro.cpu.multicore import BoundTrace  # noqa: E402
+from repro.cpu.multicore import BoundTrace, run_interleaved  # noqa: E402
 from repro.cpu.simulator import Simulator  # noqa: E402
 from repro.designs.registry import ALL_DESIGN_NAMES  # noqa: E402
 from repro.obs import make_telemetry, set_registry  # noqa: E402
@@ -198,7 +204,13 @@ def main(argv=None) -> int:
     # installed: what the 5% baseline comparison certifies is the whole
     # metrics-off stack, not a build that dodged the metrics layer.
     set_registry(MetricsRegistry(enabled=False))
-    rows = run_guard(args)
+    # Self-relative mode compares plain against telemetry runs; the
+    # latter take the reference loop, so the plain runs must as well.
+    replay = (contextlib.nullcontext() if args.baseline else
+              mock.patch.object(simulator_module, "run_interleaved_batched",
+                                run_interleaved))
+    with replay:
+        rows = run_guard(args)
     failures = [r for r in rows if r["status"] == "FAIL"]
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -41,7 +41,6 @@ from repro.campaign.spec import (
 from repro.campaign.status import (
     CampaignStatus,
     campaign_status,
-    counters_from_rows,
     render_status,
 )
 from repro.campaign.stats import (
@@ -72,7 +71,6 @@ __all__ = [
     "campaign_status",
     "cliffs_delta",
     "cohens_d",
-    "counters_from_rows",
     "expand",
     "render_status",
     "paired_speedup",

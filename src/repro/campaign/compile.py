@@ -21,7 +21,12 @@ from repro.common import machine as machine_mod
 from repro.common.errors import ConfigurationError
 from repro.designs.registry import ALL_DESIGN_NAMES
 from repro.harness.artifacts import job_metrics
-from repro.harness.jobs import JobResult, JobSpec, infer_workload_kind
+from repro.harness.jobs import (
+    JobResult,
+    JobSpec,
+    infer_workload_kind,
+    job_health,
+)
 from repro.harness.runner import Harness
 from repro.obs.metrics import get_registry
 from repro.campaign.spec import (
@@ -167,32 +172,8 @@ class CampaignRun:
         acceptance checks read to verify resume recomputes only what is
         missing.
         """
-        counters = {
-            "jobs": len(self.outcomes),
-            "errors": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "retries": 0,
-            "resumed": 0,
-            "cache_hits": 0,
-            "computed": 0,
-        }
-        for outcome in self.outcomes:
-            counters["retries"] += outcome.retries
-            if outcome.status == "timeout":
-                counters["timeouts"] += 1
-            elif outcome.status == "worker-crashed":
-                counters["worker_crashes"] += 1
-            elif outcome.status == "error":
-                counters["errors"] += 1
-            if outcome.cache_status == "resume":
-                counters["resumed"] += 1
-            elif outcome.cache_status == "hit":
-                counters["cache_hits"] += 1
-            elif outcome.ok:
-                counters["computed"] += 1
-        counters["errors"] += counters["timeouts"] + counters["worker_crashes"]
-        return counters
+        return job_health((outcome.status, outcome.cache_status,
+                           outcome.retries) for outcome in self.outcomes)
 
 
 def run_campaign(campaign: CampaignSpec, harness: Harness) -> CampaignRun:

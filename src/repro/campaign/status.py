@@ -6,8 +6,9 @@ derived from the campaign directory's ``spec.json`` (what *should*
 run) and ``jobs.jsonl`` (what *has* run), the same artifacts resume
 and ``campaign report`` already rely on.
 
-The counter semantics deliberately replicate
-:meth:`repro.campaign.compile.CampaignRun.counters` row for row --
+The counters come from the same tally as
+:meth:`repro.campaign.compile.CampaignRun.counters`
+(:func:`repro.harness.jobs.job_health`), fed from the artifact rows --
 status over a finished campaign's artifact must reproduce exactly the
 summary its run printed, which is what makes the reconstruction
 trustworthy (and testable).  Rows are deduplicated by cache key with
@@ -23,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.compile import expand
+from repro.harness.jobs import job_health
 
 
 @dataclasses.dataclass
@@ -91,38 +93,6 @@ def _dedupe_rows(artifact_path: str) -> Dict[str, dict]:
     return rows
 
 
-def counters_from_rows(rows: Dict[str, dict]) -> Dict[str, int]:
-    """Replicate :meth:`CampaignRun.counters` from artifact rows."""
-    counters = {
-        "jobs": len(rows),
-        "errors": 0,
-        "timeouts": 0,
-        "worker_crashes": 0,
-        "retries": 0,
-        "resumed": 0,
-        "cache_hits": 0,
-        "computed": 0,
-    }
-    for record in rows.values():
-        counters["retries"] += int(record.get("retries", 0))
-        status = record.get("status")
-        cache = record.get("cache")
-        if status == "timeout":
-            counters["timeouts"] += 1
-        elif status == "worker-crashed":
-            counters["worker_crashes"] += 1
-        elif status == "error":
-            counters["errors"] += 1
-        if cache == "resume":
-            counters["resumed"] += 1
-        elif cache == "hit":
-            counters["cache_hits"] += 1
-        elif status == "ok":
-            counters["computed"] += 1
-    counters["errors"] += counters["timeouts"] + counters["worker_crashes"]
-    return counters
-
-
 def campaign_status(out_dir: str) -> CampaignStatus:
     """Build the status of the campaign directory ``out_dir``.
 
@@ -153,7 +123,10 @@ def campaign_status(out_dir: str) -> CampaignStatus:
         repetitions=spec.repetitions,
         expected=expected,
         seen=len(rows),
-        counters=counters_from_rows(rows),
+        counters=job_health(
+            (record.get("status"), record.get("cache"),
+             int(record.get("retries", 0))) for record in rows.values()
+        ),
         failures=failures,
         job_wall_time_s=wall,
     )

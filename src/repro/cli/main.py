@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -69,9 +70,27 @@ def _machine_from_args(args: argparse.Namespace) -> MachineSpec:
         raise SystemExit(str(exc)) from None
 
 
+def _bounded(kind, minimum, strict: bool = False):
+    """argparse ``type=``: a ``kind`` number ``>= minimum`` (``>`` if strict)."""
+    def parse(text: str):
+        value = kind(text)
+        if value < minimum or (strict and value == minimum):
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {relation} {minimum}")
+        return value
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
-    """Harness flags shared by ``experiment`` and ``sweep``."""
-    parser.add_argument("--jobs", type=int, default=1,
+    """Execution flags shared by experiment/sweep/campaign run/resume.
+
+    Every one of them configures the single harness lifecycle in
+    :func:`_harness_session`; out-of-range values are refused at parse
+    time.
+    """
+    parser.add_argument("--jobs", type=_bounded(int, 1), default=1,
                         help="worker processes (1 = serial, the default)")
     parser.add_argument("--cache-dir", default=None,
                         help="result-cache root (default ~/.cache/repro, "
@@ -79,40 +98,22 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="compute every point fresh; do not read or "
                              "write the result cache")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--timeout", type=_bounded(float, 0, strict=True),
+                        default=None, metavar="SECONDS",
                         help="per-job wall-clock budget; a job past it is "
                              "killed and reported status=timeout (default: "
                              "$REPRO_JOB_TIMEOUT, else unbounded)")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=_bounded(int, 0), default=0,
                         help="extra attempts granted to each failed job "
                              "(default 0: fail on first error)")
-    parser.add_argument("--retry-backoff", type=float, default=0.5,
-                        metavar="SECONDS",
+    parser.add_argument("--retry-backoff", type=_bounded(float, 0),
+                        default=0.5, metavar="SECONDS",
                         help="delay before the first retry, doubling each "
                              "further attempt (default 0.5)")
-    parser.add_argument("--resume", default=None, metavar="ARTIFACT",
-                        help="seed completed points from a prior run's "
-                             "JSONL artifact; only missing/failed points "
-                             "are recomputed")
     parser.add_argument("--resume-strict", action="store_true",
-                        help="with --resume: skip artifact rows recorded "
+                        help="when resuming: skip artifact rows recorded "
                              "by a different code fingerprint (default: "
                              "accept them with a warning)")
-    parser.add_argument("--trace", dest="trace_out", default=None,
-                        metavar="PATH",
-                        help="write a Perfetto JSON trace of the harness "
-                             "job lifecycle to PATH")
-    parser.add_argument("--timeseries", dest="timeseries_out", default=None,
-                        metavar="PATH",
-                        help="write a JSONL progress time-series "
-                             "(jobs/errors/cache hits over wall time) to "
-                             "PATH")
-    _add_fleet_arguments(parser)
-
-
-def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    """Fleet-observability flags shared by sweep/experiment/campaign."""
     parser.add_argument("--live", action="store_true",
                         help="replace the progress lines with a live "
                              "per-worker dashboard fed by worker "
@@ -124,6 +125,27 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
                              "to PATH on exit; a .prom suffix selects "
                              "Prometheus text exposition, anything else "
                              "JSONL")
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """Artifact-resume and telemetry flags of ``experiment``/``sweep``.
+
+    ``campaign`` resumes from its own directory and has no harness
+    telemetry files, so these stay off its parsers.
+    """
+    parser.add_argument("--resume", default=None, metavar="ARTIFACT",
+                        help="seed completed points from a prior run's "
+                             "JSONL artifact; only missing/failed points "
+                             "are recomputed")
+    parser.add_argument("--trace", dest="trace_out", default=None,
+                        metavar="PATH",
+                        help="write a Perfetto JSON trace of the harness "
+                             "job lifecycle to PATH")
+    parser.add_argument("--timeseries", dest="timeseries_out", default=None,
+                        metavar="PATH",
+                        help="write a JSONL progress time-series "
+                             "(jobs/errors/cache hits over wall time) to "
+                             "PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "timestamped file under <cache-dir>/runs)")
     _add_machine_arguments(experiment)
     _add_harness_arguments(experiment)
+    _add_sweep_arguments(experiment)
 
     sweep = sub.add_parser(
         "sweep",
@@ -259,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "invariant checker installed")
     _add_machine_arguments(sweep)
     _add_harness_arguments(sweep)
+    _add_sweep_arguments(sweep)
 
     campaign = sub.add_parser(
         "campaign",
@@ -267,30 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command",
                                            required=True)
-
-    def _campaign_exec_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (1 = serial)")
-        parser.add_argument("--cache-dir", default=None,
-                            help="result-cache root (default ~/.cache/"
-                                 "repro, or $REPRO_CACHE_DIR)")
-        parser.add_argument("--no-cache", action="store_true",
-                            help="compute every point fresh")
-        parser.add_argument("--timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="per-job wall-clock budget")
-        parser.add_argument("--retries", type=int, default=0,
-                            help="extra attempts per failed job")
-        parser.add_argument("--retry-backoff", type=float, default=0.5,
-                            metavar="SECONDS",
-                            help="first retry delay, doubling per attempt")
-        parser.add_argument("--resume-strict", action="store_true",
-                            help="when resuming, skip artifact rows "
-                                 "recorded by a different code "
-                                 "fingerprint instead of warning")
-        parser.add_argument("--json", action="store_true",
-                            help="print the run summary as JSON")
-        _add_fleet_arguments(parser)
 
     campaign_run = campaign_sub.add_parser(
         "run", help="execute a study spec end to end and write reports"
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
              "problem)"
     )
     _add_machine_arguments(campaign_run)
-    _campaign_exec_arguments(campaign_run)
+    _add_harness_arguments(campaign_run)
 
     campaign_resume = campaign_sub.add_parser(
         "resume", help="continue an interrupted campaign directory"
@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_resume.add_argument(
         "dir", help="campaign directory holding spec.json + jobs.jsonl"
     )
-    _campaign_exec_arguments(campaign_resume)
+    _add_harness_arguments(campaign_resume)
+    for command in (campaign_run, campaign_resume):
+        command.add_argument("--json", action="store_true",
+                             help="print the run summary as JSON")
 
     campaign_report = campaign_sub.add_parser(
         "report",
@@ -708,7 +711,7 @@ def _bindings_for(workload: str, accesses: int, scale: int) -> List[BoundTrace]:
     return [BoundTrace(0, 0, trace)]
 
 
-def _run_supervised(args: argparse.Namespace):
+def _run_supervised(args: argparse.Namespace, machine: MachineSpec):
     """Execute ``repro run`` through the fault-tolerant harness.
 
     Used when ``--timeout``/``--retries`` are given: the simulation runs
@@ -734,7 +737,7 @@ def _run_supervised(args: argparse.Namespace):
             capacity_scale=args.scale,
             warmup_fraction=args.warmup,
             timeout_s=args.timeout,
-            machine=_machine_from_args(args),
+            machine=machine,
         )
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
@@ -755,11 +758,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--retries must be >= 0")
     if args.timeout is not None and args.timeout <= 0:
         raise SystemExit("--timeout must be positive")
+    # Resolved once: the machine file is read a single time, so the
+    # printed ``machine`` block is the machine that was simulated.
+    machine = _machine_from_args(args)
     telemetry = None
     if args.timeout is not None or args.retries > 0:
-        result = _run_supervised(args)
+        result = _run_supervised(args, machine)
     else:
-        machine = _machine_from_args(args)
         try:
             config = build_system(
                 machine=machine,
@@ -794,11 +799,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "energy_j": result.total_energy_j,
         "edp_js": result.edp,
     }
-    machine_spec = _machine_from_args(args)
-    if not machine_spec.is_default:
+    if not machine.is_default:
         # Key appears only when the machine was customised, so default
         # invocations keep byte-identical output.
-        metrics["machine"] = machine_spec.to_dict()
+        metrics["machine"] = machine.to_dict()
     if telemetry is not None:
         # Keys appear only when capture was requested, so the default
         # output stays byte-identical.
@@ -852,8 +856,10 @@ def _install_metrics(args: argparse.Namespace) -> None:
     """Arm the global metrics registry when ``--metrics`` asks for it.
 
     Must run before any instrumented object (cache, pool, arena) is
-    constructed: instruments are fetched at construction time.  Without
-    the flag the registry keeps its ``$REPRO_METRICS`` default.
+    constructed -- instruments are fetched at construction time -- and
+    before a campaign expands its grid, which counts cells and points;
+    :func:`main` calls it straight after parsing.  Without the flag the
+    registry keeps its ``$REPRO_METRICS`` default.
     """
     if getattr(args, "metrics_out", None):
         from repro.obs import MetricsRegistry, set_registry
@@ -871,13 +877,9 @@ def _write_metrics(path: Optional[str]) -> None:
     print(f"metrics: {path}", file=sys.stderr)
 
 
-def _fleet_observer(args: argparse.Namespace, name: str,
-                    total: Optional[int]):
-    """Observer stack for the shared flags: tracing and/or ``--live``.
-
-    Returns ``(observer, heartbeat_s)``; both ``None`` when no
-    observability was requested.
-    """
+def _fleet_observers(args: argparse.Namespace, name: str,
+                     total: Optional[int]) -> list:
+    """Observers behind ``--trace``/``--timeseries`` and ``--live``."""
     observers = []
     if getattr(args, "trace_out", None) or getattr(args, "timeseries_out",
                                                    None):
@@ -887,49 +889,37 @@ def _fleet_observer(args: argparse.Namespace, name: str,
         harness_obs.trace_path = args.trace_out
         harness_obs.timeseries_path = args.timeseries_out
         observers.append(harness_obs)
-    live = bool(getattr(args, "live", False))
-    if live:
+    if args.live:
         from repro.obs import LiveMonitor
 
         observers.append(LiveMonitor(total=total or 0, label=name))
-    if not observers:
-        return None, None
-    if len(observers) == 1:
-        return observers[0], LIVE_HEARTBEAT_S if live else None
+    return observers
+
+
+@contextlib.contextmanager
+def _harness_session(args: argparse.Namespace, name: str,
+                     artifact_path: Optional[str],
+                     total: Optional[int] = None, *,
+                     meta: Optional[dict] = None,
+                     resume_path: Optional[str] = None):
+    """Build the harness from the shared flags; finish it on the way out.
+
+    The one execution lifecycle of ``experiment``, ``sweep`` and
+    ``campaign run``/``resume``.  Yields ``(harness, artifact)``: the
+    progress reporter, the JSONL artifact and any fleet observers, all
+    labelled ``name``, ride the harness's one observer slot, in that
+    order.  On exit -- Ctrl-C included -- the artifact gets its summary
+    record, telemetry files are written, the progress summary prints
+    and the ``--metrics`` snapshot lands.  Progress and file locations
+    go to stderr so stdout carries only the figure tables / JSON --
+    byte-identical to a serial, uncached invocation.
+    """
     from repro.obs import CompositeObserver
 
-    return (CompositeObserver(*observers),
-            LIVE_HEARTBEAT_S if live else None)
-
-
-def _observer_parts(observer) -> list:
-    """The leaf observers behind a possibly-composite observer."""
-    if observer is None:
-        return []
-    return list(getattr(observer, "observers", [observer]))
-
-
-def _build_harness(args: argparse.Namespace, name: str,
-                   artifact_path: Optional[str],
-                   total: Optional[int] = None) -> Harness:
-    """Assemble the execution engine from the shared CLI flags.
-
-    Progress and the artifact location go to stderr so stdout carries
-    only the figure tables / JSON -- byte-identical to a serial,
-    uncached invocation.
-    """
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.retry_backoff < 0:
-        raise SystemExit("--retry-backoff must be >= 0")
-    _install_metrics(args)
-    resume = None
-    if args.resume is not None:
-        resume = _load_resume(args.resume, args.resume_strict)
+    # Loaded before the artifact opens for writing, so resuming over
+    # the same file is safe.
+    resume = (_load_resume(resume_path, args.resume_strict)
+              if resume_path is not None else None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if artifact_path is None:
         artifact_path = default_artifact_path(
@@ -938,42 +928,39 @@ def _build_harness(args: argparse.Namespace, name: str,
     artifact = RunArtifact(
         artifact_path, name=name,
         meta={"jobs": args.jobs, "cache": not args.no_cache,
-              "argv": sys.argv[1:]},
+              **(meta or {}), "argv": sys.argv[1:]},
     )
     # --live owns the terminal; the line-per-job reporter keeps counting
     # silently so its end-of-run summary still prints.
     progress = ProgressReporter(total=total, label=name,
-                                enabled=not getattr(args, "live", False))
-    observer, heartbeat_s = _fleet_observer(args, name, total)
+                                enabled=not args.live)
+    fleet = _fleet_observers(args, name, total)
     print(f"artifact: {artifact_path}", file=sys.stderr)
-    harness = Harness(jobs=args.jobs, cache=cache, progress=progress,
-                      artifact=artifact, observer=observer,
+    harness = Harness(jobs=args.jobs, cache=cache,
+                      observer=CompositeObserver(progress, artifact, *fleet),
                       timeout_s=args.timeout, retries=args.retries,
                       retry_backoff_s=args.retry_backoff, resume=resume,
-                      heartbeat_s=heartbeat_s)
-    harness.metrics_out = getattr(args, "metrics_out", None)
-    return harness
-
-
-def _finish_harness(harness: Harness) -> None:
-    cache_stats = harness.cache.stats if harness.cache else None
-    harness.artifact.close(cache_stats)
-    if harness.observer is not None:
-        harness.observer.finish()
-        for part in _observer_parts(harness.observer):
-            for path in (getattr(part, "trace_path", None),
-                         getattr(part, "timeseries_path", None)):
+                      heartbeat_s=LIVE_HEARTBEAT_S if args.live else None)
+    try:
+        yield harness, artifact
+    finally:
+        cache_stats = cache.stats if cache else None
+        artifact.close(cache_stats)
+        for observer in fleet:
+            observer.finish()
+            for path in (getattr(observer, "trace_path", None),
+                         getattr(observer, "timeseries_path", None)):
                 if path:
                     print(f"telemetry: {path}", file=sys.stderr)
-    harness.progress.summary(cache_stats)
-    _write_metrics(getattr(harness, "metrics_out", None))
+        progress.summary(cache_stats)
+        _write_metrics(args.metrics_out)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     accesses = args.accesses
     machine = _machine_from_args(args)
-    harness = _build_harness(args, args.figure, args.artifact)
-    try:
+    with _harness_session(args, args.figure, args.artifact,
+                          resume_path=args.resume) as (harness, artifact):
         if args.figure == "fig7":
             result = experiments.run_single_programmed(
                 accesses=accesses or experiments.DEFAULT_ACCESSES,
@@ -1024,14 +1011,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 harness=harness,
             )
             tables = [result.table()]
-    finally:
-        _finish_harness(harness)
 
     if args.json:
         data = result.to_dict()
         # Execution health rides along so campaign-style aggregation
         # can tell a clean figure from one that limped through retries.
-        data["harness"] = harness.artifact.counters
+        data["harness"] = artifact.counters
         print(json.dumps(data, indent=2))
     else:
         for index, table in enumerate(tables):
@@ -1065,31 +1050,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from None
 
-    harness = _build_harness(args, "sweep", args.out, total=len(specs))
-    try:
-        outcomes = harness.run(specs)
-    finally:
-        _finish_harness(harness)
+    with _harness_session(args, "sweep", args.out, total=len(specs),
+                          resume_path=args.resume) as (harness, artifact):
+        harness.run(specs)
 
-    errors = sum(1 for outcome in outcomes if not outcome.ok)
-    hits = sum(1 for o in outcomes if o.cache_status == "hit")
-    summary = {
-        "jobs": len(outcomes),
-        "errors": errors,
-        "timeouts": sum(1 for o in outcomes if o.status == "timeout"),
-        "worker_crashes": sum(1 for o in outcomes
-                              if o.status == "worker-crashed"),
-        "retries": sum(o.retries for o in outcomes),
-        "resumed": sum(1 for o in outcomes if o.cache_status == "resume"),
-        "cache_hits": hits,
-        "artifact": args.out,
-    }
+    summary = {**artifact.counters, "artifact": args.out}
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        print(f"{len(outcomes)} jobs ({errors} errors, {hits} cache hits) "
-              f"-> {args.out}")
-    return 1 if errors else 0
+        print(f"{summary['jobs']} jobs ({summary['errors']} errors, "
+              f"{summary['cache_hits']} cache hits) -> {args.out}")
+    return 1 if summary["errors"] else 0
 
 
 #: Built-in study behind ``repro campaign run --smoke``: a 2-design x
@@ -1143,15 +1114,6 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
     )
     from repro.harness.jobs import code_fingerprint
 
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.retry_backoff < 0:
-        raise SystemExit("--retry-backoff must be >= 0")
-    _install_metrics(args)
     try:
         jobs = expand(spec)
     except ConfigurationError as exc:
@@ -1161,7 +1123,7 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
     spec_path = os.path.join(out_dir, "spec.json")
     artifact_path = os.path.join(out_dir, "jobs.jsonl")
 
-    resume_map = None
+    resume_path = None
     if resume:
         if os.path.exists(spec_path):
             from repro.campaign import CampaignSpec
@@ -1180,9 +1142,7 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
                     f"resuming"
                 )
         if os.path.exists(artifact_path):
-            # Fully loaded before the artifact reopens for writing, so
-            # resuming over the same jobs.jsonl is safe.
-            resume_map = _load_resume(artifact_path, args.resume_strict)
+            resume_path = artifact_path
         else:
             print(f"resume: no prior artifact at {artifact_path}; "
                   f"running the full study", file=sys.stderr)
@@ -1191,39 +1151,21 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    artifact = RunArtifact(
-        artifact_path, name=f"campaign-{spec.name}",
-        meta={"campaign": spec.name, "spec_hash": spec.spec_hash(),
-              "argv": sys.argv[1:]},
-    )
-    label = f"campaign:{spec.name}"
-    progress = ProgressReporter(total=len(jobs), label=label,
-                                enabled=not getattr(args, "live", False))
-    observer, heartbeat_s = _fleet_observer(args, label, len(jobs))
-    harness = Harness(jobs=args.jobs, cache=cache, progress=progress,
-                      artifact=artifact, observer=observer,
-                      timeout_s=args.timeout,
-                      retries=args.retries,
-                      retry_backoff_s=args.retry_backoff,
-                      resume=resume_map, heartbeat_s=heartbeat_s)
     print(f"campaign {spec.name}: {len(jobs)} points "
           f"({len(spec.cells())} cells x {spec.repetitions} repetitions) "
           f"-> {out_dir}", file=sys.stderr)
     try:
-        outcomes = harness.run([job.spec for job in jobs])
+        with _harness_session(
+            args, f"campaign-{spec.name}", artifact_path, total=len(jobs),
+            meta={"campaign": spec.name, "spec_hash": spec.spec_hash()},
+            resume_path=resume_path,
+        ) as (harness, _artifact):
+            outcomes = harness.run([job.spec for job in jobs])
     except KeyboardInterrupt:
-        artifact.close(cache.stats if cache else None)
         print(f"\ninterrupted; completed points are in {artifact_path} -- "
               f"finish with `repro campaign resume {out_dir}`",
               file=sys.stderr)
         return 130
-    finally:
-        artifact.close(cache.stats if cache else None)
-        if observer is not None:
-            observer.finish()
-        progress.summary(cache.stats if cache else None)
-        _write_metrics(getattr(args, "metrics_out", None))
 
     run = CampaignRun(campaign=spec, jobs=jobs, outcomes=outcomes)
     report = reduce_campaign(spec, run.cell_results())
@@ -1546,9 +1488,7 @@ def _status_smoke() -> int:
             handle.write("\n")
         artifact = RunArtifact(os.path.join(tmp, "jobs.jsonl"),
                                name=f"campaign-{spec.name}")
-        harness = Harness(jobs=2, artifact=artifact,
-                          progress=ProgressReporter(enabled=False))
-        run = run_campaign(spec, harness)
+        run = run_campaign(spec, Harness(jobs=2, observer=artifact))
         artifact.close()
         status = campaign_status(tmp)
         expected = run.counters()
@@ -1777,4 +1717,5 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    _install_metrics(args)
     return _COMMANDS[args.command](args)

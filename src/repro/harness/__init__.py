@@ -39,6 +39,7 @@ from repro.harness.jobs import (
     execute_captured,
     execute_job,
     infer_workload_kind,
+    job_health,
 )
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import (
@@ -67,6 +68,7 @@ __all__ = [
     "execute_captured",
     "execute_job",
     "infer_workload_kind",
+    "job_health",
     "job_metrics",
     "load_resume_map",
     "parse_fault_plan",

@@ -15,11 +15,11 @@ import datetime
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.machine import system_config_to_dict
 from repro.harness.cache import CacheStats, simulation_result_to_dict
-from repro.harness.jobs import JobResult, code_fingerprint
+from repro.harness.jobs import JobResult, code_fingerprint, job_health
 from repro.cpu.simulator import SimulationResult
 
 
@@ -74,13 +74,9 @@ class RunArtifact:
         self.name = name
         self.store_results = store_results
         self._started = time.perf_counter()
-        self._jobs = 0
-        self._errors = 0
-        self._hits = 0
-        self._resumed = 0
-        self._timeouts = 0
-        self._crashes = 0
-        self._retries = 0
+        #: ``(status, cache status, retries)`` per recorded job: the
+        #: input of :func:`~repro.harness.jobs.job_health`.
+        self._health: List[Tuple[str, str, int]] = []
         self._job_wall_s = 0.0
         self._closed = False
         directory = os.path.dirname(os.path.abspath(path))
@@ -98,15 +94,12 @@ class RunArtifact:
         })
 
     # ------------------------------------------------------------------
-    def record(self, outcome: JobResult) -> None:
-        """Append one job record."""
-        self._jobs += 1
+    def job_done(self, outcome: JobResult) -> None:
+        """Append one job record (the runner's observer hook)."""
+        self._health.append(
+            (outcome.status, outcome.cache_status, outcome.retries)
+        )
         self._job_wall_s += outcome.wall_time_s
-        self._retries += outcome.retries
-        if outcome.cache_status == "hit":
-            self._hits += 1
-        if outcome.cache_status == "resume":
-            self._resumed += 1
         entry: Dict[str, object] = {
             "record": "job",
             "key": outcome.spec.cache_key(),
@@ -136,20 +129,11 @@ class RunArtifact:
             if self.store_results:
                 entry["result"] = simulation_result_to_dict(outcome.result)
         else:
-            self._errors += 1
-            if outcome.status == "timeout":
-                self._timeouts += 1
-            elif outcome.status == "worker-crashed":
-                self._crashes += 1
             entry["status"] = outcome.status
             entry["error"] = outcome.error
             if outcome.error_detail:
                 entry["error_detail"] = outcome.error_detail
         self._write(entry)
-
-    def record_all(self, outcomes: List[JobResult]) -> None:
-        for outcome in outcomes:
-            self.record(outcome)
 
     @property
     def counters(self) -> Dict[str, int]:
@@ -160,26 +144,20 @@ class RunArtifact:
         campaign run summary) can surface retry/timeout/crash counts
         without re-reading the artifact.
         """
-        return {
-            "jobs": self._jobs,
-            "errors": self._errors,
-            "timeouts": self._timeouts,
-            "worker_crashes": self._crashes,
-            "retries": self._retries,
-            "resumed": self._resumed,
-            "cache_hits": self._hits,
-        }
+        return job_health(self._health)
 
     def close(self, cache_stats: Optional[CacheStats] = None) -> None:
         """Append the summary record and close the file (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        counters = self.counters
+        jobs = counters["jobs"]
         summary: Dict[str, object] = {
             "record": "summary",
             "run": self.name,
-            **self.counters,
-            "cache_hit_rate": self._hits / self._jobs if self._jobs else 0.0,
+            **counters,
+            "cache_hit_rate": counters["cache_hits"] / jobs if jobs else 0.0,
             "job_wall_time_s": self._job_wall_s,
             "elapsed_s": time.perf_counter() - self._started,
         }

@@ -20,7 +20,7 @@ import subprocess
 import time
 import traceback
 import warnings
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import repro
 from repro.common import rng
@@ -488,3 +488,42 @@ class JobResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+def job_health(jobs: Iterable[Tuple[str, str, int]]) -> Dict[str, int]:
+    """Execution-health counters over ``(status, cache status, retries)``.
+
+    The one tally behind the artifact summary record, the ``--json``
+    summaries of ``sweep``/``experiment``, the campaign run summary and
+    ``repro status`` -- so a live run and an artifact replay of it
+    count identically.  ``errors`` covers every failed terminal status
+    (``timeouts`` and ``worker_crashes`` break two of them out);
+    ``computed`` counts points that actually ran, i.e. neither served
+    from the cache nor seeded by a resume.
+    """
+    counters = {
+        "jobs": 0,
+        "errors": 0,
+        "timeouts": 0,
+        "worker_crashes": 0,
+        "retries": 0,
+        "resumed": 0,
+        "cache_hits": 0,
+        "computed": 0,
+    }
+    for status, cache_status, retries in jobs:
+        counters["jobs"] += 1
+        counters["retries"] += retries
+        if status in ("error", "timeout", "worker-crashed"):
+            counters["errors"] += 1
+        if status == "timeout":
+            counters["timeouts"] += 1
+        elif status == "worker-crashed":
+            counters["worker_crashes"] += 1
+        if cache_status == "resume":
+            counters["resumed"] += 1
+        elif cache_status == "hit":
+            counters["cache_hits"] += 1
+        elif status == "ok":
+            counters["computed"] += 1
+    return counters

@@ -45,7 +45,6 @@ import dataclasses
 
 from repro.common.errors import ReproError
 from repro.cpu.simulator import SimulationResult
-from repro.harness.artifacts import RunArtifact
 from repro.harness.cache import ResultCache, simulation_result_from_dict
 from repro.harness.jobs import JobResult, JobSpec, execute_captured
 from repro.harness.pool import DONE, HEARTBEAT, WorkerPool
@@ -88,10 +87,9 @@ def _retry_delay(backoff_s: float, attempt: int) -> float:
 def _hook(observer, name: str, *args) -> None:
     """Invoke an *optional* observer hook.
 
-    The required observer surface is ``job_done`` (and ``job_retry``,
-    already guarded); the fleet-observability hooks -- ``job_dispatched``,
-    ``job_finished``, ``worker_heartbeat`` -- are looked up dynamically
-    so observers written against the older protocol keep working.
+    Every hook -- ``job_done``, ``job_retry``, ``job_dispatched``,
+    ``job_finished``, ``worker_heartbeat`` -- is looked up dynamically,
+    so an observer implements only the ones it cares about.
     """
     if observer is None:
         return
@@ -123,8 +121,6 @@ def run_jobs(
     specs: Sequence[JobSpec],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    progress=None,
-    artifact: Optional[RunArtifact] = None,
     observer=None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -136,10 +132,12 @@ def run_jobs(
 
     Resume seeds and cache hits are resolved up front in the parent
     process (they never occupy a worker); only misses are dispatched.
-    Each completed job is reported to ``progress``, ``artifact`` and
-    ``observer`` (an :class:`~repro.obs.harness.HarnessObserver` or
-    anything with a ``job_done(outcome)`` method) as it lands, and
-    stored in the cache on success.  ``resume`` maps cache keys to job
+    Each completed job is reported to ``observer``'s ``job_done`` hook
+    as it lands -- a :class:`~repro.harness.progress.ProgressReporter`,
+    a :class:`~repro.harness.artifacts.RunArtifact`, a
+    :class:`~repro.obs.harness.HarnessObserver`, or several fanned out
+    by :class:`~repro.obs.live.CompositeObserver` -- and stored in the
+    cache on success.  ``resume`` maps cache keys to job
     records from a prior artifact (see
     :func:`repro.harness.artifacts.load_resume_map`).
 
@@ -172,7 +170,7 @@ def run_jobs(
                 seeded = _seed_from_record(spec, record)
                 if seeded is not None:
                     outcomes[index] = seeded
-                    _report(seeded, progress, artifact, observer)
+                    _hook(observer, "job_done", seeded)
                     continue
         if cache is not None:
             start = time.perf_counter()
@@ -184,7 +182,7 @@ def run_jobs(
                     wall_time_s=time.perf_counter() - start,
                     cache_status="hit",
                 )
-                _report(outcomes[index], progress, artifact, observer)
+                _hook(observer, "job_done", outcomes[index])
                 continue
         pending.append((index, spec))
 
@@ -205,11 +203,10 @@ def run_jobs(
             trace_bytes_pickled=transfer[0],
             trace_bytes_shared=transfer[1],
         )
-        _report(outcomes[index], progress, artifact, observer)
+        _hook(observer, "job_done", outcomes[index])
 
     def notify_retry(spec: JobSpec, attempt: int, error: str) -> None:
-        if observer is not None and hasattr(observer, "job_retry"):
-            observer.job_retry(spec, attempt, error)
+        _hook(observer, "job_retry", spec, attempt, error)
 
     # The in-process path stays the default (debuggable, zero overhead)
     # unless real parallelism is requested or any job carries a timeout
@@ -389,15 +386,6 @@ def _run_pooled(pending, workers, job_timeout, retries, retry_backoff_s,
                 requeue_or_fail(job, error, None, wall, "timeout")
 
 
-def _report(outcome: JobResult, progress, artifact, observer=None) -> None:
-    if progress is not None:
-        progress.job_done(outcome)
-    if artifact is not None:
-        artifact.record(outcome)
-    if observer is not None:
-        observer.job_done(outcome)
-
-
 @dataclasses.dataclass
 class Harness:
     """Bundle of execution options threaded through the figure runners.
@@ -407,13 +395,12 @@ class Harness:
     behaviour when no harness is passed.  The CLI builds one from
     ``--jobs`` / ``--cache-dir`` / ``--no-cache`` / ``--timeout`` /
     ``--retries`` / ``--resume``; benchmarks from ``REPRO_BENCH_JOBS``
-    etc.
+    etc.  Progress lines, the JSONL artifact and fleet telemetry all
+    ride the one ``observer`` slot (see :func:`run_jobs`).
     """
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
-    progress: object = None
-    artifact: Optional[RunArtifact] = None
     observer: object = None
     #: Default per-job wall-clock budget (``None``: $REPRO_JOB_TIMEOUT,
     #: else unbounded).  ``JobSpec.timeout_s`` overrides per job.
@@ -434,8 +421,6 @@ class Harness:
             specs,
             jobs=self.jobs,
             cache=self.cache,
-            progress=self.progress,
-            artifact=self.artifact,
             observer=self.observer,
             timeout_s=self.timeout_s,
             retries=self.retries,

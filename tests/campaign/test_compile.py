@@ -123,7 +123,7 @@ class TestResultsFromArtifact:
         spec = study()
         path = str(tmp_path / "jobs.jsonl")
         artifact = RunArtifact(path, name="campaign-unit")
-        run = run_campaign(spec, Harness(artifact=artifact))
+        run = run_campaign(spec, Harness(observer=artifact))
         artifact.close()
         _jobs, replayed, _dropped = results_from_artifact(spec, path)
         assert replayed == run.cell_results()
@@ -132,7 +132,7 @@ class TestResultsFromArtifact:
         spec = study()
         path = str(tmp_path / "jobs.jsonl")
         artifact = RunArtifact(path, name="campaign-unit")
-        run_campaign(spec, Harness(artifact=artifact))
+        run_campaign(spec, Harness(observer=artifact))
         artifact.close()
         # A spec with different fixed settings matches nothing.
         other = study(fixed={"accesses": 999, "cache_mb": 256,
@@ -144,7 +144,7 @@ class TestResultsFromArtifact:
         spec = study()
         path = str(tmp_path / "jobs.jsonl")
         artifact = RunArtifact(path, name="campaign-unit")
-        run = run_campaign(spec, Harness(artifact=artifact))
+        run = run_campaign(spec, Harness(observer=artifact))
         artifact.close()
         with open(path, "a") as handle:
             handle.write('{"record": "job", "status": "ok"')  # torn
@@ -268,7 +268,7 @@ class TestDroppedUnknownRows:
         spec = study()
         path = str(tmp_path / "jobs.jsonl")
         artifact = RunArtifact(path, name="campaign-unit")
-        run = run_campaign(spec, Harness(artifact=artifact))
+        run = run_campaign(spec, Harness(observer=artifact))
         artifact.close()
         # Rewrite one ok row with a field from a "newer build": under
         # the old silent-drop from_dict it would still match a current

@@ -15,11 +15,10 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     campaign_status,
-    counters_from_rows,
     render_status,
     run_campaign,
 )
-from repro.harness import Harness, ProgressReporter, RunArtifact
+from repro.harness import Harness, RunArtifact, job_health
 
 STUDY = {
     "name": "status-unit",
@@ -37,9 +36,7 @@ def _run_into(out_dir, spec, jobs=1, **harness_kwargs):
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
     artifact = RunArtifact(os.path.join(out_dir, "jobs.jsonl"),
                            name=f"campaign-{spec.name}")
-    harness = Harness(jobs=jobs, artifact=artifact,
-                      progress=ProgressReporter(enabled=False),
-                      **harness_kwargs)
+    harness = Harness(jobs=jobs, observer=artifact, **harness_kwargs)
     run = run_campaign(spec, harness)
     artifact.close()
     return run
@@ -118,27 +115,26 @@ class TestReconstruction:
 
 
 class TestCounterSemantics:
-    def _row(self, key, status="ok", cache="off", retries=0):
-        return {"record": "job", "key": key, "status": status,
-                "cache": cache, "retries": retries}
+    def _row(self, status="ok", cache="off", retries=0):
+        return (status, cache, retries)
 
     def test_error_rollup_matches_campaign_run(self):
-        rows = {
-            "a": self._row("a"),
-            "b": self._row("b", status="timeout"),
-            "c": self._row("c", status="worker-crashed"),
-            "d": self._row("d", status="error", retries=2),
-            "e": self._row("e", cache="hit"),
-            "f": self._row("f", cache="resume"),
-        }
-        counters = counters_from_rows(rows)
+        rows = [
+            self._row(),
+            self._row(status="timeout"),
+            self._row(status="worker-crashed"),
+            self._row(status="error", retries=2),
+            self._row(cache="hit"),
+            self._row(cache="resume"),
+        ]
+        counters = job_health(rows)
         assert counters == {
             "jobs": 6, "errors": 3, "timeouts": 1, "worker_crashes": 1,
             "retries": 2, "resumed": 1, "cache_hits": 1, "computed": 1,
         }
 
     def test_cached_rows_do_not_count_as_computed(self):
-        counters = counters_from_rows({"a": self._row("a", cache="hit")})
+        counters = job_health([self._row(cache="hit")])
         assert counters["computed"] == 0
         assert counters["cache_hits"] == 1
 

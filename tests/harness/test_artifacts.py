@@ -24,7 +24,7 @@ SPECS = [
 def test_artifact_records_jobs_and_summary(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit", meta={"note": "test"}) as artifact:
-        run_jobs(SPECS, jobs=1, artifact=artifact)
+        run_jobs(SPECS, jobs=1, observer=artifact)
     records = read_artifact(path)
     assert [r["record"] for r in records] == [
         "header", "job", "job", "summary"
@@ -46,7 +46,7 @@ def test_artifact_shows_warm_run_hits(tmp_path):
     run_jobs(spec, jobs=1, cache=cache)
     path = str(tmp_path / "warm.jsonl")
     with RunArtifact(path, name="warm") as artifact:
-        run_jobs(spec, jobs=1, cache=cache, artifact=artifact)
+        run_jobs(spec, jobs=1, cache=cache, observer=artifact)
         artifact.close(cache.stats)
     records = read_artifact(path)
     job = [r for r in records if r["record"] == "job"][0]
@@ -76,7 +76,7 @@ def test_default_artifact_path_is_unique(tmp_path):
 def test_progress_reporter_lines_and_summary():
     stream = io.StringIO()
     reporter = ProgressReporter(total=2, stream=stream, label="unit")
-    for outcome in run_jobs(SPECS, jobs=1, progress=reporter):
+    for outcome in run_jobs(SPECS, jobs=1, observer=reporter):
         pass
     text = stream.getvalue()
     assert "[1/2] no-l3/sphinx3@1024MB ok" in text
@@ -88,7 +88,7 @@ def test_progress_reporter_lines_and_summary():
 def test_artifact_rows_carry_code_fingerprint(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS, jobs=1, artifact=artifact)
+        run_jobs(SPECS, jobs=1, observer=artifact)
     records = read_artifact(path)
     header = records[0]
     assert header["code"] == code_fingerprint()
@@ -99,7 +99,7 @@ def test_artifact_rows_carry_code_fingerprint(tmp_path):
 def test_artifact_counters_property(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS, jobs=1, artifact=artifact)
+        run_jobs(SPECS, jobs=1, observer=artifact)
         counters = artifact.counters
     assert counters["jobs"] == 2
     assert counters["errors"] == 1
@@ -126,7 +126,7 @@ def _rewrite_code_field(path, code):
 def test_resume_map_counts_code_mismatches(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS[:1], jobs=1, artifact=artifact)
+        run_jobs(SPECS[:1], jobs=1, observer=artifact)
     _rewrite_code_field(path, "someone-elses-build")
     lax = load_resume_map(path)
     assert len(lax) == 1  # still usable without strict
@@ -140,7 +140,7 @@ def test_resume_map_counts_code_mismatches(tmp_path):
 def test_resume_map_counts_unknown_code(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS[:1], jobs=1, artifact=artifact)
+        run_jobs(SPECS[:1], jobs=1, observer=artifact)
     _rewrite_code_field(path, None)
     lax = load_resume_map(path)
     assert len(lax) == 1
@@ -154,7 +154,7 @@ def test_strict_resume_keeps_earlier_trusted_rows(tmp_path):
     """A rejected later row must not discard an earlier trusted one."""
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS[:1], jobs=1, artifact=artifact)
+        run_jobs(SPECS[:1], jobs=1, observer=artifact)
     records = read_artifact(path)
     trusted = [r for r in records if r["record"] == "job"][0]
     foreign = dict(trusted, code="someone-elses-build")
@@ -168,7 +168,7 @@ def test_strict_resume_keeps_earlier_trusted_rows(tmp_path):
 def test_current_build_rows_resume_cleanly(tmp_path):
     path = str(tmp_path / "run.jsonl")
     with RunArtifact(path, name="unit") as artifact:
-        run_jobs(SPECS[:1], jobs=1, artifact=artifact)
+        run_jobs(SPECS[:1], jobs=1, observer=artifact)
     seeds = load_resume_map(path, strict=True)
     assert len(seeds) == 1
     assert seeds.code_mismatches == 0
@@ -181,7 +181,7 @@ def test_current_build_rows_resume_cleanly(tmp_path):
 def test_progress_reporter_disabled_is_silent():
     stream = io.StringIO()
     reporter = ProgressReporter(total=1, stream=stream, enabled=False)
-    run_jobs(SPECS[:1], jobs=1, progress=reporter)
+    run_jobs(SPECS[:1], jobs=1, observer=reporter)
     reporter.summary()
     assert stream.getvalue() == ""
     assert reporter.done == 1

@@ -167,7 +167,7 @@ class TestResume:
         """An artifact where the middle point failed (never completed)."""
         monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:tagless/sphinx3:99")
         with RunArtifact(str(path), name="first") as artifact:
-            outcomes = run_jobs(SPECS, jobs=1, artifact=artifact)
+            outcomes = run_jobs(SPECS, jobs=1, observer=artifact)
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         assert [o.status for o in outcomes] == ["ok", "error", "ok"]
 
@@ -181,7 +181,7 @@ class TestResume:
         second = tmp_path / "second.jsonl"
         with RunArtifact(str(second), name="second") as artifact:
             outcomes = run_jobs(SPECS, jobs=1, resume=seeds,
-                                artifact=artifact)
+                                observer=artifact)
         assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
         assert [o.cache_status for o in outcomes] == [
             "resume", "off", "resume",
@@ -198,7 +198,7 @@ class TestResume:
         second = tmp_path / "second.jsonl"
         with RunArtifact(str(second), name="second") as artifact:
             run_jobs(SPECS, jobs=1, resume=load_resume_map(str(first)),
-                     artifact=artifact)
+                     observer=artifact)
         outcomes = run_jobs(SPECS, jobs=1,
                             resume=load_resume_map(str(second)))
         assert [o.cache_status for o in outcomes] == ["resume"] * 3
@@ -207,13 +207,13 @@ class TestResume:
         path = tmp_path / "slim.jsonl"
         with RunArtifact(str(path), name="slim",
                          store_results=False) as artifact:
-            run_jobs(SPECS[:1], jobs=1, artifact=artifact)
+            run_jobs(SPECS[:1], jobs=1, observer=artifact)
         assert load_resume_map(str(path)) == {}
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         with RunArtifact(str(path), name="torn") as artifact:
-            run_jobs(SPECS[:2], jobs=1, artifact=artifact)
+            run_jobs(SPECS[:2], jobs=1, observer=artifact)
         with open(path, "a") as handle:
             handle.write('{"record": "job", "key": "abc", "status": "o')
         assert len(load_resume_map(str(path))) == 2
@@ -234,7 +234,7 @@ class TestBookkeeping:
                       accesses=2_000)
         path = tmp_path / "bad.jsonl"
         with RunArtifact(str(path), name="bad") as artifact:
-            outcomes = run_jobs([bad], jobs=1, artifact=artifact)
+            outcomes = run_jobs([bad], jobs=1, observer=artifact)
         assert not outcomes[0].ok
         row = [r for r in read_artifact(str(path))
                if r["record"] == "job"][0]
@@ -266,7 +266,7 @@ class TestObserverLifecycle:
     def test_resume_counter(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunArtifact(str(path), name="seed") as artifact:
-            run_jobs(SPECS[:2], jobs=1, artifact=artifact)
+            run_jobs(SPECS[:2], jobs=1, observer=artifact)
         observer = HarnessObserver(label="unit")
         run_jobs(SPECS[:2], jobs=1, resume=load_resume_map(str(path)),
                  observer=observer)

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("workload", nargs="?", default=None,
                        help="workload for capture mode "
                             "(SPEC/PARSEC program or MIX1..MIX8)")
-    trace.add_argument("--accesses", type=int, default=None,
+    trace.add_argument("--accesses", type=_bounded(int, 0), default=None,
                        help="trace length (default: 100k generate, "
                             "20k capture, 2k smoke)")
     trace.add_argument("--scale", type=int, default=64,
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--replacement", default="fifo",
                        choices=("fifo", "lru", "clock"))
     trace.add_argument("--warmup", type=float, default=0.25)
-    trace.add_argument("--interval", type=int, default=1024,
+    trace.add_argument("--interval", type=_bounded(int, 1), default=1024,
                        help="time-series window size (default 1024)")
     trace.add_argument("--interval-unit", default="accesses",
                        choices=("accesses", "cycles"),
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("design", choices=ALL_DESIGN_NAMES)
     run.add_argument("workload",
                      help="SPEC/PARSEC program or MIX1..MIX8")
-    run.add_argument("--accesses", type=int, default=100_000)
+    run.add_argument("--accesses", type=_bounded(int, 0), default=100_000)
     run.add_argument("--cache-mb", type=int, default=1024)
     run.add_argument("--scale", type=int, default=64)
     run.add_argument("--replacement", default="fifo",
@@ -221,15 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="PATH",
                      help="capture a windowed time-series artifact to "
                           "PATH (.csv suffix switches format)")
-    run.add_argument("--interval", type=int, default=1024,
+    run.add_argument("--interval", type=_bounded(int, 1), default=1024,
                      help="time-series window size in accesses "
                           "(default 1024)")
-    run.add_argument("--timeout", type=float, default=None,
-                     metavar="SECONDS",
+    run.add_argument("--timeout", type=_bounded(float, 0, strict=True),
+                     default=None, metavar="SECONDS",
                      help="wall-clock budget; the run executes in a "
                           "supervised worker and is killed past it "
                           "(incompatible with --trace/--timeseries)")
-    run.add_argument("--retries", type=int, default=0,
+    run.add_argument("--retries", type=_bounded(int, 0), default=0,
                      help="extra attempts if the run fails (supervised "
                           "mode, like --timeout)")
     _add_machine_arguments(run)
@@ -350,13 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=ALL_DESIGN_NAMES)
     profile.add_argument("--workload", default="mcf",
                          help="SPEC/PARSEC program or MIX1..MIX8")
-    profile.add_argument("--accesses", type=int, default=100_000)
+    profile.add_argument("--accesses", type=_bounded(int, 0),
+                         default=100_000)
     profile.add_argument("--cache-mb", type=int, default=1024)
     profile.add_argument("--scale", type=int, default=64)
     profile.add_argument("--replacement", default="fifo",
                          choices=("fifo", "lru", "clock"))
     profile.add_argument("--warmup", type=float, default=0.25)
-    profile.add_argument("--top", type=int, default=25,
+    profile.add_argument("--top", type=_bounded(int, 1), default=25,
                          help="rows to report (default 25)")
     profile.add_argument("--sort", default="cumulative",
                          choices=("cumulative", "tottime", "ncalls"),
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("artifact",
                         help="path to a .timeseries.jsonl/.csv artifact "
                              "(from `repro trace` or --timeseries)")
-    report.add_argument("--width", type=int, default=60,
+    report.add_argument("--width", type=_bounded(int, 1), default=60,
                         help="sparkline width in characters (default 60)")
     report.add_argument("--metrics", nargs="+", default=None,
                         metavar="COLUMN",
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=ALL_DESIGN_NAMES, metavar="DESIGN",
                        help="designs to sweep with the invariant checker "
                             "(default: all registered)")
-    check.add_argument("--accesses", type=int, default=20_000,
+    check.add_argument("--accesses", type=_bounded(int, 0), default=20_000,
                        help="trace length per invariant-checked run "
                             "(default 20k)")
     check.add_argument("--every", type=int, default=None,
@@ -552,8 +553,6 @@ def _trace_capture(args: argparse.Namespace) -> int:
         )
     if not (0.0 <= args.warmup < 1.0):
         raise SystemExit("--warmup must be in [0, 1)")
-    if args.interval < 1:
-        raise SystemExit("--interval must be >= 1")
     accesses = args.accesses if args.accesses is not None else 20_000
     config = build_system(
         cache_megabytes=args.cache_mb,
@@ -754,10 +753,6 @@ def _run_supervised(args: argparse.Namespace, machine: MachineSpec):
 def cmd_run(args: argparse.Namespace) -> int:
     if not (0.0 <= args.warmup < 1.0):
         raise SystemExit("--warmup must be in [0, 1)")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("--timeout must be positive")
     # Resolved once: the machine file is read a single time, so the
     # printed ``machine`` block is the machine that was simulated.
     machine = _machine_from_args(args)
@@ -780,8 +775,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.trace_out or args.timeseries_out:
             from repro.obs import make_telemetry
 
-            if args.interval < 1:
-                raise SystemExit("--interval must be >= 1")
             telemetry = make_telemetry(interval=args.interval)
         result = Simulator(config).run(
             args.design, bindings, warmup_fraction=args.warmup,
@@ -1351,8 +1344,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     if not (0.0 <= args.warmup < 1.0):
         raise SystemExit("--warmup must be in [0, 1)")
-    if args.top < 1:
-        raise SystemExit("--top must be >= 1")
     config = build_system(
         cache_megabytes=args.cache_mb,
         num_cores=4 if args.workload in MIXES else 1,
@@ -1430,8 +1421,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Render a time-series artifact (JSONL or CSV) as sparklines."""
     from repro.obs import load_timeseries, render_timeseries
 
-    if args.width < 1:
-        raise SystemExit("--width must be >= 1")
     try:
         meta, columns, histogram = load_timeseries(args.artifact)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -1631,8 +1620,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     every = args.every if args.every is not None else (500 if args.smoke
                                                       else None)
     ref_ops = 4000 if args.smoke else 20_000
-    if accesses < 0:
-        raise SystemExit("--accesses must be >= 0")
 
     # A small cache over a scaled-down footprint keeps fill/evict churn
     # high -- the same shape the golden-stats fixtures pin -- so the

@@ -1,15 +1,61 @@
 """Lightweight statistics counters shared by every simulated component.
 
-Each component owns a :class:`StatGroup`; the experiment harness merges the
-groups into flat dictionaries for reporting.  Counters are plain floats --
-fast enough for the inner simulation loop -- with helpers for ratios,
-means and histogram-style accumulation.
+Each component declares its event counters once, with :class:`Counters`;
+designs merge their components' ``stats()`` into the flat dictionary a
+run reports.  :class:`StatGroup` is a free-standing bag of named
+counters, and :class:`Histogram` the bounded latency histogram.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Tuple
+
+
+def counter_stats(obj, names: Iterable[str], prefix: str = "") -> Dict[str, float]:
+    """Report the counters ``names`` of ``obj`` as floats under ``prefix``."""
+    return {f"{prefix}{name}": float(getattr(obj, name)) for name in names}
+
+
+class Counters:
+    """Mixin: a class names its event counters once, in ``COUNTERS``.
+
+    Counters are plain ``int``/``float`` instance attributes that the hot
+    path increments directly.  ``COUNTERS`` lists the ones a class adds,
+    in the order ``stats()`` reports them; a subclass lists only its own.
+    Both reporting methods derive from these lists:
+
+    - :meth:`stats` reports every declared counter, base class first;
+    - :meth:`reset_stats` zeroes the same counters (``0`` or ``0.0``) at
+      the warmup/measurement boundary.
+
+    Anything that is not an event count -- gauges such as occupancy,
+    learned state such as predictor history, child components -- is not
+    declared: a class reports and resets it by extending these methods,
+    and a parent calls its children's ``reset_stats()`` rather than
+    zeroing their counters itself.
+    """
+
+    __slots__ = ()
+
+    COUNTERS: Tuple[str, ...] = ()
+    _all_counters: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._all_counters = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("COUNTERS", ())
+        )
+
+    def stats(self, prefix: str = "") -> Dict[str, float]:
+        return counter_stats(self, self._all_counters, prefix)
+
+    def reset_stats(self) -> None:
+        for name in self._all_counters:
+            zero = 0.0 if isinstance(getattr(self, name), float) else 0
+            setattr(self, name, zero)
 
 
 class StatGroup:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.common.addressing import CACHE_LINE_BYTES, LINES_PER_PAGE
+from repro.common.stats import Counters
 
 #: All 64 blocks of a page.
 FULL_MASK = (1 << LINES_PER_PAGE) - 1
@@ -41,8 +42,12 @@ def mask_bytes(mask: int) -> int:
     return bin(mask).count("1") * CACHE_LINE_BYTES
 
 
-class FootprintHistoryTable:
+class FootprintHistoryTable(Counters):
     """Per-physical-page record of the blocks used last residency."""
+
+    #: ``records`` is not among them: it counts the residencies the
+    #: predictor has learned from, warm state that survives a reset.
+    COUNTERS = ("predictions", "full_fetches", "predicted_bytes")
 
     #: Evictions observed before first-touch predictions leave the
     #: conservative fetch-everything mode.
@@ -101,10 +106,7 @@ class FootprintHistoryTable:
         return 8 * len(self._masks)
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}predictions": float(self.predictions),
-            f"{prefix}full_fetches": float(self.full_fetches),
-            f"{prefix}predicted_bytes": float(self.predicted_bytes),
-            f"{prefix}records": float(self.records),
-            f"{prefix}tracked_pages": float(len(self._masks)),
-        }
+        out = super().stats(prefix)
+        out[f"{prefix}records"] = float(self.records)
+        out[f"{prefix}tracked_pages"] = float(len(self._masks))
+        return out

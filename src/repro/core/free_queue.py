@@ -21,10 +21,13 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters
 
 
-class FreeQueue:
+class FreeQueue(Counters):
     """FIFO of cache pages pending eviction, plus the free-block pool."""
+
+    COUNTERS = ("allocations", "evictions_enqueued", "evictions_completed")
 
     def __init__(self, capacity_pages: int, alpha: int = 1):
         if alpha < 1:
@@ -110,10 +113,7 @@ class FreeQueue:
         return tuple(self._pending)
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}allocations": float(self.allocations),
-            f"{prefix}evictions_enqueued": float(self.evictions_enqueued),
-            f"{prefix}evictions_completed": float(self.evictions_completed),
-            f"{prefix}free_blocks": float(len(self._free)),
-            f"{prefix}pending": float(len(self._pending)),
-        }
+        out = super().stats(prefix)
+        out[f"{prefix}free_blocks"] = float(len(self._free))
+        out[f"{prefix}pending"] = float(len(self._pending))
+        return out

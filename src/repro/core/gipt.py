@@ -24,6 +24,7 @@ from typing import Dict, Optional
 
 from repro.common.addressing import BYTES_PER_MB
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters
 from repro.vm.page_table import PageTableEntry
 
 #: Bits per GIPT entry as itemised in Section 3.2.
@@ -56,8 +57,10 @@ class GIPTEntry:
         return self.residence_mask != 0
 
 
-class GlobalInvertedPageTable:
+class GlobalInvertedPageTable(Counters):
     """CA-indexed reverse map shared by every process in the system."""
+
+    COUNTERS = ("inserts", "removals", "residence_updates")
 
     def __init__(self, capacity_pages: int, num_cores: int):
         if capacity_pages <= 0:
@@ -180,13 +183,10 @@ class GlobalInvertedPageTable:
             )
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}inserts": float(self.inserts),
-            f"{prefix}removals": float(self.removals),
-            f"{prefix}residence_updates": float(self.residence_updates),
-            f"{prefix}live_entries": float(len(self._entries)),
-            f"{prefix}storage_bytes": float(self.storage_bytes()),
-        }
+        out = super().stats(prefix)
+        out[f"{prefix}live_entries"] = float(len(self._entries))
+        out[f"{prefix}storage_bytes"] = float(self.storage_bytes())
+        return out
 
 
 def gipt_storage_megabytes(cache_gigabytes: float, num_cores: int = 4) -> float:

@@ -24,6 +24,7 @@ import enum
 from typing import Optional
 
 from repro.common.config import CoreConfig
+from repro.common.stats import Counters
 from repro.core.ctlb import CacheMapTLB
 from repro.core.tagless_cache import TaglessCacheEngine
 from repro.policy.base import CachingPolicy, PolicyDecision
@@ -44,8 +45,14 @@ class MissOutcome(enum.Enum):
     BYPASS = "bypass"
 
 
-class CTLBMissHandler:
+class CTLBMissHandler(Counters):
     """Per-core miss handler binding a cTLB to the shared cache engine."""
+
+    #: One counter per :class:`MissOutcome`, named by its value, then the
+    #: handler's cost and superpage counters.
+    COUNTERS = tuple(outcome.value for outcome in MissOutcome) + (
+        "cycles_total", "superpage_splits", "superpage_nc_pins",
+    )
 
     def __init__(
         self,
@@ -64,7 +71,8 @@ class CTLBMissHandler:
         #: The pluggable caching policy (Section 3.5).  None means the
         #: paper's default: always cache.
         self.policy = policy
-        self.outcomes = {outcome: 0 for outcome in MissOutcome}
+        for outcome in MissOutcome:
+            setattr(self, outcome.value, 0)
         self.cycles_total = 0.0
         self.superpage_splits = 0
         self.superpage_nc_pins = 0
@@ -93,10 +101,12 @@ class CTLBMissHandler:
             if pte is None:
                 # The run was pinned NC; the faulting page's mapping is
                 # already installed.
+                self.non_cacheable += 1
                 return self._finish(cycles, MissOutcome.NON_CACHEABLE)
 
         if pte.non_cacheable:
             self.ctlb.install_noncacheable(pte)
+            self.non_cacheable += 1
             return self._finish(cycles, MissOutcome.NON_CACHEABLE)
 
         # PU busy-wait: another thread's fill for this page is in flight.
@@ -112,8 +122,11 @@ class CTLBMissHandler:
             self.engine.note_victim_hit(cache_page)
             self.engine.gipt.set_resident(cache_page, self.core_id)
             self.ctlb.install_cache_mapping(virtual_page, cache_page)
-            outcome = MissOutcome.PU_WAIT if waited else MissOutcome.VICTIM_HIT
-            return self._finish(cycles, outcome)
+            if waited:
+                self.pu_wait += 1
+                return self._finish(cycles, MissOutcome.PU_WAIT)
+            self.victim_hit += 1
+            return self._finish(cycles, MissOutcome.VICTIM_HIT)
 
         # Consult the pluggable caching policy before committing to a
         # fill (Section 3.5: policies are "flexibly plugged in by
@@ -125,11 +138,13 @@ class CTLBMissHandler:
             if decision is PolicyDecision.PIN_NC:
                 pte.non_cacheable = True
                 self.ctlb.install_noncacheable(pte)
+                self.non_cacheable += 1
                 return self._finish(cycles, MissOutcome.NON_CACHEABLE)
             if decision is PolicyDecision.BYPASS:
                 # Serve this TLB window off-package; the PTE keeps
                 # (VC, NC) = (0, 0) so the page is reconsidered later.
                 self.ctlb.install_noncacheable(pte)
+                self.bypass += 1
                 return self._finish(cycles, MissOutcome.BYPASS)
 
         # Shaded path of Figure 4: allocate, fill, update GIPT + PTE.
@@ -147,6 +162,7 @@ class CTLBMissHandler:
         self.ctlb.install_cache_mapping(virtual_page, cache_page)
         if self.policy is not None:
             self.policy.on_fill(table.process_id, virtual_page)
+        self.fill += 1
         return self._finish(cycles, MissOutcome.FILL)
 
     def _handle_superpage(self, table: PageTable, virtual_page: int, pte):
@@ -186,16 +202,6 @@ class CTLBMissHandler:
         return None, 0.0
 
     def _finish(self, cycles: float, outcome: MissOutcome):
-        self.outcomes[outcome] += 1
+        # The caller has already counted ``outcome`` in its own counter.
         self.cycles_total += cycles
         return cycles, outcome
-
-    def stats(self, prefix: str = "") -> dict:
-        out = {
-            f"{prefix}{outcome.value}": float(count)
-            for outcome, count in self.outcomes.items()
-        }
-        out[f"{prefix}cycles_total"] = self.cycles_total
-        out[f"{prefix}superpage_splits"] = float(self.superpage_splits)
-        out[f"{prefix}superpage_nc_pins"] = float(self.superpage_nc_pins)
-        return out

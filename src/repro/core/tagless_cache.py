@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from repro.common.config import CoreConfig, DRAMCacheConfig
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters
 from repro.core.footprint import FootprintHistoryTable, mask_bit, mask_bytes
 from repro.core.free_queue import FreeQueue
 from repro.core.gipt import GlobalInvertedPageTable
@@ -35,8 +36,11 @@ GIPT_ENTRY_BYTES = 16
 PageEvictedFn = Callable[[int], None]
 
 
-class TaglessCacheEngine:
+class TaglessCacheEngine(Counters):
     """State and cost model of the tagless, fully associative DRAM cache."""
+
+    COUNTERS = ("fills", "fill_latency_ns", "victim_hits", "writebacks",
+                "alpha_deficits", "footprint_misses")
 
     def __init__(
         self,
@@ -350,24 +354,11 @@ class TaglessCacheEngine:
 
     def reset_stats(self) -> None:
         """Zero counters; cache contents, GIPT and free queue stay warm."""
-        self.fills = 0
-        self.fill_latency_ns = 0.0
-        self.victim_hits = 0
-        self.writebacks = 0
-        self.alpha_deficits = 0
-        self.footprint_misses = 0
-        self.gipt.inserts = 0
-        self.gipt.removals = 0
-        self.gipt.residence_updates = 0
-        self.free_queue.allocations = 0
-        self.free_queue.evictions_enqueued = 0
-        self.free_queue.evictions_completed = 0
+        super().reset_stats()
+        self.gipt.reset_stats()
+        self.free_queue.reset_stats()
         if self.footprint is not None:
-            # Counters only -- the predictor's learned history (records,
-            # masks) is warm state and must survive the reset.
-            self.footprint.predictions = 0
-            self.footprint.full_fetches = 0
-            self.footprint.predicted_bytes = 0
+            self.footprint.reset_stats()
 
     def occupancy(self) -> float:
         return len(self.gipt) / self.capacity_pages
@@ -378,15 +369,8 @@ class TaglessCacheEngine:
         return self.fill_latency_ns / self.fills
 
     def stats(self, prefix: str = "") -> dict:
-        out = {
-            f"{prefix}fills": float(self.fills),
-            f"{prefix}fill_latency_ns": self.fill_latency_ns,
-            f"{prefix}victim_hits": float(self.victim_hits),
-            f"{prefix}writebacks": float(self.writebacks),
-            f"{prefix}alpha_deficits": float(self.alpha_deficits),
-            f"{prefix}footprint_misses": float(self.footprint_misses),
-            f"{prefix}occupancy": self.occupancy(),
-        }
+        out = super().stats(prefix)
+        out[f"{prefix}occupancy"] = self.occupancy()
         out.update(self.gipt.stats(f"{prefix}gipt_"))
         out.update(self.free_queue.stats(f"{prefix}fq_"))
         if self.footprint is not None:

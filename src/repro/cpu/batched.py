@@ -48,7 +48,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
-from repro.core.miss_handler import MissOutcome
 from repro.core.policies import FIFOVictimTracker
 from repro.cpu.multicore import BoundTrace, CoreResult, run_interleaved
 from repro.designs.base import PA_NAMESPACE_OFFSET, MemorySystemDesign
@@ -805,14 +804,13 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     tlb.l1_hits += n_t1
     tlb.l2_hits += n_t2
     tlb.misses += n_tw
-    table.walks += n_tw
     walker.walks += n_tw
     off_energy.read_bytes += 8 * n_tw + PAGE_BYTES * n_fill
     off_energy.activations += n_fill
     engine.victim_hits += n_tm
     engine.fills += n_fill
-    handler.outcomes[MissOutcome.VICTIM_HIT] += n_tm
-    handler.outcomes[MissOutcome.FILL] += n_fill
+    handler.victim_hit += n_tm
+    handler.fill += n_fill
     gipt.residence_updates += n_res
     ol1.hits += n_o1
     ol1.misses += n_o2 + n_om

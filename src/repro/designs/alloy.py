@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
-from repro.designs.base import MemorySystemDesign
+from repro.designs.base import L3CacheDesign
 from repro.vm.tlb import TLBEntry
 
 #: Fraction of each in-package row spent on tags (8 B tag per 64 B block
@@ -35,7 +35,7 @@ from repro.vm.tlb import TLBEntry
 TAG_CAPACITY_TAX = 8 / 72
 
 
-class AlloyCacheDesign(MemorySystemDesign):
+class AlloyCacheDesign(L3CacheDesign):
     """Direct-mapped, block-granularity DRAM cache with in-DRAM tags."""
 
     name = "alloy"
@@ -47,9 +47,6 @@ class AlloyCacheDesign(MemorySystemDesign):
         self.num_blocks = max(1, int(total_lines * (1 - TAG_CAPACITY_TAX)))
         #: slot -> (physical line, dirty)
         self._slots: Dict[int, Tuple[int, bool]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
 
     def _slot_of(self, line: int) -> int:
         return line % self.num_blocks
@@ -71,19 +68,19 @@ class AlloyCacheDesign(MemorySystemDesign):
         )
         resident = self._slots.get(slot)
         if resident is not None and resident[0] == line:
-            self.hits += 1
+            self.l3_hits += 1
             self._slots[slot] = (line, resident[1] or is_write)
             return self.core_cfg.cycles_from_ns(probe_ns)
 
         # Miss: fetch the block from off-package DRAM, install it, and
         # write back the dirty victim (both off the critical path except
         # the demand block itself).
-        self.misses += 1
+        self.l3_misses += 1
         if resident is not None and resident[1]:
             self._async_block_write(
                 self.off_package, resident[0] // LINES_PER_PAGE, now_ns
             )
-            self.writebacks += 1
+            self.l3_writebacks += 1
         fill_ns = self.off_package.access_block(
             now_ns, line // LINES_PER_PAGE, is_write=False
         )
@@ -105,12 +102,6 @@ class AlloyCacheDesign(MemorySystemDesign):
             self._async_block_write(
                 self.off_package, line // LINES_PER_PAGE, now_ns
             )
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
 
     def effective_capacity_fraction(self) -> float:
         """Usable data fraction of the in-package DRAM (Table 2's 'small
@@ -137,23 +128,3 @@ class AlloyCacheDesign(MemorySystemDesign):
                     f"line {line} stored in slot {slot}, maps to "
                     f"{line % self.num_blocks}"
                 )
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        counters["l3_hits"] = float(self.hits)
-        counters["l3_refs"] = float(self.hits + self.misses)
-        counters["writebacks"] = float(self.writebacks)
-        return counters, gauges
-
-    def stats(self) -> dict:
-        out = super().stats()
-        out["l3_hits"] = float(self.hits)
-        out["l3_misses"] = float(self.misses)
-        out["l3_writebacks"] = float(self.writebacks)
-        return out

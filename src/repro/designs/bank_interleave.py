@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import SystemConfig
+from repro.common.stats import counter_stats
 from repro.designs.base import MemorySystemDesign
 from repro.vm.tlb import TLBEntry
 
@@ -21,6 +22,8 @@ class BankInterleavingDesign(MemorySystemDesign):
     """OS-oblivious heterogeneous main memory (no caching, no migration)."""
 
     name = "bi"
+    COUNTERS = ("in_package_hits",)
+    L3_HIT_KEYS = ("in_package_hits",)
 
     def __init__(self, config: SystemConfig):
         # In-package pages occupy the bottom of the physical space; the
@@ -65,16 +68,7 @@ class BankInterleavingDesign(MemorySystemDesign):
                 self.off_package, page - self.in_package_pages, now_ns
             )
 
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.in_package_hits = 0
-
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        counters["l3_hits"] = float(self.in_package_hits)
-        return counters, gauges
-
     def stats(self) -> dict:
         out = super().stats()
-        out["in_package_hits"] = float(self.in_package_hits)
+        out.update(counter_stats(self, BankInterleavingDesign.COUNTERS))
         return out

@@ -16,11 +16,13 @@ overrides both; the other designs override only the second.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, List, Tuple
 
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters, counter_stats
 from repro.dram.device import DRAMDevice
 from repro.obs.events import null_event
 from repro.sram.hierarchy import OnDieHierarchy
@@ -58,11 +60,27 @@ class AccessCost:
     ondie_level: str = "l1"
 
 
-class MemorySystemDesign:
+class MemorySystemDesign(Counters):
     """Base class: conventional translation + on-die caches + routing."""
 
     #: Registry name; subclasses override.
     name = "abstract"
+
+    #: Figure 8 accounting.  Each subclass declares the counters of its
+    #: own L3 structure the same way; ``stats()`` reports every class's
+    #: counters right after that class's parent's keys.
+    COUNTERS = ("accesses", "l3_accesses", "l3_latency_cycles")
+
+    # What :meth:`timeseries_probe` reads beyond the shared columns.
+    #: Stats keys summed into the ``l3_hits`` and ``l3_refs`` columns:
+    #: the in-package service fraction of L3-bound accesses.
+    L3_HIT_KEYS: Tuple[str, ...] = ()
+    L3_REF_KEYS: Tuple[str, ...] = ("l3_accesses",)
+    #: Extra delta columns, column -> stats key.
+    PROBE_COUNTERS: Dict[str, str] = {}
+    #: Gauge columns, column -> stats key (or, for a value ``stats()``
+    #: does not report, an attribute path on the design).
+    PROBE_GAUGES: Dict[str, str] = {}
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -85,7 +103,6 @@ class MemorySystemDesign:
             for _ in range(config.num_cores)
         ]
 
-        # Figure 8 accounting.
         self.l3_accesses = 0
         self.l3_latency_cycles = 0.0
         self.accesses = 0
@@ -421,12 +438,11 @@ class MemorySystemDesign:
     def reset_stats(self) -> None:
         """Zero every counter while keeping all cached state warm.
 
-        Called at the warmup/measurement boundary.  Subclasses with
-        extra counters extend this.
+        Called at the warmup/measurement boundary.  Zeroes the declared
+        counters of every class in the design's hierarchy; subclasses
+        extend this for their own components and non-counter state.
         """
-        self.accesses = 0
-        self.l3_accesses = 0
-        self.l3_latency_cycles = 0.0
+        super().reset_stats()
         self.walker.reset_stats()
         for tlb in self.tlbs:
             tlb.reset_stats()
@@ -458,10 +474,13 @@ class MemorySystemDesign:
         Returns ``(counters, gauges)``.  Counters are monotone within a
         measured window; the timeseries recorder differences successive
         snapshots, so this is called once per sampling window -- never
-        on the per-access path.  Subclasses overlay their own counters
-        (and real gauge values) on the base dict; the gauge keys exist
-        here for every design so artifacts share one column schema.
+        on the per-access path.  The design-specific columns come from
+        the class declarations above (``L3_HIT_KEYS``, ``L3_REF_KEYS``,
+        ``PROBE_COUNTERS``, ``PROBE_GAUGES``); the three free-queue/GIPT
+        gauges exist for every design so artifacts share one column
+        schema.
         """
+        stats = self.stats()
         tlb_hits = 0
         tlb_refs = 0
         for tlb in self.tlbs:
@@ -477,10 +496,8 @@ class MemorySystemDesign:
             "l3_accesses": float(self.l3_accesses),
             "tlb_hits": float(tlb_hits),
             "tlb_refs": float(tlb_refs),
-            # In-package service fraction of L3-bound accesses; designs
-            # with an actual cache structure overlay their own counters.
-            "l3_hits": 0.0,
-            "l3_refs": float(self.l3_accesses),
+            "l3_hits": sum((stats[key] for key in self.L3_HIT_KEYS), 0.0),
+            "l3_refs": sum((stats[key] for key in self.L3_REF_KEYS), 0.0),
             "inpkg_bytes": float(
                 in_pkg.energy.read_bytes + in_pkg.energy.write_bytes
             ),
@@ -495,19 +512,18 @@ class MemorySystemDesign:
             "row_refs": row_hits + banks.row_misses + banks.row_empties,
             "offpkg_demand": float(off_pkg.demand_accesses),
         }
-        gauges = {
-            "free_queue_depth": 0.0,
-            "free_queue_alpha": 0.0,
-            "gipt_occupancy": 0.0,
-        }
+        for column, key in self.PROBE_COUNTERS.items():
+            counters[column] = stats[key]
+        gauges = dict.fromkeys(
+            ("free_queue_depth", "free_queue_alpha", "gipt_occupancy"), 0.0
+        )
+        for column, source in self.PROBE_GAUGES.items():
+            gauges[column] = (stats[source] if source in stats
+                              else float(attrgetter(source)(self)))
         return counters, gauges
 
     def stats(self) -> dict:
-        out = {
-            "accesses": float(self.accesses),
-            "l3_accesses": float(self.l3_accesses),
-            "l3_latency_cycles": self.l3_latency_cycles,
-        }
+        out = counter_stats(self, MemorySystemDesign.COUNTERS)
         for core_id, tlb in enumerate(self.tlbs):
             out.update(tlb.stats(f"core{core_id}_tlb_"))
         for core_id, hierarchy in enumerate(self.ondie):
@@ -515,4 +531,31 @@ class MemorySystemDesign:
         out.update(self.in_package.stats("inpkg_"))
         out.update(self.off_package.stats("offpkg_"))
         out.update(self.walker.stats("walker_"))
+        return out
+
+
+class L3CacheDesign(MemorySystemDesign):
+    """A design whose L3 structure counts its own hits, misses and dirty
+    write-backs (the SRAM-tag page cache and the Alloy block cache)."""
+
+    COUNTERS = ("l3_hits", "l3_misses", "l3_writebacks")
+    L3_HIT_KEYS = ("l3_hits",)
+    L3_REF_KEYS = ("l3_hits", "l3_misses")
+    PROBE_COUNTERS = {"writebacks": "l3_writebacks"}
+
+    def __init__(self, config: SystemConfig):
+        super().__init__(config)
+        self.l3_hits = 0
+        self.l3_misses = 0
+        self.l3_writebacks = 0
+
+    def hit_rate(self) -> float:
+        total = self.l3_hits + self.l3_misses
+        if total == 0:
+            return 0.0
+        return self.l3_hits / total
+
+    def stats(self) -> dict:
+        out = super().stats()
+        out.update(counter_stats(self, L3CacheDesign.COUNTERS))
         return out

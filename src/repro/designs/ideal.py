@@ -15,6 +15,8 @@ class IdealDesign(MemorySystemDesign):
     """Everything in package, irrespective of capacity (Section 4)."""
 
     name = "ideal"
+    #: Every L3-bound access is served in package, by construction.
+    L3_HIT_KEYS = ("l3_accesses",)
 
     def _service_l2_miss(
         self,
@@ -34,9 +36,3 @@ class IdealDesign(MemorySystemDesign):
         from repro.common.addressing import LINES_PER_PAGE
 
         self._async_block_write(self.in_package, line // LINES_PER_PAGE, now_ns)
-
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        # Every L3-bound access is served in package, by construction.
-        counters["l3_hits"] = float(self.l3_accesses)
-        return counters, gauges

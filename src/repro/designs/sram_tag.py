@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import SystemConfig
-from repro.designs.base import MemorySystemDesign
+from repro.designs.base import L3CacheDesign
 from repro.sram.tag_array import SRAMTagArray
 from repro.vm.tlb import TLBEntry
 
 
-class SRAMTagDesign(MemorySystemDesign):
+class SRAMTagDesign(L3CacheDesign):
     """Page-based DRAM cache with on-die SRAM tags and LRU replacement."""
 
     name = "sram"
@@ -34,9 +34,6 @@ class SRAMTagDesign(MemorySystemDesign):
             config=config.sram_tag,
             policy="lru",
         )
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
 
     def _service_l2_miss(
         self,
@@ -53,13 +50,13 @@ class SRAMTagDesign(MemorySystemDesign):
 
         cache_page = self.tags.lookup(physical_page, is_write)
         if cache_page is not None:
-            self.hits += 1
+            self.l3_hits += 1
             latency_ns = self.in_package.access_block(
                 now_ns, cache_page, is_write
             )
             return cycles + self.core_cfg.cycles_from_ns(latency_ns)
 
-        self.misses += 1
+        self.l3_misses += 1
         cache_page, eviction = self.tags.insert(physical_page, dirty=is_write)
         if eviction is not None and eviction.dirty:
             # Victim drains in the background: read it out of the cache,
@@ -70,7 +67,7 @@ class SRAMTagDesign(MemorySystemDesign):
             self.off_package.stream_page(
                 now_ns, eviction.physical_page, is_write=True, asynchronous=True
             )
-            self.writebacks += 1
+            self.l3_writebacks += 1
 
         # Demand fill: stream the 4 KB page from off-package DRAM,
         # critical block first (the missing 64 B unblocks the core; the
@@ -104,34 +101,15 @@ class SRAMTagDesign(MemorySystemDesign):
         """Dynamic energy burned by tag probes so far."""
         return self.tags.probes * self.tags.probe_nj
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
     def register_invariants(self, checker) -> None:
         super().register_invariants(checker)
         checker.register("tag_array", self.tags.check_consistency)
 
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
         self.tags.reset_stats()
-
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        counters["l3_hits"] = float(self.hits)
-        counters["l3_refs"] = float(self.hits + self.misses)
-        counters["writebacks"] = float(self.writebacks)
-        return counters, gauges
 
     def stats(self) -> dict:
         out = super().stats()
-        out["l3_hits"] = float(self.hits)
-        out["l3_misses"] = float(self.misses)
-        out["l3_writebacks"] = float(self.writebacks)
         out.update(self.tags.stats("tags_"))
         return out

@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.stats import counter_stats
 from repro.core.ctlb import CacheMapTLB
 from repro.core.miss_handler import CTLBMissHandler
 from repro.core.tagless_cache import TaglessCacheEngine
@@ -34,6 +35,22 @@ class TaglessDesign(MemorySystemDesign):
     """The paper's fully associative, tagless DRAM cache."""
 
     name = "tagless"
+
+    #: L3-bound accesses split by the cTLB's verdict: cached pages
+    #: (guaranteed in-package hits) and non-cacheable ones.
+    COUNTERS = ("nc_accesses", "cache_accesses")
+    L3_HIT_KEYS = ("cache_accesses",)
+    L3_REF_KEYS = ("cache_accesses", "nc_accesses")
+    PROBE_COUNTERS = {
+        "fills": "engine_fills",
+        "writebacks": "engine_writebacks",
+        "evictions": "engine_fq_evictions_completed",
+    }
+    PROBE_GAUGES = {
+        "free_queue_depth": "engine_fq_free_blocks",
+        "free_queue_alpha": "engine.free_queue.alpha",
+        "gipt_occupancy": "engine_occupancy",
+    }
 
     #: Engine class hook: the resizable variant substitutes its gated
     #: engine without re-deriving the constructor wiring.
@@ -299,18 +316,13 @@ class TaglessDesign(MemorySystemDesign):
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.nc_accesses = 0
-        self.cache_accesses = 0
         self.engine.reset_stats()
         if self.caching_policy is not None:
             # Policy decision counters feed the ``policy_`` stats keys;
             # warmup decisions must not leak into the measured window.
             self.caching_policy.reset_stats()
         for handler in self.handlers:
-            handler.outcomes = {o: 0 for o in handler.outcomes}
-            handler.cycles_total = 0.0
-            handler.superpage_splits = 0
-            handler.superpage_nc_pins = 0
+            handler.reset_stats()
         # The simulation clock restarts at zero after a warmup phase;
         # fill-completion timestamps from warmup would otherwise read as
         # fills still in flight and trigger bogus PU busy-waits.
@@ -318,20 +330,6 @@ class TaglessDesign(MemorySystemDesign):
             for pte in table._entries.values():
                 pte.pending_until_ns = 0.0
                 pte.pending_update = False
-
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        counters["l3_hits"] = float(self.cache_accesses)
-        counters["l3_refs"] = float(self.cache_accesses + self.nc_accesses)
-        engine = self.engine
-        counters["fills"] = float(engine.fills)
-        counters["writebacks"] = float(engine.writebacks)
-        counters["evictions"] = float(engine.free_queue.evictions_completed)
-        free_queue = engine.free_queue
-        gauges["free_queue_depth"] = float(free_queue.free_blocks)
-        gauges["free_queue_alpha"] = float(free_queue.alpha)
-        gauges["gipt_occupancy"] = engine.occupancy()
-        return counters, gauges
 
     def hit_rate(self) -> float:
         """DRAM-cache hit fraction among L3-bound accesses."""
@@ -342,8 +340,7 @@ class TaglessDesign(MemorySystemDesign):
 
     def stats(self) -> dict:
         out = super().stats()
-        out["nc_accesses"] = float(self.nc_accesses)
-        out["cache_accesses"] = float(self.cache_accesses)
+        out.update(counter_stats(self, TaglessDesign.COUNTERS))
         out.update(self.engine.stats("engine_"))
         for handler in self.handlers:
             out.update(handler.stats(f"core{handler.core_id}_handler_"))

@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.stats import counter_stats
 from repro.core.footprint import mask_bytes
 from repro.core.free_queue import FreeQueue
 from repro.core.tagless_cache import TaglessCacheEngine
@@ -128,6 +129,21 @@ class TaglessResizableDesign(TaglessDesign):
     #: The resize trigger lives in the scalar ``access_cycles`` override;
     #: the fused tagless kernel would silently skip it.
     batchable = False
+
+    COUNTERS = ("resize_events", "resize_remapped_pages",
+                "resize_evicted_pages", "resize_shootdowns")
+    PROBE_COUNTERS = {
+        **TaglessDesign.PROBE_COUNTERS,
+        "resize_events": "resize_events",
+        "resize_remapped": "resize_remapped_pages",
+        "resize_evicted": "resize_evicted_pages",
+        "resize_shootdowns": "resize_shootdowns",
+    }
+    PROBE_GAUGES = {
+        **TaglessDesign.PROBE_GAUGES,
+        "resize_gated_free_blocks": "resize_gated_free_blocks",
+        "resize_active_occupancy": "resize_active_occupancy",
+    }
 
     def __init__(self, config: SystemConfig):
         super().__init__(config)
@@ -413,34 +429,14 @@ class TaglessResizableDesign(TaglessDesign):
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         super().reset_stats()
-        self.resize_events = 0
-        self.resize_remapped_pages = 0
-        self.resize_evicted_pages = 0
-        self.resize_shootdowns = 0
         self.resize_log = []
         # _resize_clock deliberately survives: the schedule is positioned
         # in absolute accesses, warmup included.
 
-    def timeseries_probe(self):
-        counters, gauges = super().timeseries_probe()
-        counters["resize_events"] = float(self.resize_events)
-        counters["resize_remapped"] = float(self.resize_remapped_pages)
-        counters["resize_evicted"] = float(self.resize_evicted_pages)
-        counters["resize_shootdowns"] = float(self.resize_shootdowns)
-        fq = self.engine.free_queue
-        gauges["resize_gated_free_blocks"] = float(len(fq.gated))
-        gauges["resize_active_occupancy"] = (
-            fq.active_capacity / fq.capacity_pages
-        )
-        return counters, gauges
-
     def stats(self) -> dict:
         out = super().stats()
+        out.update(counter_stats(self, TaglessResizableDesign.COUNTERS))
         fq = self.engine.free_queue
-        out["resize_events"] = float(self.resize_events)
-        out["resize_remapped_pages"] = float(self.resize_remapped_pages)
-        out["resize_evicted_pages"] = float(self.resize_evicted_pages)
-        out["resize_shootdowns"] = float(self.resize_shootdowns)
         out["resize_gated_free_blocks"] = float(len(fq.gated))
         out["resize_active_occupancy"] = (
             fq.active_capacity / fq.capacity_pages

@@ -11,9 +11,10 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.common.config import DRAMTimingConfig
+from repro.common.stats import Counters
 
 
-class BankArray:
+class BankArray(Counters):
     """Open-row bookkeeping for all banks of one DRAM device.
 
     The array answers a single question for each access: does the target
@@ -23,6 +24,8 @@ class BankArray:
     """
 
     __slots__ = ("timing", "_open_rows", "row_hits", "row_misses", "row_empties")
+
+    COUNTERS = ("row_hits", "row_misses", "row_empties")
 
     def __init__(self, timing: DRAMTimingConfig):
         self.timing = timing

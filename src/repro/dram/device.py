@@ -17,13 +17,18 @@ from __future__ import annotations
 
 from repro.common.addressing import CACHE_LINE_BYTES, PAGE_BYTES
 from repro.common.config import DRAMEnergyConfig, DRAMTimingConfig
+from repro.common.stats import Counters
 from repro.dram.bank import BankArray
 from repro.dram.channel import ChannelScheduler
 from repro.dram.energy import EnergyAccount
 
 
-class DRAMDevice:
+class DRAMDevice(Counters):
     """One DRAM device (in-package or off-package) with full accounting."""
+
+    #: Reported first; the bank, channel, refresh and energy figures
+    #: follow (see :meth:`stats`).
+    COUNTERS = ("demand_accesses", "demand_latency_ns")
 
     def __init__(
         self,
@@ -269,40 +274,29 @@ class DRAMDevice:
 
     def stats(self, prefix: str = "") -> dict:
         """Flat statistics dictionary for the experiment harness."""
-        out = {
-            f"{prefix}demand_accesses": float(self.demand_accesses),
-            f"{prefix}demand_latency_ns": self.demand_latency_ns,
-            f"{prefix}row_hits": float(self.banks.row_hits),
-            f"{prefix}row_misses": float(self.banks.row_misses),
-            f"{prefix}row_empties": float(self.banks.row_empties),
-            f"{prefix}queue_ns_total": self.channels.queue_ns_total,
-            f"{prefix}refreshes": float(self.refreshes),
-        }
+        out = super().stats(prefix)
+        out.update(self.banks.stats(prefix))
+        out[f"{prefix}queue_ns_total"] = self.channels.queue_ns_total
+        out[f"{prefix}refreshes"] = float(self.refreshes)
         out.update(self.energy.as_dict(prefix))
         return out
 
     def reset(self) -> None:
         """Clear all state and statistics (fresh device)."""
         self.banks = BankArray(self.timing)
-        self.channels.reset()
-        self.energy = EnergyAccount(self.energy.config)
-        self.demand_accesses = 0
-        self.demand_latency_ns = 0.0
-        self._next_refresh_ns = self.timing.trefi_ns
-        self.refreshes = 0
+        self.reset_stats()
 
     def reset_stats(self) -> None:
         """Zero counters but keep warm state (open rows survive).
 
         Used at the warmup/measurement boundary: the simulation clock
-        restarts at zero, so channel reservations are cleared too.
+        restarts at zero, so channel reservations, the refresh clock
+        (next deadline and refresh count) and the energy account are
+        cleared too.
         """
-        self.banks.row_hits = 0
-        self.banks.row_misses = 0
-        self.banks.row_empties = 0
+        super().reset_stats()
+        self.banks.reset_stats()
         self.channels.reset()
         self.energy = EnergyAccount(self.energy.config)
-        self.demand_accesses = 0
-        self.demand_latency_ns = 0.0
         self._next_refresh_ns = self.timing.trefi_ns
         self.refreshes = 0

@@ -17,6 +17,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.machine import system_config_to_dict
 from repro.harness.cache import CacheStats, simulation_result_to_dict
 from repro.harness.jobs import JobResult, code_fingerprint, job_health
@@ -100,6 +101,23 @@ class RunArtifact:
             (outcome.status, outcome.cache_status, outcome.retries)
         )
         self._job_wall_s += outcome.wall_time_s
+        machine: Dict[str, object] = {
+            "spec": outcome.spec.machine.to_dict(),
+            "hash": outcome.spec.machine.spec_hash(),
+        }
+        # The fully-resolved machine this row simulated -- preset +
+        # overrides already folded into every SystemConfig field -- so a
+        # row's provenance never depends on what a preset name meant at
+        # the time it was written.
+        try:
+            machine["resolved"] = system_config_to_dict(
+                outcome.spec.system_config()
+            )
+        except ConfigurationError:
+            # Only a failed job gets here: its machine never built, and
+            # the row's error already says why.
+            if outcome.ok:
+                raise
         entry: Dict[str, object] = {
             "record": "job",
             "key": outcome.spec.cache_key(),
@@ -107,17 +125,7 @@ class RunArtifact:
             # Per-row provenance, not just header-level: an artifact
             # chained through resumes can mix rows from several builds.
             "code": code_fingerprint(),
-            # The fully-resolved machine this row simulated -- preset +
-            # overrides already folded into every SystemConfig field --
-            # so a row's provenance never depends on what a preset name
-            # meant at the time it was written.
-            "machine": {
-                "spec": outcome.spec.machine.to_dict(),
-                "hash": outcome.spec.machine.spec_hash(),
-                "resolved": system_config_to_dict(
-                    outcome.spec.system_config()
-                ),
-            },
+            "machine": machine,
             "cache": outcome.cache_status,
             "cache_hit": outcome.cache_status == "hit",
             "wall_time_s": outcome.wall_time_s,

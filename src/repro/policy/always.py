@@ -10,6 +10,7 @@ class AlwaysCachePolicy(CachingPolicy):
     """Unconditional caching -- the behaviour evaluated in Figures 7-12."""
 
     name = "always"
+    COUNTERS = ("decisions",)
 
     def __init__(self) -> None:
         self.decisions = 0
@@ -23,9 +24,3 @@ class AlwaysCachePolicy(CachingPolicy):
     ) -> PolicyDecision:
         self.decisions += 1
         return PolicyDecision.CACHE
-
-    def stats(self, prefix: str = "") -> dict:
-        return {f"{prefix}decisions": float(self.decisions)}
-
-    def reset_stats(self) -> None:
-        self.decisions = 0

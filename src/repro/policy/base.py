@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 
+from repro.common.stats import Counters
 from repro.vm.page_table import PageTableEntry
 
 
@@ -29,11 +30,14 @@ class PolicyDecision(enum.Enum):
     PIN_NC = "pin_nc"
 
 
-class CachingPolicy:
+class CachingPolicy(Counters):
     """Interface for page-caching policies.
 
     Implementations must be cheap: ``decide`` runs inside the simulated
-    TLB miss handler, the hottest slow path in the system.
+    TLB miss handler, the hottest slow path in the system.  Decision
+    counters go in ``COUNTERS`` (reported under the ``policy_`` stats
+    prefix and zeroed at the warmup/measurement boundary); learned state
+    (touch counts, profiles) is not a counter and survives that reset.
     """
 
     #: Registry/reporting name; subclasses override.
@@ -54,14 +58,3 @@ class CachingPolicy:
 
     def on_evicted(self, physical_page: int) -> None:
         """A cached page was evicted from the DRAM cache."""
-
-    def stats(self, prefix: str = "") -> dict:
-        """Policy-specific counters for the experiment harness."""
-        return {}
-
-    def reset_stats(self) -> None:
-        """Zero decision counters at the warmup/measurement boundary.
-
-        Learned state (touch counts, profiles) stays -- only reporting
-        counters reset, mirroring every other component's reset_stats.
-        """

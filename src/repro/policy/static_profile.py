@@ -22,6 +22,8 @@ class StaticProfilePolicy(CachingPolicy):
     """Pin profiled low-reuse pages NC; cache everything else."""
 
     name = "static-profile"
+    #: The NC page set is the (static) profile, not a counter.
+    COUNTERS = ("pinned", "cached")
 
     def __init__(self, nc_pages: Mapping[int, Iterable[int]]):
         """``nc_pages`` maps process id -> virtual pages to pin NC."""
@@ -66,13 +68,6 @@ class StaticProfilePolicy(CachingPolicy):
         return len(self._nc)
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}pinned": float(self.pinned),
-            f"{prefix}cached": float(self.cached),
-            f"{prefix}nc_pages": float(len(self._nc)),
-        }
-
-    def reset_stats(self) -> None:
-        # The NC page set is the (static) profile and stays.
-        self.pinned = 0
-        self.cached = 0
+        out = super().stats(prefix)
+        out[f"{prefix}nc_pages"] = float(len(self._nc))
+        return out

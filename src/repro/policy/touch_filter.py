@@ -25,6 +25,8 @@ class TouchCountFilterPolicy(CachingPolicy):
     """Cache a page after ``threshold`` cTLB misses within the window."""
 
     name = "touch-filter"
+    #: The touch counts themselves are learned state, not counters.
+    COUNTERS = ("bypasses", "promotions", "decays")
 
     def __init__(self, threshold: int = 2, decay_interval_ns: float = 1e6):
         if threshold < 1:
@@ -76,15 +78,6 @@ class TouchCountFilterPolicy(CachingPolicy):
         return len(self._counts)
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}bypasses": float(self.bypasses),
-            f"{prefix}promotions": float(self.promotions),
-            f"{prefix}decays": float(self.decays),
-            f"{prefix}pending": float(len(self._counts)),
-        }
-
-    def reset_stats(self) -> None:
-        # The touch counters themselves are learned state and stay.
-        self.bypasses = 0
-        self.promotions = 0
-        self.decays = 0
+        out = super().stats(prefix)
+        out[f"{prefix}pending"] = float(len(self._counts))
+        return out

@@ -18,6 +18,7 @@ from typing import List
 
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import OnDieCacheConfig
+from repro.common.stats import Counters
 from repro.sram.set_assoc import SetAssociativeCache
 
 
@@ -33,7 +34,7 @@ class AccessResult:
     writebacks: List[int]
 
 
-class OnDieHierarchy:
+class OnDieHierarchy(Counters):
     """Write-back, write-allocate L1 + L2 with simple inclusion-free flow.
 
     The hot path is :meth:`access_level` / :meth:`access_after_l1_miss`:
@@ -46,6 +47,8 @@ class OnDieHierarchy:
 
     __slots__ = ("l1_config", "l2_config", "l1", "l2", "l1_hits",
                  "l2_hits", "misses", "writebacks", "pending_writebacks")
+
+    COUNTERS = ("l1_hits", "l2_hits", "misses", "writebacks")
 
     def __init__(self, l1: OnDieCacheConfig, l2: OnDieCacheConfig):
         self.l1_config = l1
@@ -150,13 +153,9 @@ class OnDieHierarchy:
 
     def reset_stats(self) -> None:
         """Zero hit/miss counters; cache contents stay warm."""
-        self.l1_hits = 0
-        self.l2_hits = 0
-        self.misses = 0
-        self.writebacks = 0
-        for level in (self.l1, self.l2):
-            level.hits = 0
-            level.misses = 0
+        super().reset_stats()
+        self.l1.reset_stats()
+        self.l2.reset_stats()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -170,11 +169,3 @@ class OnDieHierarchy:
         if self.accesses == 0:
             return 0.0
         return self.misses / self.accesses
-
-    def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}l1_hits": float(self.l1_hits),
-            f"{prefix}l2_hits": float(self.l2_hits),
-            f"{prefix}misses": float(self.misses),
-            f"{prefix}writebacks": float(self.writebacks),
-        }

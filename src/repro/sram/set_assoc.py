@@ -21,6 +21,7 @@ import dataclasses
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters
 from repro.sram.replacement import make_policy
 
 
@@ -57,7 +58,7 @@ class _CacheSet:
             self.policy = make_policy(policy_name, seed=seed)
 
 
-class SetAssociativeCache:
+class SetAssociativeCache(Counters):
     """A write-back, write-allocate set-associative cache.
 
     Parameters
@@ -72,6 +73,8 @@ class SetAssociativeCache:
 
     __slots__ = ("num_sets", "ways", "policy_name", "_sets", "hits",
                  "misses", "evicted_dirty")
+
+    COUNTERS = ("hits", "misses")
 
     def __init__(self, num_sets: int, ways: int, policy: str = "lru"):
         if num_sets <= 0 or ways <= 0:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.common.config import SRAMTagConfig
 from repro.common.errors import SimulationError
+from repro.common.stats import Counters
 from repro.sram.replacement import make_policy
 
 
@@ -36,8 +37,10 @@ class _TagSet:
         self.policy = make_policy(policy_name)
 
 
-class SRAMTagArray:
+class SRAMTagArray(Counters):
     """Physical-page -> cache-page translation with LRU replacement."""
+
+    COUNTERS = ("probes", "hits")
 
     def __init__(
         self,
@@ -148,11 +151,6 @@ class SRAMTagArray:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Zero probe counters; tag contents stay warm."""
-        self.probes = 0
-        self.hits = 0
-
     def check_consistency(self) -> None:
         """Validate tag-store structure (read-only; ``repro.validate``)."""
         allocated = set()
@@ -206,9 +204,7 @@ class SRAMTagArray:
         return self.hits / self.probes
 
     def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}probes": float(self.probes),
-            f"{prefix}hits": float(self.hits),
-            f"{prefix}resident_pages": float(len(self)),
-            f"{prefix}probe_energy_nj": self.probes * self.probe_nj,
-        }
+        out = super().stats(prefix)
+        out[f"{prefix}resident_pages"] = float(len(self))
+        out[f"{prefix}probe_energy_nj"] = self.probes * self.probe_nj
+        return out

@@ -163,7 +163,6 @@ class PageTable:
         self._entries: Dict[int, PageTableEntry] = {}
         #: base virtual page -> superpage order, for unsplit superpages.
         self._superpages: Dict[int, int] = {}
-        self.walks = 0
         self.superpage_splits = 0
 
     # ------------------------------------------------------------------

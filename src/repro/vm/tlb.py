@@ -18,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional
 
+from repro.common.stats import Counters
+
 EvictionCallback = Callable[[int, "TLBEntry"], None]
 
 
@@ -29,7 +31,7 @@ class TLBEntry:
     non_cacheable: bool = False
 
 
-class TLB:
+class TLB(Counters):
     """A fully associative, LRU TLB level.
 
     Real L1 TLBs are fully associative and L2 TLBs highly associative;
@@ -43,6 +45,8 @@ class TLB:
     """
 
     __slots__ = ("capacity", "_map", "hits", "misses")
+
+    COUNTERS = ("hits", "misses")
 
     def __init__(self, entries: int):
         if entries <= 0:
@@ -104,10 +108,12 @@ class TLB:
         return self.hits / total
 
 
-class TLBHierarchy:
+class TLBHierarchy(Counters):
     """Inclusive L1+L2 TLB pair for one core."""
 
     __slots__ = ("l1", "l2", "on_l2_evict", "l1_hits", "l2_hits", "misses")
+
+    COUNTERS = ("l1_hits", "l2_hits", "misses")
 
     def __init__(
         self,
@@ -238,12 +244,9 @@ class TLBHierarchy:
 
     def reset_stats(self) -> None:
         """Zero hit/miss counters; translations stay resident."""
-        self.l1_hits = 0
-        self.l2_hits = 0
-        self.misses = 0
-        for level in (self.l1, self.l2):
-            level.hits = 0
-            level.misses = 0
+        super().reset_stats()
+        self.l1.reset_stats()
+        self.l2.reset_stats()
 
     @property
     def accesses(self) -> int:
@@ -253,10 +256,3 @@ class TLBHierarchy:
         if self.accesses == 0:
             return 0.0
         return self.misses / self.accesses
-
-    def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}l1_hits": float(self.l1_hits),
-            f"{prefix}l2_hits": float(self.l2_hits),
-            f"{prefix}misses": float(self.misses),
-        }

@@ -13,12 +13,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.config import TLBConfig
+from repro.common.stats import Counters
 from repro.dram.device import DRAMDevice
 from repro.vm.page_table import PageTable, PageTableEntry
 
 
-class PageTableWalker:
+class PageTableWalker(Counters):
     """Performs walks and accumulates their statistics."""
+
+    COUNTERS = ("walks", "cycles_total")
 
     def __init__(
         self,
@@ -47,7 +50,6 @@ class PageTableWalker:
         (its latency is already inside ``walk_cycles``).
         """
         pte = table.entry(virtual_page)
-        table.walks += 1
         cycles = self._walk_cycles
         backing = self.pte_backing
         if backing is not None:
@@ -71,13 +73,3 @@ class PageTableWalker:
         if self.pte_backing is not None:
             self.pte_backing.energy.charge(8, 0, is_write=True)
         return 1.0
-
-    def reset_stats(self) -> None:
-        self.walks = 0
-        self.cycles_total = 0.0
-
-    def stats(self, prefix: str = "") -> dict:
-        return {
-            f"{prefix}walks": float(self.walks),
-            f"{prefix}cycles_total": self.cycles_total,
-        }

@@ -200,9 +200,33 @@ def test_profile_text_report(capsys):
     assert "top 3 by tottime" in out
 
 
+def assert_parse_error(capsys, argv):
+    """Range checks run at parse time: a usage error (exit 2) naming the
+    flag, before any simulation or traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "must be" in err
+    assert "Traceback" not in err
+
+
 def test_profile_rejects_bad_top(capsys):
-    with pytest.raises(SystemExit):
-        main(["profile", "--top", "0"])
+    assert_parse_error(capsys, ["profile", "--top", "0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "tagless", "mcf", "--accesses", "-5"],
+    ["run", "tagless", "mcf", "--interval", "0"],
+    ["run", "tagless", "mcf", "--timeout", "0"],
+    ["run", "tagless", "mcf", "--retries", "-1"],
+    ["profile", "--accesses", "-5"],
+    ["trace", "tagless", "mcf", "--accesses", "-5"],
+    ["trace", "tagless", "mcf", "--interval", "0"],
+    ["report", "series.jsonl", "--width", "0"],
+])
+def test_out_of_range_flags_are_parse_errors(capsys, argv):
+    assert_parse_error(capsys, argv)
 
 
 def test_check_smoke_single_design(capsys):
@@ -221,9 +245,9 @@ def test_check_smoke_runs_bound_chain(capsys):
     assert "check: PASS" in out
 
 
-def test_check_rejects_negative_accesses():
-    with pytest.raises(SystemExit):
-        main(["check", "--design", "tagless", "--accesses", "-5"])
+def test_check_rejects_negative_accesses(capsys):
+    assert_parse_error(capsys, ["check", "--design", "tagless",
+                                "--accesses", "-5"])
 
 
 def test_check_rejects_unknown_design():

@@ -191,3 +191,19 @@ def test_campaign_ctrl_c_closes_artifact_and_exits_130(tmp_path, capsys,
     assert "interrupted; completed points are in" in capsys.readouterr().err
     summary = read_artifact(os.path.join(out_dir, "jobs.jsonl"))[-1]
     assert summary["record"] == "summary" and summary["jobs"] == 0
+
+
+def test_unbuildable_sweep_point_fails_alone(tmp_path, capsys):
+    """A point whose machine does not build is one failed row; the sweep
+    still runs the other points and exits 1 without a traceback."""
+    artifact = str(tmp_path / "s.jsonl")
+    code = main(["sweep", "--workloads", "mcf", "--designs", "tagless",
+                 "--accesses", "100", "--cache-sizes", "0", "1024",
+                 "--no-cache", "--out", artifact])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [r for r in read_artifact(artifact) if r["record"] == "job"]
+    assert [r["status"] for r in rows] == ["error", "ok"]
+    assert "ConfigurationError" in rows[0]["error"]
+    assert "resolved" not in rows[0]["machine"]
+    assert "resolved" in rows[1]["machine"]

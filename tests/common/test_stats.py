@@ -6,11 +6,53 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.stats import (
+    Counters,
     Histogram,
     StatGroup,
     geometric_mean,
     merge_stat_dicts,
 )
+
+
+class _Base(Counters):
+    __slots__ = ("hits", "latency_ns", "occupancy")
+    COUNTERS = ("hits", "latency_ns")
+
+    def __init__(self):
+        self.hits = 0
+        self.latency_ns = 0.0
+        self.occupancy = 0
+
+
+class _Derived(_Base):
+    __slots__ = ("fills",)
+    COUNTERS = ("fills",)
+
+    def __init__(self):
+        super().__init__()
+        self.fills = 0
+
+
+class TestCounters:
+    def test_stats_report_every_declared_counter_base_first(self):
+        obj = _Derived()
+        obj.hits, obj.latency_ns, obj.fills = 3, 1.5, 2
+        assert obj.stats("x_") == {
+            "x_hits": 3.0, "x_latency_ns": 1.5, "x_fills": 2.0,
+        }
+        assert all(type(v) is float for v in obj.stats().values())
+
+    def test_reset_zeroes_declared_counters_only_keeping_type(self):
+        obj = _Derived()
+        obj.hits, obj.latency_ns, obj.fills, obj.occupancy = 3, 1.5, 2, 7
+        obj.reset_stats()
+        assert (obj.hits, obj.fills) == (0, 0)
+        assert type(obj.hits) is int
+        assert obj.latency_ns == 0.0 and type(obj.latency_ns) is float
+        assert obj.occupancy == 7  # undeclared state survives
+
+    def test_slotted_subclasses_stay_slotted(self):
+        assert not hasattr(_Derived(), "__dict__")
 
 
 class TestStatGroup:

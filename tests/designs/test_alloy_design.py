@@ -27,12 +27,12 @@ def test_block_granularity_no_overfetch(design):
 
 def test_miss_then_hit_same_block(design):
     touch(design, vpn=1, line=0)
-    assert design.misses == 1
+    assert design.l3_misses == 1
     # Drop the line from the on-die caches so the next touch reaches L3.
     pte = design.page_table(0).entry(1)
     design.ondie[0].invalidate_page(pte.physical_page)
     touch(design, vpn=1, line=0, now=10**6)
-    assert design.hits == 1
+    assert design.l3_hits == 1
 
 
 def test_adjacent_lines_miss_separately(design):
@@ -40,7 +40,7 @@ def test_adjacent_lines_miss_separately(design):
     (the block-based weakness page-based caches fix)."""
     for line in range(8):
         touch(design, vpn=1, line=line, now=line * 1000.0)
-    assert design.misses == 8
+    assert design.l3_misses == 8
 
 
 def test_direct_mapped_conflicts(design):
@@ -54,11 +54,11 @@ def test_direct_mapped_conflicts(design):
     # pages; with a small cache, conflicts must occur.
     for vpn in range(1, design.num_blocks // 4 + 32):
         touch(design, vpn, 0, now=vpn * 500.0)
-    before = design.misses
+    before = design.l3_misses
     touch(design, vpn=1, line=0, now=10**8)
     # Either a conflict evicted page 1's line (miss) or it survived; with
     # a cache this small relative to the touched set a re-miss happens.
-    assert design.misses >= before
+    assert design.l3_misses >= before
 
 
 def test_dirty_victim_written_back(design):
@@ -69,9 +69,9 @@ def test_dirty_victim_written_back(design):
     for vpn in range(2, 5000):
         candidate = design.page_table(0).entry(vpn)
         if (candidate.physical_page * 64) % design.num_blocks == target_slot:
-            before = design.writebacks
+            before = design.l3_writebacks
             touch(design, vpn, 0, now=10**6)
-            assert design.writebacks == before + 1
+            assert design.l3_writebacks == before + 1
             return
     pytest.skip("no colliding frame found in 5000 pages")
 
@@ -95,4 +95,4 @@ def test_stats_and_reset(design):
     stats = design.stats()
     assert stats["l3_misses"] == 1.0
     design.reset_stats()
-    assert design.misses == 0
+    assert design.l3_misses == 0

@@ -20,8 +20,8 @@ def design(small_config):
 
 def test_first_touch_misses_then_hits(design):
     costs = touch_page(design, vpn=1, lines=4)
-    assert design.misses == 1
-    assert design.hits >= 1  # subsequent lines hit the filled page
+    assert design.l3_misses == 1
+    assert design.l3_hits >= 1  # subsequent lines hit the filled page
 
 
 def test_tag_probe_on_every_l3_access(design):
@@ -59,7 +59,7 @@ def test_eviction_writes_back_dirty_page(design, small_config):
     before = design.off_package.energy.write_bytes
     for vpn in range(1, capacity * 2 + 1):
         touch_page(design, vpn, lines=1, now=vpn * 2000.0)
-    assert design.writebacks >= 1
+    assert design.l3_writebacks >= 1
     assert design.off_package.energy.write_bytes >= before + 4096
 
 

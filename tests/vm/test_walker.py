@@ -19,7 +19,6 @@ def test_walk_returns_pte_and_fixed_cycles(table):
     assert pte.virtual_page == 5
     assert cycles == 60.0
     assert walker.walks == 1
-    assert table.walks == 1
 
 
 def test_walk_charges_pte_read_energy(table):

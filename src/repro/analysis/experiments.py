@@ -182,7 +182,6 @@ def run_single_programmed(
             workload_kind="spec",
             accesses=accesses,
             cache_megabytes=cache_megabytes,
-            num_cores=1,
             capacity_scale=capacity_scale,
             warmup_fraction=warmup_fraction,
             machine=machine,
@@ -280,7 +279,6 @@ def run_multi_programmed(
             workload_kind="mix",
             accesses=accesses,
             cache_megabytes=cache_megabytes,
-            num_cores=4,
             replacement=replacement,
             capacity_scale=capacity_scale,
             warmup_fraction=warmup_fraction,
@@ -372,7 +370,6 @@ def run_cache_size_sweep(
             workload_kind="mix",
             accesses=accesses,
             cache_megabytes=size,
-            num_cores=4,
             capacity_scale=capacity_scale,
             warmup_fraction=warmup_fraction,
             machine=machine,
@@ -459,7 +456,6 @@ def run_replacement_study(
             workload_kind="mix",
             accesses=accesses,
             cache_megabytes=cache_megabytes,
-            num_cores=4,
             replacement=policy,
             capacity_scale=capacity_scale,
             warmup_fraction=warmup_fraction,
@@ -547,7 +543,6 @@ def run_parsec(
             workload_kind="parsec",
             accesses=accesses,
             cache_megabytes=cache_megabytes,
-            num_cores=4,
             capacity_scale=capacity_scale,
             warmup_fraction=warmup_fraction,
             machine=machine,
@@ -626,7 +621,6 @@ def run_noncacheable_study(
         workload_kind="spec",
         accesses=accesses,
         cache_megabytes=cache_megabytes,
-        num_cores=1,
         capacity_scale=capacity_scale,
         warmup_fraction=warmup_fraction,
         machine=machine,

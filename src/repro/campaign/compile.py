@@ -96,7 +96,6 @@ def _job_spec(campaign: CampaignSpec, cell: Cell, repetition: int,
             "workload",
             os.path.splitext(os.path.basename(str(scenario)))[0],
         )
-        kwargs.setdefault("num_cores", 4)
     else:
         workload = kwargs.get("workload")
         if workload is None:
@@ -104,7 +103,6 @@ def _job_spec(campaign: CampaignSpec, cell: Cell, repetition: int,
                 "campaign needs 'workload' as a factor or fixed setting"
             )
         kind = infer_workload_kind(str(workload))
-        kwargs.setdefault("num_cores", 1 if kind == "spec" else 4)
     kwargs["workload_kind"] = kind
     kwargs["base_seed"] = campaign.repetition_seed(cell, repetition)
     return JobSpec(**kwargs)

@@ -23,13 +23,13 @@ from repro.harness import (
     ResultCache,
     RunArtifact,
     default_artifact_path,
-    infer_workload_kind,
+    execute_job,
     load_resume_map,
     resolve_cache_dir,
     run_jobs,
 )
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.mixes import MIX_ORDER, MIXES, mix_traces
+from repro.workloads.mixes import MIX_ORDER, MIXES
 from repro.workloads.parsec import PARSEC_ORDER, PARSEC_PROFILES
 from repro.workloads.spec import SPEC_ORDER, SPEC_PROFILES
 from repro.workloads.trace import save_trace
@@ -66,8 +66,6 @@ def _machine_from_args(args: argparse.Namespace) -> MachineSpec:
         raise SystemExit(
             f"cannot read machine spec {machine_file}: {exc}"
         ) from None
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _bounded(kind, minimum, strict: bool = False):
@@ -241,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "figure",
         choices=("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"),
     )
-    experiment.add_argument("--accesses", type=int, default=None,
+    experiment.add_argument("--accesses", type=_bounded(int, 1),
+                            default=None,
                             help="per-core trace length override")
     experiment.add_argument("--json", action="store_true",
                             help="emit the figure's data as JSON instead "
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SPEC/PARSEC programs or MIX1..MIX8")
     sweep.add_argument("--cache-sizes", nargs="+", type=int, default=[1024],
                        metavar="MB", help="nominal cache sizes in MB")
-    sweep.add_argument("--accesses", type=int, default=50_000,
+    sweep.add_argument("--accesses", type=_bounded(int, 0), default=50_000,
                        help="per-core trace length (default 50k)")
     sweep.add_argument("--scale", type=int, default=64)
     sweep.add_argument("--replacement", default="fifo",
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--validate", action="store_true",
                          help="run with the invariant checker installed "
                               "(sweeps hold mid-resize)")
-    tenants.add_argument("--every", type=int, default=None,
+    tenants.add_argument("--every", type=_bounded(int, 1), default=None,
                          help="accesses between invariant sweeps")
     tenants.add_argument("--json", action="store_true",
                          help="machine-readable output")
@@ -461,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--accesses", type=_bounded(int, 0), default=20_000,
                        help="trace length per invariant-checked run "
                             "(default 20k)")
-    check.add_argument("--every", type=int, default=None,
+    check.add_argument("--every", type=_bounded(int, 1), default=None,
                        help="accesses between invariant sweeps (default "
                             "$REPRO_VALIDATE_EVERY or 1024)")
     check.add_argument("--workload", default="mcf",
@@ -551,22 +550,11 @@ def _trace_capture(args: argparse.Namespace) -> int:
         raise SystemExit(
             "capture mode needs a workload: repro trace <design> <workload>"
         )
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
     accesses = args.accesses if args.accesses is not None else 20_000
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if args.workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(args.workload, accesses, args.scale)
+    spec = _point_spec(args, args.target, args.workload, accesses)
     telemetry = make_telemetry(interval=args.interval,
                                unit=args.interval_unit)
-    result = Simulator(config).run(
-        args.target, bindings, warmup_fraction=args.warmup,
-        telemetry=telemetry,
-    )
+    result = execute_job(spec, telemetry=telemetry)
     stem = f"{args.target}-{args.workload}"
     trace_path = args.trace_out or f"{stem}.perfetto.json"
     timeseries_path = args.timeseries_out or f"{stem}.timeseries.jsonl"
@@ -660,26 +648,21 @@ def _trace_smoke(args: argparse.Namespace) -> int:
         designs = (args.target,)
     workload = args.workload or "mcf"
     accesses = args.accesses if args.accesses is not None else 2000
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(workload, accesses, args.scale)
-    simulator = Simulator(config)
+    specs = [_point_spec(args, design, workload, accesses)
+             for design in designs]
+    # One set of traces replayed on every design.
+    bindings = specs[0].bindings()
     failures = 0
     print(f"trace smoke: {len(designs)} designs x {accesses} accesses "
           f"({workload})")
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
-        for design in designs:
+        for design, spec in zip(designs, specs):
             # Windows sized so even the short smoke trace produces a
             # multi-window series for the column checks.
             telemetry = make_telemetry(
                 interval=max(1, accesses // 8), unit=args.interval_unit,
             )
-            simulator.run(design, bindings, warmup_fraction=args.warmup,
-                          telemetry=telemetry)
+            execute_job(spec, bindings=bindings, telemetry=telemetry)
             trace_path = os.path.join(tmp, f"{design}.perfetto.json")
             timeseries_path = os.path.join(
                 tmp, f"{design}.timeseries.jsonl"
@@ -699,87 +682,57 @@ def _trace_smoke(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _bindings_for(workload: str, accesses: int, scale: int) -> List[BoundTrace]:
-    """Trace bindings for a single program or a MIX (shared by run/profile)."""
-    if workload in MIXES:
-        traces = mix_traces(workload, accesses_per_program=accesses,
-                            capacity_scale=scale)
-        return [BoundTrace(i, i, t) for i, t in enumerate(traces)]
-    profile = _profile_for(workload)
-    trace = TraceGenerator(profile, capacity_scale=scale).generate(accesses)
-    return [BoundTrace(0, 0, trace)]
+def _point_spec(args: argparse.Namespace, design: str, workload: str,
+                accesses: int, **fields) -> JobSpec:
+    """The JobSpec of one ``run``/``trace``/``profile`` point.
 
-
-def _run_supervised(args: argparse.Namespace, machine: MachineSpec):
-    """Execute ``repro run`` through the fault-tolerant harness.
-
-    Used when ``--timeout``/``--retries`` are given: the simulation runs
-    in a killable worker process, so a hang ends after the budget
-    instead of wedging the terminal.  Simulator-level telemetry cannot
-    cross the process boundary, hence the ``--trace``/``--timeseries``
-    incompatibility.
+    The same description every sweep point has, so a single point
+    simulates exactly what the harness would (four threads on four
+    cores for a PARSEC program, for example).
     """
-    if args.trace_out or args.timeseries_out:
-        raise SystemExit(
-            "--timeout/--retries run in a worker process and cannot "
-            "capture --trace/--timeseries telemetry; drop one or the "
-            "other"
-        )
-    try:
-        spec = JobSpec(
-            design=args.design,
-            workload=args.workload,
-            accesses=args.accesses,
-            cache_megabytes=args.cache_mb,
-            num_cores=4 if args.workload in MIXES else 1,
-            replacement=args.replacement,
-            capacity_scale=args.scale,
-            warmup_fraction=args.warmup,
-            timeout_s=args.timeout,
-            machine=machine,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    outcome = run_jobs([spec], jobs=1, retries=args.retries)[0]
-    if not outcome.ok:
-        print(f"{spec.label} {outcome.status}: {outcome.error}",
-              file=sys.stderr)
-        if outcome.error_detail:
-            print(outcome.error_detail, file=sys.stderr)
-        raise SystemExit(1)
-    return outcome.result
+    return JobSpec(
+        design=design,
+        workload=workload,
+        accesses=accesses,
+        cache_megabytes=args.cache_mb,
+        replacement=args.replacement,
+        capacity_scale=args.scale,
+        warmup_fraction=args.warmup,
+        **fields,
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
     # Resolved once: the machine file is read a single time, so the
     # printed ``machine`` block is the machine that was simulated.
     machine = _machine_from_args(args)
+    spec = _point_spec(args, args.design, args.workload, args.accesses,
+                       timeout_s=args.timeout, machine=machine)
     telemetry = None
     if args.timeout is not None or args.retries > 0:
-        result = _run_supervised(args, machine)
-    else:
-        try:
-            config = build_system(
-                machine=machine,
-                cache_megabytes=args.cache_mb,
-                num_cores=4 if args.workload in MIXES else 1,
-                replacement=args.replacement,
-                capacity_scale=args.scale,
+        # Supervised: the point runs in a killable worker process, so a
+        # hang ends after the budget instead of wedging the terminal.
+        # Simulator-level telemetry cannot cross that process boundary.
+        if args.trace_out or args.timeseries_out:
+            raise SystemExit(
+                "--timeout/--retries run in a worker process and cannot "
+                "capture --trace/--timeseries telemetry; drop one or the "
+                "other"
             )
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-        bindings = _bindings_for(args.workload, args.accesses, args.scale)
-
+        outcome = run_jobs([spec], jobs=1, retries=args.retries)[0]
+        if not outcome.ok:
+            print(f"{spec.label} {outcome.status}: {outcome.error}",
+                  file=sys.stderr)
+            if outcome.error_detail:
+                print(outcome.error_detail, file=sys.stderr)
+            raise SystemExit(1)
+        result = outcome.result
+    else:
         if args.trace_out or args.timeseries_out:
             from repro.obs import make_telemetry
 
             telemetry = make_telemetry(interval=args.interval)
-        result = Simulator(config).run(
-            args.design, bindings, warmup_fraction=args.warmup,
-            telemetry=telemetry,
-        )
+        result = execute_job(spec, telemetry=telemetry)
     metrics = {
         "design": args.design,
         "workload": args.workload,
@@ -950,20 +903,22 @@ def _harness_session(args: argparse.Namespace, name: str,
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    accesses = args.accesses
+    def accesses(default: int) -> int:
+        return args.accesses if args.accesses is not None else default
+
     machine = _machine_from_args(args)
     with _harness_session(args, args.figure, args.artifact,
                           resume_path=args.resume) as (harness, artifact):
         if args.figure == "fig7":
             result = experiments.run_single_programmed(
-                accesses=accesses or experiments.DEFAULT_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_ACCESSES),
                 machine=machine,
                 harness=harness,
             )
             tables = [result.ipc_table(), result.edp_table()]
         elif args.figure == "fig8":
             result = experiments.run_single_programmed(
-                accesses=accesses or experiments.DEFAULT_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_ACCESSES),
                 designs=("no-l3", "sram", "tagless"),
                 machine=machine,
                 harness=harness,
@@ -971,35 +926,35 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             tables = [result.l3_latency_table()]
         elif args.figure == "fig9":
             result = experiments.run_multi_programmed(
-                accesses=accesses or experiments.DEFAULT_MIX_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
                 machine=machine,
                 harness=harness,
             )
             tables = [result.ipc_table(), result.edp_table()]
         elif args.figure == "fig10":
             result = experiments.run_cache_size_sweep(
-                accesses=accesses or experiments.DEFAULT_MIX_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
                 machine=machine,
                 harness=harness,
             )
             tables = [result.table()]
         elif args.figure == "fig11":
             result = experiments.run_replacement_study(
-                accesses=accesses or 140_000,
+                accesses=accesses(140_000),
                 machine=machine,
                 harness=harness,
             )
             tables = [result.table()]
         elif args.figure == "fig12":
             result = experiments.run_parsec(
-                accesses=accesses or experiments.DEFAULT_MIX_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
                 machine=machine,
                 harness=harness,
             )
             tables = [result.ipc_table(), result.edp_table()]
         elif args.figure == "fig13":
             result = experiments.run_noncacheable_study(
-                accesses=accesses or experiments.DEFAULT_ACCESSES,
+                accesses=accesses(experiments.DEFAULT_ACCESSES),
                 machine=machine,
                 harness=harness,
             )
@@ -1022,26 +977,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     specs: List[JobSpec] = []
     machine = _machine_from_args(args)
-    try:
-        for design in args.designs:
-            for workload in args.workloads:
-                kind = infer_workload_kind(workload)
-                for size in args.cache_sizes:
-                    specs.append(JobSpec(
-                        design=design,
-                        workload=workload,
-                        workload_kind=kind,
-                        accesses=args.accesses,
-                        cache_megabytes=size,
-                        num_cores=1 if kind == "spec" else 4,
-                        replacement=args.replacement,
-                        capacity_scale=args.scale,
-                        warmup_fraction=args.warmup,
-                        validate=args.validate,
-                        machine=machine,
-                    ))
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    for design in args.designs:
+        for workload in args.workloads:
+            for size in args.cache_sizes:
+                specs.append(JobSpec(
+                    design=design,
+                    workload=workload,
+                    accesses=args.accesses,
+                    cache_megabytes=size,
+                    replacement=args.replacement,
+                    capacity_scale=args.scale,
+                    warmup_fraction=args.warmup,
+                    validate=args.validate,
+                    machine=machine,
+                ))
 
     with _harness_session(args, "sweep", args.out, total=len(specs),
                           resume_path=args.resume) as (harness, artifact):
@@ -1240,12 +1189,7 @@ def _merge_machine_into_campaign(spec, machine: MachineSpec):
             f"declared by {spec.name!r}: {', '.join(conflicts)}; edit "
             f"the study file instead"
         )
-    try:
-        return dataclasses.replace(
-            spec, fixed=spec.fixed + tuple(additions)
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    return dataclasses.replace(spec, fixed=spec.fixed + tuple(additions))
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -1342,26 +1286,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time
 
-    if not (0.0 <= args.warmup < 1.0):
-        raise SystemExit("--warmup must be in [0, 1)")
-    config = build_system(
-        cache_megabytes=args.cache_mb,
-        num_cores=4 if args.workload in MIXES else 1,
-        replacement=args.replacement,
-        capacity_scale=args.scale,
-    )
-    bindings = _bindings_for(args.workload, args.accesses, args.scale)
+    spec = _point_spec(args, args.design, args.workload, args.accesses)
+    bindings = spec.bindings()
     for binding in bindings:
         # Pay the one-time numpy->list conversion outside the profile so
         # the report shows the steady-state engine, not trace prep.
         binding.trace.as_lists()
-    simulator = Simulator(config)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = simulator.run(args.design, bindings,
-                           warmup_fraction=args.warmup)
+    result = execute_job(spec, bindings=bindings)
     profiler.disable()
     elapsed = time.perf_counter() - start
 
@@ -1531,25 +1466,22 @@ def cmd_tenants(args: argparse.Namespace) -> int:
     """Replay a multi-tenant scenario and print the QoS breakdown."""
     from repro.workloads.tenants import TenantScenarioSpec, build_schedule
 
-    try:
-        scenario = TenantScenarioSpec.from_file(args.scenario)
-        config = dataclasses.replace(
-            build_system(
-                cache_megabytes=args.cache_mb,
-                num_cores=args.cores,
-                replacement=args.replacement,
-                capacity_scale=args.scale,
-            ),
-            tlb_scale=args.tlb_scale,
-        )
-        schedule = build_schedule(scenario, num_cores=args.cores)
-        result = Simulator(config).run_tenants(
-            args.design, schedule,
-            validate=args.validate or None,
-            validate_every=args.every,
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    scenario = TenantScenarioSpec.from_file(args.scenario)
+    config = dataclasses.replace(
+        build_system(
+            cache_megabytes=args.cache_mb,
+            num_cores=args.cores,
+            replacement=args.replacement,
+            capacity_scale=args.scale,
+        ),
+        tlb_scale=args.tlb_scale,
+    )
+    schedule = build_schedule(scenario, num_cores=args.cores)
+    result = Simulator(config).run_tenants(
+        args.design, schedule,
+        validate=args.validate or None,
+        validate_every=args.every,
+    )
 
     if args.json:
         print(json.dumps({
@@ -1705,4 +1637,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _install_metrics(args)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        # The one place a bad setting -- a flag value, a machine
+        # override, a workload name -- becomes a clean exit.
+        raise SystemExit(str(exc)) from None

@@ -101,7 +101,12 @@ class JobSpec:
     Instances are frozen and hashable so they can serve directly as
     dictionary keys and as the input to the content-addressed result
     cache.  ``workload_kind`` may be left empty and is then inferred
-    from the workload name.
+    from the workload name.  ``num_cores`` may be left ``None`` and is
+    then resolved from the kind: one core for a ``spec`` program, four
+    for every other kind (a MIX binds one program per core, a PARSEC
+    program runs one thread per core, tenants share the quad-core
+    machine).  An explicit value wins.  ``to_dict()`` and the cache key
+    always carry the resolved count.
     """
 
     design: str
@@ -109,7 +114,7 @@ class JobSpec:
     workload_kind: str = ""
     accesses: int = 100_000
     cache_megabytes: int = 1024
-    num_cores: int = 1
+    num_cores: Optional[int] = None
     replacement: str = "fifo"
     capacity_scale: int = 64
     warmup_fraction: float = 0.25
@@ -170,6 +175,10 @@ class JobSpec:
             raise ConfigurationError(
                 f"unknown workload kind {self.workload_kind!r}; "
                 f"expected one of {WORKLOAD_KINDS}"
+            )
+        if self.num_cores is None:
+            object.__setattr__(
+                self, "num_cores", 1 if self.workload_kind == "spec" else 4
             )
         if self.accesses < 0:
             # Zero is legal: a zero-length run exercises the plumbing
@@ -339,7 +348,8 @@ class JobSpec:
         ]
 
 
-def execute_job(spec: JobSpec, bindings=None) -> SimulationResult:
+def execute_job(spec: JobSpec, bindings=None,
+                telemetry=None) -> SimulationResult:
     """Run one spec to completion and return its simulation result.
 
     This is the function worker processes call; everything it needs is
@@ -347,7 +357,9 @@ def execute_job(spec: JobSpec, bindings=None) -> SimulationResult:
     process boundary.  ``bindings`` optionally supplies the traces
     already materialised (the shared-memory dispatch path of
     :mod:`repro.harness.shm`); it must describe exactly what
-    ``spec.bindings()`` would generate.
+    ``spec.bindings()`` would generate.  ``telemetry`` is handed to
+    ``Simulator.run`` for in-process callers (``repro run``/``trace``);
+    the worker pool never passes one.
     """
     previous_seed = rng.BASE_SEED
     override = spec.base_seed is not None and spec.base_seed != previous_seed
@@ -398,6 +410,7 @@ def execute_job(spec: JobSpec, bindings=None) -> SimulationResult:
             warmup_fraction=spec.warmup_fraction,
             # False defers to REPRO_VALIDATE; True forces validation on.
             validate=spec.validate or None,
+            telemetry=telemetry,
         )
     finally:
         if override:

@@ -110,8 +110,10 @@ def test_run_warmup_flag_threads_through(capsys):
 
 
 def test_run_rejects_invalid_warmup(capsys):
-    with pytest.raises(SystemExit):
+    # JobSpec validates the split; main() turns its error into an exit.
+    with pytest.raises(SystemExit) as exc:
         main(["run", "tagless", "sphinx3", "--warmup", "1.0"])
+    assert exc.value.code == "warmup_fraction must be in [0, 1)"
 
 
 def test_experiment_json_output(tmp_path, capsys):
@@ -224,6 +226,11 @@ def test_profile_rejects_bad_top(capsys):
     ["trace", "tagless", "mcf", "--accesses", "-5"],
     ["trace", "tagless", "mcf", "--interval", "0"],
     ["report", "series.jsonl", "--width", "0"],
+    ["experiment", "fig13", "--accesses", "0"],
+    ["experiment", "fig13", "--accesses", "-5"],
+    ["sweep", "--workloads", "mcf", "--accesses", "-5"],
+    ["check", "--every", "0"],
+    ["tenants", "scenario.json", "--every", "0"],
 ])
 def test_out_of_range_flags_are_parse_errors(capsys, argv):
     assert_parse_error(capsys, argv)

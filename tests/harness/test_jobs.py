@@ -1,6 +1,8 @@
 """JobSpec tests: inference, validation, hashing, execution."""
 
 import dataclasses
+import json
+import os
 import warnings
 
 import pytest
@@ -259,3 +261,98 @@ class TestMachineField:
         assert JobSpec.unknown_keys(spec.to_dict()) == []
         assert JobSpec.unknown_keys({**spec.to_dict(), "b": 1, "a": 2}) \
             == ["a", "b"]
+
+
+class TestCoreCount:
+    """``num_cores`` left unset resolves from the workload kind: one
+    core for a SPEC program, four for every other kind.  The resolved
+    value is what the figure runners, ``sweep`` and campaigns used to
+    pass by hand, so every existing cache key is unchanged."""
+
+    REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+
+    @staticmethod
+    def explicit_cores(spec):
+        """The core count earlier builds wrote out for this spec."""
+        return 1 if spec.workload_kind == "spec" else 4
+
+    def assert_key_unchanged(self, spec):
+        explicit = JobSpec.from_dict(
+            {**spec.to_dict(), "num_cores": self.explicit_cores(spec)}
+        )
+        assert spec.num_cores == explicit.num_cores
+        assert spec.to_dict() == explicit.to_dict()
+        assert spec.cache_key() == explicit.cache_key()
+
+    @pytest.mark.parametrize("workload, cores", [
+        ("sphinx3", 1), ("MIX1", 4), ("streamcluster", 4),
+    ])
+    def test_resolved_from_kind(self, workload, cores):
+        spec = JobSpec(design="tagless", workload=workload)
+        assert spec.num_cores == cores
+        assert spec.to_dict()["num_cores"] == cores
+        assert spec.system_config().num_cores == cores
+
+    def test_tenants_default_to_four_cores(self, tmp_path):
+        scenario = tmp_path / "mt.json"
+        scenario.write_text(json.dumps({
+            "name": "mt", "tenants": 2, "profiles": ["mcf"],
+            "tenant_accesses": 100, "quantum": 50,
+        }))
+        spec = JobSpec(design="tagless", workload="mt",
+                       scenario=str(scenario))
+        assert spec.workload_kind == "tenants"
+        assert spec.num_cores == 4
+
+    @pytest.mark.parametrize("workload", ["sphinx3", "MIX1",
+                                          "streamcluster"])
+    def test_explicit_count_wins(self, workload):
+        spec = JobSpec(design="tagless", workload=workload, num_cores=2)
+        assert spec.num_cores == 2
+        assert spec.cache_key() != JobSpec(
+            design="tagless", workload=workload).cache_key()
+
+    @pytest.mark.parametrize("study", ["smoke.json",
+                                       "multitenant_smoke.json"])
+    def test_campaign_keys_unchanged(self, study, monkeypatch):
+        from repro.campaign import CampaignSpec, expand
+
+        # Study files name their scenario relative to the repository.
+        monkeypatch.chdir(self.REPO)
+        campaign = CampaignSpec.from_file(
+            os.path.join("benchmarks", "studies", study)
+        )
+        jobs = expand(campaign)
+        assert jobs
+        for job in jobs:
+            self.assert_key_unchanged(job.spec)
+
+    @pytest.mark.parametrize("runner, kwargs", [
+        ("run_single_programmed", {}),
+        ("run_multi_programmed", {}),
+        ("run_cache_size_sweep", {}),
+        ("run_replacement_study", {}),
+        ("run_parsec", {}),
+        ("run_noncacheable_study", {}),
+    ])
+    def test_figure_runner_keys_unchanged(self, runner, kwargs):
+        from repro.analysis import experiments
+
+        class Captured(Exception):
+            pass
+
+        class CapturingHarness:
+            """Records the runner's specs instead of executing them."""
+
+            def run_strict(self, specs):
+                self.specs = list(specs)
+                raise Captured
+
+        harness = CapturingHarness()
+        with pytest.raises(Captured):
+            getattr(experiments, runner)(accesses=1_000, harness=harness,
+                                         **kwargs)
+        assert harness.specs
+        for spec in harness.specs:
+            self.assert_key_unchanged(spec)

@@ -7,24 +7,15 @@ SRAM-tag on EDP by 26.5 %.  The *shape* asserted below: strict design
 ordering on the geomean and a large tagless EDP win.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_single_programmed
-
-
-def run_figure7():
-    return run_single_programmed(accesses=bench_accesses(100_000),
-                                 harness=bench_harness())
-
-
-def test_fig07_spec_ipc_edp(benchmark, record_table):
-    result = benchmark.pedantic(run_figure7, rounds=1, iterations=1)
-    record_table("fig07", result.ipc_table(), result.edp_table())
+def test_fig07_spec_ipc_edp(bench_figure):
+    result = bench_figure("fig7", 100_000)
 
     # Shape checks (the paper's ordering, not its absolute numbers).
-    gm = {d: result.geomean_ipc(d) for d in result.designs}
+    designs = result.levels["design"]
+    gm = {d: result.geomean("ipc_sum", d) for d in designs}
     assert gm["no-l3"] < gm["bi"] < gm["sram"] < gm["tagless"] <= gm["ideal"]
-    edp = {d: result.geomean_edp(d) for d in result.designs}
+    edp = {d: result.geomean("edp", d) for d in designs}
     assert edp["tagless"] < edp["sram"] < edp["no-l3"]
     # BI is a small improvement (paper: ~4 %).
     assert 1.0 < gm["bi"] < 1.12

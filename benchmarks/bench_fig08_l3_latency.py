@@ -4,25 +4,14 @@ Paper: the tagless cache is consistently lower thanks to the deleted
 tag check -- up to 16.7 % for 462.libquantum, 9.9 % geomean reduction.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_single_programmed
-
-
-def run_figure8():
-    return run_single_programmed(
-        accesses=bench_accesses(100_000),
-        designs=("no-l3", "sram", "tagless"),
-        harness=bench_harness(),
-    )
-
-
-def test_fig08_l3_latency(benchmark, record_table):
-    result = benchmark.pedantic(run_figure8, rounds=1, iterations=1)
-    record_table("fig08", result.l3_latency_table())
+def test_fig08_l3_latency(bench_figure):
+    result = bench_figure("fig8", 100_000)
 
     # Tagless must be lower for every single program (paper:
     # "consistently yields lower latency").
-    for program in result.programs:
-        assert (result.l3_latency(program, "tagless")
-                < result.l3_latency(program, "sram")), program
+    for program in result.levels["workload"]:
+        latency = {d: result.value("mean_l3_latency_cycles",
+                                   workload=program, design=d)
+                   for d in ("sram", "tagless")}
+        assert latency["tagless"] < latency["sram"], program

@@ -4,23 +4,14 @@ Paper: SRAM-tag +34.9 % and tagless +38.4 % IPC over No-L3; EDP
 reductions 31.5 % and 43.5 %; BI only +11.2 %.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_multi_programmed
+def test_fig09_mix_ipc_edp(bench_figure):
+    result = bench_figure("fig9", 70_000)
 
-
-def run_figure9():
-    return run_multi_programmed(accesses=bench_accesses(70_000),
-                                harness=bench_harness())
-
-
-def test_fig09_mix_ipc_edp(benchmark, record_table):
-    result = benchmark.pedantic(run_figure9, rounds=1, iterations=1)
-    record_table("fig09", result.ipc_table(), result.edp_table())
-
-    gm = {d: result.geomean_ipc(d) for d in result.designs}
+    designs = result.levels["design"]
+    gm = {d: result.geomean("ipc_sum", d) for d in designs}
     assert gm["no-l3"] < gm["bi"] < gm["sram"] < gm["ideal"]
     assert gm["tagless"] > gm["bi"]          # caches beat OS-oblivious BI
     assert gm["tagless"] > 1.15              # a substantial win over No-L3
-    edp = {d: result.geomean_edp(d) for d in result.designs}
+    edp = {d: result.geomean("edp", d) for d in designs}
     assert edp["tagless"] < edp["sram"] < edp["no-l3"]  # Figure 9b order

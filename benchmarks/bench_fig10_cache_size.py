@@ -6,32 +6,26 @@ migrations); from 512 MB up the caches win, with tagless ahead at the
 large end.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_cache_size_sweep
+def test_fig10_cache_size(bench_figure):
+    result = bench_figure("fig10", 50_000)
 
-
-def run_figure10():
-    return run_cache_size_sweep(accesses=bench_accesses(50_000),
-                                harness=bench_harness())
-
-
-def test_fig10_cache_size(benchmark, record_table):
-    result = benchmark.pedantic(run_figure10, rounds=1, iterations=1)
-    record_table("fig10", result.table())
+    def geomean_ipc(size, design):
+        return result.geomean("ipc_sum", design, baseline="bi",
+                              cache_mb=size)
 
     # The crossover: both designs below BI at 256 MB, above it at 1 GB.
     for design in ("sram", "tagless"):
-        assert result.geomean_ipc(256, design) < 1.0
-        assert result.geomean_ipc(1024, design) > 1.0
+        assert geomean_ipc(256, design) < 1.0
+        assert geomean_ipc(1024, design) > 1.0
     # Monotone improvement with capacity for the tagless cache.  (The
     # SRAM-tag series may dip slightly at the top because the BI
     # normaliser also improves with a larger in-package region.)
-    tagless_series = [result.geomean_ipc(size, "tagless")
-                      for size in result.sizes_mb]
+    tagless_series = [geomean_ipc(size, "tagless")
+                      for size in result.levels["cache_mb"]]
     assert tagless_series == sorted(tagless_series)
-    assert result.geomean_ipc(512, "sram") > result.geomean_ipc(256, "sram")
+    assert geomean_ipc(512, "sram") > geomean_ipc(256, "sram")
     # Tagless benefits most from the large cache (paper: consistently
     # outperforms SRAM-tag for large sizes).
-    assert result.geomean_ipc(1024, "tagless") >= result.geomean_ipc(
+    assert geomean_ipc(1024, "tagless") >= geomean_ipc(
         1024, "sram") * 0.99

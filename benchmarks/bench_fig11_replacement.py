@@ -4,23 +4,13 @@ Paper: LRU outperforms FIFO "only marginally, by 1.6 % on average",
 justifying the cheap FIFO header-pointer scheme.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_replacement_study
-
-
-def run_figure11():
+def test_fig11_replacement(bench_figure):
     # Longer traces than the other figures: replacement only matters
     # once the singleton stream has filled the cache and evictions flow.
-    return run_replacement_study(accesses=bench_accesses(140_000),
-                                 harness=bench_harness())
-
-
-def test_fig11_replacement(benchmark, record_table):
-    result = benchmark.pedantic(run_figure11, rounds=1, iterations=1)
-    record_table("fig11", result.table())
+    result = bench_figure("fig11", 140_000)
 
     # LRU's edge is small (paper: ~1.6 %); FIFO must never be
     # catastrophically worse.
-    gain = result.mean_gain_percent()
+    gain = result.to_dict()["mean_gain_percent"]
     assert -2.0 <= gain <= 10.0

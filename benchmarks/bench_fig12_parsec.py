@@ -5,23 +5,14 @@ streamcluster the most; swaptions and fluidanimate (singleton-heavy,
 low MPKI) see little to no improvement.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_parsec
+def test_fig12_parsec(bench_figure):
+    result = bench_figure("fig12", 60_000)
 
-
-def run_figure12():
-    return run_parsec(accesses=bench_accesses(60_000),
-                      harness=bench_harness())
-
-
-def test_fig12_parsec(benchmark, record_table):
-    result = benchmark.pedantic(run_figure12, rounds=1, iterations=1)
-    record_table("fig12", result.ipc_table(), result.edp_table())
-
-    ipc = {p: result.normalized_ipc(p) for p in result.programs}
+    programs = result.levels["workload"]
+    ipc = {p: result.normalized("ipc_sum", workload=p) for p in programs}
     # streamcluster is the biggest winner of the four.
-    gains = {p: ipc[p]["tagless"] for p in result.programs}
+    gains = {p: ipc[p]["tagless"] for p in programs}
     assert max(gains, key=gains.get) == "streamcluster"
     # swaptions barely moves (low MPKI -> memory system irrelevant).
     assert gains["swaptions"] < 1.10
@@ -31,5 +22,5 @@ def test_fig12_parsec(benchmark, record_table):
     for program in ("streamcluster", "facesim"):
         assert gains[program] > 1.10
         assert ipc[program]["tagless"] >= ipc[program]["sram"] * 0.99
-        edp = result.normalized_edp(program)
+        edp = result.normalized("edp", workload=program)
         assert edp["tagless"] < edp["sram"]

@@ -6,21 +6,11 @@ IPC over tagless without NC, from reduced bandwidth pollution and a
 higher hit ratio for the pages that remain.
 """
 
-from conftest import bench_accesses, bench_harness
 
-from repro.analysis.experiments import run_noncacheable_study
+def test_fig13_noncacheable(bench_figure):
+    data = bench_figure("fig13", 150_000).to_dict()
 
-
-def run_figure13():
-    return run_noncacheable_study(accesses=bench_accesses(150_000),
-                                  harness=bench_harness())
-
-
-def test_fig13_noncacheable(benchmark, record_table):
-    result = benchmark.pedantic(run_figure13, rounds=1, iterations=1)
-    record_table("fig13", result.table())
-
-    assert result.nc_pages > 0, "GemsFDTD must have low-reuse pages"
+    assert data["nc_pages"] > 0, "GemsFDTD must have low-reuse pages"
     # NC classification helps (paper: +7.1 %); any clear positive gain
     # reproduces the conclusion.
-    assert result.gain_percent() > 0.5
+    assert data["gain_percent"] > 0.5

@@ -6,7 +6,8 @@ EXPERIMENTS.md can be refreshed by diffing that directory.
 
 Scale knobs: the environment variable ``REPRO_BENCH_ACCESSES`` overrides
 the per-core trace length (default 100k single-programmed / 70k per core
-multi-programmed), trading fidelity for runtime.
+multi-programmed), trading fidelity for runtime.  It and
+``REPRO_BENCH_JOBS`` must be integers >= 1; anything else raises.
 
 Execution knobs: ``REPRO_BENCH_JOBS`` fans each figure sweep out to that
 many worker processes through :mod:`repro.harness`, and
@@ -24,15 +25,33 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.common.errors import ConfigurationError  # noqa: E402
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def _env_count(name: str, default: int) -> int:
+    """A positive integer from environment variable ``name``.
+
+    Unset or empty means ``default``.  Zero, negatives and non-integers
+    raise: a bad knob fails loudly instead of running something else.
+    """
+    text = os.environ.get(name)
+    if not text:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, "
+                                 f"got {text!r}")
+    return value
 
 
 def bench_accesses(default: int) -> int:
     """Per-core trace length for a benchmark, env-overridable."""
-    override = os.environ.get("REPRO_BENCH_ACCESSES")
-    if override:
-        return int(override)
-    return default
+    return _env_count("REPRO_BENCH_ACCESSES", default)
 
 
 def bench_harness():
@@ -43,14 +62,14 @@ def bench_harness():
     """
     from repro.harness import Harness, ResultCache
 
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
+    jobs = _env_count("REPRO_BENCH_JOBS", 1)
     cache_env = os.environ.get("REPRO_BENCH_CACHE")
-    if jobs <= 1 and not cache_env:
+    if jobs == 1 and not cache_env:
         return None
     cache = None
     if cache_env:
         cache = ResultCache(None if cache_env == "1" else cache_env)
-    return Harness(jobs=max(1, jobs), cache=cache)
+    return Harness(jobs=jobs, cache=cache)
 
 
 @pytest.fixture
@@ -67,3 +86,26 @@ def record_table(request):
         print(text)
 
     return _record
+
+
+@pytest.fixture
+def bench_figure(benchmark, record_table):
+    """Returns a function that runs one paper figure and archives it.
+
+    ``bench_figure("fig7", 100_000)`` times ``run_figure("fig7")`` at
+    that per-core trace length (env-overridable), archives its tables as
+    ``results/fig07.txt`` and returns the result for the shape checks.
+    """
+    from repro.analysis.experiments import run_figure
+
+    def _run(name: str, default_accesses: int):
+        result = benchmark.pedantic(
+            run_figure, args=(name,),
+            kwargs={"accesses": bench_accesses(default_accesses),
+                    "harness": bench_harness()},
+            rounds=1, iterations=1,
+        )
+        record_table(f"fig{int(name[3:]):02d}", *result.tables())
+        return result
+
+    return _run

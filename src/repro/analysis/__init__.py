@@ -1,4 +1,4 @@
-"""Analysis layer: AMAT equations, energy/EDP model, experiment runners.
+"""Analysis layer: AMAT equations, energy/EDP model, paper figures.
 
 - :mod:`repro.analysis.amat` implements Equations 1-5 of the paper as an
   analytic model, fed either with hand-picked parameters or with measured
@@ -7,8 +7,9 @@
   energy breakdown and EDP;
 - :mod:`repro.analysis.report` formats paper-style tables and normalised
   series;
-- :mod:`repro.analysis.experiments` contains one runner per reproduced
-  table/figure, shared by the benchmarks and examples.
+- :mod:`repro.analysis.experiments` describes each reproduced figure as
+  data (``FIGURES``) and runs it (``run_figure``) for the CLI, the
+  validate scorecard and the benchmarks.
 """
 
 from repro.analysis.amat import (

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-from repro.analysis import experiments
+from repro.analysis.experiments import run_figure
 from repro.analysis.report import format_table
 from repro.common.addressing import BYTES_PER_MB
 from repro.common.config import tag_array_parameters
@@ -71,17 +71,18 @@ def run_validation(
         claims.append(ClaimResult(claim_id, description, passed, evidence))
 
     # --- single-programmed subset (claims 1-4) -----------------------
-    single = experiments.run_single_programmed(
-        programs=("sphinx3", "milc", "GemsFDTD", "libquantum"),
-        accesses=single_accesses,
+    single = run_figure(
+        "fig7", accesses=single_accesses,
+        workload=("sphinx3", "milc", "GemsFDTD", "libquantum"),
     )
-    gm = {d: single.geomean_ipc(d) for d in single.designs}
+    designs = single.levels["design"]
+    gm = {d: single.geomean("ipc_sum", d) for d in designs}
     record(
         "ordering",
         "No-L3 < BI < SRAM < tagless <= ideal (geomean IPC)",
         gm["no-l3"] < gm["bi"] < gm["sram"] < gm["tagless"]
         <= gm["ideal"] * 1.001,
-        " / ".join(f"{d}={gm[d]:.3f}" for d in single.designs),
+        " / ".join(f"{d}={gm[d]:.3f}" for d in designs),
     )
     record(
         "bi-small",
@@ -89,34 +90,34 @@ def run_validation(
         1.0 < gm["bi"] < 1.12,
         f"bi={gm['bi']:.3f}",
     )
-    edp = {d: single.geomean_edp(d) for d in single.designs}
+    edp = {d: single.geomean("edp", d) for d in designs}
     record(
         "edp",
         "tagless EDP < SRAM-tag EDP < No-L3 (paper: -26.5% vs SRAM)",
         edp["tagless"] < edp["sram"] < 1.0,
         f"sram={edp['sram']:.3f} tagless={edp['tagless']:.3f}",
     )
-    latency_ok = all(
-        single.l3_latency(p, "tagless") < single.l3_latency(p, "sram")
-        for p in single.programs
-    )
+    programs = single.levels["workload"]
+    latency = {
+        (p, d): single.value("mean_l3_latency_cycles", workload=p, design=d)
+        for p in programs for d in ("sram", "tagless")
+    }
     record(
         "l3-latency",
         "tagless avg L3 latency below SRAM-tag for every program "
         "(paper: -9.9% geomean)",
-        latency_ok,
+        all(latency[p, "tagless"] < latency[p, "sram"] for p in programs),
         ", ".join(
-            f"{p}:{single.l3_latency(p, 'tagless') / single.l3_latency(p, 'sram') - 1:+.1%}"
-            for p in single.programs
+            f"{p}:{latency[p, 'tagless'] / latency[p, 'sram'] - 1:+.1%}"
+            for p in programs
         ),
     )
 
     # --- multi-programmed subset (claim 5) ----------------------------
-    mixes = experiments.run_multi_programmed(
-        mixes=("MIX1", "MIX5"), accesses=mix_accesses,
-    )
-    mix_gm = {d: mixes.geomean_ipc(d) for d in mixes.designs}
-    mix_edp = {d: mixes.geomean_edp(d) for d in mixes.designs}
+    mixes = run_figure("fig9", accesses=mix_accesses,
+                       workload=("MIX1", "MIX5"))
+    mix_gm = {d: mixes.geomean("ipc_sum", d) for d in mixes.levels["design"]}
+    mix_edp = {d: mixes.geomean("edp", d) for d in mixes.levels["design"]}
     record(
         "mixes",
         "multi-programmed: caches win big; tagless EDP <= SRAM "
@@ -128,11 +129,10 @@ def run_validation(
     )
 
     # --- PARSEC subset (claim 6) --------------------------------------
-    parsec = experiments.run_parsec(
-        programs=("swaptions", "streamcluster"), accesses=mix_accesses,
-    )
-    sc = parsec.normalized_ipc("streamcluster")["tagless"]
-    sw = parsec.normalized_ipc("swaptions")["tagless"]
+    parsec = run_figure("fig12", accesses=mix_accesses,
+                        workload=("swaptions", "streamcluster"))
+    sc = parsec.normalized("ipc_sum", workload="streamcluster")["tagless"]
+    sw = parsec.normalized("ipc_sum", workload="swaptions")["tagless"]
     record(
         "parsec",
         "streamcluster gains a lot, swaptions barely moves "
@@ -142,12 +142,12 @@ def run_validation(
     )
 
     # --- NC case study (claim 7) ---------------------------------------
-    nc = experiments.run_noncacheable_study(accesses=single_accesses * 2)
+    nc = run_figure("fig13", accesses=single_accesses * 2).to_dict()
     record(
         "nc-pages",
         "flagging low-reuse GemsFDTD pages NC helps (paper: +7.1%)",
-        nc.gain_percent() > 0.0,
-        f"gain={nc.gain_percent():+.1f}% ({nc.nc_pages} NC pages)",
+        nc["gain_percent"] > 0.0,
+        f"gain={nc['gain_percent']:+.1f}% ({nc['nc_pages']} NC pages)",
     )
 
     # --- structural claims (8-9) ---------------------------------------

@@ -235,10 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one of the paper's figures"
     )
-    experiment.add_argument(
-        "figure",
-        choices=("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"),
-    )
+    experiment.add_argument("figure", choices=tuple(experiments.FIGURES))
     experiment.add_argument("--accesses", type=_bounded(int, 1),
                             default=None,
                             help="per-core trace length override")
@@ -445,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="grade the paper's headline claims against this build",
     )
-    validate.add_argument("--accesses", type=int, default=40_000,
+    validate.add_argument("--accesses", type=_bounded(int, 1), default=40_000,
                           help="single-programmed trace length")
 
     check = sub.add_parser(
@@ -903,63 +900,11 @@ def _harness_session(args: argparse.Namespace, name: str,
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    def accesses(default: int) -> int:
-        return args.accesses if args.accesses is not None else default
-
     machine = _machine_from_args(args)
     with _harness_session(args, args.figure, args.artifact,
                           resume_path=args.resume) as (harness, artifact):
-        if args.figure == "fig7":
-            result = experiments.run_single_programmed(
-                accesses=accesses(experiments.DEFAULT_ACCESSES),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.ipc_table(), result.edp_table()]
-        elif args.figure == "fig8":
-            result = experiments.run_single_programmed(
-                accesses=accesses(experiments.DEFAULT_ACCESSES),
-                designs=("no-l3", "sram", "tagless"),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.l3_latency_table()]
-        elif args.figure == "fig9":
-            result = experiments.run_multi_programmed(
-                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.ipc_table(), result.edp_table()]
-        elif args.figure == "fig10":
-            result = experiments.run_cache_size_sweep(
-                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.table()]
-        elif args.figure == "fig11":
-            result = experiments.run_replacement_study(
-                accesses=accesses(140_000),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.table()]
-        elif args.figure == "fig12":
-            result = experiments.run_parsec(
-                accesses=accesses(experiments.DEFAULT_MIX_ACCESSES),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.ipc_table(), result.edp_table()]
-        elif args.figure == "fig13":
-            result = experiments.run_noncacheable_study(
-                accesses=accesses(experiments.DEFAULT_ACCESSES),
-                machine=machine,
-                harness=harness,
-            )
-            tables = [result.table()]
-
+        result = experiments.run_figure(args.figure, accesses=args.accesses,
+                                        machine=machine, harness=harness)
     if args.json:
         data = result.to_dict()
         # Execution health rides along so campaign-style aggregation
@@ -967,10 +912,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         data["harness"] = artifact.counters
         print(json.dumps(data, indent=2))
     else:
-        for index, table in enumerate(tables):
-            if index:
-                print()
-            print(table)
+        print("\n\n".join(result.tables()))
     return 0
 
 

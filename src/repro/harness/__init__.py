@@ -1,8 +1,9 @@
 """Experiment-execution engine: declarative jobs, parallel fan-out,
 content-addressed result caching, and JSONL run artifacts.
 
-The figure/table runners in :mod:`repro.analysis.experiments` enumerate
-:class:`JobSpec` points and dispatch them through a :class:`Harness`;
+:func:`repro.analysis.experiments.run_figure` expands each paper figure
+into :class:`JobSpec` points and dispatches them through a
+:class:`Harness`;
 ``repro sweep`` exposes the same machinery for ad-hoc cartesian sweeps.
 
 Typical use::

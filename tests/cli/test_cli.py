@@ -231,6 +231,8 @@ def test_profile_rejects_bad_top(capsys):
     ["sweep", "--workloads", "mcf", "--accesses", "-5"],
     ["check", "--every", "0"],
     ["tenants", "scenario.json", "--every", "0"],
+    ["validate", "--accesses", "0"],
+    ["validate", "--accesses", "-5"],
 ])
 def test_out_of_range_flags_are_parse_errors(capsys, argv):
     assert_parse_error(capsys, argv)

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from repro.analysis.experiments import FIGURES, expand_figure
 from repro.common import rng
 from repro.common.errors import ConfigurationError
 from repro.harness.jobs import JobSpec, execute_job, infer_workload_kind
@@ -328,31 +329,9 @@ class TestCoreCount:
         for job in jobs:
             self.assert_key_unchanged(job.spec)
 
-    @pytest.mark.parametrize("runner, kwargs", [
-        ("run_single_programmed", {}),
-        ("run_multi_programmed", {}),
-        ("run_cache_size_sweep", {}),
-        ("run_replacement_study", {}),
-        ("run_parsec", {}),
-        ("run_noncacheable_study", {}),
-    ])
-    def test_figure_runner_keys_unchanged(self, runner, kwargs):
-        from repro.analysis import experiments
-
-        class Captured(Exception):
-            pass
-
-        class CapturingHarness:
-            """Records the runner's specs instead of executing them."""
-
-            def run_strict(self, specs):
-                self.specs = list(specs)
-                raise Captured
-
-        harness = CapturingHarness()
-        with pytest.raises(Captured):
-            getattr(experiments, runner)(accesses=1_000, harness=harness,
-                                         **kwargs)
-        assert harness.specs
-        for spec in harness.specs:
+    @pytest.mark.parametrize("figure", list(FIGURES))
+    def test_figure_runner_keys_unchanged(self, figure):
+        _, jobs = expand_figure(figure, accesses=1_000)
+        assert jobs
+        for spec in jobs.values():
             self.assert_key_unchanged(spec)

@@ -1,7 +1,8 @@
 """Golden-stats regression oracle for the simulation engine.
 
 Pins the full ``SimulationResult`` (``stats`` dict plus the headline
-scalars) for every registered design on small fixed-seed traces.  Any
+scalars, per-tenant QoS and the resize ledger) for every registered
+design on small fixed-seed traces and on a small multi-tenant schedule.  Any
 engine change that alters a single counter, latency or energy number --
 however slightly -- fails here.  This is the equivalence oracle for
 perf work on the hot path: an optimisation is only an optimisation if
@@ -29,6 +30,7 @@ from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
+from repro.workloads.tenants import TenantScenarioSpec, build_schedule
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_stats.json")
 
@@ -44,6 +46,17 @@ QUAD_DESIGNS = ("no-l3", "tagless")
 
 QUAD_WORKLOADS = ("mcf", "lbm", "milc", "sphinx3")
 
+#: Multi-tenant scenario replayed on the 4-core config for every design
+#: (context switches, TLB flushes and a shrink/grow resize schedule).
+TENANT_SCENARIO = os.path.join(
+    os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks",
+    "studies", "multitenant_smoke_scenario.json",
+)
+
+#: Design replayed once more on the ``window`` core model, whose derived
+#: ROB constant must follow each incoming tenant's base CPI.
+TENANT_WINDOW_DESIGN = "tagless-resizable"
+
 
 def _single_core_config():
     cfg = default_system(cache_megabytes=128, num_cores=1,
@@ -55,6 +68,11 @@ def _quad_core_config():
     cfg = default_system(cache_megabytes=512, num_cores=4,
                          capacity_scale=512)
     return dataclasses.replace(cfg, tlb_scale=32)
+
+
+def _tenant_schedule():
+    scenario = TenantScenarioSpec.from_file(TENANT_SCENARIO)
+    return build_schedule(scenario, num_cores=4)
 
 
 def _trace(workload: str, accesses: int):
@@ -76,9 +94,21 @@ def _point(result) -> dict:
 
 
 def compute_point(name: str) -> dict:
-    """Simulate one golden point by name ("single:<design>" or
-    "quad:<design>")."""
+    """Simulate one golden point by name ("single:<design>",
+    "quad:<design>", "tenants:<design>" or "tenants-window:<design>")."""
     kind, design = name.split(":", 1)
+    if kind.startswith("tenants"):
+        config = _quad_core_config()
+        if kind == "tenants-window":
+            config = dataclasses.replace(
+                config,
+                core=dataclasses.replace(config.core, model="window"),
+            )
+        result = Simulator(config).run_tenants(design, _tenant_schedule())
+        point = _point(result)
+        point["tenants"] = result.tenants
+        point["resize_events"] = result.resize_events
+        return point
     if kind == "single":
         simulator = Simulator(_single_core_config())
         bindings = [BoundTrace(0, 0, _trace("sphinx3", SINGLE_ACCESSES))]
@@ -94,6 +124,8 @@ def compute_point(name: str) -> dict:
 def point_names():
     names = [f"single:{design}" for design in ALL_DESIGN_NAMES]
     names += [f"quad:{design}" for design in QUAD_DESIGNS]
+    names += [f"tenants:{design}" for design in ALL_DESIGN_NAMES]
+    names.append(f"tenants-window:{TENANT_WINDOW_DESIGN}")
     return names
 
 

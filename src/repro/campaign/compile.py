@@ -174,9 +174,24 @@ class CampaignRun:
                            outcome.retries) for outcome in self.outcomes)
 
 
+def check_scenarios(jobs: Sequence[CampaignJob]) -> None:
+    """Load every tenant scenario the jobs name, before any job runs.
+
+    A relative ``scenario`` path resolves against the working
+    directory; a missing or malformed file raises
+    :class:`ConfigurationError` here instead of failing job by job.
+    """
+    from repro.workloads.tenants import TenantScenarioSpec
+
+    for path in sorted({job.spec.scenario for job in jobs
+                        if job.spec.scenario is not None}):
+        TenantScenarioSpec.from_file(path)
+
+
 def run_campaign(campaign: CampaignSpec, harness: Harness) -> CampaignRun:
     """Execute every (cell, repetition) of ``campaign`` through ``harness``."""
     jobs = expand(campaign)
+    check_scenarios(jobs)
     outcomes = harness.run([job.spec for job in jobs])
     return CampaignRun(campaign=campaign, jobs=jobs, outcomes=outcomes)
 

@@ -996,10 +996,12 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
         validate_report,
         write_reports,
     )
+    from repro.campaign.compile import check_scenarios
     from repro.harness.jobs import code_fingerprint
 
     try:
         jobs = expand(spec)
+        check_scenarios(jobs)
     except ConfigurationError as exc:
         raise SystemExit(f"bad study: {exc}") from None
 

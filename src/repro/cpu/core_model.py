@@ -76,6 +76,16 @@ class CoreTimingModel:
         self.stall_cycles += stall
         return stall
 
+    def retune(self, base_cpi: float, mlp: float) -> None:
+        """Point the model at a new tenant's workload parameters.
+
+        The clock, instruction count and stall totals continue -- it is
+        the same physical core -- but retirement width and overlap now
+        follow the incoming tenant.
+        """
+        self.base_cpi = base_cpi
+        self.mlp = mlp
+
     @property
     def time_ns(self) -> float:
         """Local wall-clock position of this core."""
@@ -110,6 +120,10 @@ class WindowCoreTimingModel(CoreTimingModel):
         self._hide_cycles = self.rob_entries * base_cpi
         #: Cycle (absolute) until which memory latency is already paid.
         self._shadow_end = 0.0
+
+    def retune(self, base_cpi: float, mlp: float) -> None:
+        super().retune(base_cpi, mlp)
+        self._hide_cycles = self.rob_entries * base_cpi
 
     def account_memory(self, latency_cycles: float) -> float:
         self.instructions += 1

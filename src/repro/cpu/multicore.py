@@ -6,6 +6,14 @@ the channel schedulers, the GIPT -- sees events in a globally consistent
 order.  This is the standard way to get multi-programmed contention
 behaviour out of a one-pass trace simulation.
 
+:func:`replay` is the only replay loop.  Each core walks an ordered list
+of ``(tenant_id, process_id, trace)`` segments: a plain
+:class:`BoundTrace` is one segment (:func:`run_interleaved`), a
+multi-tenant schedule is many (:func:`repro.cpu.scheduled.run_schedule`).
+Where the tenant changes between segments the core pays the
+context-switch penalty, optionally flushes its TLB hierarchy, and
+retunes its core model to the incoming workload.
+
 This module is the hot path of every experiment in the repository: the
 inner loops below run once per simulated memory reference.  They are
 therefore written for throughput -- slotted per-core state objects,
@@ -17,7 +25,7 @@ formulation (the golden-stats suite enforces this).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.core_model import CoreTimingModel, make_core_model
 from repro.designs.base import MemorySystemDesign
@@ -51,24 +59,54 @@ class CoreResult:
 
 
 class _CoreState:
-    """Slotted per-core replay state (one dict lookup fewer per field
-    than the dict-of-dicts this replaces)."""
+    """Slotted replay cursor of one core through its segment list."""
 
-    __slots__ = ("core_id", "process_id", "workload", "model",
-                 "pages", "lines", "writes", "gaps", "pos", "length")
+    __slots__ = ("core_id", "workload", "model", "segments", "tlb",
+                 "switch_cycles", "tenant_id", "process_id", "pages",
+                 "lines", "writes", "gaps", "pos", "length", "switches",
+                 "flushed")
 
-    def __init__(self, binding: BoundTrace, model,
-                 pages, lines, writes, gaps):
-        self.core_id = binding.core_id
-        self.process_id = binding.process_id
-        self.workload = binding.trace.name
+    def __init__(self, core_id: int, workload: str, segments, model,
+                 tenant_id, switch_cycles: float, tlb) -> None:
+        self.core_id = core_id
+        self.workload = workload
         self.model = model
-        self.pages = pages
-        self.lines = lines
-        self.writes = writes
-        self.gaps = gaps
+        self.segments = iter(segments)
+        self.tlb = tlb
+        self.switch_cycles = switch_cycles
+        self.tenant_id = tenant_id
+        self.process_id = -1
+        self.pages = self.lines = self.writes = self.gaps = ()
         self.pos = 0
-        self.length = len(pages)
+        self.length = 0
+        self.switches = 0
+        self.flushed = 0
+
+    def next_segment(self) -> bool:
+        """Move to the next non-empty segment; False when none is left.
+
+        A tenant change charges ``switch_cycles`` to the core clock,
+        flushes ``tlb`` when one is set (through the callback-firing
+        :meth:`repro.vm.tlb.TLBHierarchy.flush`, so GIPT residence bits
+        stay consistent) and retunes the core model.
+        """
+        for tenant_id, process_id, trace in self.segments:
+            if len(trace):
+                break
+        else:
+            return False
+        if tenant_id != self.tenant_id:
+            self.switches += 1
+            self.model.cycles += self.switch_cycles
+            if self.tlb is not None:
+                self.flushed += self.tlb.flush()
+            self.model.retune(trace.base_cpi, trace.mlp)
+            self.tenant_id = tenant_id
+        self.process_id = process_id
+        self.pages, self.lines, self.writes, self.gaps = trace.as_lists()
+        self.pos = 0
+        self.length = len(self.pages)
+        return True
 
 
 def _run_single(state: _CoreState, access_cycles,
@@ -139,44 +177,53 @@ def _run_single(state: _CoreState, access_cycles,
     state.pos = pos
 
 
-def run_interleaved(
+#: One core's replay input: ``(core_id, workload, segments)`` with
+#: ``segments`` an ordered list of ``(tenant_id, process_id, trace)``.
+CoreSegments = Tuple[int, str, Sequence[Tuple[object, int, AccessTrace]]]
+
+
+def replay(
     design: MemorySystemDesign,
-    bindings: List[BoundTrace],
-    max_accesses: Optional[int] = None,
+    cores: Sequence[CoreSegments],
+    qos: Optional[Dict[object, object]] = None,
+    switch_cycles: float = 0.0,
+    flush_tlb: bool = False,
     _kernel=None,
-) -> List[CoreResult]:
-    """Replay every bound trace to completion; returns per-core results.
+) -> Tuple[List[CoreResult], Dict[str, int]]:
+    """Replay every core's segments to completion.
 
-    ``max_accesses`` optionally truncates each trace (handy for tests).
-    ``_kernel`` is the fused-kernel hook (see :mod:`repro.cpu.batched`):
-    a ``kernel(design, state)`` replacement for :func:`_run_single` used
-    in the single-active-core regime when the run is unobserved.  Without
-    it this is the reference loop every kernel must match bit for bit.
+    Returns ``(core_results, switch_stats)``; ``switch_stats`` counts
+    ``context_switches`` and the ``context_switch_tlb_entries`` they
+    flushed.  ``qos`` maps
+    tenant id -> :class:`repro.cpu.scheduled.TenantQoS`: when given,
+    every access adds its instruction and cycle deltas to its tenant and
+    L3-bound accesses feed the tenant's demand-latency histogram, so
+    even the single-core tail stays in the argmin loop (the per-access
+    float order of the attribution then never changes).  ``_kernel`` is
+    the fused-kernel hook (see :mod:`repro.cpu.batched`): a
+    ``kernel(design, state)`` replacement for :func:`_run_single` used
+    in the single-active-core regime when the run is unobserved.
+    Without it this is the reference loop every kernel must match bit
+    for bit.
+
+    A core's model is built from its first non-empty segment, whose
+    tenant is the core's first tenant: only later tenant changes count
+    as context switches.
     """
-    if not bindings:
-        return []
-    seen_cores = set()
-    for binding in bindings:
-        if binding.core_id in seen_cores:
-            raise ValueError(f"core {binding.core_id} bound twice")
-        seen_cores.add(binding.core_id)
-
     core_cfg = design.config.core
+    l1_hit = design.config.l1.hit_cycles
     states = []
-    for binding in bindings:
-        trace = binding.trace
-        pages, lines, writes, gaps = trace.as_lists()
-        if max_accesses is not None:
-            pages = pages[:max_accesses]
-            lines = lines[:max_accesses]
-            writes = writes[:max_accesses]
-            gaps = gaps[:max_accesses]
-        model = make_core_model(core_cfg, trace.base_cpi, trace.mlp,
-                                design.config.l1.hit_cycles)
-        states.append(_CoreState(binding, model, pages, lines, writes, gaps))
+    for core_id, workload, segments in cores:
+        tenant_id, _, trace = next(
+            (s for s in segments if len(s[2])), segments[0])
+        model = make_core_model(core_cfg, trace.base_cpi, trace.mlp, l1_hit)
+        tlb = design.tlbs[core_id] if flush_tlb else None
+        states.append(_CoreState(core_id, workload, segments, model,
+                                 tenant_id, switch_cycles, tlb))
 
-    active = [s for s in states if s.length > 0]
+    active = [s for s in states if s.next_segment()]
     access_cycles = design.access_cycles  # bind once; called per access
+    cycle_ns = 1.0 / core_cfg.frequency_ghz
 
     # Observability hook (repro.obs): installed telemetry sets
     # ``obs_attach_cores`` to receive the core models for per-window
@@ -190,7 +237,9 @@ def run_interleaved(
     # Multi-core regime: step the earliest core one access at a time.
     # (4 cores: a linear argmin scan beats a heap.)  Ties go to the
     # earliest-bound core, matching min()'s first-minimum semantics.
-    while len(active) > 1:
+    # Attributed runs keep the single-core tail here too.
+    tail = 0 if qos is not None else 1
+    while len(active) > tail:
         best = active[0]
         best_index = 0
         best_clock = best.model.cycles
@@ -203,25 +252,39 @@ def run_interleaved(
                 best_clock = clock
         model = best.model
         pos = best.pos
+        if qos is not None:
+            before_instructions = model.instructions
+            before_cycles = model.cycles
         model.advance_instructions(best.gaps[pos])
         model.account_memory(access_cycles(
             best.core_id, best.process_id, best.pages[pos], best.lines[pos],
             best.writes[pos], model.time_ns,
         ))
+        if qos is not None:
+            tq = qos[best.tenant_id]
+            tq.instructions += model.instructions - before_instructions
+            tq.cycles += model.cycles - before_cycles
+            if design._last_l3_involved:
+                tq.l3_accesses += 1
+                tq.demand_latency.observe(design._last_l3_cycles * cycle_ns)
         best.pos = pos + 1
-        if best.pos >= best.length:
+        if best.pos >= best.length and not best.next_segment():
             del active[best_index]  # preserves scan order of the rest
 
     # Single-core regime (or tail of a multi-core run): tight loop.
     if active:
         state = active[0]
-        if (_kernel is not None and attach is None
-                and type(state.model) is CoreTimingModel):
-            _kernel(design, state)
-        else:
-            _run_single(state, access_cycles, generic=attach is not None)
+        kernel = (_kernel if attach is None
+                  and type(state.model) is CoreTimingModel else None)
+        while True:
+            if kernel is not None:
+                kernel(design, state)
+            else:
+                _run_single(state, access_cycles, generic=attach is not None)
+            if not state.next_segment():
+                break
 
-    return [
+    results = [
         CoreResult(
             core_id=s.core_id,
             workload=s.workload,
@@ -231,3 +294,32 @@ def run_interleaved(
         )
         for s in states
     ]
+    switch_stats = {
+        "context_switches": sum(s.switches for s in states),
+        "context_switch_tlb_entries": sum(s.flushed for s in states),
+    }
+    return results, switch_stats
+
+
+def run_interleaved(
+    design: MemorySystemDesign,
+    bindings: List[BoundTrace],
+    _kernel=None,
+) -> List[CoreResult]:
+    """Replay every bound trace to completion; returns per-core results.
+
+    Each binding is a one-segment core for :func:`replay`.  Every bound
+    core is reported, including one whose trace is empty.
+    """
+    seen_cores = set()
+    for binding in bindings:
+        if binding.core_id in seen_cores:
+            raise ValueError(f"core {binding.core_id} bound twice")
+        seen_cores.add(binding.core_id)
+    if not bindings:
+        return []
+    cores = [
+        (b.core_id, b.trace.name, [(None, b.process_id, b.trace)])
+        for b in bindings
+    ]
+    return replay(design, cores, _kernel=_kernel)[0]

@@ -1,20 +1,17 @@
 """Context-switched replay of a multi-tenant schedule.
 
-:func:`run_schedule` is the tenant-aware sibling of
-:func:`repro.cpu.multicore.run_interleaved`: cores still advance in
-global timestamp order (the earliest local clock steps next), but each
-core works through an ordered list of :class:`TenantSegment` slices
-instead of one trace.  At every segment boundary where the tenant
-changes, the core pays the scenario's context-switch penalty and --
-matching real OSes on ASID-less TLBs -- optionally flushes its TLB
-hierarchy through the callback-firing
-:meth:`repro.vm.tlb.TLBHierarchy.flush`, so GIPT residence bits stay
-consistent across switches.
+:func:`run_schedule` hands each core's ordered list of
+:class:`~repro.workloads.tenants.TenantSegment` slices to the one replay
+loop, :func:`repro.cpu.multicore.replay`: cores still advance in global
+timestamp order (the earliest local clock steps next).  At every
+segment boundary where the tenant changes, the core pays the
+scenario's context-switch penalty and -- matching real OSes on
+ASID-less TLBs -- optionally flushes its TLB hierarchy.
 
 QoS attribution rides the design's ``_last_*`` side channels: after
 every access the replay reads ``_last_l3_involved``/``_last_l3_cycles``
-to build per-tenant demand-latency histograms, and core-model snapshots
-at segment boundaries attribute instructions and cycles to tenants.
+to build per-tenant demand-latency histograms, and adds the access's
+instruction and cycle deltas of the core model to its tenant's totals.
 The per-core clock is continuous across tenants (one model per core,
 retuned to each segment's workload parameters), so shared-resource
 contention between tenants is preserved.
@@ -23,11 +20,10 @@ contention between tenants is preserved.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.stats import Histogram
-from repro.cpu.core_model import WindowCoreTimingModel, make_core_model
-from repro.cpu.multicore import CoreResult
+from repro.cpu.multicore import replay
 from repro.designs.base import MemorySystemDesign
 from repro.workloads.tenants import TenantSchedule
 
@@ -79,39 +75,6 @@ class TenantQoS:
         }
 
 
-class _ScheduledCore:
-    """Replay cursor of one core through its segment list."""
-
-    __slots__ = ("core_id", "segments", "seg_index", "pos", "length",
-                 "pages", "lines", "writes", "gaps", "model",
-                 "tenant_id", "process_id")
-
-    def __init__(self, core_id: int, segments, model):
-        self.core_id = core_id
-        self.segments = segments
-        self.seg_index = -1
-        self.pos = 0
-        self.length = 0
-        self.pages = self.lines = self.writes = self.gaps = ()
-        self.model = model
-        self.tenant_id = -1
-        self.process_id = -1
-
-
-def _retune(model, base_cpi: float, mlp: float) -> None:
-    """Point a core model at a new tenant's workload parameters.
-
-    The clock, instruction count and stall totals continue -- it is the
-    same physical core -- but retirement width and overlap now follow
-    the incoming tenant.  Window models must refresh the derived
-    ROB-hiding constant, which is a pure function of ``base_cpi``.
-    """
-    model.base_cpi = base_cpi
-    model.mlp = mlp
-    if isinstance(model, WindowCoreTimingModel):
-        model._hide_cycles = model.rob_entries * base_cpi
-
-
 def run_schedule(
     design: MemorySystemDesign,
     schedule: TenantSchedule,
@@ -121,13 +84,9 @@ def run_schedule(
     Returns ``(core_results, tenant_qos, switch_stats)`` where
     ``tenant_qos`` maps tenant id -> :class:`TenantQoS` and
     ``switch_stats`` counts context switches and TLB shootdown volume.
+    A core with no accesses scheduled is left out of ``core_results``.
     """
     scenario = schedule.scenario
-    core_cfg = design.config.core
-    cycle_ns = 1.0 / core_cfg.frequency_ghz
-    flush_on_switch = scenario.flush_tlb_on_switch
-    switch_cycles = scenario.context_switch_cycles
-
     qos: Dict[int, TenantQoS] = {
         info.tenant_id: TenantQoS(
             tenant_id=info.tenant_id,
@@ -137,94 +96,16 @@ def run_schedule(
         )
         for info in schedule.tenants
     }
-    switch_stats = {"context_switches": 0, "tlb_flush_entries": 0}
-
-    states: List[_ScheduledCore] = []
-    for core_id, segments in enumerate(schedule.per_core):
-        first = next((s for s in segments if len(s.trace)), None)
-        if first is None:
-            continue
-        model = make_core_model(
-            core_cfg, first.trace.base_cpi, first.trace.mlp,
-            design.config.l1.hit_cycles,
-        )
-        states.append(_ScheduledCore(core_id, segments, model))
-
-    access_cycles = design.access_cycles  # bind once (wrappers included)
-    attach = getattr(design, "obs_attach_cores", None)
-    if attach is not None:
-        attach([(s.core_id, s.model) for s in states])
-
-    def advance_segment(state: _ScheduledCore) -> bool:
-        """Move ``state`` to its next non-empty segment; False = done."""
-        while True:
-            state.seg_index += 1
-            if state.seg_index >= len(state.segments):
-                return False
-            segment = state.segments[state.seg_index]
-            if not len(segment.trace):
-                continue
-            if segment.tenant_id != state.tenant_id:
-                if state.tenant_id >= 0:
-                    # A genuine context switch (not the core's first
-                    # tenant): charge the switch and shoot the TLB down.
-                    switch_stats["context_switches"] += 1
-                    state.model.cycles += switch_cycles
-                    if flush_on_switch:
-                        switch_stats["tlb_flush_entries"] += \
-                            design.tlbs[state.core_id].flush()
-                _retune(state.model, segment.trace.base_cpi,
-                        segment.trace.mlp)
-            state.tenant_id = segment.tenant_id
-            state.process_id = segment.process_id
-            pages, lines, writes, gaps = segment.trace.as_lists()
-            state.pages, state.lines = pages, lines
-            state.writes, state.gaps = writes, gaps
-            state.pos = 0
-            state.length = len(pages)
-            return True
-
-    active = [s for s in states if advance_segment(s)]
-
-    # Global-timestamp interleave: step the earliest core one access.
-    while active:
-        best = active[0]
-        best_index = 0
-        best_clock = best.model.cycles
-        for index in range(1, len(active)):
-            state = active[index]
-            clock = state.model.cycles
-            if clock < best_clock:
-                best = state
-                best_index = index
-                best_clock = clock
-        model = best.model
-        pos = best.pos
-        tq = qos[best.tenant_id]
-        before_instructions = model.instructions
-        before_cycles = model.cycles
-        model.advance_instructions(best.gaps[pos])
-        model.account_memory(access_cycles(
-            best.core_id, best.process_id, best.pages[pos], best.lines[pos],
-            best.writes[pos], model.time_ns,
-        ))
-        tq.instructions += model.instructions - before_instructions
-        tq.cycles += model.cycles - before_cycles
-        if design._last_l3_involved:
-            tq.l3_accesses += 1
-            tq.demand_latency.observe(design._last_l3_cycles * cycle_ns)
-        best.pos = pos + 1
-        if best.pos >= best.length and not advance_segment(best):
-            del active[best_index]
-
-    core_results = [
-        CoreResult(
-            core_id=s.core_id,
-            workload=f"tenants:{scenario.name}",
-            instructions=s.model.instructions,
-            cycles=s.model.cycles,
-            stall_cycles=s.model.stall_cycles,
-        )
-        for s in states
+    workload = f"tenants:{scenario.name}"
+    cores = [
+        (core_id, workload,
+         [(s.tenant_id, s.process_id, s.trace) for s in segments])
+        for core_id, segments in enumerate(schedule.per_core)
+        if any(len(s.trace) for s in segments)
     ]
+    core_results, switch_stats = replay(
+        design, cores, qos=qos,
+        switch_cycles=scenario.context_switch_cycles,
+        flush_tlb=scenario.flush_tlb_on_switch,
+    )
     return core_results, qos, switch_stats

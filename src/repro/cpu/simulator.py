@@ -91,7 +91,6 @@ class Simulator:
         design_name: str,
         bindings: Sequence[BoundTrace],
         non_cacheable: Optional[Dict[int, Sequence[int]]] = None,
-        max_accesses: Optional[int] = None,
         warmup_fraction: float = 0.25,
         caching_policy=None,
         superpages: Optional[Dict[int, Sequence]] = None,
@@ -134,32 +133,17 @@ class Simulator:
 
         Replay goes through
         :func:`~repro.cpu.batched.run_interleaved_batched`, which picks
-        the execution path itself: the fused tagless kernel when the
-        design is tagless and the run is unobserved, else the reference
-        loop :func:`~repro.cpu.multicore.run_interleaved`.  Observed
-        runs -- telemetry, validation, event tracing -- always take the
+        the execution path itself: the fused tagless kernel for the
+        single-core tail when the design is tagless and the run is
+        unobserved, else the one replay loop
+        :func:`~repro.cpu.multicore.replay` throughout.  Observed runs
+        -- telemetry, validation, event tracing -- always take the
         reference loop, since the kernel bypasses every hook.  Both
         paths are bit-identical (the golden-stats oracle locks this).
         """
         if not (0.0 <= warmup_fraction < 1.0):
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if validate is None:
-            validate = validation_enabled()
         design = self.build_design(design_name)
-        if resize_schedule:
-            # ``(at_access, capacity)`` events for runtime-resizable
-            # designs; other designs ignore the schedule so design
-            # sweeps can share one spec.
-            arm = getattr(design, "set_resize_schedule", None)
-            if arm is not None:
-                arm(resize_schedule,
-                    max_remap_per_resize=max_remap_per_resize)
-        checker = None
-        if validate:
-            every = (check_interval() if validate_every is None
-                     else validate_every)
-            checker = InvariantChecker(design, every=every)
-            checker.install()  # before run_interleaved binds access_cycles
         if non_cacheable and isinstance(design, TaglessDesign):
             for process_id, pages in non_cacheable.items():
                 for virtual_page in pages:
@@ -175,12 +159,7 @@ class Simulator:
                     table.map_superpage(base_vpn, order)
 
         bindings = list(bindings)
-        if max_accesses is not None:
-            bindings = [
-                BoundTrace(b.core_id, b.process_id,
-                           b.trace.head(max_accesses))
-                for b in bindings
-            ]
+        warm, measured = [], bindings
         if warmup_fraction > 0.0:
             warm, measured = [], []
             for binding in bindings:
@@ -198,41 +177,10 @@ class Simulator:
                     BoundTrace(binding.core_id, binding.process_id,
                                binding.trace.slice(split, len(binding.trace)))
                 )
-            run_interleaved_batched(design, warm)
-            design.reset_stats()
-            bindings = measured
-        if telemetry is not None:
-            # After warmup (observe the measured window only), before
-            # run_interleaved binds access_cycles.  The sampling wrapper
-            # goes on top of the checker's, so it is removed first.
-            telemetry.install(design)
-            if checker is not None:
-                checker.tracer = telemetry.tracer
-        cores = run_interleaved_batched(design, bindings)
-        if telemetry is not None:
-            telemetry.uninstall()
-        if checker is not None:
-            checker.run_checks()  # final sweep over the end-of-run state
-            checker.uninstall()
-        elapsed_ns = max((c.cycles for c in cores), default=0.0)
-        elapsed_ns /= self.config.core.frequency_ghz
-        energy = compute_energy(design, cores, elapsed_ns)
-        return SimulationResult(
-            design_name=design_name,
-            cores=cores,
-            elapsed_ns=elapsed_ns,
-            mean_l3_latency_cycles=design.mean_l3_latency_cycles(),
-            energy=energy,
-            stats=design.stats(),
-            resize_events=self._resize_ledger(design),
+        return self._simulate(
+            design_name, design, resize_schedule, max_remap_per_resize,
+            validate, validate_every, telemetry, warm=warm, bindings=measured,
         )
-
-    @staticmethod
-    def _resize_ledger(design) -> Optional[List[Dict[str, object]]]:
-        log = getattr(design, "resize_log", None)
-        if not log:
-            return None
-        return [dict(event) for event in log]
 
     def run_tenants(
         self,
@@ -251,8 +199,6 @@ class Simulator:
         :class:`SimulationResult` whose ``tenants`` field carries the
         per-tenant QoS breakdown (IPC, MPKI, demand-latency tail).
         """
-        from repro.cpu.scheduled import run_schedule
-
         scenario = schedule.scenario
         if schedule.num_cores != self.config.num_cores:
             raise ConfigurationError(
@@ -267,38 +213,63 @@ class Simulator:
                 f"{self.config.off_package_pages}; shrink the tenant "
                 "count/footprints or grow the machine"
             )
-        if validate is None:
-            validate = validation_enabled()
-        design = self.build_design(design_name)
-        if scenario.resize:
+        return self._simulate(
+            design_name, self.build_design(design_name), scenario.resize,
+            scenario.max_remap_per_resize, validate, validate_every,
+            telemetry, schedule=schedule,
+        )
+
+    def _simulate(self, design_name, design, resize_schedule,
+                  max_remap_per_resize, validate, validate_every, telemetry,
+                  warm=(), bindings=(), schedule=None) -> SimulationResult:
+        """Replay ``bindings`` (after ``warm``) or ``schedule`` on
+        ``design`` and account the measured window."""
+        if resize_schedule:
+            # ``(at_access, capacity)`` events for runtime-resizable
+            # designs; other designs ignore the schedule so design
+            # sweeps can share one spec.
             arm = getattr(design, "set_resize_schedule", None)
             if arm is not None:
-                arm(scenario.resize,
-                    max_remap_per_resize=scenario.max_remap_per_resize)
+                arm(resize_schedule,
+                    max_remap_per_resize=max_remap_per_resize)
+        if validate is None:
+            validate = validation_enabled()
         checker = None
         if validate:
             every = (check_interval() if validate_every is None
                      else validate_every)
             checker = InvariantChecker(design, every=every)
-            checker.install()  # before run_schedule binds access_cycles
+            checker.install()  # before the replay binds access_cycles
+        if warm:
+            run_interleaved_batched(design, warm)
+            design.reset_stats()
         if telemetry is not None:
+            # After warmup (observe the measured window only), before
+            # the replay binds access_cycles.  The sampling wrapper goes
+            # on top of the checker's, so it is removed first.
             telemetry.install(design)
             if checker is not None:
                 checker.tracer = telemetry.tracer
-        cores, qos, switch_stats = run_schedule(design, schedule)
+        tenants, switch_stats = None, {}
+        if schedule is None:
+            cores = run_interleaved_batched(design, bindings)
+        else:
+            # Looked up per call: span tracers patch the module name.
+            from repro.cpu.scheduled import run_schedule
+
+            cores, qos, switch_stats = run_schedule(design, schedule)
+            tenants = [qos[tid].to_dict() for tid in sorted(qos)]
         if telemetry is not None:
             telemetry.uninstall()
         if checker is not None:
-            checker.run_checks()
+            checker.run_checks()  # final sweep over the end-of-run state
             checker.uninstall()
         elapsed_ns = max((c.cycles for c in cores), default=0.0)
         elapsed_ns /= self.config.core.frequency_ghz
         energy = compute_energy(design, cores, elapsed_ns)
         stats = design.stats()
-        stats["context_switches"] = float(switch_stats["context_switches"])
-        stats["context_switch_tlb_entries"] = float(
-            switch_stats["tlb_flush_entries"]
-        )
+        stats.update((name, float(n)) for name, n in switch_stats.items())
+        log = getattr(design, "resize_log", None)
         return SimulationResult(
             design_name=design_name,
             cores=cores,
@@ -306,6 +277,6 @@ class Simulator:
             mean_l3_latency_cycles=design.mean_l3_latency_cycles(),
             energy=energy,
             stats=stats,
-            tenants=[qos[tid].to_dict() for tid in sorted(qos)],
-            resize_events=self._resize_ledger(design),
+            tenants=tenants,
+            resize_events=[dict(event) for event in log] if log else None,
         )

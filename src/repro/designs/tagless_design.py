@@ -56,11 +56,6 @@ class TaglessDesign(MemorySystemDesign):
     #: engine without re-deriving the constructor wiring.
     _engine_class = TaglessCacheEngine
 
-    #: The fused tagless kernel applies; subclasses that override the
-    #: access path (runtime resizing) clear this so the reference loop
-    #: -- which honours the override -- always runs.
-    batchable = True
-
     def __init__(self, config: SystemConfig):
         self.engine: Optional[TaglessCacheEngine] = None
         super().__init__(config)

@@ -24,8 +24,9 @@ paper already has:
 The engine's structural invariant generalises to ``live + free +
 pending + gated == capacity`` with the gated set exactly the powered-off
 upper region, so ``repro check`` holds mid-schedule.  The fused tagless
-kernel stands down for this design (``batchable = False``): it bypasses
-the scalar access path that triggers resize events.
+kernel stands down for this design because it overrides
+``access_cycles`` (:func:`repro.cpu.batched.select_kernel`): the kernel
+would bypass the scalar access path that triggers resize events.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class TaglessResizableDesign(TaglessDesign):
 
     name = "tagless-resizable"
     _engine_class = ResizableTaglessEngine
-    #: The resize trigger lives in the scalar ``access_cycles`` override;
-    #: the fused tagless kernel would silently skip it.
-    batchable = False
 
     COUNTERS = ("resize_events", "resize_remapped_pages",
                 "resize_evicted_pages", "resize_shootdowns")

@@ -8,7 +8,7 @@ knows how to wire all three into a design and tear them back out:
 - ``install(design)`` rebinds the design's (and the tagless engine's)
   prebound ``trace_event`` no-op to the tracer, shadows
   ``access_cycles`` with the recorder's sampling wrapper, hooks
-  ``obs_attach_cores`` so ``run_interleaved`` hands over the core
+  ``obs_attach_cores`` so the replay loop hands over the core
   models, and arms the off-package device's latency histogram;
 - ``uninstall()`` restores every attribute it touched, so a design is
   bit-for-bit back on its unobserved fast path afterwards.

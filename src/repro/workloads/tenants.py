@@ -8,7 +8,8 @@ demands, time-sliced onto the existing cores by a deterministic
 round-robin scheduler.  The output is a :class:`TenantSchedule` -- per
 core, an ordered list of :class:`TenantSegment` slices of per-tenant
 :class:`~repro.workloads.trace.ColumnarTrace` streams -- replayed by
-:func:`repro.cpu.scheduled.run_schedule`.
+:func:`repro.cpu.scheduled.run_schedule` through the one replay loop,
+:func:`repro.cpu.multicore.replay`.
 
 Determinism contract (mirrors the campaign seed policy): every draw
 derives via :func:`repro.common.rng.derive_seed` from the scenario's
@@ -170,13 +171,17 @@ class TenantScenarioSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "TenantScenarioSpec":
-        with open(path) as handle:
-            try:
+        try:
+            with open(path) as handle:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path} is not valid JSON: {exc}"
-                ) from None
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot read scenario file {path}: {exc.strerror}"
+            ) from None
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"{path} is not valid JSON: {exc}"
+            ) from None
         return cls.from_dict(data)
 
 

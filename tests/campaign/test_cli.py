@@ -155,3 +155,30 @@ def test_campaign_run_rejects_bad_study(tmp_path):
     with pytest.raises(SystemExit, match="bad study"):
         main(["campaign", "run", str(bad), "--no-cache",
               "--out", str(tmp_path / "x")])
+
+
+def test_missing_scenario_fails_before_any_job(capsys, tmp_path,
+                                               monkeypatch):
+    """A relative scenario path resolves against the working directory;
+    from elsewhere the study is refused up front, not job by job."""
+    study = tmp_path / "mt.json"
+    study.write_text(json.dumps({
+        "name": "mt-missing",
+        "factors": {"design": ["tagless"]},
+        "fixed": {"scenario": "studies/nowhere.json", "cores": 2},
+        "metrics": ["ipc"],
+    }))
+    ran = []
+    monkeypatch.setattr("repro.harness.runner.Harness.run",
+                        lambda self, specs: ran.append(specs))
+    with pytest.raises(SystemExit, match="bad study: cannot read scenario"):
+        main(["campaign", "run", str(study), "--out",
+              str(tmp_path / "camp"), "--no-cache"])
+    assert not ran
+    assert not (tmp_path / "camp").exists()
+
+
+def test_tenants_missing_scenario_is_a_clean_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit, match="cannot read scenario file"):
+        main(["tenants", missing])

@@ -32,6 +32,18 @@ def study(**overrides) -> CampaignSpec:
     return CampaignSpec.from_dict(data)
 
 
+def test_run_campaign_checks_scenarios_before_dispatch(tmp_path):
+    class RecordingHarness(Harness):
+        def run(self, specs):
+            raise AssertionError("dispatched despite a missing scenario")
+
+    spec = study(factors={"design": ["tagless"]}, baseline=None,
+                 fixed={"scenario": str(tmp_path / "nowhere.json"),
+                        "cores": 2})
+    with pytest.raises(ConfigurationError, match="cannot read scenario"):
+        run_campaign(spec, RecordingHarness())
+
+
 class TestExpand:
     def test_grid_times_repetitions(self):
         jobs = expand(study())

@@ -107,6 +107,23 @@ def test_select_kernel_leaves_instance_dict_alone(design):
     assert len(gc.get_referents(fresh)) == before
 
 
+def test_class_level_wrappers_keep_the_choice(monkeypatch):
+    """A span tracer wraps ``access_cycles`` on the base class and on
+    every overriding subclass; kernel selection must not change."""
+    import functools
+
+    from repro.designs.base import MemorySystemDesign
+    from repro.designs.tagless_resizable import TaglessResizableDesign
+
+    for cls in (MemorySystemDesign, TaglessResizableDesign):
+        inner = cls.__dict__["access_cycles"]
+        monkeypatch.setattr(cls, "access_cycles",
+                            functools.wraps(inner)(
+                                lambda self, *a, _f=inner: _f(self, *a)))
+    assert select_kernel(_fresh("tagless")) is not None
+    assert select_kernel(_fresh("tagless-resizable")) is None
+
+
 def test_installed_checker_stands_the_kernel_down():
     design = _fresh("tagless")
     assert select_kernel(design) is not None

@@ -100,6 +100,14 @@ class TestWindowModel:
         second = core.account_memory(202.0)
         assert second == pytest.approx(first)
 
+    def test_retune_refreshes_the_window(self):
+        core = self.make_window(base_cpi=0.5, rob=64)
+        core.advance_instructions(10)
+        core.retune(base_cpi=1.0, mlp=4.0)
+        assert (core.base_cpi, core.mlp) == (1.0, 4.0)
+        assert core._hide_cycles == 64.0
+        assert (core.instructions, core.cycles) == (10, 5.0)
+
     def test_factory(self):
         import dataclasses
 

@@ -74,10 +74,21 @@ def test_interleaving_keeps_clocks_close(small_mp_config):
 def test_max_accesses_truncates(small_config):
     design = create_design("no-l3", small_config)
     trace = make_trace("t", list(range(50)))
-    results = run_interleaved(design, [BoundTrace(0, 0, trace)],
-                              max_accesses=10)
+    results = run_interleaved(design, [BoundTrace(0, 0, trace.head(10))])
     assert design.accesses == 10
     assert results[0].instructions == 10 * 21  # 10 gaps of 20 + 10 mem ops
+
+
+def test_idle_bound_core_is_reported(small_mp_config):
+    """A plain run reports every bound core, even one with an empty
+    trace (a tenant schedule omits idle cores; see test_scheduled)."""
+    design = create_design("no-l3", small_mp_config)
+    results = run_interleaved(design, [
+        BoundTrace(0, 0, make_trace("busy", [1, 2, 3])),
+        BoundTrace(1, 1, make_trace("idle", [])),
+    ])
+    assert [(r.core_id, r.instructions, r.cycles) for r in results][1] == \
+        (1, 0, 0.0)
 
 
 def test_workload_name_propagates(small_config):

@@ -46,7 +46,7 @@ def test_invalid_warmup_rejected(small_config, tiny_trace):
 
 def test_max_accesses(small_config, tiny_trace):
     result = Simulator(small_config).run(
-        "no-l3", bindings_for(tiny_trace), max_accesses=100,
+        "no-l3", bindings_for(tiny_trace.head(100)),
         warmup_fraction=0.0,
     )
     assert result.stats["accesses"] == 100.0

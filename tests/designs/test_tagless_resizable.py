@@ -8,6 +8,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.cpu.batched import select_kernel
 from repro.designs.registry import create_design
+from repro.designs.tagless_design import TaglessDesign
 from repro.validate.invariants import InvariantChecker
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
@@ -148,8 +149,14 @@ class TestEngineStanddown:
         """The fused kernel would bypass the access_cycles override
         that triggers resize events, so it must refuse this design."""
         design = build(small_config)
-        assert design.batchable is False
         assert select_kernel(design) is None
+
+    def test_any_access_path_override_stands_down(self, small_config):
+        class Overriding(TaglessDesign):
+            def access_cycles(self, *args):
+                return super().access_cycles(*args)
+
+        assert select_kernel(Overriding(small_config)) is None
 
     def test_base_tagless_still_batches(self, small_config):
         design = create_design("tagless", small_config)

@@ -64,6 +64,11 @@ class TestSpecValidation:
         spec = scenario(resize=[[100, 0.5]])
         assert TenantScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_file_rejects_missing_file(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            TenantScenarioSpec.from_file(missing)
+
     def test_from_file_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

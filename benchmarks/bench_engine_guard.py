@@ -10,15 +10,22 @@ both on fresh design instances, takes the best of ``--repeat`` timings,
 and fails if the kernel / reference ratio falls below ``--min-ratio``::
 
     PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke
+    PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke \
+        --workload MIX1
     PYTHONPATH=src python benchmarks/bench_engine_guard.py \
         --designs tagless --accesses 100000 --min-ratio 2.0
+
+``--workload`` is a SPEC program (one core) or a Table 5 mix such as
+``MIX1`` (its four programs on a four-core machine, ``--accesses`` per
+program), which times the kernel's multi-core argmin.
 
 The default floor (1.5x on the smoke workload) is deliberately well
 below the measured speedup: this is a tripwire for "someone put
 per-access work back on the kernel path" (or silently stopped selecting
-the kernel), not a performance contract for a particular machine.  IPC
-is compared exactly across the two paths as a free correctness canary
--- a guard run that got faster by diverging is a failure, not a win.
+the kernel), not a performance contract for a particular machine.  The
+design's whole ``stats()`` dictionary and every core's IPC are compared
+exactly across the two paths as a free correctness canary -- a guard
+run that got faster by diverging is a failure, not a win.
 Designs without a kernel replay the reference loop both ways, so only
 ``tagless`` can pass the default floor.
 """
@@ -41,6 +48,7 @@ from repro.designs.registry import (  # noqa: E402
     create_design,
 )
 from repro.workloads.generator import TraceGenerator  # noqa: E402
+from repro.workloads.mixes import MIXES, mix_traces  # noqa: E402
 from repro.workloads.spec import spec_profile  # noqa: E402
 
 SMOKE_ACCESSES = 20_000
@@ -53,9 +61,11 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="designs to compare (default: tagless, the "
                              "only design with a fused kernel)")
     parser.add_argument("--workload", default="mcf",
-                        help="SPEC program driving the replay (default mcf)")
+                        help="SPEC program (one core) or mix name such as "
+                             "MIX1 (four cores) driving the replay "
+                             "(default mcf)")
     parser.add_argument("--accesses", type=int, default=100_000,
-                        help="trace length per timing (default 100k)")
+                        help="trace length per program (default 100k)")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timings per path; best is compared")
     parser.add_argument("--cache-mb", type=int, default=1024)
@@ -72,38 +82,53 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _best_of(config, design: str, bindings, repeat: int, replay):
-    """(best wall seconds, ipc) over ``repeat`` replays by ``replay``,
-    each on a freshly built design."""
+    """(best wall seconds, outcome) over ``repeat`` replays by
+    ``replay``, each on a freshly built design; the outcome is the
+    design's stats and every core's IPC."""
     best = float("inf")
-    ipc = None
+    outcome = None
     for _ in range(repeat):
         instance = create_design(design, config)
         start = time.perf_counter()
         cores = replay(instance, bindings)
         best = min(best, time.perf_counter() - start)
-        ipc = sum(core.ipc for core in cores)
-    return best, ipc
+        outcome = (instance.stats(), [core.ipc for core in cores])
+    return best, outcome
+
+
+def workload_bindings(args: argparse.Namespace, accesses: int):
+    """Bindings of ``args.workload``: one core for a SPEC program, four
+    for a mix."""
+    if args.workload in MIXES:
+        traces = mix_traces(args.workload, accesses_per_program=accesses,
+                            capacity_scale=args.scale)
+    else:
+        traces = [TraceGenerator(spec_profile(args.workload),
+                                 capacity_scale=args.scale)
+                  .generate(accesses)]
+    for trace in traces:
+        trace.as_lists()  # convert once, outside every timed replay
+    return [BoundTrace(core, core, trace)
+            for core, trace in enumerate(traces)]
 
 
 def run_guard(args: argparse.Namespace) -> list:
-    accesses = SMOKE_ACCESSES if args.smoke else args.accesses
+    per_program = SMOKE_ACCESSES if args.smoke else args.accesses
     repeat = max(args.repeat, 5) if args.smoke else args.repeat
-    generator = TraceGenerator(spec_profile(args.workload),
-                               capacity_scale=args.scale)
-    trace = generator.generate(accesses)
-    config = default_system(cache_megabytes=args.cache_mb, num_cores=1,
+    bindings = workload_bindings(args, per_program)
+    accesses = per_program * len(bindings)
+    config = default_system(cache_megabytes=args.cache_mb,
+                            num_cores=len(bindings),
                             capacity_scale=args.scale)
-    trace.as_lists()  # convert once, outside every timed replay
-    bindings = [BoundTrace(0, 0, trace)]
 
     rows = []
     for design in args.designs:
-        reference_s, reference_ipc = _best_of(config, design, bindings,
-                                              repeat, run_interleaved)
-        kernel_s, kernel_ipc = _best_of(config, design, bindings, repeat,
-                                        run_interleaved_batched)
+        reference_s, reference = _best_of(config, design, bindings,
+                                          repeat, run_interleaved)
+        kernel_s, kernel = _best_of(config, design, bindings, repeat,
+                                    run_interleaved_batched)
         ratio = (reference_s / kernel_s) if kernel_s > 0 else 0.0
-        identical = reference_ipc == kernel_ipc
+        identical = reference == kernel
         status = "ok" if (ratio >= args.min_ratio and identical) else "FAIL"
         rows.append({
             "design": design,
@@ -113,10 +138,10 @@ def run_guard(args: argparse.Namespace) -> list:
             "kernel_accesses_per_second":
                 accesses / kernel_s if kernel_s > 0 else 0.0,
             "ratio": ratio,
-            "ipc_identical": identical,
+            "results_identical": identical,
             "status": status,
         })
-        note = "" if identical else "  IPC DIVERGED"
+        note = "" if identical else "  RESULTS DIVERGED"
         print(f"  [{status:4s}] {design:8s} kernel/reference "
               f"{ratio:5.2f}x (floor {args.min_ratio:g}x){note}",
               file=sys.stderr)

@@ -3,21 +3,23 @@
 :meth:`MemorySystemDesign.access_cycles` is a single hand-inlined
 function; the remaining per-access overhead is the *call* into it (and,
 inside, the per-access re-hoisting of every structure the path touches).
-The tagless kernel removes both: it replays one core's whole trace in a
+The tagless kernel removes both: it replays every core of a run in a
 single loop with every hot structure -- cTLB dicts, on-die sets, GIPT,
-channel free-lists, timing constants -- bound to locals exactly once.
-The tagless hit path has no tag check (the cTLB hands out a cache
-address directly), so the fused loop covers almost every access.
+channel free-lists, timing constants -- bound to locals, the shared ones
+exactly once and the per-core ones once per burst of one core.  The
+tagless hit path has no tag check (the cTLB hands out a cache address
+directly), so the fused loop covers almost every access.
 
 :func:`run_interleaved_batched` is the simulator's replay entry point
 for bound traces.  :func:`select_kernel` picks the kernel; designs it
 returns ``None`` for run the reference loop,
-:func:`repro.cpu.multicore.replay`, which is also the only argmin
-interleave: the kernel replaces it only for the single-core tail of a
-run.  Tenant schedules (:func:`repro.cpu.scheduled.run_schedule`) keep
-their tail in the argmin loop for per-tenant attribution, so they never
-reach the kernel.  A fused loop for the other designs' shared path was
-measured no faster than the reference loop, so none exists.
+:func:`repro.cpu.multicore.replay`.  The kernel owns the multi-core
+argmin: ``replay`` hands it every core of an unattributed run, and it
+steps them in the reference loop's global time order (first minimum on
+clock ties).  Tenant schedules (:func:`repro.cpu.scheduled.run_schedule`)
+attribute every access to a tenant, so they keep the reference loop.  A
+fused loop for the other designs' shared path was measured no faster
+than the reference loop, so none exists.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -26,13 +28,13 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   whole access is expressible inline does the kernel mutate anything;
   otherwise it falls back to the untouched scalar
   ``design.access_cycles`` call, which then performs every probe,
-  counter update and side effect itself.  Rare events -- fills, page
-  walks of unmapped pages, superpages, NC pages, PU waits, evictions --
-  therefore run the exact scalar code.
-- Integer counters are accumulated in locals and flushed once at kernel
-  exit: integer addition is exact and commutative, and nothing reads
-  the counters mid-run when trace hooks are off (a kernel
-  precondition).
+  counter update and side effect itself.  Rare events -- superpages,
+  NC pages, PU waits -- therefore run the exact scalar code; fills run
+  inline in scalar order and hand evictions to the engine's own helper.
+- Integer counters are accumulated in locals (per-core ones in the
+  core's slot) and flushed once at kernel exit: integer addition is
+  exact and commutative, and nothing reads the counters mid-run when
+  trace hooks are off (a kernel precondition).
 - Float accumulators (latency sums, queue times, energy) are
   order-sensitive, so they cannot be batch-flushed like the integers.
   Instead each lives in a *seeded local*: initialised from its
@@ -49,6 +51,7 @@ the reference loop, which produces the same numbers.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
@@ -124,11 +127,11 @@ def run_interleaved_batched(
 ) -> List[CoreResult]:
     """Drop-in replacement for :func:`run_interleaved`.
 
-    Multi-core interleaving keeps the reference argmin stepping (global
-    event order is what makes contention results meaningful); the
-    single-active-core regime -- the whole run for single-programmed
-    workloads, the end-game for mixes -- runs the fused kernel when
-    :func:`select_kernel` finds one.
+    Every core runs through the fused kernel when :func:`select_kernel`
+    finds one -- single-programmed workloads and multi-core mixes
+    alike, in the same global event order as the reference argmin loop
+    (which is what makes contention results meaningful) -- and through
+    the reference loop otherwise.
     """
     return run_interleaved(design, bindings, _kernel=select_kernel(design))
 
@@ -136,9 +139,40 @@ def run_interleaved_batched(
 # ----------------------------------------------------------------------
 # Tagless kernel: the full Figure 2 access path, fused.
 # ----------------------------------------------------------------------
-def _run_tagless_kernel(design: TaglessDesign, state, *,
-                        _next=next, _iter=iter, _len=len) -> None:
-    """Replay ``state``'s remaining trace against the tagless design.
+#: Layout of a kernel core slot (a list): per-core constants first, then
+#: the per-segment values from ``segment()``, then one tuple of the
+#: running values a burst stores back (one item store, not a slice).
+_SEG = 12
+_RUN = 21
+
+
+def _run_tagless_kernel(design: TaglessDesign, active, *,
+                        _next=next, _iter=iter, _len=len, _min=min,
+                        _nextafter=math.nextafter) -> None:
+    """Replay every core of ``active`` against the tagless design.
+
+    ``active`` is :func:`repro.cpu.multicore.replay`'s non-empty
+    active list: cursors at the start of their first non-empty segment,
+    in argmin scan order.  The kernel owns the argmin: it picks the
+    core with the earliest clock (first minimum on ties) and runs it
+    for a *burst*, while its clock stays ``<`` every earlier core's and
+    ``<=`` every later core's -- exactly the accesses the reference
+    loop would hand that core in a row, since no other clock moves
+    meanwhile.  One active core has an infinite horizon.  The horizon
+    is tested after each access, on the clock the next access starts
+    from; a segment end is handled before it, as the reference loop
+    does.
+
+    Shared structures -- GIPT, free queue, victim tracker, walker, both
+    DRAM devices and their channel free-lists, the seeded float
+    accumulators -- are hoisted once per call.  Per-core state (cTLB
+    maps, on-die sets, pending write-backs, page table, model floats,
+    trace cursor, same-page cache, integer counters) lives in a slot
+    list per core that a switch stores and reloads.  At a segment end
+    the kernel stores the model floats back and calls the cursor's
+    ``next_segment()`` (which charges the context switch, flushes the
+    TLB maps in place and retunes the model), then reloads the
+    per-segment values and clears the same-page cache.
 
     Inlines cTLB L1/L2 hits and on-die L1/L2 hits, plus the two paths
     that dominate the tagless profile: the cTLB full miss resolving as
@@ -146,25 +180,29 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     Figure 4's unshaded path) and the on-die full miss serviced by the
     DRAM cache with zero tag check (``_service_l2_miss``'s cached
     branch, with the closed-page ``access_block`` arithmetic inlined).
-    Only genuinely rare events leave the loop: fills, NC pages,
-    superpages, PU waits.
+    Only genuinely rare events leave the loop: NC pages, superpages,
+    PU waits.
 
     Loop-level shortcuts, each a proof that some scalar work is the
     identity:
 
-    - **Same-page run**: when an access repeats the previous access's
+    - **Same-page run**: when an access repeats the core's previous
       virtual page, that page is by construction the most recently
-      used entry of both cTLB levels (the previous iteration made it
-      so), and fused-LRU's move-to-end of the newest key is the
+      used entry of both of its cTLB levels (the previous access made
+      it so), and fused-LRU's move-to-end of the newest key is the
       identity permutation.  The shortcut skips the TLB dicts entirely
       and reuses the cached translation.  Trace locality makes this
       the majority case (50-95% of accesses on the SPEC-like
-      generators).
+      generators).  Other cores cannot invalidate the cached page:
+      their fills evict only pages no TLB holds
+      (``victims.select(protected=gipt.is_resident)``), and this page
+      is in its core's L2 TLB.  A TLB flush (segment end) and every
+      scalar fallback clear the cache.
     - **Zero-stall exit**: with ``tlb_cycles == 0.0`` and an on-die L1
       hit, ``cost - l1_hit`` is exactly ``(0.0 + l1_hit_cycles) -
       float(l1_hit_cycles) == 0.0``, so the stall branch disappears;
       for the 0.0-TLB + on-die-L2-hit case the whole stall chain is a
-      loop constant, computed once.
+      per-segment constant, computed once.
     - **Fused probes**: the scalar path's probe-then-move-to-end pair
       (``in``/``get`` + ``pop`` + reinsert) collapses to one
       ``pop(key, None)`` + reinsert -- same resulting dict order, one
@@ -172,55 +210,40 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
       the fallback; the scalar call then repeats a move-to-end of an
       already-MRU key, which is again the identity.
     - **Deferred instruction count**: ``instructions`` advances by
-      ``gap + 1`` per access regardless of path, so the loop total is
-      ``sum(gaps) + len(gaps)`` -- integer math, exact in any order --
-      added once at exit.
+      ``gap + 1`` per access regardless of path, so a segment's total
+      is ``sum(gaps) + len(gaps)`` -- integer math, exact in any
+      order -- added once when the segment is loaded.
 
-    Order-sensitive float accumulators live in *seeded locals*: each is
-    initialised from its attribute, accumulated sequentially (the same
-    additions in the same order as the scalar path, hence the same
+    Order-sensitive float accumulators live in *seeded locals*: each
+    is initialised from its attribute, accumulated sequentially (the
+    same additions in the same order as the scalar path, hence the same
     rounding), and stored back at kernel exit.  The one scalar-fallback
     site flushes them before calling ``access_cycles`` and reloads
     after, so the scalar path always sees -- and updates -- the true
-    running totals.
+    running totals.  The per-core handler total is seeded the same way,
+    from the core's slot.
     """
-    model = state.model
-    base_cpi = model.base_cpi
-    mlp = model.mlp
-    l1_hit = model._l1_hit
-    cycle_ns = model._cycle_ns
-    cycles = model.cycles
-    stall_cycles = model.stall_cycles
-
-    core_id = state.core_id
-    process_id = state.process_id
+    # --- Shared structures and constants (identical for every core).
+    first = active[0].model
+    l1_hit = first._l1_hit
+    cycle_ns = first._cycle_ns
     access_cycles = design.access_cycles
 
-    tlb = design.tlbs[core_id]
-    l1_tlb = tlb.l1
-    l1_map = l1_tlb._map
-    l1_cap = l1_tlb.capacity
-    l2_tlb = tlb.l2
-    l2_map = l2_tlb._map
-    l2_cap = l2_tlb.capacity
+    tlb0 = design.tlbs[0]
+    l1_cap = tlb0.l1.capacity
+    l2_cap = tlb0.l2.capacity
     tlb_l2_hit_cycles = design._tlb_l2_hit_cycles
 
-    table = design.page_table(process_id)
-    pte_map = table._entries
     engine = design.engine
     gipt = engine.gipt
     gipt_entries = gipt._entries
-    core_bit = 1 << core_id
-    clear_bit = ~core_bit
     # FIFO ignores touches (its whole point); LRU/CLOCK need the call.
     victims = engine.victims
     on_touch = (None if type(victims) is FIFOVictimTracker
                 else victims.on_touch)
-    handler = design.handlers[core_id]
     walker = design.walker
     walk_cycles = walker._walk_cycles
     pte_nj = walker._pte_nj
-    table_entry = table.entry
     free_queue = engine.free_queue
     fq_free = free_queue._free
     fq_alpha = free_queue.alpha
@@ -242,16 +265,11 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     off_preempt = off_ch.preemption_ns
     off_fill_nj = off_energy.config.access_nj(PAGE_BYTES, 1)
 
-    ondie = design.ondie[core_id]
-    ol1 = ondie.l1
-    ol1_mask = ol1.num_sets - 1  # pow2, per select_kernel
-    ol1_ent = [s.entries for s in ol1._sets]
-    ol1_ways = ol1._sets[0].ways
-    ol2 = ondie.l2
-    ol2_mask = ol2.num_sets - 1
-    ol2_ent = [s.entries for s in ol2._sets]
-    ol2_ways = ol2._sets[0].ways
-    pending_wb = ondie.pending_writebacks
+    ondie0 = design.ondie[0]
+    ol1_mask = ondie0.l1.num_sets - 1  # pow2, per select_kernel
+    ol1_ways = ondie0.l1._sets[0].ways
+    ol2_mask = ondie0.l2.num_sets - 1
+    ol2_ways = ondie0.l2._sets[0].ways
 
     in_pkg = design.in_package
     ip_energy = in_pkg.energy
@@ -281,22 +299,18 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     gd_nj0 = gd.energy.config.access_nj(64, 0)
     gd_act_nj = gd.energy.config.act_pre_nj
 
-    core_cfg = design.core_cfg
     l1_hit_cycles = design._l1_hit_cycles
     l2_hit_cycles = design._l2_hit_cycles
-    freq = core_cfg.frequency_ghz
+    freq = design.core_cfg.frequency_ghz
     lines_per_page = LINES_PER_PAGE
 
-    # Constant stall of the (tlb_cycles == 0.0, on-die L2 hit) case:
-    # same expressions the general path would evaluate, evaluated once.
+    # Excess of the (tlb_cycles == 0.0, on-die L2 hit) case and of the
+    # idle-channel DRAM access (queue_ns == 0.0, whose latency is the
+    # service constant): same expressions the general path evaluates,
+    # evaluated once.  ``segment()`` divides them by each core's MLP.
     exc0_l2 = 0.0 + l2_hit_cycles - l1_hit
-    st0_l2 = exc0_l2 / mlp if exc0_l2 > 0 else 0.0
-    # Constants of the idle-channel DRAM access (queue_ns == 0.0):
-    # latency is the service constant, and with a 0.0-cycle TLB the
-    # whole cost/stall chain is fixed too.
     l3_only0 = ip_sv * freq
     exc0_dram = 0.0 + l3_only0 - l1_hit
-    st0_dram = exc0_dram / mlp if exc0_dram > 0 else 0.0
 
     # Order-sensitive float accumulators, seeded from their attributes
     # (see the docstring).  Flushed/reloaded around the fallback call
@@ -304,7 +318,6 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     f_off_dyn = off_energy.dynamic_nj
     f_off_bg = off_ch.background_busy_ns
     f_walker = walker.cycles_total
-    f_handler = handler.cycles_total
     f_ip_dyn = ip_energy.dynamic_nj
     f_ip_bg = ip_ch.background_busy_ns
     f_ip_queue = ip_ch.queue_ns_total
@@ -312,483 +325,587 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     f_ip_lat = in_pkg.demand_latency_ns
     f_l3 = design.l3_latency_cycles
 
-    # Only the rarer outcomes are counted in-loop; the hot ones are
-    # derived at flush by subtraction (every inline access is exactly
-    # one of t1/t2/tm and exactly one of o1/o2/om).
-    n_fb = 0
-    n_t2 = n_tm = 0
-    n_fill = n_gipt_acts = 0
+    # Shared integer counters (GIPT, DRAM); per-core ones live in slots.
+    n_gipt_acts = 0
     n_res_evict = 0
-    n_o1 = n_o2 = 0
-    n_owb = 0
     n_ip_write = 0
     n_wb_ip = n_wb_off = 0
 
-    # Same-page run cache: the previous access's page, translation and
-    # TLB entry.  Valid only when the previous access completed inline
-    # (fallbacks reset it); -1 never equals a virtual page number.
-    last_vp = -1
-    last_target = 0
-    last_base = 0
-    last_entry = None
+    #: Accesses each core replays in this call, fallbacks included.
+    processed = [0] * _len(active)
 
-    pos = state.pos
-    pages, lines, writes, gaps = (
-        state.pages, state.lines, state.writes, state.gaps
-    )
-    if pos:
-        pages, lines, writes, gaps = (
-            pages[pos:], lines[pos:], writes[pos:], gaps[pos:]
+    def segment(state, k):
+        """Per-segment slot values of ``state``'s current segment."""
+        model = state.model
+        gaps = state.gaps
+        # Every access advances instructions by gap + 1, inline and
+        # fallback alike; integer addition is exact in any order.
+        model.instructions += sum(gaps) + _len(gaps)
+        processed[k] += _len(gaps)
+        mlp = model.mlp
+        table = design.page_table(state.process_id)
+        pages_it = _iter(state.pages)
+        return (
+            state.process_id, table._entries, table.entry,
+            model.base_cpi, mlp,
+            exc0_l2 / mlp if exc0_l2 > 0 else 0.0,
+            exc0_dram / mlp if exc0_dram > 0 else 0.0,
+            zip(pages_it, state.lines, state.writes, gaps),
+            pages_it.__length_hint__,
         )
-    for vp, line, w, gap in zip(pages, lines, writes, gaps):
-        cycles += gap * base_cpi
 
-        if vp == last_vp:
-            # Same-page run: vp is the MRU key of both TLB levels, so
-            # the scalar path's move-to-end is the identity and its
-            # probes are pure counter traffic.
-            line_key = last_base + line
-            entries = ol1_ent[line_key & ol1_mask]
-            v = entries.pop(line_key, None)
-            if v is not None:
-                # Zero-stall exit: cost == l1_hit exactly.
-                n_o1 += 1
-                entries[line_key] = v or w
-                cycles += base_cpi
-                continue
-            tlb_cycles = 0.0
-            target = last_target
-            entry = last_entry
-        else:
-            # --- Translation: classify with fused probes, mutate in
-            # scalar order.  ``target`` stays -1 on every outcome that
-            # needs the scalar path (NC entries, fills, superpages, PU
-            # waits), which reach the single fallback site below; the
-            # only state an NC classification leaves behind is the
-            # probe's own move-to-end, which the scalar re-probe
-            # repeats as the identity.
-            target = -1
-            entry = l1_map.pop(vp, None)
-            if entry is not None:
-                l1_map[vp] = entry
-                if not entry.non_cacheable:
-                    moved = l2_map.pop(vp, None)
-                    if moved is not None:
-                        l2_map[vp] = moved
+    slots = []
+    for k, state in enumerate(active):
+        core_id = state.core_id
+        tlb = design.tlbs[core_id]
+        ondie = design.ondie[core_id]
+        model = state.model
+        slot = [
+            k, core_id, 1 << core_id, ~(1 << core_id),
+            tlb.l1._map, tlb.l2._map, design.handlers[core_id],
+            [s.entries for s in ondie.l1._sets],
+            [s.entries for s in ondie.l2._sets],
+            ondie.pending_writebacks, state, model,
+        ]
+        slot += segment(state, k)
+        # cycles, stall_cycles, handler total, same-page cache (last_vp
+        # -1 never equals a virtual page number), per-core counters.
+        slot.append((model.cycles, model.stall_cycles,
+                     design.handlers[core_id].cycles_total, -1, 0, 0, None,
+                     0, 0, 0, 0, 0, 0, 0))
+        slots.append(slot)
+    all_slots = slots[:]
+    clocks = [slot[_RUN][0] for slot in slots]
+    inf = float("inf")
+    ninf = -inf
+
+    # The reference loop's pick: first minimum in scan order.
+    index = clocks.index(_min(clocks))
+    while True:
+        slot = slots[index]
+        (k, core_id, core_bit, clear_bit, l1_map, l2_map, handler,
+         ol1_ent, ol2_ent, pending_wb, state, model,
+         process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
+         st0_dram, accesses, remaining, run) = slot
+        (cycles, stall_cycles, f_handler, last_vp, last_target, last_base,
+         last_entry, n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb) = run
+        # Burst horizon.  The other clocks' first minimum (``nxt``) is
+        # the reference loop's next pick once this core stops being
+        # the first minimum: it runs while its clock stays below an
+        # earlier core's (strictly) or a later core's (or equal).
+        clocks[index] = inf
+        following = _min(clocks)
+        nxt = clocks.index(following)
+        horizon = (_nextafter(following, ninf) if nxt < index
+                   else following)
+        live = True
+        while True:
+            for vp, line, w, gap in accesses:
+                cycles += gap * base_cpi
+
+                if vp == last_vp:
+                    # Same-page run: vp is the MRU key of both TLB
+                    # levels, so the scalar path's move-to-end is the
+                    # identity and its probes are pure counter traffic.
+                    line_key = last_base + line
+                    entries = ol1_ent[line_key & ol1_mask]
+                    v = entries.pop(line_key, None)
+                    if v is not None:
+                        # Zero-stall exit: cost == l1_hit exactly.
+                        n_o1 += 1
+                        entries[line_key] = v or w
+                        cycles += base_cpi
+                        if cycles <= horizon:
+                            continue
+                        break
                     tlb_cycles = 0.0
-                    target = entry.target_page
-            else:
-                entry = l2_map.pop(vp, None)
-                if entry is not None:
-                    l2_map[vp] = entry
-                    if not entry.non_cacheable:
-                        n_t2 += 1
-                        if _len(l1_map) >= l1_cap:
-                            del l1_map[_next(_iter(l1_map))]
-                        l1_map[vp] = entry
-                        tlb_cycles = tlb_l2_hit_cycles
-                        target = entry.target_page
+                    target = last_target
+                    entry = last_entry
                 else:
-                    now_ns = cycles * cycle_ns
-                    pte = pte_map.get(vp)
-                    if pte is None:
-                        # Materialise the PTE exactly where the scalar
-                        # walk would.  table.entry is idempotent, so a
-                        # superpage/NC outcome still falls back safely.
-                        pte = table_entry(vp)
-                    if not (
-                        pte.superpage_order != 0
-                        or pte.non_cacheable
-                        or pte.pending_until_ns > now_ns
-                    ):
-                      if pte.valid_in_cache:
-                        # Victim hit (Table 1 row 3): the page is
-                        # cached; the walk is the whole penalty.
-                        n_tm += 1
-                        f_off_dyn += pte_nj
-                        f_walker += walk_cycles
-                        target = pte.cache_page
-                        if on_touch is not None:
-                            on_touch(target)
-                        g = gipt_entries.get(target)
-                        if g is None:
-                            gipt.set_resident(target, core_id)  # raises
-                        g.residence_mask |= core_bit
-                        entry = TLBEntry(target, False)
-                        # TLBHierarchy.install, inlined (the probes
-                        # above guarantee vp is in neither level).
-                        if _len(l2_map) >= l2_cap:
-                            evicted_vpn = _next(_iter(l2_map))
-                            evicted = l2_map.pop(evicted_vpn)
-                            l2_map[vp] = entry
-                            l1_map.pop(evicted_vpn, None)
-                            # on_l2_evict: leaving TLB reach clears
-                            # residence.
-                            if not evicted.non_cacheable:
-                                g2 = gipt_entries.get(evicted.target_page)
-                                if g2 is not None:
-                                    g2.residence_mask &= clear_bit
-                                    n_res_evict += 1
-                        else:
-                            l2_map[vp] = entry
-                        if _len(l1_map) >= l1_cap:
-                            del l1_map[_next(_iter(l1_map))]
+                    # --- Translation: classify with fused probes, mutate
+                    # in scalar order.  ``target`` stays -1 on every
+                    # outcome that needs the scalar path (NC entries,
+                    # superpages, PU waits), which reach the single
+                    # fallback site below; the only state an NC
+                    # classification leaves behind is the probe's own
+                    # move-to-end, which the scalar re-probe repeats as
+                    # the identity.
+                    target = -1
+                    entry = l1_map.pop(vp, None)
+                    if entry is not None:
                         l1_map[vp] = entry
-                        f_handler += walk_cycles
-                        tlb_cycles = walk_cycles
-                      else:
-                        # Fill (Figure 4's shaded path): walk, allocate
-                        # at the header pointer, stream the page in,
-                        # post two GIPT writes, install.  Inlined from
-                        # CTLBMissHandler.handle / allocate_and_fill /
-                        # fill_page / stream_page / posted_write_block,
-                        # in scalar order.
-                        n_fill += 1
-                        f_off_dyn += pte_nj
-                        f_walker += walk_cycles
-                        pte.pending_update = True
-                        if not fq_free:
-                            # Alpha invariant broken: evict
-                            # synchronously (rare) -- run the real
-                            # engine machinery over the true totals.
-                            off_energy.dynamic_nj = f_off_dyn
-                            off_ch.background_busy_ns = f_off_bg
-                            ip_energy.dynamic_nj = f_ip_dyn
-                            ip_ch.background_busy_ns = f_ip_bg
-                            maintain_alpha(now_ns)
-                            f_off_dyn = off_energy.dynamic_nj
-                            f_off_bg = off_ch.background_busy_ns
-                            f_ip_dyn = ip_energy.dynamic_nj
-                            f_ip_bg = ip_ch.background_busy_ns
-                            ip_next_refresh = in_pkg._next_refresh_ns
-                        target = fq_allocate()
-                        g = gipt_insert(target, pte.physical_page, pte)
-                        # Protect the page for the filling core before
-                        # any victim is chosen (allocate_and_fill's
-                        # first set_resident).
-                        g.residence_mask |= core_bit
-                        on_fill_v(target)
-                        # fill_page: demand-read the page from
-                        # off-package DRAM, critical block first.
-                        if now_ns >= off_pkg._next_refresh_ns:
-                            off_pkg._catch_up_refresh(now_ns)
-                        ch = pte.physical_page & off_mask
-                        start = off_free[ch]
-                        if start < now_ns:
-                            start = now_ns
-                        bg_until = off_bg[ch]
-                        if bg_until > start:
-                            start = start + off_preempt
-                            if bg_until < start:
-                                start = bg_until
-                        queue_ns = start - now_ns
-                        off_free[ch] = start + off_page_tr
-                        off_ch.queue_ns_total += queue_ns
-                        off_ch.demand_busy_ns += off_page_tr
-                        f_off_dyn += off_fill_nj
-                        fill_ns = queue_ns + off_sv
-                        off_pkg.demand_latency_ns += fill_ns
-                        # stream_page: lay the page into the cache
-                        # behind the read (background traffic).
-                        if now_ns >= ip_next_refresh:
-                            in_pkg._catch_up_refresh(now_ns)
-                            ip_next_refresh = in_pkg._next_refresh_ns
-                        ch = target & ip_mask
-                        start = now_ns
-                        if ip_bg[ch] > start:
-                            start = ip_bg[ch]
-                        if ip_free[ch] > start:
-                            start = ip_free[ch]
-                        ip_bg[ch] = start + ip_page_tr
-                        f_ip_bg += ip_page_tr
-                        f_ip_dyn += ip_fill_nj
-                        # Two posted GIPT writes (Section 3.4),
-                        # open-page: the header pointer's sequential
-                        # walk gives them high row locality.
-                        gipt_page = gipt_base + (target >> 8)
-                        gch = gipt_page & gd_mask
-                        sv2, acts = gd_banks(gipt_page, 64)
-                        start = now_ns + fill_ns
-                        if gd_bg[gch] > start:
-                            start = gd_bg[gch]
-                        if gd_free[gch] > start:
-                            start = gd_free[gch]
-                        gd_bg[gch] = start + gd_tr64
-                        if gipt_off:
-                            f_off_bg += gd_tr64
-                            f_off_dyn += gd_nj0 + acts * gd_act_nj
-                        else:
-                            f_ip_bg += gd_tr64
-                            f_ip_dyn += gd_nj0 + acts * gd_act_nj
-                        n_gipt_acts += acts
-                        fill_ns += sv2
-                        sv2, acts = gd_banks(gipt_page, 64)
-                        start = now_ns + fill_ns
-                        if gd_bg[gch] > start:
-                            start = gd_bg[gch]
-                        if gd_free[gch] > start:
-                            start = gd_free[gch]
-                        gd_bg[gch] = start + gd_tr64
-                        if gipt_off:
-                            f_off_bg += gd_tr64
-                            f_off_dyn += gd_nj0 + acts * gd_act_nj
-                        else:
-                            f_ip_bg += gd_tr64
-                            f_ip_dyn += gd_nj0 + acts * gd_act_nj
-                        n_gipt_acts += acts
-                        fill_ns += sv2
-                        pte.install_in_cache(target)
-                        engine.fill_latency_ns += fill_ns
-                        if _len(fq_free) < fq_alpha:
-                            # Asynchronous eviction (Figure 5): the
-                            # engine helper reads the true totals.
-                            off_energy.dynamic_nj = f_off_dyn
-                            off_ch.background_busy_ns = f_off_bg
-                            ip_energy.dynamic_nj = f_ip_dyn
-                            ip_ch.background_busy_ns = f_ip_bg
-                            maintain_alpha(now_ns)
-                            f_off_dyn = off_energy.dynamic_nj
-                            f_off_bg = off_ch.background_busy_ns
-                            f_ip_dyn = ip_energy.dynamic_nj
-                            f_ip_bg = ip_ch.background_busy_ns
-                            ip_next_refresh = in_pkg._next_refresh_ns
-                        pte.pending_until_ns = now_ns + fill_ns
-                        pte.pending_update = False
-                        # The handler's second set_resident (a no-op
-                        # bitwise OR; counted at flush).
-                        g.residence_mask |= core_bit
-                        entry = TLBEntry(target, False)
-                        # TLBHierarchy.install, inlined (the probes
-                        # above guarantee vp is in neither level).
-                        if _len(l2_map) >= l2_cap:
-                            evicted_vpn = _next(_iter(l2_map))
-                            evicted = l2_map.pop(evicted_vpn)
+                        if not entry.non_cacheable:
+                            moved = l2_map.pop(vp, None)
+                            if moved is not None:
+                                l2_map[vp] = moved
+                            tlb_cycles = 0.0
+                            target = entry.target_page
+                    else:
+                        entry = l2_map.pop(vp, None)
+                        if entry is not None:
                             l2_map[vp] = entry
-                            l1_map.pop(evicted_vpn, None)
-                            if not evicted.non_cacheable:
-                                g2 = gipt_entries.get(evicted.target_page)
-                                if g2 is not None:
-                                    g2.residence_mask &= clear_bit
-                                    n_res_evict += 1
+                            if not entry.non_cacheable:
+                                n_t2 += 1
+                                if _len(l1_map) >= l1_cap:
+                                    del l1_map[_next(_iter(l1_map))]
+                                l1_map[vp] = entry
+                                tlb_cycles = tlb_l2_hit_cycles
+                                target = entry.target_page
                         else:
-                            l2_map[vp] = entry
-                        if _len(l1_map) >= l1_cap:
-                            del l1_map[_next(_iter(l1_map))]
-                        l1_map[vp] = entry
-                        h_cycles = walk_cycles + fill_ns * freq
-                        f_handler += h_cycles
-                        tlb_cycles = h_cycles
-            if target < 0:
-                # The one scalar-fallback site: flush the seeded float
-                # locals so access_cycles sees true totals, reload
-                # after (it advanced them), resync the refresh mirror,
-                # and invalidate the same-page cache.
-                off_energy.dynamic_nj = f_off_dyn
-                off_ch.background_busy_ns = f_off_bg
-                walker.cycles_total = f_walker
-                handler.cycles_total = f_handler
-                ip_energy.dynamic_nj = f_ip_dyn
-                ip_ch.background_busy_ns = f_ip_bg
-                ip_ch.queue_ns_total = f_ip_queue
-                ip_ch.demand_busy_ns = f_ip_busy
-                in_pkg.demand_latency_ns = f_ip_lat
-                design.l3_latency_cycles = f_l3
-                n_fb += 1
-                cost = access_cycles(
-                    core_id, process_id, vp, line, w, cycles * cycle_ns
-                )
-                f_off_dyn = off_energy.dynamic_nj
-                f_off_bg = off_ch.background_busy_ns
-                f_walker = walker.cycles_total
-                f_handler = handler.cycles_total
-                f_ip_dyn = ip_energy.dynamic_nj
-                f_ip_bg = ip_ch.background_busy_ns
-                f_ip_queue = ip_ch.queue_ns_total
-                f_ip_busy = ip_ch.demand_busy_ns
-                f_ip_lat = in_pkg.demand_latency_ns
-                f_l3 = design.l3_latency_cycles
-                ip_next_refresh = in_pkg._next_refresh_ns
-                last_vp = -1
-                cycles += base_cpi
-                excess = cost - l1_hit
-                if excess > 0:
-                    stall = excess / mlp
-                    cycles += stall
-                    stall_cycles += stall
-                continue
-            last_vp = vp
-            last_target = target
-            last_base = target * lines_per_page
-            last_entry = entry
-            line_key = last_base + line
-            entries = ol1_ent[line_key & ol1_mask]
-            v = entries.pop(line_key, None)
-            if v is not None:
-                n_o1 += 1
-                entries[line_key] = v or w
-                cycles += base_cpi
-                if tlb_cycles:
-                    excess = tlb_cycles + l1_hit_cycles - l1_hit
-                    if excess > 0:
-                        stall = excess / mlp
-                        cycles += stall
-                        stall_cycles += stall
-                continue
+                            now_ns = cycles * cycle_ns
+                            pte = pte_map.get(vp)
+                            if pte is None:
+                                # Materialise the PTE exactly where the
+                                # scalar walk would.  table.entry is
+                                # idempotent, so a superpage/NC outcome
+                                # still falls back safely.
+                                pte = table_entry(vp)
+                            if not (
+                                pte.superpage_order != 0
+                                or pte.non_cacheable
+                                or pte.pending_until_ns > now_ns
+                            ):
+                              if pte.valid_in_cache:
+                                # Victim hit (Table 1 row 3): the page
+                                # is cached; the walk is the whole
+                                # penalty.
+                                n_tm += 1
+                                f_off_dyn += pte_nj
+                                f_walker += walk_cycles
+                                target = pte.cache_page
+                                if on_touch is not None:
+                                    on_touch(target)
+                                g = gipt_entries.get(target)
+                                if g is None:
+                                    # Raises: a cached page has an entry.
+                                    gipt.set_resident(target, core_id)
+                                g.residence_mask |= core_bit
+                                entry = TLBEntry(target, False)
+                                # TLBHierarchy.install, inlined (the
+                                # probes above guarantee vp is in
+                                # neither level).
+                                if _len(l2_map) >= l2_cap:
+                                    evicted_vpn = _next(_iter(l2_map))
+                                    evicted = l2_map.pop(evicted_vpn)
+                                    l2_map[vp] = entry
+                                    l1_map.pop(evicted_vpn, None)
+                                    # on_l2_evict: leaving TLB reach
+                                    # clears residence.
+                                    if not evicted.non_cacheable:
+                                        g2 = gipt_entries.get(
+                                            evicted.target_page)
+                                        if g2 is not None:
+                                            g2.residence_mask &= clear_bit
+                                            n_res_evict += 1
+                                else:
+                                    l2_map[vp] = entry
+                                if _len(l1_map) >= l1_cap:
+                                    del l1_map[_next(_iter(l1_map))]
+                                l1_map[vp] = entry
+                                f_handler += walk_cycles
+                                tlb_cycles = walk_cycles
+                              else:
+                                # Fill (Figure 4's shaded path): walk,
+                                # allocate at the header pointer, stream
+                                # the page in, post two GIPT writes,
+                                # install.  Inlined from
+                                # CTLBMissHandler.handle /
+                                # allocate_and_fill / fill_page /
+                                # stream_page / posted_write_block, in
+                                # scalar order.
+                                n_fill += 1
+                                f_off_dyn += pte_nj
+                                f_walker += walk_cycles
+                                pte.pending_update = True
+                                if not fq_free:
+                                    # Alpha invariant broken: evict
+                                    # synchronously (rare) -- run the
+                                    # real engine machinery over the
+                                    # true totals.
+                                    off_energy.dynamic_nj = f_off_dyn
+                                    off_ch.background_busy_ns = f_off_bg
+                                    ip_energy.dynamic_nj = f_ip_dyn
+                                    ip_ch.background_busy_ns = f_ip_bg
+                                    maintain_alpha(now_ns)
+                                    f_off_dyn = off_energy.dynamic_nj
+                                    f_off_bg = off_ch.background_busy_ns
+                                    f_ip_dyn = ip_energy.dynamic_nj
+                                    f_ip_bg = ip_ch.background_busy_ns
+                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                target = fq_allocate()
+                                g = gipt_insert(target, pte.physical_page,
+                                                pte)
+                                # Protect the page for the filling core
+                                # before any victim is chosen
+                                # (allocate_and_fill's first
+                                # set_resident).
+                                g.residence_mask |= core_bit
+                                on_fill_v(target)
+                                # fill_page: demand-read the page from
+                                # off-package DRAM, critical block
+                                # first.
+                                if now_ns >= off_pkg._next_refresh_ns:
+                                    off_pkg._catch_up_refresh(now_ns)
+                                ch = pte.physical_page & off_mask
+                                start = off_free[ch]
+                                if start < now_ns:
+                                    start = now_ns
+                                bg_until = off_bg[ch]
+                                if bg_until > start:
+                                    start = start + off_preempt
+                                    if bg_until < start:
+                                        start = bg_until
+                                queue_ns = start - now_ns
+                                off_free[ch] = start + off_page_tr
+                                off_ch.queue_ns_total += queue_ns
+                                off_ch.demand_busy_ns += off_page_tr
+                                f_off_dyn += off_fill_nj
+                                fill_ns = queue_ns + off_sv
+                                off_pkg.demand_latency_ns += fill_ns
+                                # stream_page: lay the page into the
+                                # cache behind the read (background
+                                # traffic).
+                                if now_ns >= ip_next_refresh:
+                                    in_pkg._catch_up_refresh(now_ns)
+                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                ch = target & ip_mask
+                                start = now_ns
+                                if ip_bg[ch] > start:
+                                    start = ip_bg[ch]
+                                if ip_free[ch] > start:
+                                    start = ip_free[ch]
+                                ip_bg[ch] = start + ip_page_tr
+                                f_ip_bg += ip_page_tr
+                                f_ip_dyn += ip_fill_nj
+                                # Two posted GIPT writes (Section 3.4),
+                                # open-page: the header pointer's
+                                # sequential walk gives them high row
+                                # locality.
+                                gipt_page = gipt_base + (target >> 8)
+                                gch = gipt_page & gd_mask
+                                sv2, acts = gd_banks(gipt_page, 64)
+                                start = now_ns + fill_ns
+                                if gd_bg[gch] > start:
+                                    start = gd_bg[gch]
+                                if gd_free[gch] > start:
+                                    start = gd_free[gch]
+                                gd_bg[gch] = start + gd_tr64
+                                if gipt_off:
+                                    f_off_bg += gd_tr64
+                                    f_off_dyn += gd_nj0 + acts * gd_act_nj
+                                else:
+                                    f_ip_bg += gd_tr64
+                                    f_ip_dyn += gd_nj0 + acts * gd_act_nj
+                                n_gipt_acts += acts
+                                fill_ns += sv2
+                                sv2, acts = gd_banks(gipt_page, 64)
+                                start = now_ns + fill_ns
+                                if gd_bg[gch] > start:
+                                    start = gd_bg[gch]
+                                if gd_free[gch] > start:
+                                    start = gd_free[gch]
+                                gd_bg[gch] = start + gd_tr64
+                                if gipt_off:
+                                    f_off_bg += gd_tr64
+                                    f_off_dyn += gd_nj0 + acts * gd_act_nj
+                                else:
+                                    f_ip_bg += gd_tr64
+                                    f_ip_dyn += gd_nj0 + acts * gd_act_nj
+                                n_gipt_acts += acts
+                                fill_ns += sv2
+                                pte.install_in_cache(target)
+                                engine.fill_latency_ns += fill_ns
+                                if _len(fq_free) < fq_alpha:
+                                    # Asynchronous eviction (Figure 5):
+                                    # the engine helper reads the true
+                                    # totals.
+                                    off_energy.dynamic_nj = f_off_dyn
+                                    off_ch.background_busy_ns = f_off_bg
+                                    ip_energy.dynamic_nj = f_ip_dyn
+                                    ip_ch.background_busy_ns = f_ip_bg
+                                    maintain_alpha(now_ns)
+                                    f_off_dyn = off_energy.dynamic_nj
+                                    f_off_bg = off_ch.background_busy_ns
+                                    f_ip_dyn = ip_energy.dynamic_nj
+                                    f_ip_bg = ip_ch.background_busy_ns
+                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                pte.pending_until_ns = now_ns + fill_ns
+                                pte.pending_update = False
+                                # The handler's second set_resident (a
+                                # no-op bitwise OR; counted at flush).
+                                g.residence_mask |= core_bit
+                                entry = TLBEntry(target, False)
+                                # TLBHierarchy.install, inlined (the
+                                # probes above guarantee vp is in
+                                # neither level).
+                                if _len(l2_map) >= l2_cap:
+                                    evicted_vpn = _next(_iter(l2_map))
+                                    evicted = l2_map.pop(evicted_vpn)
+                                    l2_map[vp] = entry
+                                    l1_map.pop(evicted_vpn, None)
+                                    if not evicted.non_cacheable:
+                                        g2 = gipt_entries.get(
+                                            evicted.target_page)
+                                        if g2 is not None:
+                                            g2.residence_mask &= clear_bit
+                                            n_res_evict += 1
+                                else:
+                                    l2_map[vp] = entry
+                                if _len(l1_map) >= l1_cap:
+                                    del l1_map[_next(_iter(l1_map))]
+                                l1_map[vp] = entry
+                                h_cycles = walk_cycles + fill_ns * freq
+                                f_handler += h_cycles
+                                tlb_cycles = h_cycles
+                    if target < 0:
+                        # The one scalar-fallback site: flush the seeded
+                        # float locals so access_cycles sees true
+                        # totals, reload after (it advanced them),
+                        # resync the refresh mirror, and invalidate the
+                        # same-page cache.
+                        off_energy.dynamic_nj = f_off_dyn
+                        off_ch.background_busy_ns = f_off_bg
+                        walker.cycles_total = f_walker
+                        handler.cycles_total = f_handler
+                        ip_energy.dynamic_nj = f_ip_dyn
+                        ip_ch.background_busy_ns = f_ip_bg
+                        ip_ch.queue_ns_total = f_ip_queue
+                        ip_ch.demand_busy_ns = f_ip_busy
+                        in_pkg.demand_latency_ns = f_ip_lat
+                        design.l3_latency_cycles = f_l3
+                        n_fb += 1
+                        cost = access_cycles(
+                            core_id, process_id, vp, line, w,
+                            cycles * cycle_ns
+                        )
+                        f_off_dyn = off_energy.dynamic_nj
+                        f_off_bg = off_ch.background_busy_ns
+                        f_walker = walker.cycles_total
+                        f_handler = handler.cycles_total
+                        f_ip_dyn = ip_energy.dynamic_nj
+                        f_ip_bg = ip_ch.background_busy_ns
+                        f_ip_queue = ip_ch.queue_ns_total
+                        f_ip_busy = ip_ch.demand_busy_ns
+                        f_ip_lat = in_pkg.demand_latency_ns
+                        f_l3 = design.l3_latency_cycles
+                        ip_next_refresh = in_pkg._next_refresh_ns
+                        last_vp = -1
+                        cycles += base_cpi
+                        excess = cost - l1_hit
+                        if excess > 0:
+                            stall = excess / mlp
+                            cycles += stall
+                            stall_cycles += stall
+                        if cycles <= horizon:
+                            continue
+                        break
+                    last_vp = vp
+                    last_target = target
+                    last_base = target * lines_per_page
+                    last_entry = entry
+                    line_key = last_base + line
+                    entries = ol1_ent[line_key & ol1_mask]
+                    v = entries.pop(line_key, None)
+                    if v is not None:
+                        n_o1 += 1
+                        entries[line_key] = v or w
+                        cycles += base_cpi
+                        if tlb_cycles:
+                            excess = tlb_cycles + l1_hit_cycles - l1_hit
+                            if excess > 0:
+                                stall = excess / mlp
+                                cycles += stall
+                                stall_cycles += stall
+                        if cycles <= horizon:
+                            continue
+                        break
 
-        # --- On-die L1 miss (CA key space; NC never reaches here).
-        if pending_wb:
-            pending_wb.clear()
-        l2_entries = ol2_ent[line_key & ol2_mask]
-        v = l2_entries.pop(line_key, None)
-        if v is not None:
-            n_o2 += 1
-            l2_entries[line_key] = v or w
-            hit_l2 = True
-        else:
-            if _len(l2_entries) >= ol2_ways:
-                victim = _next(_iter(l2_entries))
-                if l2_entries.pop(victim):
-                    pending_wb.append(victim)
-                    n_owb += 1
-            l2_entries[line_key] = False
-            hit_l2 = False
-        if _len(entries) >= ol1_ways:
-            victim = _next(_iter(entries))
-            if entries.pop(victim):
-                spill_entries = ol2_ent[victim & ol2_mask]
-                if victim in spill_entries:
-                    spill_entries[victim] = True
+                # --- On-die L1 miss (CA key space; NC never reaches
+                # here).
+                if pending_wb:
+                    pending_wb.clear()
+                l2_entries = ol2_ent[line_key & ol2_mask]
+                v = l2_entries.pop(line_key, None)
+                if v is not None:
+                    n_o2 += 1
+                    l2_entries[line_key] = v or w
+                    hit_l2 = True
                 else:
-                    if _len(spill_entries) >= ol2_ways:
-                        spilled = _next(_iter(spill_entries))
-                        if spill_entries.pop(spilled):
-                            pending_wb.append(spilled)
+                    if _len(l2_entries) >= ol2_ways:
+                        victim = _next(_iter(l2_entries))
+                        if l2_entries.pop(victim):
+                            pending_wb.append(victim)
                             n_owb += 1
-                    spill_entries[victim] = True
-        entries[line_key] = w
-        if pending_wb:
-            # _route_writebacks/_writeback_line/_async_block_write,
-            # inlined (both namespaces; // LINES_PER_PAGE is >> 6).
-            now_ns = cycles * cycle_ns
-            for wline in pending_wb:
-                if wline >= PA_NAMESPACE_OFFSET:
-                    f_off_dyn += off_wb_nj
-                    n_wb_off += 1
-                    ch = ((wline - PA_NAMESPACE_OFFSET) >> 6) & off_mask
-                    start = now_ns
-                    if off_bg[ch] > start:
-                        start = off_bg[ch]
-                    if off_free[ch] > start:
-                        start = off_free[ch]
-                    off_bg[ch] = start + off_tr64
-                    f_off_bg += off_tr64
-                else:
-                    wpage = wline >> 6
-                    f_ip_dyn += ip_wb_nj
-                    n_wb_ip += 1
-                    ch = wpage & ip_mask
-                    start = now_ns
-                    if ip_bg[ch] > start:
-                        start = ip_bg[ch]
-                    if ip_free[ch] > start:
-                        start = ip_free[ch]
-                    ip_bg[ch] = start + ip_tr64
-                    f_ip_bg += ip_tr64
-                    g2 = gipt_entries.get(wpage)
-                    if g2 is not None:
-                        g2.dirty = True
-        if hit_l2:
-            cycles += base_cpi
-            if tlb_cycles:
-                excess = tlb_cycles + l2_hit_cycles - l1_hit
-                if excess > 0:
-                    stall = excess / mlp
-                    cycles += stall
-                    stall_cycles += stall
-            elif st0_l2:
-                cycles += st0_l2
-                stall_cycles += st0_l2
-            continue
+                    l2_entries[line_key] = False
+                    hit_l2 = False
+                if _len(entries) >= ol1_ways:
+                    victim = _next(_iter(entries))
+                    if entries.pop(victim):
+                        spill_entries = ol2_ent[victim & ol2_mask]
+                        if victim in spill_entries:
+                            spill_entries[victim] = True
+                        else:
+                            if _len(spill_entries) >= ol2_ways:
+                                spilled = _next(_iter(spill_entries))
+                                if spill_entries.pop(spilled):
+                                    pending_wb.append(spilled)
+                                    n_owb += 1
+                            spill_entries[victim] = True
+                entries[line_key] = w
+                if pending_wb:
+                    # _route_writebacks/_writeback_line/
+                    # _async_block_write, inlined (both namespaces;
+                    # // LINES_PER_PAGE is >> 6).
+                    now_ns = cycles * cycle_ns
+                    for wline in pending_wb:
+                        if wline >= PA_NAMESPACE_OFFSET:
+                            f_off_dyn += off_wb_nj
+                            n_wb_off += 1
+                            ch = (((wline - PA_NAMESPACE_OFFSET) >> 6)
+                                  & off_mask)
+                            start = now_ns
+                            if off_bg[ch] > start:
+                                start = off_bg[ch]
+                            if off_free[ch] > start:
+                                start = off_free[ch]
+                            off_bg[ch] = start + off_tr64
+                            f_off_bg += off_tr64
+                        else:
+                            wpage = wline >> 6
+                            f_ip_dyn += ip_wb_nj
+                            n_wb_ip += 1
+                            ch = wpage & ip_mask
+                            start = now_ns
+                            if ip_bg[ch] > start:
+                                start = ip_bg[ch]
+                            if ip_free[ch] > start:
+                                start = ip_free[ch]
+                            ip_bg[ch] = start + ip_tr64
+                            f_ip_bg += ip_tr64
+                            g2 = gipt_entries.get(wpage)
+                            if g2 is not None:
+                                g2.dirty = True
+                if hit_l2:
+                    cycles += base_cpi
+                    if tlb_cycles:
+                        excess = tlb_cycles + l2_hit_cycles - l1_hit
+                        if excess > 0:
+                            stall = excess / mlp
+                            cycles += stall
+                            stall_cycles += stall
+                    elif st0_l2:
+                        cycles += st0_l2
+                        stall_cycles += st0_l2
+                    if cycles <= horizon:
+                        continue
+                    break
 
-        # --- DRAM-cache service: guaranteed hit, no tag check.
-        g = gipt_entries.get(target)
-        if g is None:
-            design._service_l2_miss(  # canonical raise
-                core_id, entry, vp, line, w, cycles * cycle_ns
-            )
-        if on_touch is not None:
-            on_touch(target)
-        g.touched_mask |= 1 << line
-        if w:
-            g.dirty = True
-        # DRAMDevice.access_block, closed-page path, inlined.
-        now_ns = cycles * cycle_ns
-        if now_ns >= ip_next_refresh:
-            in_pkg._catch_up_refresh(now_ns)
-            ip_next_refresh = in_pkg._next_refresh_ns
-        ch = target & ip_mask
-        if ip_free[ch] <= now_ns and ip_bg[ch] <= now_ns:
-            # Idle channel: queue_ns is exactly 0.0, so the queue add
-            # is the identity (the accumulator is never -0.0) and the
-            # latency is the precomputed service constant.
-            ip_free[ch] = now_ns + ip_tr
-            f_ip_busy += ip_tr
-            f_ip_dyn += ip_nj
-            n_ip_write += w
-            f_ip_lat += ip_sv
-            cycles += base_cpi
-            if tlb_cycles:
-                cost = tlb_cycles + l3_only0
+                # --- DRAM-cache service: guaranteed hit, no tag check.
+                g = gipt_entries.get(target)
+                if g is None:
+                    design._service_l2_miss(  # canonical raise
+                        core_id, entry, vp, line, w, cycles * cycle_ns
+                    )
+                if on_touch is not None:
+                    on_touch(target)
+                g.touched_mask |= 1 << line
+                if w:
+                    g.dirty = True
+                # DRAMDevice.access_block, closed-page path, inlined.
+                now_ns = cycles * cycle_ns
+                if now_ns >= ip_next_refresh:
+                    in_pkg._catch_up_refresh(now_ns)
+                    ip_next_refresh = in_pkg._next_refresh_ns
+                ch = target & ip_mask
+                if ip_free[ch] <= now_ns and ip_bg[ch] <= now_ns:
+                    # Idle channel: queue_ns is exactly 0.0, so the
+                    # queue add is the identity (the accumulator is
+                    # never -0.0) and the latency is the precomputed
+                    # service constant.
+                    ip_free[ch] = now_ns + ip_tr
+                    f_ip_busy += ip_tr
+                    f_ip_dyn += ip_nj
+                    n_ip_write += w
+                    f_ip_lat += ip_sv
+                    cycles += base_cpi
+                    if tlb_cycles:
+                        cost = tlb_cycles + l3_only0
+                        f_l3 += cost
+                        excess = cost - l1_hit
+                        if excess > 0:
+                            stall = excess / mlp
+                            cycles += stall
+                            stall_cycles += stall
+                    else:
+                        f_l3 += l3_only0
+                        if st0_dram:
+                            cycles += st0_dram
+                            stall_cycles += st0_dram
+                    if cycles <= horizon:
+                        continue
+                    break
+                start = ip_free[ch]
+                if start < now_ns:
+                    start = now_ns
+                bg_until = ip_bg[ch]
+                if bg_until > start:
+                    start = start + ip_preempt
+                    if bg_until < start:
+                        start = bg_until
+                queue_ns = start - now_ns
+                ip_free[ch] = start + ip_tr
+                f_ip_queue += queue_ns
+                f_ip_busy += ip_tr
+                f_ip_dyn += ip_nj
+                n_ip_write += w
+                latency = queue_ns + ip_sv
+                f_ip_lat += latency
+                l3_only = latency * freq
+                cost = tlb_cycles + l3_only
                 f_l3 += cost
+                cycles += base_cpi
                 excess = cost - l1_hit
                 if excess > 0:
                     stall = excess / mlp
                     cycles += stall
                     stall_cycles += stall
-            else:
-                f_l3 += l3_only0
-                if st0_dram:
-                    cycles += st0_dram
-                    stall_cycles += st0_dram
-            continue
-        start = ip_free[ch]
-        if start < now_ns:
-            start = now_ns
-        bg_until = ip_bg[ch]
-        if bg_until > start:
-            start = start + ip_preempt
-            if bg_until < start:
-                start = bg_until
-        queue_ns = start - now_ns
-        ip_free[ch] = start + ip_tr
-        f_ip_queue += queue_ns
-        f_ip_busy += ip_tr
-        f_ip_dyn += ip_nj
-        n_ip_write += w
-        latency = queue_ns + ip_sv
-        f_ip_lat += latency
-        l3_only = latency * freq
-        cost = tlb_cycles + l3_only
-        f_l3 += cost
-        cycles += base_cpi
-        excess = cost - l1_hit
-        if excess > 0:
-            stall = excess / mlp
-            cycles += stall
-            stall_cycles += stall
+                if cycles > horizon:
+                    break
 
-    model.cycles = cycles
-    # Every access advances instructions by gap + 1, inline and
-    # fallback alike; integer addition is exact in any order.
-    model.instructions += sum(gaps) + _len(gaps)
-    model.stall_cycles = stall_cycles
-    state.pos = state.length
+            if remaining():
+                break  # horizon reached inside the segment
+            # Segment end: store the model floats and move on, as the
+            # reference loop does right after a segment's last access.
+            model.cycles = cycles
+            model.stall_cycles = stall_cycles
+            if not state.next_segment():
+                live = False
+                break
+            seg = slot[_SEG:_RUN] = segment(state, k)
+            (process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
+             st0_dram, accesses, remaining) = seg
+            cycles = model.cycles  # plus the context-switch charge
+            last_vp = -1  # the TLB may have been flushed
+            if cycles > horizon:
+                break
+
+        slot[_RUN] = (cycles, stall_cycles, f_handler, last_vp, last_target,
+                      last_base, last_entry,
+                      n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb)
+        if live:
+            clocks[index] = cycles
+            index = nxt
+        else:
+            del slots[index]  # preserves scan order of the rest
+            del clocks[index]
+            if not slots:
+                break
+            index = nxt - (nxt > index)
 
     # Float store-back (each was accumulated in scalar order).
     off_energy.dynamic_nj = f_off_dyn
     off_ch.background_busy_ns = f_off_bg
     walker.cycles_total = f_walker
-    handler.cycles_total = f_handler
     ip_energy.dynamic_nj = f_ip_dyn
     ip_ch.background_busy_ns = f_ip_bg
     ip_ch.queue_ns_total = f_ip_queue
@@ -797,47 +914,64 @@ def _run_tagless_kernel(design: TaglessDesign, state, *,
     design.l3_latency_cycles = f_l3
 
     # Integer-counter flush (exact + commutative, hence deferrable).
-    n_acc = _len(gaps) - n_fb
-    n_t1 = n_acc - n_t2 - n_tm - n_fill
-    n_tw = n_tm + n_fill  # TLB full misses resolved inline (walks)
-    n_om = n_acc - n_o1 - n_o2
-    n_res = n_tm + n_res_evict + 2 * n_fill
-    design.accesses += n_acc
-    l1_tlb.hits += n_t1
-    l1_tlb.misses += n_t2 + n_tw
-    l2_tlb.hits += n_t2
-    l2_tlb.misses += n_tw
-    tlb.l1_hits += n_t1
-    tlb.l2_hits += n_t2
-    tlb.misses += n_tw
-    walker.walks += n_tw
-    off_energy.read_bytes += 8 * n_tw + PAGE_BYTES * n_fill
-    off_energy.activations += n_fill
-    engine.victim_hits += n_tm
-    engine.fills += n_fill
-    handler.victim_hit += n_tm
-    handler.fill += n_fill
-    gipt.residence_updates += n_res
-    ol1.hits += n_o1
-    ol1.misses += n_o2 + n_om
-    ol2.hits += n_o2
-    ol2.misses += n_om
-    ondie.l1_hits += n_o1
-    ondie.l2_hits += n_o2
-    ondie.misses += n_om
-    ondie.writebacks += n_owb
-    design.l3_accesses += n_om
-    design.cache_accesses += n_om
-    ip_ch.requests += n_om
-    ip_energy.activations += n_om + n_fill
-    ip_energy.read_bytes += 64 * (n_om - n_ip_write)
-    ip_energy.write_bytes += 64 * (n_ip_write + n_wb_ip) + PAGE_BYTES * n_fill
+    # Only the rarer outcomes were counted; the hot ones follow by
+    # subtraction (every inline access is exactly one of t1/t2/tm/fill
+    # and exactly one of o1/o2/om).
+    tot_acc = tot_tw = tot_tm = tot_fill = tot_om = 0
+    for slot in all_slots:
+        core_id = slot[1]
+        run = slot[_RUN]
+        n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb = run[7:]
+        handler = design.handlers[core_id]
+        handler.cycles_total = run[2]
+        n_acc = processed[slot[0]] - n_fb
+        n_t1 = n_acc - n_t2 - n_tm - n_fill
+        n_tw = n_tm + n_fill  # TLB full misses resolved inline (walks)
+        n_om = n_acc - n_o1 - n_o2
+        tlb = design.tlbs[core_id]
+        tlb.l1.hits += n_t1
+        tlb.l1.misses += n_t2 + n_tw
+        tlb.l2.hits += n_t2
+        tlb.l2.misses += n_tw
+        tlb.l1_hits += n_t1
+        tlb.l2_hits += n_t2
+        tlb.misses += n_tw
+        handler.victim_hit += n_tm
+        handler.fill += n_fill
+        ondie = design.ondie[core_id]
+        ondie.l1.hits += n_o1
+        ondie.l1.misses += n_o2 + n_om
+        ondie.l2.hits += n_o2
+        ondie.l2.misses += n_om
+        ondie.l1_hits += n_o1
+        ondie.l2_hits += n_o2
+        ondie.misses += n_om
+        ondie.writebacks += n_owb
+        tot_acc += n_acc
+        tot_tw += n_tw
+        tot_tm += n_tm
+        tot_fill += n_fill
+        tot_om += n_om
+    design.accesses += tot_acc
+    walker.walks += tot_tw
+    off_energy.read_bytes += 8 * tot_tw + PAGE_BYTES * tot_fill
+    off_energy.activations += tot_fill
+    engine.victim_hits += tot_tm
+    engine.fills += tot_fill
+    gipt.residence_updates += tot_tm + n_res_evict + 2 * tot_fill
+    design.l3_accesses += tot_om
+    design.cache_accesses += tot_om
+    ip_ch.requests += tot_om
+    ip_energy.activations += tot_om + tot_fill
+    ip_energy.read_bytes += 64 * (tot_om - n_ip_write)
+    ip_energy.write_bytes += (64 * (n_ip_write + n_wb_ip)
+                              + PAGE_BYTES * tot_fill)
     off_energy.write_bytes += 64 * n_wb_off
-    off_ch.requests += n_fill
-    off_pkg.demand_accesses += n_fill
-    in_pkg.demand_accesses += n_om
+    off_ch.requests += tot_fill
+    off_pkg.demand_accesses += tot_fill
+    in_pkg.demand_accesses += tot_om
     # Posted GIPT writes: two 64 B stores per fill on whichever device
     # hosts the table, with data-dependent activations (row buffer).
     gd_energy = off_energy if gipt_off else ip_energy
     gd_energy.activations += n_gipt_acts
-    gd_energy.write_bytes += 128 * n_fill
+    gd_energy.write_bytes += 128 * tot_fill

@@ -113,8 +113,9 @@ def _run_single(state: _CoreState, access_cycles,
                 generic: bool = False) -> None:
     """Replay one core's remaining trace with no scheduling overhead.
 
-    Used whenever only one core is (still) active -- the whole run for
-    single-programmed workloads, the end-game for mixes.  The default
+    The reference loop's single-core regime -- the whole run for
+    single-programmed workloads, the end-game for mixes -- whenever the
+    fused kernel does not replay the run.  The default
     MLP interval model's arithmetic is inlined (same operations in the
     same order as ``CoreTimingModel.advance_instructions`` /
     ``account_memory``, so the floats come out identical); other core
@@ -201,19 +202,27 @@ def replay(
     even the single-core tail stays in the argmin loop (the per-access
     float order of the attribution then never changes).  ``_kernel`` is
     the fused-kernel hook (see :mod:`repro.cpu.batched`): a
-    ``kernel(design, state)`` replacement for :func:`_run_single` used
-    in the single-active-core regime when the run is unobserved.
-    Without it this is the reference loop every kernel must match bit
-    for bit.
+    ``kernel(design, active)`` that replays *every* active core in this
+    loop's global order, argmin included.  It runs when the run is
+    unattributed (``qos is None``), nothing is attached and every core
+    model is a plain :class:`CoreTimingModel`.  Otherwise, or without
+    it, this is the reference loop every kernel must match bit for bit.
 
     A core's model is built from its first non-empty segment, whose
     tenant is the core's first tenant: only later tenant changes count
-    as context switches.
+    as context switches.  Raises ``ValueError`` for a core id given
+    twice or a core with an empty segment list.
     """
     core_cfg = design.config.core
     l1_hit = design.config.l1.hit_cycles
     states = []
+    seen_cores = set()
     for core_id, workload, segments in cores:
+        if core_id in seen_cores:
+            raise ValueError(f"core {core_id} bound twice")
+        seen_cores.add(core_id)
+        if not segments:
+            raise ValueError(f"core {core_id} has no segments")
         tenant_id, _, trace = next(
             (s for s in segments if len(s[2])), segments[0])
         model = make_core_model(core_cfg, trace.base_cpi, trace.mlp, l1_hit)
@@ -233,6 +242,11 @@ def replay(
     attach = getattr(design, "obs_attach_cores", None)
     if attach is not None:
         attach([(s.core_id, s.model) for s in states])
+
+    if (_kernel is not None and active and qos is None and attach is None
+            and all(type(s.model) is CoreTimingModel for s in active)):
+        _kernel(design, active)
+        active = []  # the kernel ran every core to completion
 
     # Multi-core regime: step the earliest core one access at a time.
     # (4 cores: a linear argmin scan beats a heap.)  Ties go to the
@@ -271,16 +285,11 @@ def replay(
         if best.pos >= best.length and not best.next_segment():
             del active[best_index]  # preserves scan order of the rest
 
-    # Single-core regime (or tail of a multi-core run): tight loop.
+    # Single-core tail of an unattributed reference run: tight loop.
     if active:
         state = active[0]
-        kernel = (_kernel if attach is None
-                  and type(state.model) is CoreTimingModel else None)
         while True:
-            if kernel is not None:
-                kernel(design, state)
-            else:
-                _run_single(state, access_cycles, generic=attach is not None)
+            _run_single(state, access_cycles, generic=attach is not None)
             if not state.next_segment():
                 break
 
@@ -309,13 +318,9 @@ def run_interleaved(
     """Replay every bound trace to completion; returns per-core results.
 
     Each binding is a one-segment core for :func:`replay`.  Every bound
-    core is reported, including one whose trace is empty.
+    core is reported, including one whose trace is empty; a core bound
+    twice raises ``ValueError``.
     """
-    seen_cores = set()
-    for binding in bindings:
-        if binding.core_id in seen_cores:
-            raise ValueError(f"core {binding.core_id} bound twice")
-        seen_cores.add(binding.core_id)
     if not bindings:
         return []
     cores = [

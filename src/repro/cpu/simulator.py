@@ -133,9 +133,9 @@ class Simulator:
 
         Replay goes through
         :func:`~repro.cpu.batched.run_interleaved_batched`, which picks
-        the execution path itself: the fused tagless kernel for the
-        single-core tail when the design is tagless and the run is
-        unobserved, else the one replay loop
+        the execution path itself: the fused tagless kernel for every
+        core, multi-core argmin included, when the design is tagless and
+        the run is unobserved, else the one replay loop
         :func:`~repro.cpu.multicore.replay` throughout.  Observed runs
         -- telemetry, validation, event tracing -- always take the
         reference loop, since the kernel bypasses every hook.  Both

@@ -8,24 +8,32 @@ tests rerun each point with the simulator's replay swapped for the
 reference loop and compare the *entire* observable output -- the stats
 dictionary (exact ``==`` on every float), the energy breakdown, and the
 per-core instruction/cycle/stall counts -- for every registered design,
-single- and quad-core.  The golden-stats oracle additionally locks the
-production path against checked-in numbers.
+single- and quad-core.  The kernel owns the multi-core argmin, so the
+tagless cases then cover the interleave itself: uneven and empty cores,
+2 and 8 cores, exact clock ties, every victim policy, the GIPT in either
+DRAM, cross-core evictions and NC fallbacks in mid-burst, plus a
+fixed-seed property over drawn traces.  The golden-stats oracle
+additionally locks the production path against checked-in numbers.
 """
 
+import dataclasses
 import gc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.cpu.simulator as simulator_module
 from repro.common.config import default_system
-from repro.cpu.batched import select_kernel
-from repro.cpu.multicore import BoundTrace, run_interleaved
+from repro.cpu.batched import _run_tagless_kernel, select_kernel
+from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES, create_design
 from repro.validate.invariants import InvariantChecker
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.mixes import mix_traces
 from repro.workloads.spec import spec_profile
+from repro.workloads.trace import AccessTrace
 
 ACCESSES = 3_000
 
@@ -52,11 +60,12 @@ def _snapshot(result):
     )
 
 
-def _kernel_and_reference(monkeypatch, simulator, design, bindings):
-    kernel = simulator.run(design, bindings)
+def _kernel_and_reference(monkeypatch, simulator, design, bindings,
+                          **run_kwargs):
+    kernel = simulator.run(design, bindings, **run_kwargs)
     monkeypatch.setattr(simulator_module, "run_interleaved_batched",
                         run_interleaved)
-    reference = simulator.run(design, bindings)
+    reference = simulator.run(design, bindings, **run_kwargs)
     return kernel, reference
 
 
@@ -142,3 +151,215 @@ def test_observed_batched_run_stays_identical():
     plain = simulator.run("tagless", bindings)
     validated = simulator.run("tagless", bindings, validate=True)
     assert _snapshot(plain) == _snapshot(validated)
+
+
+# ----------------------------------------------------------------------
+# The multi-core kernel against the reference argmin loop (tagless).
+# ----------------------------------------------------------------------
+def _config(num_cores=4, cache_megabytes=256, replacement="fifo",
+            **dram_cache):
+    config = default_system(cache_megabytes=cache_megabytes,
+                            num_cores=num_cores, replacement=replacement,
+                            capacity_scale=64)
+    if dram_cache:
+        config = dataclasses.replace(config, dram_cache=dataclasses.replace(
+            config.dram_cache, **dram_cache))
+    return config
+
+
+def _mix_bindings(mixes=("MIX1",), accesses=1_500):
+    traces = [trace for mix in mixes
+              for trace in mix_traces(mix, accesses_per_program=accesses,
+                                      capacity_scale=64)]
+    return [BoundTrace(i, i, t) for i, t in enumerate(traces)]
+
+
+def _tagless_kernel_matches(monkeypatch, config, bindings, **run_kwargs):
+    """Run tagless through the kernel and the reference loop; the full
+    snapshot must match.  Returns the kernel run."""
+    simulator = Simulator(config)
+    assert select_kernel(simulator.build_design("tagless")) is not None
+    kernel, reference = _kernel_and_reference(
+        monkeypatch, simulator, "tagless", bindings, **run_kwargs)
+    assert _snapshot(kernel) == _snapshot(reference)
+    return kernel
+
+
+def test_kernel_uneven_cores_with_an_empty_one(monkeypatch):
+    bindings = [BoundTrace(b.core_id, b.process_id, b.trace.head(n))
+                for b, n in zip(_mix_bindings(), (1_500, 0, 700, 150))]
+    result = _tagless_kernel_matches(monkeypatch, _config(), bindings)
+    assert [c.instructions == 0 for c in result.cores] == \
+        [False, True, False, False]
+
+
+@pytest.mark.parametrize("num_cores", [2, 8])
+def test_kernel_core_counts(monkeypatch, num_cores):
+    bindings = _mix_bindings(("MIX1", "MIX2"))[:num_cores]
+    _tagless_kernel_matches(monkeypatch, _config(num_cores), bindings)
+
+
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["private", "shared-address-space"])
+def test_kernel_identical_traces_tie(monkeypatch, shared):
+    """Every core replays the same trace from clock 0.0, so picks are
+    exact ties settled by the first-minimum rule; a shared address space
+    adds cross-core fills of one page (PU waits fall back)."""
+    trace = _mix_bindings()[0].trace
+    bindings = [BoundTrace(i, 0 if shared else i, trace) for i in range(4)]
+    _tagless_kernel_matches(monkeypatch, _config(), bindings)
+
+
+@pytest.mark.parametrize("replacement", ["lru", "clock"])
+def test_kernel_touch_tracking_victim_policies(monkeypatch, replacement):
+    _tagless_kernel_matches(monkeypatch, _config(replacement=replacement),
+                            _mix_bindings())
+
+
+def test_kernel_gipt_in_package(monkeypatch):
+    _tagless_kernel_matches(monkeypatch, _config(gipt_in_package=True),
+                            _mix_bindings())
+
+
+def test_kernel_cross_core_evictions(monkeypatch):
+    """320 cache pages (just above the 4 x 64-entry TLB reach) against
+    ~500 pages of MIX1 footprint: fills evict pages other cores filled
+    and touched, invalidating their on-die lines."""
+    result = _tagless_kernel_matches(monkeypatch, _config(cache_megabytes=80),
+                                     _mix_bindings())
+    assert result.stats["engine_fq_evictions_completed"] > 0
+
+
+def test_kernel_nc_pins_on_one_core(monkeypatch):
+    """NC pages fall back to the scalar path in the middle of core 1's
+    bursts while the other cores stay inline."""
+    bindings = _mix_bindings()
+    counts = bindings[1].trace.page_access_counts()
+    hot = sorted(counts, key=counts.get, reverse=True)[:8]
+    result = _tagless_kernel_matches(monkeypatch, _config(), bindings,
+                                     non_cacheable={1: hot})
+    assert result.stats["nc_accesses"] > 0
+
+
+# A small machine (256 cache pages, 32-entry L2 TLBs, 16-set on-die
+# caches) so drawn traces of a few hundred accesses reach fills,
+# evictions and every TLB outcome.
+_SMALL = {
+    n: dataclasses.replace(default_system(cache_megabytes=512, num_cores=n,
+                                          capacity_scale=512), tlb_scale=32)
+    for n in range(1, 5)
+}
+
+
+def _trace(pages, lines):
+    n = len(pages)
+    return AccessTrace(
+        name="unit",
+        virtual_pages=np.array(pages, dtype=np.int64),
+        lines=np.array(lines, dtype=np.int16),
+        writes=np.zeros(n, dtype=bool),
+        instruction_gaps=np.zeros(n, dtype=np.int64),
+    )
+
+
+def _kernel_and_reference_replays(make_design, cores, **replay_kwargs):
+    """``replay`` through the kernel and the reference loop, each on a
+    design from ``make_design()``: ``[(per-core numbers, stats)]``."""
+    runs = []
+    for kernel in (_run_tagless_kernel, None):
+        design = make_design()
+        results, _ = replay(design, cores, _kernel=kernel, **replay_kwargs)
+        runs.append(([(r.core_id, r.instructions, r.cycles, r.stall_cycles)
+                      for r in results], design.stats()))
+    return runs
+
+
+def test_kernel_clock_tie_goes_to_the_earlier_core():
+    """Core 1 catches up with core 0's clock exactly (one zero-stall
+    on-die hit each, 0.5 cycles), so the next pick is core 0: its DRAM
+    access to the shared page goes first and core 1 queues behind it."""
+    def warmed():
+        design = create_design("tagless", _SMALL[2])
+        for core in (0, 1):  # page 7 cached, in both TLBs, line 0 on-die
+            replay(design, [(core, "warm", [(None, 0, _trace([7], [0]))])])
+        return design
+
+    cores = [(core, "tie", [(None, 0, _trace([7, 7], [0, 1]))])
+             for core in (0, 1)]
+    kernel, reference = _kernel_and_reference_replays(warmed, cores)
+    assert kernel == reference
+    (_, _, _, stall0), (_, _, _, stall1) = reference[0]
+    assert stall1 > stall0
+
+
+def test_kernel_translates_afresh_after_a_tenant_switch():
+    """Tenant A's segment ends on virtual page 3 and tenant B's (another
+    address space) starts on it: after the TLB flush the kernel must not
+    reuse A's cached translation."""
+    cores = [(0, "switch", [("A", 0, _trace([1, 2, 3], [0, 0, 0])),
+                            ("B", 1, _trace([3, 3, 4], [0, 1, 0]))])]
+    kernel, reference = _kernel_and_reference_replays(
+        lambda: create_design("tagless", _SMALL[1]), cores,
+        switch_cycles=50.0, flush_tlb=True)
+    assert kernel == reference
+    assert reference[1]["engine_fills"] == 5
+
+
+@st.composite
+def _drawn_cores(draw):
+    """1-4 cores, each with 0-300 accesses over a small footprint, a
+    drawn write share and instruction gaps that include 0."""
+    num_cores = draw(st.integers(1, 4))
+    bindings = []
+    for core in range(num_cores):
+        footprint = draw(st.integers(1, 400))
+        n = draw(st.integers(0, 300))
+        pages = draw(st.lists(st.integers(0, footprint - 1), min_size=n,
+                              max_size=n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        trace = AccessTrace(
+            name=f"drawn{core}",
+            virtual_pages=np.array(pages, dtype=np.int64),
+            lines=rng.integers(0, 64, n).astype(np.int16),
+            writes=rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])),
+            instruction_gaps=rng.integers(
+                0, draw(st.integers(0, 40)) + 1, n).astype(np.int64),
+            base_cpi=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            mlp=draw(st.sampled_from([1.0, 2.0, 3.5])),
+        )
+        process_id = draw(st.integers(0, num_cores - 1))
+        bindings.append(BoundTrace(core, process_id, trace))
+    return bindings
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bindings=_drawn_cores())
+def test_kernel_equals_reference_on_drawn_traces(bindings):
+    config = _SMALL[len(bindings)]
+    cores = [(b.core_id, b.trace.name, [(None, b.process_id, b.trace)])
+             for b in bindings]
+    kernel, reference = _kernel_and_reference_replays(
+        lambda: create_design("tagless", config), cores)
+    assert kernel == reference
+    validated = Simulator(config).run("tagless", bindings,
+                                      warmup_fraction=0.0, validate=True,
+                                      validate_every=97)
+    assert ([(c.core_id, c.instructions, c.cycles, c.stall_cycles)
+             for c in validated.cores], validated.stats) == kernel
+
+
+def test_kernel_forgets_the_page_after_a_fallback():
+    """An NC access (scalar fallback) between two accesses to page 100
+    makes the NC page the most recent TLB entry, so the second access to
+    100 must move it back to the MRU end: 31 new pages later the 32-entry
+    TLBs evict the NC page, not page 100."""
+    def pinned():
+        design = create_design("tagless", _SMALL[1])
+        design.set_non_cacheable(0, 200)
+        return design
+
+    pages = [100, 200, 100] + list(range(1, 32)) + [100]
+    cores = [(0, "nc", [(None, 0, _trace(pages, [0] * len(pages)))])]
+    kernel, reference = _kernel_and_reference_replays(pinned, cores)
+    assert kernel == reference
+    assert reference[1]["core0_tlb_misses"] == 33

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cpu.multicore import BoundTrace, run_interleaved
+from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.designs import create_design
 from repro.workloads.trace import AccessTrace
 
@@ -42,6 +42,20 @@ def test_duplicate_core_rejected(small_config):
             design,
             [BoundTrace(0, 0, trace), BoundTrace(0, 1, trace)],
         )
+
+
+def test_replay_rejects_duplicate_core(small_mp_config):
+    design = create_design("no-l3", small_mp_config)
+    trace = make_trace("t", [1])
+    with pytest.raises(ValueError, match="core 1 bound twice"):
+        replay(design, [(1, "a", [(None, 0, trace)]),
+                        (1, "b", [(None, 1, trace)])])
+
+
+def test_replay_rejects_core_without_segments(small_config):
+    design = create_design("no-l3", small_config)
+    with pytest.raises(ValueError, match="core 0 has no segments"):
+        replay(design, [(0, "w", [])])
 
 
 def test_multicore_all_traces_complete(small_mp_config):

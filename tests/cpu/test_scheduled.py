@@ -77,9 +77,10 @@ def test_schedule_omits_idle_cores(small_mp_config):
 @pytest.mark.parametrize("design_name", ["tagless", "no-l3"])
 def test_unattributed_replay_matches_attributed(small_mp_config,
                                                 design_name):
-    """Without a QoS map the single-core tail walks its remaining
-    segments in the tight loop (or the kernel); the numbers must equal
-    the attributed replay that keeps every access in the argmin loop."""
+    """Without a QoS map the kernel replays every core's segments
+    (tagless) or the single-core tail walks its remaining segments in
+    the tight loop (no-l3); the numbers must equal the attributed replay
+    that keeps every access in the argmin loop."""
     schedule = build_schedule(scenario(), num_cores=4)
     switch = dict(switch_cycles=schedule.scenario.context_switch_cycles,
                   flush_tlb=True)

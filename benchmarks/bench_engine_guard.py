@@ -12,20 +12,28 @@ and fails if the kernel / reference ratio falls below ``--min-ratio``::
     PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke
     PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke \
         --workload MIX1
+    PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke \
+        --workload benchmarks/studies/multitenant_smoke_scenario.json
     PYTHONPATH=src python benchmarks/bench_engine_guard.py \
         --designs tagless --accesses 100000 --min-ratio 2.0
 
-``--workload`` is a SPEC program (one core) or a Table 5 mix such as
+``--workload`` is a SPEC program (one core), a Table 5 mix such as
 ``MIX1`` (its four programs on a four-core machine, ``--accesses`` per
-program), which times the kernel's multi-core argmin.
+program), which times the kernel's multi-core argmin, or the path of a
+tenant-scenario JSON file.  A scenario is scheduled onto four cores
+(the scenario fixes its own length; ``--accesses`` does not apply) and
+timed through :func:`repro.cpu.scheduled.run_schedule`, which hands the
+kernel the attributed run, against the attributed reference loop
+(``replay(..., qos=..., _kernel=None)``).
 
 The default floor (1.5x on the smoke workload) is deliberately well
 below the measured speedup: this is a tripwire for "someone put
 per-access work back on the kernel path" (or silently stopped selecting
 the kernel), not a performance contract for a particular machine.  The
 design's whole ``stats()`` dictionary and every core's IPC are compared
-exactly across the two paths as a free correctness canary -- a guard
-run that got faster by diverging is a failure, not a win.
+exactly across the two paths as a free correctness canary (plus every
+tenant's QoS dictionary on a scenario) -- a guard run that got faster by
+diverging is a failure, not a win.
 Designs without a kernel replay the reference loop both ways, so only
 ``tagless`` can pass the default floor.
 """
@@ -42,7 +50,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.common.config import default_system  # noqa: E402
 from repro.cpu.batched import run_interleaved_batched  # noqa: E402
-from repro.cpu.multicore import BoundTrace, run_interleaved  # noqa: E402
+from repro.cpu.multicore import (  # noqa: E402
+    BoundTrace,
+    replay,
+    run_interleaved,
+)
+from repro.cpu.scheduled import replay_inputs, run_schedule  # noqa: E402
 from repro.designs.registry import (  # noqa: E402
     ALL_DESIGN_NAMES,
     create_design,
@@ -50,6 +63,10 @@ from repro.designs.registry import (  # noqa: E402
 from repro.workloads.generator import TraceGenerator  # noqa: E402
 from repro.workloads.mixes import MIXES, mix_traces  # noqa: E402
 from repro.workloads.spec import spec_profile  # noqa: E402
+from repro.workloads.tenants import (  # noqa: E402
+    TenantScenarioSpec,
+    build_schedule,
+)
 
 SMOKE_ACCESSES = 20_000
 
@@ -61,8 +78,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="designs to compare (default: tagless, the "
                              "only design with a fused kernel)")
     parser.add_argument("--workload", default="mcf",
-                        help="SPEC program (one core) or mix name such as "
-                             "MIX1 (four cores) driving the replay "
+                        help="SPEC program (one core), mix name such as "
+                             "MIX1 (four cores) or tenant-scenario JSON "
+                             "path (four cores) driving the replay "
                              "(default mcf)")
     parser.add_argument("--accesses", type=int, default=100_000,
                         help="trace length per program (default 100k)")
@@ -81,18 +99,23 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _best_of(config, design: str, bindings, repeat: int, replay):
-    """(best wall seconds, outcome) over ``repeat`` replays by
-    ``replay``, each on a freshly built design; the outcome is the
-    design's stats and every core's IPC."""
+#: Cores a tenant scenario is scheduled onto (the ``tenants`` default).
+SCENARIO_CORES = 4
+
+
+def _best_of(config, design: str, repeat: int, replay):
+    """(best wall seconds, outcome) over ``repeat`` calls of
+    ``replay(instance)``, each on a freshly built design; the outcome is
+    the design's stats, every core's IPC and the per-tenant QoS
+    dictionaries (``None`` for an unattributed run)."""
     best = float("inf")
     outcome = None
     for _ in range(repeat):
         instance = create_design(design, config)
         start = time.perf_counter()
-        cores = replay(instance, bindings)
+        cores, tenants = replay(instance)
         best = min(best, time.perf_counter() - start)
-        outcome = (instance.stats(), [core.ipc for core in cores])
+        outcome = (instance.stats(), [core.ipc for core in cores], tenants)
     return best, outcome
 
 
@@ -112,21 +135,52 @@ def workload_bindings(args: argparse.Namespace, accesses: int):
             for core, trace in enumerate(traces)]
 
 
+def _qos_dicts(qos) -> dict:
+    return {tenant: q.to_dict() for tenant, q in qos.items()}
+
+
+def workload_replays(args: argparse.Namespace, accesses: int):
+    """``(num_cores, accesses, reference, kernel)`` for ``args.workload``;
+    each replay maps a fresh design to ``(core results, QoS dicts)``."""
+    if not args.workload.endswith(".json"):
+        bindings = workload_bindings(args, accesses)
+        return (
+            len(bindings), accesses * len(bindings),
+            lambda design: (run_interleaved(design, bindings), None),
+            lambda design: (run_interleaved_batched(design, bindings), None),
+        )
+    schedule = build_schedule(TenantScenarioSpec.from_file(args.workload),
+                              num_cores=SCENARIO_CORES)
+    for segments in schedule.per_core:
+        for segment in segments:
+            segment.trace.as_lists()  # convert once, outside every replay
+
+    def reference(design):
+        cores, qos, switch = replay_inputs(schedule)
+        results, _ = replay(design, cores, qos=qos, _kernel=None, **switch)
+        return results, _qos_dicts(qos)
+
+    def kernel(design):
+        results, qos, _ = run_schedule(design, schedule)
+        return results, _qos_dicts(qos)
+
+    return SCENARIO_CORES, schedule.total_accesses, reference, kernel
+
+
 def run_guard(args: argparse.Namespace) -> list:
     per_program = SMOKE_ACCESSES if args.smoke else args.accesses
     repeat = max(args.repeat, 5) if args.smoke else args.repeat
-    bindings = workload_bindings(args, per_program)
-    accesses = per_program * len(bindings)
+    num_cores, accesses, reference_replay, kernel_replay = \
+        workload_replays(args, per_program)
     config = default_system(cache_megabytes=args.cache_mb,
-                            num_cores=len(bindings),
+                            num_cores=num_cores,
                             capacity_scale=args.scale)
 
     rows = []
     for design in args.designs:
-        reference_s, reference = _best_of(config, design, bindings,
-                                          repeat, run_interleaved)
-        kernel_s, kernel = _best_of(config, design, bindings, repeat,
-                                    run_interleaved_batched)
+        reference_s, reference = _best_of(config, design, repeat,
+                                          reference_replay)
+        kernel_s, kernel = _best_of(config, design, repeat, kernel_replay)
         ratio = (reference_s / kernel_s) if kernel_s > 0 else 0.0
         identical = reference == kernel
         status = "ok" if (ratio >= args.min_ratio and identical) else "FAIL"

@@ -11,15 +11,16 @@ tagless hit path has no tag check (the cTLB hands out a cache address
 directly), so the fused loop covers almost every access.
 
 :func:`run_interleaved_batched` is the simulator's replay entry point
-for bound traces.  :func:`select_kernel` picks the kernel; designs it
-returns ``None`` for run the reference loop,
+for bound traces, and :func:`repro.cpu.scheduled.run_schedule` for
+tenant schedules.  :func:`select_kernel` picks the kernel for both;
+designs it returns ``None`` for run the reference loop,
 :func:`repro.cpu.multicore.replay`.  The kernel owns the multi-core
-argmin: ``replay`` hands it every core of an unattributed run, and it
-steps them in the reference loop's global time order (first minimum on
-clock ties).  Tenant schedules (:func:`repro.cpu.scheduled.run_schedule`)
-attribute every access to a tenant, so they keep the reference loop.  A
-fused loop for the other designs' shared path was measured no faster
-than the reference loop, so none exists.
+argmin: ``replay`` hands it every core, and it steps them in the
+reference loop's global time order (first minimum on clock ties).  It
+also attributes a tenant schedule's accesses to their tenants' QoS
+records, in that same order.  A fused loop for the other designs'
+shared path was measured no faster than the reference loop, so none
+exists.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -143,17 +144,19 @@ def run_interleaved_batched(
 #: the per-segment values from ``segment()``, then one tuple of the
 #: running values a burst stores back (one item store, not a slice).
 _SEG = 12
-_RUN = 21
+_RUN = 22
 
 
-def _run_tagless_kernel(design: TaglessDesign, active, *,
+def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
                         _next=next, _iter=iter, _len=len, _min=min,
                         _nextafter=math.nextafter) -> None:
     """Replay every core of ``active`` against the tagless design.
 
     ``active`` is :func:`repro.cpu.multicore.replay`'s non-empty
     active list: cursors at the start of their first non-empty segment,
-    in argmin scan order.  The kernel owns the argmin: it picks the
+    in argmin scan order.  ``qos`` is ``replay``'s tenant id ->
+    :class:`repro.cpu.scheduled.TenantQoS` map, or ``None`` for an
+    unattributed run.  The kernel owns the argmin: it picks the
     core with the earliest clock (first minimum on ties) and runs it
     for a *burst*, while its clock stays ``<`` every earlier core's and
     ``<=`` every later core's -- exactly the accesses the reference
@@ -212,7 +215,25 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
     - **Deferred instruction count**: ``instructions`` advances by
       ``gap + 1`` per access regardless of path, so a segment's total
       is ``sum(gaps) + len(gaps)`` -- integer math, exact in any
-      order -- added once when the segment is loaded.
+      order -- added once when the segment is loaded (to the segment's
+      tenant too, in an attributed run).
+
+    Tenant attribution (``qos`` given) matches the reference loop's
+    per-access updates.  Each access adds its own cycle delta to the
+    tenant's total; the sum is order-sensitive, so the kernel adds the
+    delta per access (at the top of the next access, or where the burst
+    or segment ends) and never a per-segment ``end - start``.  The
+    context-switch charge falls between two segments' deltas, so no
+    tenant gets it.  Each L3-bound access adds one to the tenant's
+    ``l3_accesses`` and observes ``cost * cycle_ns`` in its
+    demand-latency histogram; a scalar fallback reads the cost from
+    the design's ``_last_l3_*`` side channel instead.  A tenant can run
+    on two cores whose clocks overlap, so its running cycle total is a
+    seeded local per burst: loaded when the burst (or the segment)
+    starts and stored back when it ends.  Bursts run in global order,
+    so the additions land in the reference order.  In an unattributed
+    run the segment's tenant record is ``None``, and the attribution
+    costs one ``is not None`` test per access (two on an L3-bound one).
 
     Order-sensitive float accumulators live in *seeded locals*: each
     is initialised from its attribute, accumulated sequentially (the
@@ -311,6 +332,7 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
     exc0_l2 = 0.0 + l2_hit_cycles - l1_hit
     l3_only0 = ip_sv * freq
     exc0_dram = 0.0 + l3_only0 - l1_hit
+    l3_ns0 = l3_only0 * cycle_ns  # its demand latency, for attribution
 
     # Order-sensitive float accumulators, seeded from their attributes
     # (see the docstring).  Flushed/reloaded around the fallback call
@@ -340,7 +362,11 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
         gaps = state.gaps
         # Every access advances instructions by gap + 1, inline and
         # fallback alike; integer addition is exact in any order.
-        model.instructions += sum(gaps) + _len(gaps)
+        instructions = sum(gaps) + _len(gaps)
+        model.instructions += instructions
+        tq = None if qos is None else qos[state.tenant_id]
+        if tq is not None:
+            tq.instructions += instructions
         processed[k] += _len(gaps)
         mlp = model.mlp
         table = design.page_table(state.process_id)
@@ -351,7 +377,7 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
             exc0_l2 / mlp if exc0_l2 > 0 else 0.0,
             exc0_dram / mlp if exc0_dram > 0 else 0.0,
             zip(pages_it, state.lines, state.writes, gaps),
-            pages_it.__length_hint__,
+            pages_it.__length_hint__, tq,
         )
 
     slots = []
@@ -386,9 +412,14 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
         (k, core_id, core_bit, clear_bit, l1_map, l2_map, handler,
          ol1_ent, ol2_ent, pending_wb, state, model,
          process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
-         st0_dram, accesses, remaining, run) = slot
+         st0_dram, accesses, remaining, tq, run) = slot
         (cycles, stall_cycles, f_handler, last_vp, last_target, last_base,
          last_entry, n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb) = run
+        if tq is not None:
+            # Seeded per burst: the tenant may have run on another core
+            # since this core's last burst.
+            t_cycles, t_observe = tq.cycles, tq.demand_latency.observe
+            t_start = cycles
         # Burst horizon.  The other clocks' first minimum (``nxt``) is
         # the reference loop's next pick once this core stops being
         # the first minimum: it runs while its clock stays below an
@@ -401,6 +432,11 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
         live = True
         while True:
             for vp, line, w, gap in accesses:
+                if tq is not None:
+                    # The previous access's cycle delta (0.0 on a burst's
+                    # or segment's first access, which adds exactly).
+                    t_cycles += cycles - t_start
+                    t_start = cycles
                 cycles += gap * base_cpi
 
                 if vp == last_vp:
@@ -690,6 +726,9 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                         f_l3 = design.l3_latency_cycles
                         ip_next_refresh = in_pkg._next_refresh_ns
                         last_vp = -1
+                        if tq is not None and design._last_l3_involved:
+                            tq.l3_accesses += 1
+                            t_observe(design._last_l3_cycles * cycle_ns)
                         cycles += base_cpi
                         excess = cost - l1_hit
                         if excess > 0:
@@ -831,6 +870,9 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                     if tlb_cycles:
                         cost = tlb_cycles + l3_only0
                         f_l3 += cost
+                        if tq is not None:
+                            tq.l3_accesses += 1
+                            t_observe(cost * cycle_ns)
                         excess = cost - l1_hit
                         if excess > 0:
                             stall = excess / mlp
@@ -838,6 +880,9 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                             stall_cycles += stall
                     else:
                         f_l3 += l3_only0
+                        if tq is not None:
+                            tq.l3_accesses += 1
+                            t_observe(l3_ns0)
                         if st0_dram:
                             cycles += st0_dram
                             stall_cycles += st0_dram
@@ -863,6 +908,9 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                 l3_only = latency * freq
                 cost = tlb_cycles + l3_only
                 f_l3 += cost
+                if tq is not None:
+                    tq.l3_accesses += 1
+                    t_observe(cost * cycle_ns)
                 cycles += base_cpi
                 excess = cost - l1_hit
                 if excess > 0:
@@ -872,6 +920,10 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                 if cycles > horizon:
                     break
 
+            if tq is not None:
+                # The last access of the burst or the segment; stored
+                # back for the tenant's next burst on any core.
+                tq.cycles = t_cycles + (cycles - t_start)
             if remaining():
                 break  # horizon reached inside the segment
             # Segment end: store the model floats and move on, as the
@@ -883,9 +935,13 @@ def _run_tagless_kernel(design: TaglessDesign, active, *,
                 break
             seg = slot[_SEG:_RUN] = segment(state, k)
             (process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
-             st0_dram, accesses, remaining) = seg
+             st0_dram, accesses, remaining, tq) = seg
             cycles = model.cycles  # plus the context-switch charge
             last_vp = -1  # the TLB may have been flushed
+            if tq is not None:
+                # The switch charge belongs to no tenant.
+                t_cycles, t_observe = tq.cycles, tq.demand_latency.observe
+                t_start = cycles
             if cycles > horizon:
                 break
 

@@ -198,20 +198,23 @@ def replay(
     flushed.  ``qos`` maps
     tenant id -> :class:`repro.cpu.scheduled.TenantQoS`: when given,
     every access adds its instruction and cycle deltas to its tenant and
-    L3-bound accesses feed the tenant's demand-latency histogram, so
-    even the single-core tail stays in the argmin loop (the per-access
-    float order of the attribution then never changes).  ``_kernel`` is
-    the fused-kernel hook (see :mod:`repro.cpu.batched`): a
-    ``kernel(design, active)`` that replays *every* active core in this
-    loop's global order, argmin included.  It runs when the run is
-    unattributed (``qos is None``), nothing is attached and every core
-    model is a plain :class:`CoreTimingModel`.  Otherwise, or without
-    it, this is the reference loop every kernel must match bit for bit.
+    L3-bound accesses feed the tenant's demand-latency histogram, in
+    global access order (the context-switch charge goes to no tenant).
+    The reference loop then keeps even the single-core tail in the
+    argmin loop, so the per-access float order of the attribution never
+    changes.  ``_kernel`` is the fused-kernel hook (see
+    :mod:`repro.cpu.batched`): a ``kernel(design, active, qos)`` that
+    replays *every* active core in this loop's global order, argmin and
+    attribution included.  It runs when nothing is attached and every
+    core model is a plain :class:`CoreTimingModel`.  Otherwise, or
+    without it, this is the reference loop every kernel must match bit
+    for bit.
 
     A core's model is built from its first non-empty segment, whose
     tenant is the core's first tenant: only later tenant changes count
-    as context switches.  Raises ``ValueError`` for a core id given
-    twice or a core with an empty segment list.
+    as context switches.  Raises ``ValueError``, before any access, for
+    a core id given twice, a core with an empty segment list, or a
+    segment whose tenant ``qos`` has no entry for.
     """
     core_cfg = design.config.core
     l1_hit = design.config.l1.hit_cycles
@@ -223,6 +226,12 @@ def replay(
         seen_cores.add(core_id)
         if not segments:
             raise ValueError(f"core {core_id} has no segments")
+        if qos is not None:
+            for tenant_id, _, _ in segments:
+                if tenant_id not in qos:
+                    raise ValueError(
+                        f"tenant {tenant_id!r} on core {core_id} has no "
+                        "QoS entry")
         tenant_id, _, trace = next(
             (s for s in segments if len(s[2])), segments[0])
         model = make_core_model(core_cfg, trace.base_cpi, trace.mlp, l1_hit)
@@ -243,9 +252,9 @@ def replay(
     if attach is not None:
         attach([(s.core_id, s.model) for s in states])
 
-    if (_kernel is not None and active and qos is None and attach is None
+    if (_kernel is not None and active and attach is None
             and all(type(s.model) is CoreTimingModel for s in active)):
-        _kernel(design, active)
+        _kernel(design, active, qos)
         active = []  # the kernel ran every core to completion
 
     # Multi-core regime: step the earliest core one access at a time.

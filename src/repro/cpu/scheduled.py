@@ -8,13 +8,18 @@ segment boundary where the tenant changes, the core pays the
 scenario's context-switch penalty and -- matching real OSes on
 ASID-less TLBs -- optionally flushes its TLB hierarchy.
 
-QoS attribution rides the design's ``_last_*`` side channels: after
-every access the replay reads ``_last_l3_involved``/``_last_l3_cycles``
-to build per-tenant demand-latency histograms, and adds the access's
-instruction and cycle deltas of the core model to its tenant's totals.
-The per-core clock is continuous across tenants (one model per core,
-retuned to each segment's workload parameters), so shared-resource
-contention between tenants is preserved.
+Every access is attributed to its segment's tenant: its instruction
+and cycle deltas of the core model go to the tenant's totals, and an
+L3-bound access feeds the tenant's demand-latency histogram.  On a
+plain, unobserved tagless design :func:`run_schedule` hands the whole
+run to the fused kernel (:func:`repro.cpu.batched.select_kernel`),
+which attributes in the reference loop's global access order.  The
+reference loop reads the design's ``_last_l3_involved`` /
+``_last_l3_cycles`` side channels after every access, and so do the
+kernel's scalar fallbacks.  The per-core clock is continuous across
+tenants (one model per core, retuned to each segment's workload
+parameters), so shared-resource contention between tenants is
+preserved.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import dataclasses
 from typing import Dict
 
 from repro.common.stats import Histogram
+from repro.cpu.batched import select_kernel
 from repro.cpu.multicore import replay
 from repro.designs.base import MemorySystemDesign
 from repro.workloads.tenants import TenantSchedule
@@ -75,16 +81,13 @@ class TenantQoS:
         }
 
 
-def run_schedule(
-    design: MemorySystemDesign,
-    schedule: TenantSchedule,
-):
-    """Replay ``schedule`` against ``design``.
+def replay_inputs(schedule: TenantSchedule):
+    """``(cores, qos, switch)`` to :func:`replay` ``schedule`` with.
 
-    Returns ``(core_results, tenant_qos, switch_stats)`` where
-    ``tenant_qos`` maps tenant id -> :class:`TenantQoS` and
-    ``switch_stats`` counts context switches and TLB shootdown volume.
-    A core with no accesses scheduled is left out of ``core_results``.
+    ``cores`` holds each core's segment list (a core with no accesses
+    scheduled is left out), ``qos`` a fresh :class:`TenantQoS` per
+    tenant, and ``switch`` the scenario's ``switch_cycles`` and
+    ``flush_tlb`` keyword arguments.
     """
     scenario = schedule.scenario
     qos: Dict[int, TenantQoS] = {
@@ -103,9 +106,24 @@ def run_schedule(
         for core_id, segments in enumerate(schedule.per_core)
         if any(len(s.trace) for s in segments)
     ]
+    switch = dict(switch_cycles=scenario.context_switch_cycles,
+                  flush_tlb=scenario.flush_tlb_on_switch)
+    return cores, qos, switch
+
+
+def run_schedule(
+    design: MemorySystemDesign,
+    schedule: TenantSchedule,
+):
+    """Replay ``schedule`` against ``design``, through the fused kernel
+    where :func:`repro.cpu.batched.select_kernel` finds one.
+
+    Returns ``(core_results, tenant_qos, switch_stats)`` where
+    ``tenant_qos`` maps tenant id -> :class:`TenantQoS` and
+    ``switch_stats`` counts context switches and TLB shootdown volume.
+    A core with no accesses scheduled is left out of ``core_results``.
+    """
+    cores, qos, switch = replay_inputs(schedule)
     core_results, switch_stats = replay(
-        design, cores, qos=qos,
-        switch_cycles=scenario.context_switch_cycles,
-        flush_tlb=scenario.flush_tlb_on_switch,
-    )
+        design, cores, qos=qos, _kernel=select_kernel(design), **switch)
     return core_results, qos, switch_stats

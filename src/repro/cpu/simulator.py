@@ -195,7 +195,10 @@ class Simulator:
         The scenario's own resize schedule (if any) is armed on designs
         that support one.  There is no warmup split: tenant arrival and
         departure *are* the phenomenon under study, so the measured
-        window is the whole schedule.  Returns a
+        window is the whole schedule.  Unobserved ``tagless`` runs
+        replay through the fused kernel, per-tenant attribution
+        included; other designs, ``tagless-resizable`` and observed runs
+        use the reference loop, with the same numbers.  Returns a
         :class:`SimulationResult` whose ``tenants`` field carries the
         per-tenant QoS breakdown (IPC, MPKI, demand-latency tail).
         """

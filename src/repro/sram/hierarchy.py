@@ -46,7 +46,8 @@ class OnDieHierarchy(Counters):
     """
 
     __slots__ = ("l1_config", "l2_config", "l1", "l2", "l1_hits",
-                 "l2_hits", "misses", "writebacks", "pending_writebacks")
+                 "l2_hits", "misses", "writebacks", "pending_writebacks",
+                 "_l1_entries", "_l2_entries")
 
     COUNTERS = ("l1_hits", "l2_hits", "misses", "writebacks")
 
@@ -61,6 +62,10 @@ class OnDieHierarchy(Counters):
         self.writebacks = 0
         #: Dirty L2 victim lines of the most recent miss-path access.
         self.pending_writebacks: List[int] = []
+        # Each level's set dicts (line -> dirty), bound once for
+        # invalidate_page.
+        self._l1_entries = [s.entries for s in self.l1._sets]
+        self._l2_entries = [s.entries for s in self.l2._sets]
 
     def access(self, line: int, is_write: bool) -> AccessResult:
         """Look up ``line``; fill on miss; return hit level + write-backs."""
@@ -140,15 +145,26 @@ class OnDieHierarchy(Counters):
 
         The tagless design calls this when a cache address is recycled.
         Dirty lines are returned so the caller can merge them into the
-        page's write-back (they are part of the page being evicted).
+        page's write-back (they are part of the page being evicted), in
+        line order; a line dirty in both levels is listed twice.
+
+        Both levels are fused-LRU, so each probe is one ``pop`` on the
+        set dict: the removal :meth:`SetAssociativeCache.invalidate`
+        performs, without the call and the policy branch that can never
+        be taken.
         """
         dirty: List[int] = []
+        l1_entries = self._l1_entries
+        l2_entries = self._l2_entries
+        l1_sets = len(l1_entries)
+        l2_sets = len(l2_entries)
         first = page_number * LINES_PER_PAGE
         for line in range(first, first + LINES_PER_PAGE):
-            for level in (self.l1, self.l2):
-                evicted = level.invalidate(line)
-                if evicted is not None and evicted.dirty:
-                    dirty.append(line)
+            # ``False`` for an absent line and a clean one alike.
+            if l1_entries[line % l1_sets].pop(line, False):
+                dirty.append(line)
+            if l2_entries[line % l2_sets].pop(line, False):
+                dirty.append(line)
         return dirty
 
     def reset_stats(self) -> None:

@@ -12,8 +12,10 @@ single- and quad-core.  The kernel owns the multi-core argmin, so the
 tagless cases then cover the interleave itself: uneven and empty cores,
 2 and 8 cores, exact clock ties, every victim policy, the GIPT in either
 DRAM, cross-core evictions and NC fallbacks in mid-burst, plus a
-fixed-seed property over drawn traces.  The golden-stats oracle
-additionally locks the production path against checked-in numbers.
+fixed-seed property over drawn per-core segment lists, attributed to
+their tenants or not (``test_scheduled.py`` covers attributed tenant
+schedules).  The golden-stats oracle additionally locks the production
+path against checked-in numbers.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ import repro.cpu.simulator as simulator_module
 from repro.common.config import default_system
 from repro.cpu.batched import _run_tagless_kernel, select_kernel
 from repro.cpu.multicore import BoundTrace, replay, run_interleaved
+from repro.cpu.scheduled import TenantQoS
 from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES, create_design
 from repro.validate.invariants import InvariantChecker
@@ -262,16 +265,37 @@ def _trace(pages, lines):
     )
 
 
-def _kernel_and_reference_replays(make_design, cores, **replay_kwargs):
+def qos_numbers(qos):
+    """Every attributed number of a QoS map, raw histogram included."""
+    if qos is None:
+        return None
+    return {
+        tenant: (q.instructions, q.cycles, q.l3_accesses,
+                 list(q.demand_latency.buckets), q.demand_latency.count,
+                 q.demand_latency.total, q.demand_latency.min,
+                 q.demand_latency.max)
+        for tenant, q in qos.items()
+    }
+
+
+def _replay_outcome(design, cores, tenants=None, **replay_kwargs):
+    """``(per-core numbers, stats, switch stats, QoS numbers)`` of one
+    ``replay``; ``tenants`` lists the tenant ids of an attributed run."""
+    qos = (None if tenants is None
+           else {t: TenantQoS(t, "unit", 0, 0) for t in tenants})
+    results, switch_stats = replay(design, cores, qos=qos, **replay_kwargs)
+    return ([(r.core_id, r.instructions, r.cycles, r.stall_cycles)
+             for r in results], design.stats(), switch_stats,
+            qos_numbers(qos))
+
+
+def _kernel_and_reference_replays(make_design, cores, tenants=None,
+                                  **replay_kwargs):
     """``replay`` through the kernel and the reference loop, each on a
-    design from ``make_design()``: ``[(per-core numbers, stats)]``."""
-    runs = []
-    for kernel in (_run_tagless_kernel, None):
-        design = make_design()
-        results, _ = replay(design, cores, _kernel=kernel, **replay_kwargs)
-        runs.append(([(r.core_id, r.instructions, r.cycles, r.stall_cycles)
-                      for r in results], design.stats()))
-    return runs
+    design from ``make_design()``: one :func:`_replay_outcome` each."""
+    return [_replay_outcome(make_design(), cores, tenants, _kernel=kernel,
+                            **replay_kwargs)
+            for kernel in (_run_tagless_kernel, None)]
 
 
 def test_kernel_clock_tie_goes_to_the_earlier_core():
@@ -305,47 +329,65 @@ def test_kernel_translates_afresh_after_a_tenant_switch():
     assert reference[1]["engine_fills"] == 5
 
 
+#: Tenant ids the drawn segments use.
+_TENANTS = range(4)
+
+
 @st.composite
 def _drawn_cores(draw):
-    """1-4 cores, each with 0-300 accesses over a small footprint, a
-    drawn write share and instruction gaps that include 0."""
+    """1-4 cores, each with 1-3 segments of 0-200 accesses over a small
+    footprint, a drawn write share and instruction gaps that include 0.
+    Each segment belongs to a drawn tenant in a drawn address space, so
+    a tenant can run on several cores at once; the replay is attributed
+    to the tenants or not, with drawn switch cost and TLB flushing."""
     num_cores = draw(st.integers(1, 4))
-    bindings = []
+    cores = []
     for core in range(num_cores):
-        footprint = draw(st.integers(1, 400))
-        n = draw(st.integers(0, 300))
-        pages = draw(st.lists(st.integers(0, footprint - 1), min_size=n,
-                              max_size=n))
-        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        trace = AccessTrace(
-            name=f"drawn{core}",
-            virtual_pages=np.array(pages, dtype=np.int64),
-            lines=rng.integers(0, 64, n).astype(np.int16),
-            writes=rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0])),
-            instruction_gaps=rng.integers(
-                0, draw(st.integers(0, 40)) + 1, n).astype(np.int64),
-            base_cpi=draw(st.sampled_from([0.25, 0.5, 1.0])),
-            mlp=draw(st.sampled_from([1.0, 2.0, 3.5])),
-        )
-        process_id = draw(st.integers(0, num_cores - 1))
-        bindings.append(BoundTrace(core, process_id, trace))
-    return bindings
+        segments = []
+        for index in range(draw(st.integers(1, 3))):
+            footprint = draw(st.integers(1, 400))
+            n = draw(st.integers(0, 200))
+            pages = draw(st.lists(st.integers(0, footprint - 1),
+                                  min_size=n, max_size=n))
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            trace = AccessTrace(
+                name=f"drawn{core}.{index}",
+                virtual_pages=np.array(pages, dtype=np.int64),
+                lines=rng.integers(0, 64, n).astype(np.int16),
+                writes=(rng.random(n)
+                        < draw(st.sampled_from([0.0, 0.3, 1.0]))),
+                instruction_gaps=rng.integers(
+                    0, draw(st.integers(0, 40)) + 1, n).astype(np.int64),
+                base_cpi=draw(st.sampled_from([0.25, 0.5, 1.0])),
+                mlp=draw(st.sampled_from([1.0, 2.0, 3.5])),
+            )
+            segments.append((draw(st.sampled_from(_TENANTS)),
+                             draw(st.integers(0, num_cores - 1)), trace))
+        cores.append((core, f"drawn{core}", segments))
+    tenants = _TENANTS if draw(st.booleans()) else None
+    switch = dict(switch_cycles=draw(st.sampled_from([0.0, 50.0])),
+                  flush_tlb=draw(st.booleans()))
+    return cores, tenants, switch
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(bindings=_drawn_cores())
-def test_kernel_equals_reference_on_drawn_traces(bindings):
-    config = _SMALL[len(bindings)]
-    cores = [(b.core_id, b.trace.name, [(None, b.process_id, b.trace)])
-             for b in bindings]
+@given(drawn=_drawn_cores())
+def test_kernel_equals_reference_on_drawn_traces(drawn):
+    cores, tenants, switch = drawn
+    config = _SMALL[len(cores)]
     kernel, reference = _kernel_and_reference_replays(
-        lambda: create_design("tagless", config), cores)
+        lambda: create_design("tagless", config), cores, tenants, **switch)
     assert kernel == reference
-    validated = Simulator(config).run("tagless", bindings,
-                                      warmup_fraction=0.0, validate=True,
-                                      validate_every=97)
-    assert ([(c.core_id, c.instructions, c.cycles, c.stall_cycles)
-             for c in validated.cores], validated.stats) == kernel
+    # A validated run (invariant sweeps every 97 accesses) stands the
+    # kernel down and must see the same numbers.
+    design = create_design("tagless", config)
+    checker = InvariantChecker(design, every=97)
+    checker.install()
+    assert select_kernel(design) is None
+    validated = _replay_outcome(design, cores, tenants, **switch)
+    checker.run_checks()
+    checker.uninstall()
+    assert validated == kernel
 
 
 def test_kernel_forgets_the_page_after_a_fallback():

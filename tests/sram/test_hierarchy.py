@@ -1,5 +1,7 @@
 """On-die L1/L2 hierarchy behaviour."""
 
+import random
+
 import pytest
 
 from repro.common.addressing import LINES_PER_PAGE
@@ -78,6 +80,52 @@ def test_invalidate_page_returns_dirty_lines():
 def test_invalidate_unknown_page_is_noop():
     h = make_hierarchy()
     assert h.invalidate_page(999) == []
+
+
+def _naive_invalidate_page(hierarchy, page):
+    """Reference: one SetAssociativeCache.invalidate per line and level."""
+    dirty = []
+    first = page * LINES_PER_PAGE
+    for line in range(first, first + LINES_PER_PAGE):
+        for level in (hierarchy.l1, hierarchy.l2):
+            evicted = level.invalidate(line)
+            if evicted is not None and evicted.dirty:
+                dirty.append(line)
+    return dirty
+
+
+def _contents(hierarchy):
+    """Both levels' sets, each as its (line, dirty) items in dict order."""
+    return [[list(s.entries.items()) for s in level._sets]
+            for level in (hierarchy.l1, hierarchy.l2)]
+
+
+@pytest.mark.parametrize("l1_lines,l2_lines", [(8, 32), (16, 256),
+                                               (512, 8192)])
+def test_invalidate_page_matches_per_line_reference(l1_lines, l2_lines):
+    """Random clean and dirty lines of several pages: after each page is
+    invalidated, both levels hold exactly what the per-line reference
+    leaves, in the same order, and the dirty lists agree (a line dirty
+    in both levels is listed twice)."""
+    rng = random.Random(7)
+    pages = [3, 4, 17, 64, 65, 1000]
+    fast = make_hierarchy(l1_lines, l2_lines)
+    naive = make_hierarchy(l1_lines, l2_lines)
+    for _ in range(3 * l2_lines):
+        line = (rng.choice(pages) * LINES_PER_PAGE
+                + rng.randrange(LINES_PER_PAGE))
+        is_write = rng.random() < 0.4
+        fast.access(line, is_write)
+        naive.access(line, is_write)
+    assert _contents(fast) == _contents(naive)
+    saw_dirty = False
+    for page in pages + [999]:
+        dirty = fast.invalidate_page(page)
+        assert dirty == _naive_invalidate_page(naive, page)
+        assert _contents(fast) == _contents(naive)
+        saw_dirty = saw_dirty or bool(dirty)
+    assert saw_dirty
+    assert not any(len(s.entries) for s in fast.l1._sets + fast.l2._sets)
 
 
 def test_miss_rate_and_stats():

@@ -48,6 +48,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cli.main import _bounded  # noqa: E402
 from repro.common.config import default_system  # noqa: E402
 from repro.cpu.batched import run_interleaved_batched  # noqa: E402
 from repro.cpu.multicore import (  # noqa: E402
@@ -82,13 +83,14 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "MIX1 (four cores) or tenant-scenario JSON "
                              "path (four cores) driving the replay "
                              "(default mcf)")
-    parser.add_argument("--accesses", type=int, default=100_000,
+    parser.add_argument("--accesses", type=_bounded(int, 1), default=100_000,
                         help="trace length per program (default 100k)")
-    parser.add_argument("--repeat", type=int, default=3,
+    parser.add_argument("--repeat", type=_bounded(int, 1), default=3,
                         help="timings per path; best is compared")
     parser.add_argument("--cache-mb", type=int, default=1024)
     parser.add_argument("--scale", type=int, default=64)
-    parser.add_argument("--min-ratio", type=float, default=1.5,
+    parser.add_argument("--min-ratio", type=_bounded(float, 0, strict=True),
+                        default=1.5,
                         help="required kernel/reference throughput ratio "
                              "(default 1.5)")
     parser.add_argument("--smoke", action="store_true",
@@ -204,8 +206,6 @@ def run_guard(args: argparse.Namespace) -> list:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.min_ratio <= 0:
-        raise SystemExit("--min-ratio must be positive")
     print(f"kernel guard (floor {args.min_ratio:g}x, "
           f"workload {args.workload})", file=sys.stderr)
     rows = run_guard(args)

@@ -3,32 +3,27 @@
 PR 4's telemetry is designed to be zero-cost when off -- the only
 residue on the hot path is a prebound no-op ``trace_event`` attribute
 touched on *rare* events (TLB refills, fills, evictions).  This guard
-proves it: for each design it re-measures plain-run throughput
-(best-of-``--repeat``, same methodology as ``bench_throughput.py``) and
-fails if any design falls more than ``--tolerance`` below a baseline
-recorded *before or without* the instrumentation::
+checks it two ways::
 
-    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --json \
-        > baseline.json
-    PYTHONPATH=src python benchmarks/bench_obs_guard.py --smoke \
-        --baseline baseline.json
+    PYTHONPATH=src python benchmarks/bench_obs_guard.py --smoke
 
-Without ``--baseline`` the guard times each design twice in-process --
-once plain, once with a full telemetry bundle attached -- and asserts
-the *enabled* overhead stays within ``--enabled-tolerance``; this keeps
-the guard meaningful even where no baseline file is available.  An
-observed run always replays through the reference loop, so in this mode
-the plain run is pinned to that loop too: otherwise tagless's
-"overhead" would fold in its fused kernel's speedup.  Both
-comparisons use best-of-N timings, the standard suppressor of scheduler
-noise, and the tolerances are deliberately loose (5% / 150%): this is a
-tripwire for "someone put work on the disabled path", not a profiler.
+First, structurally: a disabled metrics registry must hand out the one
+shared ``NULL_INSTRUMENT``.  Second, by timing: for each design it
+times one workload twice in-process -- once plain, once with a full
+telemetry bundle attached -- and asserts the *enabled* overhead stays
+within ``--enabled-tolerance``.  An observed run always replays through
+the reference loop, so the plain run is pinned to that loop too:
+otherwise tagless's "overhead" would fold in its fused kernel's
+speedup.  Both sides use best-of-N timings, the standard suppressor of
+scheduler noise, and the tolerance is deliberately loose (150%): this is
+a tripwire for "someone put work on the disabled path", not a profiler.
+Whether the simulator as a whole got slower is the perf gate's question
+(``benchmarks/perf_gate.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -38,6 +33,7 @@ from unittest import mock
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import repro.cpu.simulator as simulator_module  # noqa: E402
+from repro.cli.main import _bounded  # noqa: E402
 from repro.common.config import default_system  # noqa: E402
 from repro.cpu.multicore import BoundTrace, run_interleaved  # noqa: E402
 from repro.cpu.simulator import Simulator  # noqa: E402
@@ -94,19 +90,14 @@ def parse_args(argv=None) -> argparse.Namespace:
                         choices=ALL_DESIGN_NAMES, metavar="DESIGN")
     parser.add_argument("--workload", default="mcf",
                         help="SPEC program driving the engine (default mcf)")
-    parser.add_argument("--accesses", type=int, default=100_000,
+    parser.add_argument("--accesses", type=_bounded(int, 1), default=100_000,
                         help="trace length per timing (default 100k)")
-    parser.add_argument("--repeat", type=int, default=3,
+    parser.add_argument("--repeat", type=_bounded(int, 1), default=3,
                         help="timings per design; best is compared")
     parser.add_argument("--cache-mb", type=int, default=1024)
     parser.add_argument("--scale", type=int, default=64)
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="bench_throughput --json records to compare "
-                             "the disabled path against")
-    parser.add_argument("--tolerance", type=float, default=0.05,
-                        help="allowed fractional slowdown vs the baseline "
-                             "(default 0.05 = 5%%)")
-    parser.add_argument("--enabled-tolerance", type=float, default=1.5,
+    parser.add_argument("--enabled-tolerance",
+                        type=_bounded(float, 0, strict=True), default=1.5,
                         help="allowed fractional slowdown with telemetry "
                              "attached (default 1.5 = 150%%)")
     parser.add_argument("--smoke", action="store_true",
@@ -129,17 +120,9 @@ def _best_of(simulator: Simulator, design: str, bindings, repeat: int,
     return best
 
 
-def load_baseline(path: str) -> dict:
-    """``design -> accesses_per_second`` from bench_throughput records."""
-    with open(path) as handle:
-        records = json.load(handle)
-    return {r["design"]: r["accesses_per_second"] for r in records}
-
-
 def run_guard(args: argparse.Namespace) -> list:
     accesses = SMOKE_ACCESSES if args.smoke else args.accesses
     repeat = max(args.repeat, 5) if args.smoke else args.repeat
-    baseline = load_baseline(args.baseline) if args.baseline else None
     generator = TraceGenerator(spec_profile(args.workload),
                                capacity_scale=args.scale)
     trace = generator.generate(accesses)
@@ -151,65 +134,44 @@ def run_guard(args: argparse.Namespace) -> list:
     rows = []
     for design in args.designs:
         plain_s = _best_of(simulator, design, bindings, repeat)
+        enabled_s = _best_of(
+            simulator, design, bindings, repeat,
+            telemetry_factory=lambda: make_telemetry(
+                interval=max(1, accesses // 16)
+            ),
+        )
         plain_rate = accesses / plain_s if plain_s > 0 else 0.0
+        overhead = (enabled_s / plain_s - 1.0) if plain_s else 0.0
+        ceiling = plain_s * (1.0 + args.enabled_tolerance)
         row = {
             "design": design,
             "accesses": accesses,
             "plain_accesses_per_second": plain_rate,
+            "enabled_accesses_per_second":
+                accesses / enabled_s if enabled_s > 0 else 0.0,
+            "overhead": overhead,
+            "status": "ok" if enabled_s <= ceiling else "FAIL",
         }
-        if baseline is not None:
-            reference = baseline.get(design)
-            if reference is None:
-                row["status"] = "skip"
-                row["reason"] = "design missing from baseline"
-            else:
-                # rate >= reference * (1 - tolerance) passes.
-                floor = reference * (1.0 - args.tolerance)
-                row["baseline_accesses_per_second"] = reference
-                row["ratio"] = plain_rate / reference if reference else 0.0
-                row["status"] = "ok" if plain_rate >= floor else "FAIL"
-        else:
-            enabled_s = _best_of(
-                simulator, design, bindings, repeat,
-                telemetry_factory=lambda: make_telemetry(
-                    interval=max(1, accesses // 16)
-                ),
-            )
-            enabled_rate = accesses / enabled_s if enabled_s > 0 else 0.0
-            ceiling = plain_s * (1.0 + args.enabled_tolerance)
-            row["enabled_accesses_per_second"] = enabled_rate
-            row["overhead"] = (enabled_s / plain_s - 1.0) if plain_s else 0.0
-            row["status"] = "ok" if enabled_s <= ceiling else "FAIL"
         rows.append(row)
-        note = ""
-        if "ratio" in row:
-            note = f" ({100.0 * row['ratio']:.0f}% of baseline)"
-        elif "overhead" in row:
-            note = f" (+{100.0 * row['overhead']:.0f}% enabled)"
         print(f"  [{row['status']:4s}] {design:8s} "
-              f"{plain_rate:12,.0f} acc/s{note}", file=sys.stderr)
+              f"{plain_rate:12,.0f} acc/s (+{100.0 * overhead:.0f}% "
+              "enabled)", file=sys.stderr)
     return rows
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if not (0.0 <= args.tolerance < 1.0):
-        raise SystemExit("--tolerance must be in [0, 1)")
-    mode = "baseline" if args.baseline else "self-relative"
-    print(f"obs guard ({mode}, tolerance "
-          f"{args.tolerance if args.baseline else args.enabled_tolerance})",
+    print(f"obs guard (enabled tolerance {args.enabled_tolerance})",
           file=sys.stderr)
     metrics_null_check()
     # Time the disabled path with a disabled registry explicitly
-    # installed: what the 5% baseline comparison certifies is the whole
-    # metrics-off stack, not a build that dodged the metrics layer.
+    # installed: what the guard certifies is the whole metrics-off
+    # stack, not a build that dodged the metrics layer.
     set_registry(MetricsRegistry(enabled=False))
-    # Self-relative mode compares plain against telemetry runs; the
-    # latter take the reference loop, so the plain runs must as well.
-    replay = (contextlib.nullcontext() if args.baseline else
-              mock.patch.object(simulator_module, "run_interleaved_batched",
-                                run_interleaved))
-    with replay:
+    # The telemetry runs take the reference loop, so the plain runs
+    # must as well.
+    with mock.patch.object(simulator_module, "run_interleaved_batched",
+                           run_interleaved):
         rows = run_guard(args)
     failures = [r for r in rows if r["status"] == "FAIL"]
     if args.json:

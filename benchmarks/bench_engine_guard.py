@@ -24,7 +24,9 @@ tenant-scenario JSON file.  A scenario is scheduled onto four cores
 (the scenario fixes its own length; ``--accesses`` does not apply) and
 timed through :func:`repro.cpu.scheduled.run_schedule`, which hands the
 kernel the attributed run, against the attributed reference loop
-(``replay(..., qos=..., _kernel=None)``).
+(``replay(..., qos=..., _kernel=None)``).  A design that takes a
+resize schedule (``tagless-resizable``) gets the scenario's ``resize``
+events armed on both paths, as ``Simulator.run_tenants`` arms them.
 
 The default floor (1.5x on the smoke workload) is deliberately well
 below the measured speedup: this is a tripwire for "someone put
@@ -35,7 +37,7 @@ exactly across the two paths as a free correctness canary (plus every
 tenant's QoS dictionary on a scenario) -- a guard run that got faster by
 diverging is a failure, not a win.
 Designs without a kernel replay the reference loop both ways, so only
-``tagless`` can pass the default floor.
+``tagless`` and ``tagless-resizable`` can pass the default floor.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--designs", nargs="+", default=["tagless"],
                         choices=ALL_DESIGN_NAMES, metavar="DESIGN",
-                        help="designs to compare (default: tagless, the "
-                             "only design with a fused kernel)")
+                        help="designs to compare (default: tagless; it "
+                             "and tagless-resizable have a fused kernel)")
     parser.add_argument("--workload", default="mcf",
                         help="SPEC program (one core), mix name such as "
                              "MIX1 (four cores) or tenant-scenario JSON "
@@ -151,18 +153,28 @@ def workload_replays(args: argparse.Namespace, accesses: int):
             lambda design: (run_interleaved(design, bindings), None),
             lambda design: (run_interleaved_batched(design, bindings), None),
         )
-    schedule = build_schedule(TenantScenarioSpec.from_file(args.workload),
-                              num_cores=SCENARIO_CORES)
+    scenario = TenantScenarioSpec.from_file(args.workload)
+    schedule = build_schedule(scenario, num_cores=SCENARIO_CORES)
     for segments in schedule.per_core:
         for segment in segments:
             segment.trace.as_lists()  # convert once, outside every replay
 
+    def arm(design):
+        """Arm the scenario's resize schedule where the design takes one,
+        as ``Simulator.run_tenants`` does (microseconds, so timed)."""
+        set_schedule = getattr(design, "set_resize_schedule", None)
+        if set_schedule is not None and scenario.resize:
+            set_schedule(scenario.resize,
+                         max_remap_per_resize=scenario.max_remap_per_resize)
+
     def reference(design):
+        arm(design)
         cores, qos, switch = replay_inputs(schedule)
         results, _ = replay(design, cores, qos=qos, _kernel=None, **switch)
         return results, _qos_dicts(qos)
 
     def kernel(design):
+        arm(design)
         results, qos, _ = run_schedule(design, schedule)
         return results, _qos_dicts(qos)
 

@@ -18,9 +18,10 @@ designs it returns ``None`` for run the reference loop,
 argmin: ``replay`` hands it every core, and it steps them in the
 reference loop's global time order (first minimum on clock ties).  It
 also attributes a tenant schedule's accesses to their tenants' QoS
-records, in that same order.  A fused loop for the other designs'
-shared path was measured no faster than the reference loop, so none
-exists.
+records, in that same order, and stops at the replay's boundaries --
+resize events, invariant sweeps, telemetry windows -- for ``replay``
+to run their callbacks.  A fused loop for the other designs' shared
+path was measured no faster than the reference loop, so none exists.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -34,8 +35,9 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   inline in scalar order and hand evictions to the engine's own helper.
 - Integer counters are accumulated in locals (per-core ones in the
   core's slot) and flushed once at kernel exit: integer addition is
-  exact and commutative, and nothing reads the counters mid-run when
-  trace hooks are off (a kernel precondition).
+  exact and commutative, and nothing reads the counters while the
+  kernel runs -- trace hooks are off (a kernel precondition) and
+  boundary callbacks run after the kernel has stopped and flushed.
 - Float accumulators (latency sums, queue times, energy) are
   order-sensitive, so they cannot be batch-flushed like the integers.
   Instead each lives in a *seeded local*: initialised from its
@@ -44,15 +46,15 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   scalar-fallback site flushes the locals first and reloads after, so
   fallback accesses always see -- and update -- the true totals.
 
-The kernel runs only when the run is unobserved: no event tracer, no
-telemetry/validation wrapper around ``access_cycles``, no latency
-histograms, no mid-run core attachments.  Observed runs replay through
+The kernel runs only when no event tracer and no latency histogram is
+attached: it inlines the paths both observe.  Such runs replay through
 the reference loop, which produces the same numbers.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import List
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
@@ -65,23 +67,15 @@ from repro.vm.tlb import TLBEntry
 
 
 def _observed(design: MemorySystemDesign) -> bool:
-    """True when something is watching the per-access path.
+    """True when something watches the paths the kernel inlines.
 
-    Installed telemetry/validation wraps ``access_cycles`` as an
-    *instance* attribute; event tracers rebind ``trace_event``;
-    histograms hang off the DRAM devices.  Any of these means the
-    kernel (which bypasses all three) must stand down.
-
-    The wrapper test compares the bound method's function with the
-    class's instead of probing ``design.__dict__``: on CPython 3.11+
-    reading ``__dict__`` materialises the instance dict and slows every
-    later attribute load on the design.
+    Event tracers rebind ``trace_event``; latency histograms hang off
+    the DRAM devices.  The kernel bypasses both, so either means it
+    must stand down.  (Resize schedules, invariant sweeps and telemetry
+    windows act at replay boundaries, which the kernel stops for.)
     """
     return (
         design.trace_event is not null_event
-        or getattr(design.access_cycles, "__func__", None)
-        is not type(design).access_cycles
-        or getattr(design, "obs_attach_cores", None) is not None
         or design.in_package.latency_histogram is not None
         or design.off_package.latency_histogram is not None
     )
@@ -90,16 +84,12 @@ def _observed(design: MemorySystemDesign) -> bool:
 def select_kernel(design: MemorySystemDesign):
     """The fused kernel for ``design``, or ``None`` for the reference loop.
 
-    A design class that overrides the scalar access path (the resizable
-    tagless variant's capacity-schedule trigger) never gets the kernel,
-    which would bypass the override.  The test reads both class
-    attributes at call time, so a span tracer that wraps them alike
-    leaves the choice unchanged.
+    Every tagless design gets it, the resizable variant included: its
+    capacity schedule is a replay boundary, not an access-path
+    override.  The choice reads no class attribute, so a span tracer
+    that wraps ``access_cycles`` leaves it unchanged.
     """
-    if (not isinstance(design, TaglessDesign)
-            or type(design).access_cycles
-            is not MemorySystemDesign.access_cycles
-            or _observed(design)):
+    if not isinstance(design, TaglessDesign) or _observed(design):
         return None
     engine = design.engine
     ondie = design.ondie[0]
@@ -144,19 +134,39 @@ def run_interleaved_batched(
 #: the per-segment values from ``segment()``, then one tuple of the
 #: running values a burst stores back (one item store, not a slice).
 _SEG = 12
+_ACC = _SEG + 7  # the segment's access iterator (a limited burst's slice)
+_REM = _SEG + 8  # the segment's remaining-accesses count
 _RUN = 22
 
 
-def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
-                        _next=next, _iter=iter, _len=len, _min=min,
-                        _nextafter=math.nextafter) -> None:
-    """Replay every core of ``active`` against the tagless design.
+def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
+                        clock_stop, *, _next=next, _iter=iter, _len=len,
+                        _min=min, _sum=sum, _islice=islice,
+                        _nextafter=math.nextafter) -> int:
+    """Replay the cores of ``active`` against the tagless design.
 
     ``active`` is :func:`repro.cpu.multicore.replay`'s non-empty
-    active list: cursors at the start of their first non-empty segment,
-    in argmin scan order.  ``qos`` is ``replay``'s tenant id ->
+    active list: cursors in argmin scan order, each at a position of
+    its current segment.  ``qos`` is ``replay``'s tenant id ->
     :class:`repro.cpu.scheduled.TenantQoS` map, or ``None`` for an
-    unattributed run.  The kernel owns the argmin: it picks the
+    unattributed run.  Returns how many accesses ran.
+
+    ``budget`` (``None``: no limit) caps the accesses to run and
+    ``clock_stop`` (``inf``: none) the core clock an access may start
+    from: :func:`repro.cpu.multicore.replay` passes the distance to its
+    next boundary.  The kernel then stops before the access it would
+    break either limit at: it stores the model floats and the cursor
+    position of every unfinished core back, takes back the instructions
+    it counted up front for their unrun accesses, leaves them in
+    ``active`` and flushes its counters as at the end of a run.  A later
+    call re-enters mid-segment and hoists everything afresh, since the
+    boundary callbacks in between (resizes above all) change the
+    structures it holds.  With no limit, neither costs anything per
+    access; with one, each burst counts the accesses the last one ran,
+    and a burst the budget ends inside runs a slice of its segment.  A
+    phantom clock at ``clock_stop`` bounds every burst's horizon.
+
+    The kernel owns the argmin: it picks the
     core with the earliest clock (first minimum on ties) and runs it
     for a *burst*, while its clock stays ``<`` every earlier core's and
     ``<=`` every later core's -- exactly the accesses the reference
@@ -353,31 +363,44 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
     n_ip_write = 0
     n_wb_ip = n_wb_off = 0
 
-    #: Accesses each core replays in this call, fallbacks included.
+    #: Accesses each core loaded in this call, from its cursor to its
+    #: segments' ends; a stop takes the unrun ones back.
     processed = [0] * _len(active)
+    #: Each core's access iterator over its current segment; a limited
+    #: burst runs a slice of it.
+    bases = [None] * _len(active)
 
     def segment(state, k):
-        """Per-segment slot values of ``state``'s current segment."""
+        """Per-segment slot values of ``state``'s current segment, from
+        the cursor position on."""
         model = state.model
         gaps = state.gaps
+        pos = state.pos
         # Every access advances instructions by gap + 1, inline and
         # fallback alike; integer addition is exact in any order.
-        instructions = sum(gaps) + _len(gaps)
+        if pos:
+            instructions = state.unrun_instructions()
+        else:
+            instructions = _sum(gaps) + _len(gaps)
         model.instructions += instructions
         tq = None if qos is None else qos[state.tenant_id]
         if tq is not None:
             tq.instructions += instructions
-        processed[k] += _len(gaps)
+        processed[k] += _len(gaps) - pos
         mlp = model.mlp
         table = design.page_table(state.process_id)
-        pages_it = _iter(state.pages)
+        columns = [_iter(state.pages), _iter(state.lines),
+                   _iter(state.writes), _iter(gaps)]
+        if pos:
+            for column in columns:
+                column.__setstate__(pos)
+        accesses = bases[k] = zip(*columns)
         return (
             state.process_id, table._entries, table.entry,
             model.base_cpi, mlp,
             exc0_l2 / mlp if exc0_l2 > 0 else 0.0,
             exc0_dram / mlp if exc0_dram > 0 else 0.0,
-            zip(pages_it, state.lines, state.writes, gaps),
-            pages_it.__length_hint__, tq,
+            accesses, columns[0].__length_hint__, tq,
         )
 
     slots = []
@@ -404,10 +427,32 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
     clocks = [slot[_RUN][0] for slot in slots]
     inf = float("inf")
     ninf = -inf
+    limited = budget is not None or clock_stop < inf
+    if limited:
+        if budget is None:
+            budget = inf
+        # A phantom last clock at the stop: every burst's horizon stays
+        # at or below it, and it is the next pick once every core is
+        # past it.
+        clocks.append(clock_stop)
+        done = 0  # accesses run by the bursts before the last one
+        n0 = 0  # the last burst's segment had n0 accesses left ...
+        remaining = int  # ... and has remaining() now (int() == 0)
 
     # The reference loop's pick: first minimum in scan order.
     index = clocks.index(_min(clocks))
     while True:
+        if limited:
+            # Stop at the phantom or at the budget; else run this burst
+            # on a slice of the segment when the budget ends inside it.
+            done += n0 - remaining()
+            left = budget - done
+            if index == _len(slots) or left <= 0:
+                break
+            slot = slots[index]
+            n0 = slot[_REM]()
+            accesses = bases[slot[0]]
+            slot[_ACC] = _islice(accesses, left) if n0 > left else accesses
         slot = slots[index]
         (k, core_id, core_bit, clear_bit, l1_map, l2_map, handler,
          ol1_ent, ol2_ent, pending_wb, state, model,
@@ -942,6 +987,11 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
                 # The switch charge belongs to no tenant.
                 t_cycles, t_observe = tq.cycles, tq.demand_latency.observe
                 t_start = cycles
+            if limited:
+                done += n0
+                n0 = remaining()
+                if n0 > budget - done:
+                    accesses = _islice(accesses, budget - done)
             if cycles > horizon:
                 break
 
@@ -957,6 +1007,20 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
             if not slots:
                 break
             index = nxt - (nxt > index)
+
+    # After a stop, hand every unfinished core back at its position.
+    for slot in slots:
+        k, state, model, tq, run = (slot[0], slot[10], slot[11],
+                                    slot[_SEG + 9], slot[_RUN])
+        model.cycles = run[0]
+        model.stall_cycles = run[1]
+        state.pos = state.length - slot[_REM]()
+        unrun = state.unrun_instructions()
+        model.instructions -= unrun
+        if tq is not None:
+            tq.instructions -= unrun
+        processed[k] -= state.length - state.pos
+    active[:] = [slot[10] for slot in slots]
 
     # Float store-back (each was accumulated in scalar order).
     off_energy.dynamic_nj = f_off_dyn
@@ -1031,3 +1095,4 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, *,
     gd_energy = off_energy if gipt_off else ip_energy
     gd_energy.activations += n_gipt_acts
     gd_energy.write_bytes += 128 * tot_fill
+    return _sum(processed)

@@ -12,7 +12,10 @@ of ``(tenant_id, process_id, trace)`` segments: a plain
 multi-tenant schedule is many (:func:`repro.cpu.scheduled.run_schedule`).
 Where the tenant changes between segments the core pays the
 context-switch penalty, optionally flushes its TLB hierarchy, and
-retunes its core model to the incoming workload.
+retunes its core model to the incoming workload.  Resize schedules,
+invariant sweeps and telemetry windows act at *boundaries* of the
+replay, which the fused kernel and the reference loop both run to and
+stop at (see :func:`replay`).
 
 This module is the hot path of every experiment in the repository: the
 inner loops below run once per simulated memory reference.  They are
@@ -25,6 +28,8 @@ formulation (the golden-stats suite enforces this).
 from __future__ import annotations
 
 import dataclasses
+import math
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.core_model import CoreTimingModel, make_core_model
@@ -64,7 +69,7 @@ class _CoreState:
     __slots__ = ("core_id", "workload", "model", "segments", "tlb",
                  "switch_cycles", "tenant_id", "process_id", "pages",
                  "lines", "writes", "gaps", "pos", "length", "switches",
-                 "flushed")
+                 "flushed", "prefix")
 
     def __init__(self, core_id: int, workload: str, segments, model,
                  tenant_id, switch_cycles: float, tlb) -> None:
@@ -81,6 +86,7 @@ class _CoreState:
         self.length = 0
         self.switches = 0
         self.flushed = 0
+        self.prefix = None
 
     def next_segment(self) -> bool:
         """Move to the next non-empty segment; False when none is left.
@@ -106,25 +112,33 @@ class _CoreState:
         self.pages, self.lines, self.writes, self.gaps = trace.as_lists()
         self.pos = 0
         self.length = len(self.pages)
+        self.prefix = None
         return True
 
+    def unrun_instructions(self) -> int:
+        """Instructions the current segment retires from ``pos`` on: each
+        access retires its gap and itself.  The fused kernel counts a
+        segment's instructions when it loads the segment, so it takes
+        this share back when it stops mid-segment."""
+        prefix = self.prefix
+        if prefix is None:
+            prefix = self.prefix = list(accumulate(self.gaps, initial=0))
+        return prefix[-1] - prefix[self.pos] + self.length - self.pos
 
-def _run_single(state: _CoreState, access_cycles,
-                generic: bool = False) -> None:
-    """Replay one core's remaining trace with no scheduling overhead.
+
+def _run_single(state: _CoreState, access_cycles, budget: int) -> int:
+    """Replay up to ``budget`` accesses of one core's current segment
+    with no scheduling overhead; returns how many ran.
 
     The reference loop's single-core regime -- the whole run for
     single-programmed workloads, the end-game for mixes -- whenever the
-    fused kernel does not replay the run.  The default
-    MLP interval model's arithmetic is inlined (same operations in the
-    same order as ``CoreTimingModel.advance_instructions`` /
-    ``account_memory``, so the floats come out identical); other core
-    models fall back to method calls.  ``generic=True`` forces the
-    method-call branch: the inlined loop keeps the model's state in
-    locals until it exits, so observers that read the model mid-run
-    (repro.obs sampling per-core IPC from inside ``access_cycles``)
-    need the generic path -- which, per the above, produces identical
-    floats.
+    fused kernel does not replay the run.  The default MLP interval
+    model's arithmetic is inlined (same operations in the same order as
+    ``CoreTimingModel.advance_instructions`` / ``account_memory``, so
+    the floats come out identical) and its state kept in locals until
+    the loop exits; other core models fall back to method calls.
+    Boundary callbacks, which may read the models, run only between
+    these runs (see :func:`replay`).
     """
     model = state.model
     pages = state.pages
@@ -132,11 +146,11 @@ def _run_single(state: _CoreState, access_cycles,
     writes = state.writes
     gaps = state.gaps
     pos = state.pos
-    length = state.length
+    end = min(state.length, pos + budget)
     core_id = state.core_id
     process_id = state.process_id
 
-    if not generic and type(model) is CoreTimingModel:
+    if type(model) is CoreTimingModel:
         base_cpi = model.base_cpi
         mlp = model.mlp
         l1_hit = model._l1_hit
@@ -144,7 +158,7 @@ def _run_single(state: _CoreState, access_cycles,
         cycles = model.cycles
         instructions = model.instructions
         stall_cycles = model.stall_cycles
-        while pos < length:
+        while pos < end:
             # advance_instructions(gap)
             gap = gaps[pos]
             instructions += gap
@@ -168,14 +182,112 @@ def _run_single(state: _CoreState, access_cycles,
     else:
         advance = model.advance_instructions
         account = model.account_memory
-        while pos < length:
+        while pos < end:
             advance(gaps[pos])
             account(access_cycles(
                 core_id, process_id, pages[pos], lines[pos], writes[pos],
                 model.time_ns,
             ))
             pos += 1
+    ran = pos - state.pos
     state.pos = pos
+    return ran
+
+
+def _run_argmin(design: MemorySystemDesign, active: List[_CoreState],
+                access_cycles, qos, budget: int, tail: int) -> int:
+    """Step the earliest core one access at a time, for up to ``budget``
+    accesses or until ``tail`` cores are left; returns how many ran.
+
+    (4 cores: a linear argmin scan beats a heap.)  Ties go to the
+    earliest-bound core, matching min()'s first-minimum semantics.  A
+    finished core leaves ``active`` in place, so the scan order of the
+    rest holds.  With ``qos``, each access adds its instruction and
+    cycle deltas to its tenant, and an L3-bound one feeds the tenant's
+    demand-latency histogram.
+    """
+    if len(active) <= tail:
+        return 0
+    cycle_ns = 1.0 / design.config.core.frequency_ghz
+    ran = 0
+    for ran in range(1, budget + 1):
+        best = active[0]
+        best_index = 0
+        best_clock = best.model.cycles
+        for index in range(1, len(active)):
+            state = active[index]
+            clock = state.model.cycles
+            if clock < best_clock:
+                best = state
+                best_index = index
+                best_clock = clock
+        model = best.model
+        pos = best.pos
+        if qos is not None:
+            before_instructions = model.instructions
+            before_cycles = model.cycles
+        model.advance_instructions(best.gaps[pos])
+        model.account_memory(access_cycles(
+            best.core_id, best.process_id, best.pages[pos], best.lines[pos],
+            best.writes[pos], model.time_ns,
+        ))
+        if qos is not None:
+            tq = qos[best.tenant_id]
+            tq.instructions += model.instructions - before_instructions
+            tq.cycles += model.cycles - before_cycles
+            if design._last_l3_involved:
+                tq.l3_accesses += 1
+                tq.demand_latency.observe(design._last_l3_cycles * cycle_ns)
+        best.pos = pos + 1
+        if best.pos >= best.length and not best.next_segment():
+            del active[best_index]
+            if len(active) <= tail:
+                break
+    return ran
+
+
+def _run_reference(design: MemorySystemDesign, active: List[_CoreState],
+                   access_cycles, qos, budget: int) -> int:
+    """The reference loop: run ``budget`` accesses (fewer if every core
+    ends first) in global time order; returns how many ran.
+
+    An unattributed run leaves the argmin loop for the tight
+    single-core loop once one core is left.  An attributed run keeps
+    that tail in the argmin loop, so the per-access float order of the
+    attribution never changes.
+    """
+    ran = _run_argmin(design, active, access_cycles, qos, budget,
+                      0 if qos is not None else 1)
+    while active and ran < budget:
+        state = active[0]
+        ran += _run_single(state, access_cycles, budget - ran)
+        if state.pos < state.length:
+            break
+        if not state.next_segment():
+            del active[0]
+    return ran
+
+
+#: Fewest accesses a run between two boundaries must have for the fused
+#: kernel to replay it: entering the kernel hoists every structure and
+#: leaving it flushes every counter, which costs about as much as this
+#: many reference-loop accesses.
+_MIN_KERNEL_RUN = 32
+
+
+def _clock_stop(boundary_ns: float, max_gap_cycles: float,
+                cycle_ns: float) -> float:
+    """A core clock no access issues at or past ``boundary_ns`` from.
+
+    An access at clock ``c`` issues at ``(c + gap * base_cpi) *
+    cycle_ns``; float rounding is monotone, so when the longest gap
+    issues before the boundary from the returned clock, every access
+    from that clock or an earlier one does too.
+    """
+    stop = boundary_ns / cycle_ns - max_gap_cycles
+    while (stop + max_gap_cycles) * cycle_ns >= boundary_ns:
+        stop = math.nextafter(stop, -math.inf)
+    return stop
 
 
 #: One core's replay input: ``(core_id, workload, segments)`` with
@@ -200,15 +312,36 @@ def replay(
     every access adds its instruction and cycle deltas to its tenant and
     L3-bound accesses feed the tenant's demand-latency histogram, in
     global access order (the context-switch charge goes to no tenant).
-    The reference loop then keeps even the single-core tail in the
-    argmin loop, so the per-access float order of the attribution never
-    changes.  ``_kernel`` is the fused-kernel hook (see
-    :mod:`repro.cpu.batched`): a ``kernel(design, active, qos)`` that
-    replays *every* active core in this loop's global order, argmin and
-    attribution included.  It runs when nothing is attached and every
-    core model is a plain :class:`CoreTimingModel`.  Otherwise, or
-    without it, this is the reference loop every kernel must match bit
-    for bit.
+    ``_kernel`` is the fused-kernel hook (see :mod:`repro.cpu.batched`):
+    a ``kernel(design, active, qos, budget, clock_stop)`` that replays
+    the active cores in this loop's global order, argmin and attribution
+    included, for ``budget`` accesses (``None``: to the end) and never
+    from a core clock past ``clock_stop``; it leaves the unfinished
+    cores in ``active`` and returns how many accesses it ran.  It runs
+    when every core model is a plain :class:`CoreTimingModel`.
+    Otherwise, or without it, the reference loop replays, which every
+    kernel must match bit for bit.
+
+    **Boundaries.**  ``design.boundaries`` lists the sources that act
+    at points of the run: the resize schedule, the invariant checker
+    and the window recorder.  Each access has a lifetime number,
+    counted in ``design.replayed_accesses`` over every replay of the
+    design.  A source answers ``next_boundary(count, end)`` -- with
+    ``count`` accesses run and ``end`` the number of this replay's last
+    access -- with ``(number, clock_ns)``: the number of the next access
+    it acts at (past ``end``: none in this replay) and a clock value
+    (``inf``: none) at whose first access, in global order, issued at
+    or after it, it acts too.  Its ``on_boundary(number, now_ns,
+    cores)`` then runs with that access's issue time and the replay's
+    ``(core_id, model)`` pairs: before the design's access when the
+    source ``acts_before`` (the resize schedule), else after it and
+    before the core accounts its cycles.  At one point between two
+    accesses the sweep and the window of the earlier one therefore come
+    before the resize due at the later one; sources of one kind fire
+    in install order.  The kernel or the reference loop runs to the
+    next boundary, and the boundary access itself goes through the
+    reference loop with the callbacks around it.  A run with no source
+    is one call of the kernel or of the reference loop.
 
     A core's model is built from its first non-empty segment, whose
     tenant is the core's first tenant: only later tenant changes count
@@ -241,66 +374,19 @@ def replay(
 
     active = [s for s in states if s.next_segment()]
     access_cycles = design.access_cycles  # bind once; called per access
-    cycle_ns = 1.0 / core_cfg.frequency_ghz
-
-    # Observability hook (repro.obs): installed telemetry sets
-    # ``obs_attach_cores`` to receive the core models for per-window
-    # IPC.  Attached cores force _run_single's generic branch so the
-    # models stay readable mid-run; with nothing installed this is one
-    # getattr per run.
-    attach = getattr(design, "obs_attach_cores", None)
-    if attach is not None:
-        attach([(s.core_id, s.model) for s in states])
-
-    if (_kernel is not None and active and attach is None
-            and all(type(s.model) is CoreTimingModel for s in active)):
-        _kernel(design, active, qos)
-        active = []  # the kernel ran every core to completion
-
-    # Multi-core regime: step the earliest core one access at a time.
-    # (4 cores: a linear argmin scan beats a heap.)  Ties go to the
-    # earliest-bound core, matching min()'s first-minimum semantics.
-    # Attributed runs keep the single-core tail here too.
-    tail = 0 if qos is not None else 1
-    while len(active) > tail:
-        best = active[0]
-        best_index = 0
-        best_clock = best.model.cycles
-        for index in range(1, len(active)):
-            state = active[index]
-            clock = state.model.cycles
-            if clock < best_clock:
-                best = state
-                best_index = index
-                best_clock = clock
-        model = best.model
-        pos = best.pos
-        if qos is not None:
-            before_instructions = model.instructions
-            before_cycles = model.cycles
-        model.advance_instructions(best.gaps[pos])
-        model.account_memory(access_cycles(
-            best.core_id, best.process_id, best.pages[pos], best.lines[pos],
-            best.writes[pos], model.time_ns,
-        ))
-        if qos is not None:
-            tq = qos[best.tenant_id]
-            tq.instructions += model.instructions - before_instructions
-            tq.cycles += model.cycles - before_cycles
-            if design._last_l3_involved:
-                tq.l3_accesses += 1
-                tq.demand_latency.observe(design._last_l3_cycles * cycle_ns)
-        best.pos = pos + 1
-        if best.pos >= best.length and not best.next_segment():
-            del active[best_index]  # preserves scan order of the rest
-
-    # Single-core tail of an unattributed reference run: tight loop.
-    if active:
-        state = active[0]
-        while True:
-            _run_single(state, access_cycles, generic=attach is not None)
-            if not state.next_segment():
-                break
+    if not all(type(s.model) is CoreTimingModel for s in active):
+        _kernel = None
+    start = design.replayed_accesses
+    end = start + sum(len(trace) for _, _, segments in cores
+                      for _, _, trace in segments)
+    if design.boundaries:
+        _replay_to_boundaries(design, cores, states, active, access_cycles,
+                              qos, _kernel, start, end)
+    elif _kernel is not None and active:
+        _kernel(design, active, qos, None, math.inf)
+    else:
+        _run_reference(design, active, access_cycles, qos, end - start)
+    design.replayed_accesses = end
 
     results = [
         CoreResult(
@@ -317,6 +403,59 @@ def replay(
         "context_switch_tlb_entries": sum(s.flushed for s in states),
     }
     return results, switch_stats
+
+
+def _replay_to_boundaries(design, cores, states, active, access_cycles, qos,
+                          kernel, start: int, end: int) -> None:
+    """:func:`replay`'s loop over ``design.boundaries``: run to the next
+    boundary, run its access with the callbacks around it, repeat."""
+    sources = design.boundaries
+    models = [(s.core_id, s.model) for s in states]
+    cycle_ns = 1.0 / design.config.core.frequency_ghz
+    max_gap_cycles = None  # the longest gap of the run, for clock stops
+    count = start
+    while active:
+        due = [(source, *source.next_boundary(count, end))
+               for source in sources]
+        budget = min(at for _, at, _ in due) - count - 1
+        clock = min(clock_ns for _, _, clock_ns in due)
+        limit = budget if budget < end - count else None
+        if clock == math.inf:
+            if kernel is not None and budget >= _MIN_KERNEL_RUN:
+                count += kernel(design, active, qos, limit, math.inf)
+            else:
+                count += _run_reference(design, active, access_cycles, qos,
+                                        budget)
+        elif kernel is not None and budget >= _MIN_KERNEL_RUN:
+            if max_gap_cycles is None:
+                max_gap_cycles = max(
+                    max(trace.as_lists()[3]) * trace.base_cpi
+                    for _, _, segments in cores
+                    for _, _, trace in segments if len(trace))
+            stop = _clock_stop(clock, max_gap_cycles, cycle_ns)
+            if min(s.model.cycles for s in active) <= stop:
+                count += kernel(design, active, qos, limit, stop)
+        if active:
+            count += 1
+            _run_argmin(design, active, _boundary_access(
+                access_cycles, due, count, models), qos, 1, 0)
+
+
+def _boundary_access(access_cycles, due, number: int, models):
+    """``access_cycles`` for access ``number``, wrapped in the callbacks
+    of the ``(source, at, clock_ns)`` boundaries due at it."""
+    def access(core_id, process_id, virtual_page, line, is_write, now_ns):
+        for source, at, _ in due:
+            if source.acts_before and at == number:
+                source.on_boundary(number, now_ns, models)
+        cost = access_cycles(core_id, process_id, virtual_page, line,
+                             is_write, now_ns)
+        for source, at, clock_ns in due:
+            if not source.acts_before and (at == number
+                                           or now_ns >= clock_ns):
+                source.on_boundary(number, now_ns, models)
+        return cost
+    return access
 
 
 def run_interleaved(

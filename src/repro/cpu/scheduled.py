@@ -11,8 +11,9 @@ ASID-less TLBs -- optionally flushes its TLB hierarchy.
 Every access is attributed to its segment's tenant: its instruction
 and cycle deltas of the core model go to the tenant's totals, and an
 L3-bound access feeds the tenant's demand-latency histogram.  On a
-plain, unobserved tagless design :func:`run_schedule` hands the whole
-run to the fused kernel (:func:`repro.cpu.batched.select_kernel`),
+tagless design (resizable or not) with no event tracer or latency
+histogram attached, :func:`run_schedule` hands the run to the fused
+kernel (:func:`repro.cpu.batched.select_kernel`),
 which attributes in the reference loop's global access order.  The
 reference loop reads the design's ``_last_l3_involved`` /
 ``_last_l3_cycles`` side channels after every access, and so do the

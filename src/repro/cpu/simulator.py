@@ -125,21 +125,21 @@ class Simulator:
 
         ``telemetry`` optionally attaches a
         :class:`~repro.obs.telemetry.Telemetry` bundle for the measured
-        window: it installs after the warmup boundary (so, like the
-        statistics, it observes only measured behaviour) and uninstalls
-        before the invariant checker does, keeping the access_cycles
-        wrapper chain consistent.  Telemetry is strictly observational
-        -- results are bit-identical with and without it.
+        window: it installs after the warmup boundary, so, like the
+        statistics, it observes only measured behaviour.  Telemetry is
+        strictly observational -- results are bit-identical with and
+        without it.
 
         Replay goes through
         :func:`~repro.cpu.batched.run_interleaved_batched`, which picks
         the execution path itself: the fused tagless kernel for every
-        core, multi-core argmin included, when the design is tagless and
-        the run is unobserved, else the one replay loop
-        :func:`~repro.cpu.multicore.replay` throughout.  Observed runs
-        -- telemetry, validation, event tracing -- always take the
-        reference loop, since the kernel bypasses every hook.  Both
-        paths are bit-identical (the golden-stats oracle locks this).
+        core, multi-core argmin included, when the design is tagless
+        (``tagless-resizable`` too) and no event tracer or latency
+        histogram is attached, else the one replay loop
+        :func:`~repro.cpu.multicore.replay` throughout.  Resize events,
+        invariant sweeps and telemetry windows are replay boundaries
+        that either path stops for.  Both paths are bit-identical (the
+        golden-stats oracle locks this).
         """
         if not (0.0 <= warmup_fraction < 1.0):
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -195,10 +195,11 @@ class Simulator:
         The scenario's own resize schedule (if any) is armed on designs
         that support one.  There is no warmup split: tenant arrival and
         departure *are* the phenomenon under study, so the measured
-        window is the whole schedule.  Unobserved ``tagless`` runs
-        replay through the fused kernel, per-tenant attribution
-        included; other designs, ``tagless-resizable`` and observed runs
-        use the reference loop, with the same numbers.  Returns a
+        window is the whole schedule.  ``tagless`` and
+        ``tagless-resizable`` replay through the fused kernel,
+        per-tenant attribution included, unless an event tracer or a
+        latency histogram is attached; other designs use the reference
+        loop, with the same numbers.  Returns a
         :class:`SimulationResult` whose ``tenants`` field carries the
         per-tenant QoS breakdown (IPC, MPKI, demand-latency tail).
         """
@@ -242,14 +243,12 @@ class Simulator:
             every = (check_interval() if validate_every is None
                      else validate_every)
             checker = InvariantChecker(design, every=every)
-            checker.install()  # before the replay binds access_cycles
+            checker.install()  # sweeps count from here, warmup included
         if warm:
             run_interleaved_batched(design, warm)
             design.reset_stats()
         if telemetry is not None:
-            # After warmup (observe the measured window only), before
-            # the replay binds access_cycles.  The sampling wrapper goes
-            # on top of the checker's, so it is removed first.
+            # After warmup: observe the measured window only.
             telemetry.install(design)
             if checker is not None:
                 checker.tracer = telemetry.tracer

@@ -126,11 +126,16 @@ class MemorySystemDesign(Counters):
         self._l2_hit_cycles = config.l2.hit_cycles
 
         # Observability (repro.obs).  ``trace_event`` is a prebound
-        # no-op that installed telemetry rebinds to an EventTracer --
-        # the same enable/disable trick ``validate=`` uses -- and it is
-        # only ever called on rare paths (TLB refills, evictions).
+        # no-op that installed telemetry rebinds to an EventTracer; it
+        # is only ever called on rare paths (TLB refills, evictions).
         self.trace_event = null_event
         self._cycle_time_ns = 1.0 / config.core.frequency_ghz
+
+        # Replay boundaries (repro.cpu.multicore.replay): the sources,
+        # in install order, and the lifetime access count they sit in
+        # (warmup included; reset_stats keeps it).
+        self.boundaries: list = []
+        self.replayed_accesses = 0
 
     # ------------------------------------------------------------------
     # Construction hooks

@@ -23,15 +23,17 @@ paper already has:
 
 The engine's structural invariant generalises to ``live + free +
 pending + gated == capacity`` with the gated set exactly the powered-off
-upper region, so ``repro check`` holds mid-schedule.  The fused tagless
-kernel stands down for this design because it overrides
-``access_cycles`` (:func:`repro.cpu.batched.select_kernel`): the kernel
-would bypass the scalar access path that triggers resize events.
+upper region, so ``repro check`` holds mid-schedule.  The schedule is a
+replay boundary source (:func:`repro.cpu.multicore.replay`): events are
+positioned in lifetime accesses, warmup included, and act before the
+access they are due at.  The access path is plain tagless, so the fused
+tagless kernel replays this design too, stopping for each event.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import List, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigurationError, SimulationError
@@ -150,10 +152,6 @@ class TaglessResizableDesign(TaglessDesign):
         self._resize_events: List[Tuple[int, int]] = []
         self._next_resize = 0
         self._max_remap = 0
-        #: Lifetime access clock -- deliberately never reset, so events
-        #: fire at absolute positions in the run even across the
-        #: warmup/measure boundary.
-        self._resize_clock = 0
         self.resize_events = 0
         self.resize_remapped_pages = 0
         self.resize_evicted_pages = 0
@@ -181,7 +179,9 @@ class TaglessResizableDesign(TaglessDesign):
 
         ``capacity`` <= 1.0 is a fraction of the built capacity;
         anything larger is an absolute page count.  Capacities must stay
-        within ``(min_capacity_pages(), capacity_pages]``.
+        within ``(min_capacity_pages(), capacity_pages]``; an
+        ``at_access`` or a page count that is not a whole number raises
+        :class:`~repro.common.errors.ConfigurationError`.
         """
         if max_remap_per_resize < 0:
             raise ConfigurationError("max_remap_per_resize must be >= 0")
@@ -189,11 +189,17 @@ class TaglessResizableDesign(TaglessDesign):
         floor = self.min_capacity_pages()
         resolved: List[Tuple[int, int]] = []
         for at_access, target in events:
-            at_access = int(at_access)
-            if at_access < 1:
-                raise ConfigurationError("resize at_access must be >= 1")
-            pages = (int(round(capacity * float(target)))
-                     if float(target) <= 1.0 else int(target))
+            if at_access != int(at_access) or at_access < 1:
+                raise ConfigurationError(
+                    "resize at_access must be a whole access count >= 1, "
+                    f"got {at_access!r}")
+            target = float(target)
+            if target > 1.0 and target != int(target):
+                raise ConfigurationError(
+                    f"resize target {target!r} is neither a fraction "
+                    "(<= 1.0) nor a whole page count")
+            pages = (int(round(capacity * target)) if target <= 1.0
+                     else int(target))
             if pages > capacity:
                 raise ConfigurationError(
                     f"resize target {pages} pages exceeds the built "
@@ -205,44 +211,45 @@ class TaglessResizableDesign(TaglessDesign):
                     f"active capacity ({floor} pages: total TLB reach "
                     "and the alpha reserve must stay covered)"
                 )
-            resolved.append((at_access, pages))
+            resolved.append((int(at_access), pages))
         self._resize_events = sorted(resolved)
         self._next_resize = 0
         self._max_remap = max_remap_per_resize
+        if self not in self.boundaries:
+            self.boundaries.insert(0, self)
 
     # ------------------------------------------------------------------
-    # Access path: the resize trigger
+    # The resize trigger: a replay boundary source
     # ------------------------------------------------------------------
-    def access_cycles(
-        self,
-        core_id: int,
-        process_id: int,
-        virtual_page: int,
-        line_index: int,
-        is_write: bool,
-        now_ns: float,
-    ) -> float:
-        clock = self._resize_clock + 1
-        self._resize_clock = clock
+    acts_before = True  # an event acts before the access it is due at
+
+    def next_boundary(self, count: int, end: int) -> Tuple[int, float]:
+        """The access the next event is due before (the next one when
+        overdue); ``end + 1`` when none is left."""
+        if self._next_resize < len(self._resize_events):
+            at_access = self._resize_events[self._next_resize][0]
+            return max(at_access, count + 1), math.inf
+        return end + 1, math.inf
+
+    def on_boundary(self, number: int, now_ns: float, cores) -> None:
+        """Apply every event due at or before access ``number``."""
         index = self._next_resize
         events = self._resize_events
-        while index < len(events) and clock >= events[index][0]:
-            self._apply_resize(events[index][1], now_ns)
+        while index < len(events) and number >= events[index][0]:
+            self._apply_resize(events[index][1], number, now_ns)
             index += 1
         self._next_resize = index
-        return super().access_cycles(
-            core_id, process_id, virtual_page, line_index, is_write, now_ns
-        )
 
     # ------------------------------------------------------------------
     # The resize state machine
     # ------------------------------------------------------------------
-    def _apply_resize(self, new_capacity: int, now_ns: float) -> None:
+    def _apply_resize(self, new_capacity: int, at_access: int,
+                      now_ns: float) -> None:
         engine = self.engine
         fq = engine.free_queue
         old_capacity = fq.active_capacity
         event = {
-            "at_access": self._resize_clock,
+            "at_access": at_access,
             "from_pages": old_capacity,
             "to_pages": new_capacity,
             "remapped": 0,
@@ -428,8 +435,6 @@ class TaglessResizableDesign(TaglessDesign):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.resize_log = []
-        # _resize_clock deliberately survives: the schedule is positioned
-        # in absolute accesses, warmup included.
 
     def stats(self) -> dict:
         out = super().stats()

@@ -28,8 +28,7 @@ def null_event(cat, name, ts_ns, dur_ns=None, tid=0, args=None) -> None:
     """The prebound no-op every traceable component starts with.
 
     Signature-compatible with :meth:`EventTracer.event`; rebinding the
-    attribute is the entire enable/disable mechanism (the same trick
-    ``validate=`` uses for ``access_cycles``).
+    attribute is the entire enable/disable mechanism.
     """
     return None
 

@@ -6,17 +6,17 @@ and the off-package latency :class:`~repro.common.stats.Histogram`, and
 knows how to wire all three into a design and tear them back out:
 
 - ``install(design)`` rebinds the design's (and the tagless engine's)
-  prebound ``trace_event`` no-op to the tracer, shadows
-  ``access_cycles`` with the recorder's sampling wrapper, hooks
-  ``obs_attach_cores`` so the replay loop hands over the core
-  models, and arms the off-package device's latency histogram;
+  prebound ``trace_event`` no-op to the tracer, adds the recorder to
+  the design's replay boundaries, and arms the off-package device's
+  latency histogram;
 - ``uninstall()`` restores every attribute it touched, so a design is
   bit-for-bit back on its unobserved fast path afterwards.
 
+The fused kernel inlines the paths the tracer and the histogram
+observe, so either keeps a run on the reference loop; the recorder
+alone does not.
 ``Simulator.run(..., telemetry=...)`` installs after the warmup
-boundary (telemetry observes the measured window, like the stats) and
-uninstalls before the invariant checker does, preserving the wrapper
-chain.
+boundary: telemetry observes the measured window, like the stats.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class Telemetry:
             if self.timeseries.tracer is None:
                 self.timeseries.tracer = tracer
             self.timeseries.install(design)
-            design.obs_attach_cores = self.timeseries.attach_cores
         self._installed = True
 
     def uninstall(self) -> None:
@@ -75,8 +74,6 @@ class Telemetry:
         if self.timeseries is not None:
             self.timeseries.finalize()
             self.timeseries.uninstall()
-            if "obs_attach_cores" in design.__dict__:
-                del design.obs_attach_cores
         if self.tracer is not None:
             self.tracer.end(
                 "sim", "measured",

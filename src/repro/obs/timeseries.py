@@ -1,14 +1,15 @@
 """Windowed time-series recording over a running design.
 
 The :class:`TimeseriesRecorder` turns the simulator's cumulative
-counters into per-window behaviour-over-time: it shadows
-``design.access_cycles`` with a sampling wrapper (the same
-instance-attribute trick the invariant checker uses), and at every
-window boundary snapshots :meth:`~repro.designs.base.MemorySystemDesign.
+counters into per-window behaviour-over-time: it is a replay boundary
+source (like the invariant checker; see
+:func:`repro.cpu.multicore.replay`), and at every window boundary
+snapshots :meth:`~repro.designs.base.MemorySystemDesign.
 timeseries_probe` and stores the counter *deltas* plus the instantaneous
-gauges.  Nothing is accounted per access -- a window costs one probe --
-so enabling telemetry cannot perturb the simulated machine, and leaving
-it off costs nothing at all.
+gauges.  Nothing is accounted per access -- a window costs one probe,
+and the fused kernel stops for it and resumes -- so enabling telemetry
+cannot perturb the simulated machine, and leaving it off costs nothing
+at all.
 
 Windows are measured in ``accesses`` (every N memory references) or in
 ``cycles`` (every N core cycles of the interleaved clock, which is
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Dict, List, Optional, Tuple
 
 #: Default sampling interval (in the recorder's unit).
@@ -33,8 +35,6 @@ _CONSUMED = frozenset((
     "l3_refs", "inpkg_bytes", "offpkg_bytes", "inpkg_busy_ns",
     "offpkg_busy_ns", "row_hits", "row_refs",
 ))
-
-_MISSING = object()
 
 
 def _ratio(num: float, den: float) -> float:
@@ -67,19 +67,17 @@ class TimeseriesRecorder:
         self._prev_counters: Dict[str, float] = {}
         self._prev_t_ns = 0.0
         self._last_now_ns = 0.0
-        self._saved_access_cycles = _MISSING
+        self._next_window = 0
+        self._interval_ns = self._boundary_ns = 0.0
         self._installed = False
 
     # ------------------------------------------------------------------
-    # Install / uninstall (mirrors InvariantChecker's wrapper protocol)
+    # Install / uninstall: a replay boundary source
     # ------------------------------------------------------------------
     def install(self, design) -> None:
-        """Shadow ``design.access_cycles`` with the sampling wrapper.
-
-        Must run before the replay loop binds ``access_cycles``.  If
-        an invariant checker is already installed its wrapper is what we
-        wrap, and :meth:`uninstall` restores it rather than deleting it.
-        """
+        """Become one of the design's replay boundaries: access windows
+        count from its next replayed access, cycle windows sit on the
+        replay's core clocks."""
         if self._installed:
             return
         self._design = design
@@ -87,70 +85,48 @@ class TimeseriesRecorder:
         counters, _gauges = design.timeseries_probe()
         self._prev_counters = counters
         self._prev_t_ns = 0.0
-        # Whatever currently shadows access_cycles (checker wrapper, or
-        # nothing) is the chain we extend and must later put back.
-        self._saved_access_cycles = design.__dict__.get(
-            "access_cycles", _MISSING
-        )
-        inner = design.access_cycles
-        sample = self._sample
-
         if self.unit == "accesses":
-            interval = self.interval
-            countdown = [interval]
-
-            def sampling_access_cycles(core_id, process_id, virtual_page,
-                                       line_index, is_write, now_ns):
-                cycles = inner(core_id, process_id, virtual_page,
-                               line_index, is_write, now_ns)
-                self._last_now_ns = now_ns
-                countdown[0] -= 1
-                if countdown[0] <= 0:
-                    countdown[0] = interval
-                    sample(now_ns)
-                return cycles
+            self._next_window = design.replayed_accesses + self.interval
         else:
-            # Cycle windows: boundaries on the interleaved clock, which
-            # only moves forward, so a simple high-water check suffices.
-            interval_ns = self.interval / design.config.core.frequency_ghz
-            boundary = [interval_ns]
-
-            def sampling_access_cycles(core_id, process_id, virtual_page,
-                                       line_index, is_write, now_ns):
-                cycles = inner(core_id, process_id, virtual_page,
-                               line_index, is_write, now_ns)
-                self._last_now_ns = now_ns
-                if now_ns >= boundary[0]:
-                    while boundary[0] <= now_ns:
-                        boundary[0] += interval_ns
-                    sample(now_ns)
-                return cycles
-
-        design.access_cycles = sampling_access_cycles
+            self._interval_ns = (self.interval
+                                 / design.config.core.frequency_ghz)
+            self._boundary_ns = self._interval_ns
+        design.boundaries.append(self)
         self._installed = True
 
     def uninstall(self) -> None:
-        """Restore whatever shadowed ``access_cycles`` before us."""
+        """Stop sampling."""
         if not self._installed:
             return
-        if self._saved_access_cycles is _MISSING:
-            try:
-                del self._design.access_cycles
-            except AttributeError:
-                pass
-        else:
-            self._design.access_cycles = self._saved_access_cycles
-        self._saved_access_cycles = _MISSING
+        self._design.boundaries.remove(self)
         self._installed = False
 
-    def attach_cores(self, cores) -> None:
-        """Receive ``[(core_id, model), ...]`` from the replay loop
-        so windows can carry per-core IPC."""
-        self._cores = list(cores)
-        self._core_prev = {
-            core_id: (model.instructions, model.cycles)
-            for core_id, model in self._cores
-        }
+    acts_before = False  # a window closes after its last access
+
+    def next_boundary(self, count: int, end: int) -> Tuple[int, float]:
+        """The next window's last access, or the replay's last (whose
+        issue time ends the trailing window), and the next cycle-window
+        boundary on the interleaved clock."""
+        if self.unit == "accesses":
+            return min(self._next_window, end), math.inf
+        return end, self._boundary_ns
+
+    def on_boundary(self, number: int, now_ns: float, cores) -> None:
+        """Close the window that ends at access ``number``, if any;
+        ``cores`` (``(core_id, model)`` pairs, at zero when a replay
+        starts) give the per-core IPC."""
+        if cores is not self._cores:
+            self._cores = cores
+            self._core_prev = {}
+        self._last_now_ns = now_ns
+        if self.unit == "accesses":
+            if number == self._next_window:
+                self._next_window += self.interval
+                self._sample(now_ns)
+        elif now_ns >= self._boundary_ns:
+            while self._boundary_ns <= now_ns:
+                self._boundary_ns += self._interval_ns
+            self._sample(now_ns)
 
     def finalize(self) -> None:
         """Flush the trailing partial window (and guarantee at least one

@@ -24,6 +24,7 @@ statistics to an unvalidated one (the golden-stats suite enforces this).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, List, Tuple
 
@@ -72,11 +73,11 @@ class InvariantChecker:
 
     Construction asks the design to register its checks
     (:meth:`~repro.designs.base.MemorySystemDesign.register_invariants`);
-    :meth:`install` then wraps ``design.access_cycles`` as an *instance*
-    attribute so every N-th access triggers a sweep.  The multicore
-    engine binds ``access_cycles`` once at loop start, so install the
-    checker before the run begins.  The wrapper only counts and calls
-    the checks -- simulation state and statistics are untouched.
+    :meth:`install` then makes the checker one of the design's replay
+    boundaries, so a sweep runs after every N-th access the design
+    replays from then on (``Simulator`` installs it before the warmup),
+    on either replay path: the fused kernel stops for the sweep.  Sweeps
+    only read -- simulation state and statistics are untouched.
     """
 
     def __init__(self, design, every: int = DEFAULT_CHECK_EVERY):
@@ -86,7 +87,7 @@ class InvariantChecker:
         self.every = every
         self.checks: List[Tuple[str, Callable[[], None]]] = []
         self.sweeps = 0
-        self._installed = False
+        self._next = 0
         #: Optional repro.obs.events.EventTracer; when set, every sweep
         #: emits a matched begin/end slice so validation pauses are
         #: visible in a Perfetto trace.
@@ -127,31 +128,25 @@ class InvariantChecker:
 
     # ------------------------------------------------------------------
     def install(self) -> None:
-        """Shadow ``design.access_cycles`` with a counting wrapper."""
-        if self._installed:
+        """Sweep after every ``every``-th access replayed from now on."""
+        if self in self.design.boundaries:
             return
-        inner = self.design.access_cycles  # bound method from the class
-        every = self.every
-        countdown = [every]
-
-        def checked_access_cycles(core_id, process_id, virtual_page,
-                                  line_index, is_write, now_ns):
-            cycles = inner(core_id, process_id, virtual_page, line_index,
-                           is_write, now_ns)
-            countdown[0] -= 1
-            if countdown[0] <= 0:
-                countdown[0] = every
-                self.run_checks(now_ns)
-            return cycles
-
-        self.design.access_cycles = checked_access_cycles
-        self._installed = True
+        self._next = self.design.replayed_accesses + self.every
+        self.design.boundaries.append(self)
 
     def uninstall(self) -> None:
-        """Remove the wrapper, restoring the class's ``access_cycles``."""
-        if self._installed:
-            del self.design.access_cycles  # the instance attribute
-            self._installed = False
+        """Stop sweeping."""
+        if self in self.design.boundaries:
+            self.design.boundaries.remove(self)
+
+    acts_before = False  # a sweep runs after its access
+
+    def next_boundary(self, count: int, end: int) -> Tuple[int, float]:
+        return self._next, math.inf
+
+    def on_boundary(self, number: int, now_ns: float, cores) -> None:
+        self._next += self.every
+        self.run_checks(now_ns)
 
 
 # ----------------------------------------------------------------------

@@ -121,12 +121,18 @@ class TenantScenarioSpec:
                 raise ConfigurationError(
                     "resize events are (at_access, capacity) pairs"
                 )
-            at_access, capacity = int(event[0]), float(event[1])
-            if at_access < 1:
-                raise ConfigurationError("resize at_access must be >= 1")
+            at_access, capacity = event[0], float(event[1])
+            if at_access != int(at_access) or at_access < 1:
+                raise ConfigurationError(
+                    "resize at_access must be a whole access count >= 1, "
+                    f"got {at_access!r}")
             if capacity <= 0.0:
                 raise ConfigurationError("resize capacity must be positive")
-            normalised.append((at_access, capacity))
+            if capacity > 1.0 and capacity != int(capacity):
+                raise ConfigurationError(
+                    f"resize capacity {capacity!r} is neither a fraction "
+                    "(<= 1.0) nor a whole page count")
+            normalised.append((int(at_access), capacity))
         object.__setattr__(
             self, "resize",
             tuple(sorted(normalised, key=lambda e: e[0])),

@@ -43,3 +43,22 @@ def test_scenario_workload_compares_tenant_qos():
     assert row["results_identical"]
     assert row["accesses"] == accesses
     assert row["status"] == "ok"
+
+
+def test_scenario_workload_arms_the_resize_schedule():
+    """``tagless-resizable`` replays the scenario with its shrink/grow
+    events armed on both paths, as ``Simulator.run_tenants`` arms them."""
+    guard = _load_guard()
+    args = guard.parse_args(["--workload", _SCENARIO, "--repeat", "1",
+                             "--min-ratio", "0.01",
+                             "--designs", "tagless-resizable"])
+    num_cores, _, reference, kernel = guard.workload_replays(args, 10)
+    config = guard.default_system(cache_megabytes=args.cache_mb,
+                                  num_cores=num_cores,
+                                  capacity_scale=args.scale)
+    _, kernel_outcome = guard._best_of(config, "tagless-resizable", 1,
+                                       kernel)
+    _, reference_outcome = guard._best_of(config, "tagless-resizable", 1,
+                                          reference)
+    assert kernel_outcome[0]["resize_events"] == 2
+    assert kernel_outcome == reference_outcome

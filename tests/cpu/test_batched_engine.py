@@ -18,6 +18,7 @@ schedules).  The golden-stats oracle additionally locks the production
 path against checked-in numbers.
 """
 
+import copy
 import dataclasses
 import gc
 
@@ -32,6 +33,7 @@ from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.cpu.scheduled import TenantQoS
 from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES, create_design
+from repro.obs.timeseries import TimeseriesRecorder
 from repro.validate.invariants import InvariantChecker
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.mixes import mix_traces
@@ -97,8 +99,11 @@ def _fresh(design):
 
 @pytest.mark.parametrize("design", ALL_DESIGN_NAMES)
 def test_select_kernel_only_for_plain_tagless(design):
+    """The kernel replays the tagless designs, the resizable one
+    included (its schedule is a replay boundary), when nothing is
+    attached; every other design takes the reference loop."""
     kernel = select_kernel(_fresh(design))
-    if design == "tagless":
+    if design in ("tagless", "tagless-resizable"):
         assert kernel is not None
     else:
         assert kernel is None
@@ -120,34 +125,55 @@ def test_select_kernel_leaves_instance_dict_alone(design):
 
 
 def test_class_level_wrappers_keep_the_choice(monkeypatch):
-    """A span tracer wraps ``access_cycles`` on the base class and on
-    every overriding subclass; kernel selection must not change."""
+    """A span tracer wraps ``access_cycles`` on the class; kernel
+    selection must not change."""
     import functools
 
     from repro.designs.base import MemorySystemDesign
-    from repro.designs.tagless_resizable import TaglessResizableDesign
 
-    for cls in (MemorySystemDesign, TaglessResizableDesign):
-        inner = cls.__dict__["access_cycles"]
-        monkeypatch.setattr(cls, "access_cycles",
-                            functools.wraps(inner)(
-                                lambda self, *a, _f=inner: _f(self, *a)))
+    inner = MemorySystemDesign.__dict__["access_cycles"]
+    monkeypatch.setattr(MemorySystemDesign, "access_cycles",
+                        functools.wraps(inner)(
+                            lambda self, *a, _f=inner: _f(self, *a)))
     assert select_kernel(_fresh("tagless")) is not None
-    assert select_kernel(_fresh("tagless-resizable")) is None
+    assert select_kernel(_fresh("tagless-resizable")) is not None
 
 
-def test_installed_checker_stands_the_kernel_down():
-    design = _fresh("tagless")
-    assert select_kernel(design) is not None
-    checker = InvariantChecker(design, every=1024)
-    checker.install()
-    assert select_kernel(design) is None
-    checker.uninstall()
-    assert select_kernel(design) is not None
+def test_installed_checker_keeps_the_kernel(monkeypatch):
+    """A validated tagless run replays through the kernel, which stops
+    for every sweep: the same sweeps and numbers as the validated
+    reference loop, and the same numbers as an unvalidated run."""
+    from repro.designs.base import MemorySystemDesign
+
+    calls = []
+    inner = MemorySystemDesign.access_cycles
+    monkeypatch.setattr(MemorySystemDesign, "access_cycles",
+                        lambda self, *a: calls.append(1) or inner(self, *a))
+    bindings = [(b.core_id, b.trace.name, [(None, b.process_id, b.trace)])
+                for b in _quad_core_bindings()]
+    outcomes = []
+    for kernel in (_run_tagless_kernel, None):
+        design = create_design("tagless", _config())
+        checker = InvariantChecker(design, every=250)
+        checker.install()
+        assert select_kernel(design) is not None
+        del calls[:]
+        outcomes.append((_replay_outcome(design, bindings, _kernel=kernel),
+                         checker.sweeps, len(calls)))
+        checker.uninstall()
+    (kernel_run, kernel_sweeps, fallbacks), (reference_run, sweeps, _) = \
+        outcomes
+    assert kernel_run == reference_run
+    assert kernel_sweeps == sweeps == 6_000 // 250
+    assert fallbacks < 600  # the sweeps' accesses plus the kernel's own
+    plain = create_design("tagless", _config())
+    assert _replay_outcome(plain, bindings,
+                           _kernel=_run_tagless_kernel) == kernel_run
 
 
 def test_observed_batched_run_stays_identical():
-    """Validation hooks force the reference loop -- results unchanged."""
+    """Validation sweeps stop the kernel and resume it -- results
+    unchanged."""
     simulator = Simulator(default_system(cache_megabytes=256, num_cores=1,
                                          capacity_scale=64))
     bindings = _single_core_bindings()
@@ -279,14 +305,15 @@ def qos_numbers(qos):
 
 
 def _replay_outcome(design, cores, tenants=None, **replay_kwargs):
-    """``(per-core numbers, stats, switch stats, QoS numbers)`` of one
-    ``replay``; ``tenants`` lists the tenant ids of an attributed run."""
+    """``(per-core numbers, stats, switch stats, QoS numbers, resize
+    ledger)`` of one ``replay``; ``tenants`` lists the tenant ids of an
+    attributed run."""
     qos = (None if tenants is None
            else {t: TenantQoS(t, "unit", 0, 0) for t in tenants})
     results, switch_stats = replay(design, cores, qos=qos, **replay_kwargs)
     return ([(r.core_id, r.instructions, r.cycles, r.stall_cycles)
              for r in results], design.stats(), switch_stats,
-            qos_numbers(qos))
+            qos_numbers(qos), getattr(design, "resize_log", None))
 
 
 def _kernel_and_reference_replays(make_design, cores, tenants=None,
@@ -370,24 +397,78 @@ def _drawn_cores(draw):
     return cores, tenants, switch
 
 
+@st.composite
+def _drawn_resizes(draw, config, accesses):
+    """A ``tagless-resizable`` capacity schedule for a run of
+    ``accesses``: 0-4 events at access 1, inside the run or past its
+    end, to the floor, to full capacity or between, with a drawn remap
+    budget (0 included)."""
+    design = create_design("tagless-resizable", config)
+    floor = design.min_capacity_pages()
+    capacity = design.engine.capacity_pages
+    at = st.one_of(st.just(1), st.integers(1, max(accesses, 1)),
+                   st.integers(accesses + 1, accesses + 100))
+    target = st.one_of(st.just(floor), st.just(capacity),
+                       st.integers(floor, capacity))
+    events = draw(st.lists(st.tuples(at, target), max_size=4))
+    return events, draw(st.sampled_from([0, 1, 8, 64]))
+
+
+@st.composite
+def _drawn_windows(draw):
+    """A window recorder: access or cycle windows of a drawn width."""
+    if draw(st.booleans()):
+        return TimeseriesRecorder(draw(st.integers(1, 300)), "accesses")
+    return TimeseriesRecorder(draw(st.integers(20, 5_000)), "cycles")
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(drawn=_drawn_cores())
-def test_kernel_equals_reference_on_drawn_traces(drawn):
+@given(drawn=_drawn_cores(), data=st.data())
+def test_kernel_equals_reference_on_drawn_traces(drawn, data):
+    """The kernel equals the reference loop on drawn segment lists, on
+    ``tagless`` or on ``tagless-resizable`` with a drawn resize
+    schedule; and again with invariant sweeps every 1-200 accesses and
+    drawn telemetry windows, which the kernel stops for: same sweeps,
+    same windows, the numbers of the unvalidated run."""
     cores, tenants, switch = drawn
     config = _SMALL[len(cores)]
+    accesses = sum(len(trace) for _, _, segments in cores
+                   for _, _, trace in segments)
+    name, schedule, max_remap = "tagless", (), 0
+    if data.draw(st.booleans(), label="resizable"):
+        name = "tagless-resizable"
+        schedule, max_remap = data.draw(_drawn_resizes(config, accesses),
+                                        label="resizes")
+    period = data.draw(st.integers(1, 200), label="check period")
+    windows = data.draw(_drawn_windows(), label="windows")
+
+    def make_design():
+        design = create_design(name, config)
+        if schedule:
+            design.set_resize_schedule(schedule,
+                                       max_remap_per_resize=max_remap)
+        return design
+
     kernel, reference = _kernel_and_reference_replays(
-        lambda: create_design("tagless", config), cores, tenants, **switch)
+        make_design, cores, tenants, **switch)
     assert kernel == reference
-    # A validated run (invariant sweeps every 97 accesses) stands the
-    # kernel down and must see the same numbers.
-    design = create_design("tagless", config)
-    checker = InvariantChecker(design, every=97)
-    checker.install()
-    assert select_kernel(design) is None
-    validated = _replay_outcome(design, cores, tenants, **switch)
-    checker.run_checks()
-    checker.uninstall()
-    assert validated == kernel
+    validated = []
+    for path in (_run_tagless_kernel, None):
+        design = make_design()
+        checker = InvariantChecker(design, every=period)
+        checker.install()
+        recorder = copy.deepcopy(windows)
+        recorder.install(design)
+        if path is not None:
+            assert select_kernel(design) is path
+        outcome = _replay_outcome(design, cores, tenants, _kernel=path,
+                                  **switch)
+        recorder.finalize()
+        checker.run_checks()
+        validated.append((outcome, checker.sweeps, recorder.columns))
+    assert validated[0] == validated[1]
+    assert validated[0][0] == kernel
+    assert validated[0][1] == accesses // period + 1
 
 
 def test_kernel_forgets_the_page_after_a_fallback():

@@ -220,7 +220,7 @@ def test_kernel_attributes_a_tenant_on_two_cores_at_once(small_mp_config):
         lambda: create_design("tagless", small_mp_config), cores,
         tenants=(0, 1, 2), switch_cycles=100.0, flush_tlb=True)
     assert kernel == reference
-    per_core, _, switch_stats, qos = reference
+    per_core, _, switch_stats, qos, _ = reference
     assert switch_stats["context_switches"] == 2
     # Core 1 entered tenant 1 before core 0 left it.
     enters = qos[0][1] + 100.0

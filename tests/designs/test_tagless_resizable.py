@@ -7,13 +7,11 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.batched import select_kernel
+from repro.cpu.multicore import replay
 from repro.designs.registry import create_design
-from repro.designs.tagless_design import TaglessDesign
 from repro.validate.invariants import InvariantChecker
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
-
-from tests.designs.test_reset_stats import drive
 
 
 @pytest.fixture
@@ -29,6 +27,13 @@ def build(small_config, schedule=None, max_remap=8):
     if schedule is not None:
         design.set_resize_schedule(schedule, max_remap_per_resize=max_remap)
     return design
+
+
+def drive(design, trace):
+    """Replay ``trace`` on core 0, through the kernel as the simulator
+    would: resize events fire at replay boundaries."""
+    replay(design, [(0, "churn", [(None, 0, trace)])],
+           _kernel=select_kernel(design))
 
 
 def checked_drive(design, trace, every=64):
@@ -60,6 +65,19 @@ class TestScheduleValidation:
         design = build(small_config)
         with pytest.raises(ConfigurationError, match="at_access"):
             design.set_resize_schedule([(0, 0.75)])
+
+    def test_rejects_fractional_at_access(self, small_config):
+        design = build(small_config)
+        with pytest.raises(ConfigurationError, match="whole access count"):
+            design.set_resize_schedule([(1500.9, 48)])
+        design.set_resize_schedule([(1500.0, 48)])
+        assert design._resize_events == [(1500, 48)]
+
+    def test_rejects_fractional_page_target(self, small_config):
+        design = build(small_config)
+        with pytest.raises(ConfigurationError, match="whole page count"):
+            design.set_resize_schedule([(1500, 48.8)])
+        assert design._resize_events == []
 
     def test_rejects_negative_budget(self, small_config):
         design = build(small_config)
@@ -144,20 +162,16 @@ class TestResizeMechanics:
         assert not hasattr(design, "set_resize_schedule")
 
 
+class TestKernelPath:
+    def test_batched_kernel_replays_the_resizable_design(self, small_config):
+        """The schedule is a replay boundary the kernel stops for, so
+        the kernel replays this design like plain tagless."""
+        design = build(small_config, [(2000, 0.75)])
+        assert select_kernel(design) is not None
+        assert design.boundaries == [design]
+
+
 class TestEngineStanddown:
-    def test_batched_kernels_stand_down(self, small_config):
-        """The fused kernel would bypass the access_cycles override
-        that triggers resize events, so it must refuse this design."""
-        design = build(small_config)
-        assert select_kernel(design) is None
-
-    def test_any_access_path_override_stands_down(self, small_config):
-        class Overriding(TaglessDesign):
-            def access_cycles(self, *args):
-                return super().access_cycles(*args)
-
-        assert select_kernel(Overriding(small_config)) is None
-
     def test_base_tagless_still_batches(self, small_config):
         design = create_design("tagless", small_config)
         assert select_kernel(design) is not None
@@ -185,17 +199,18 @@ class TestResetAudit:
         reset must not rewind it, or events would fire twice."""
         design = build(small_config, [(2000, 0.75)])
         drive(design, churn_trace)
-        clock = design._resize_clock
+        clock = design.replayed_accesses
+        assert clock == len(churn_trace)
         design.reset_stats()
-        assert design._resize_clock == clock
+        assert design.replayed_accesses == clock
 
     def test_run_reset_run_deterministic_with_events(self, small_config,
                                                      churn_trace):
         def measure():
             design = build(small_config, [(8000, 0.75)])
-            end = drive(design, churn_trace)
+            drive(design, churn_trace)
             design.reset_stats()
-            drive(design, churn_trace, start_ns=end)
+            drive(design, churn_trace)
             return design.stats()
 
         first, second = measure(), measure()

@@ -9,7 +9,7 @@ A checker that passes corrupted state is worse than no checker.
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.cpu.multicore import BoundTrace
+from repro.cpu.multicore import BoundTrace, replay
 from repro.cpu.simulator import Simulator
 from repro.designs.registry import ALL_DESIGN_NAMES, create_design
 from repro.validate.invariants import (
@@ -106,16 +106,22 @@ def test_violation_names_design_and_check(small_config):
         checker.run_checks()
 
 
+def _replay(design, trace):
+    replay(design, [(0, "unit", [(None, 0, trace)])])
+
+
 def test_install_sweeps_every_n_accesses(small_config, tiny_trace):
     design = create_design("tagless", small_config)
+    _replay(design, tiny_trace.head(50))  # before install: not counted
     checker = InvariantChecker(design, every=100)
     checker.install()
-    drive(design, tiny_trace, accesses=1000)
+    _replay(design, tiny_trace.head(1000))
     assert checker.sweeps == 10
     checker.uninstall()
-    # The wrapper is gone: further accesses no longer sweep.
-    drive(design, tiny_trace, accesses=200, start_ns=1e9)
+    # Uninstalled: further replays no longer sweep.
+    _replay(design, tiny_trace.head(200))
     assert checker.sweeps == 10
+    assert design.boundaries == []
     assert "access_cycles" not in vars(design)
 
 
@@ -123,11 +129,11 @@ def test_install_is_idempotent(small_config):
     design = create_design("no-l3", small_config)
     checker = InvariantChecker(design, every=10)
     checker.install()
-    wrapper = design.access_cycles
-    checker.install()  # must not wrap the wrapper
-    assert design.access_cycles is wrapper
+    checker.install()  # must not register twice
+    assert design.boundaries == [checker]
     checker.uninstall()
     checker.uninstall()  # no-op on a clean design
+    assert design.boundaries == []
 
 
 # ----------------------------------------------------------------------

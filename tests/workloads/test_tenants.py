@@ -55,6 +55,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="positive"):
             scenario(resize=[[100, 0.0]])
 
+    def test_resize_rejects_fractional_at_access(self):
+        with pytest.raises(ConfigurationError, match="whole access count"):
+            scenario(resize=[[2000.7, 0.75]])
+        assert scenario(resize=[[2000.0, 0.75]]).resize == ((2000, 0.75),)
+
+    def test_resize_rejects_fractional_page_count(self):
+        with pytest.raises(ConfigurationError, match="whole page count"):
+            scenario(resize=[[2000, 300.5]])
+        assert scenario(resize=[[2000, 300]]).resize == ((2000, 300.0),)
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             TenantScenarioSpec.from_dict({"name": "x", "tenants": 1,

@@ -216,7 +216,7 @@ class TaglessResizableDesign(TaglessDesign):
         self._next_resize = 0
         self._max_remap = max_remap_per_resize
         if self not in self.boundaries:
-            self.boundaries.insert(0, self)
+            self.boundaries.append(self)
 
     # ------------------------------------------------------------------
     # The resize trigger: a replay boundary source

@@ -70,9 +70,10 @@ class TestGoldenInvariance:
         telemetry = make_telemetry(interval=8)
         telemetry.install(design)
         telemetry.uninstall()
-        # No instance-level wrapper left behind, no tracer bindings.
+        # No recorder left among the replay boundaries, no tracer
+        # bindings.
+        assert design.boundaries == []
         assert "access_cycles" not in design.__dict__
-        assert "obs_attach_cores" not in design.__dict__
         from repro.obs.events import null_event
 
         assert design.trace_event is null_event

@@ -270,8 +270,9 @@ def _run_reference(design: MemorySystemDesign, active: List[_CoreState],
 
 #: Fewest accesses a run between two boundaries must have for the fused
 #: kernel to replay it: entering the kernel hoists every structure and
-#: leaving it flushes every counter, which costs about as much as this
-#: many reference-loop accesses.
+#: leaving it flushes every counter.  On a 4-core MIX1 tagless replay
+#: with a boundary every 32 accesses the two paths run level; every 16,
+#: the reference loop is faster.
 _MIN_KERNEL_RUN = 32
 
 

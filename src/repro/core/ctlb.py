@@ -8,12 +8,11 @@ that NC pages keep conventional virtual-to-physical behaviour.
 
 This module is a thin semantic wrapper over
 :class:`repro.vm.tlb.TLBHierarchy` that makes those two conventions
-explicit and typo-proof for the miss handler and the tests.
+explicit and typo-proof for the miss handler.  Lookups go through the
+design's access path (or ``hierarchy.lookup``) like any TLB probe.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.vm.page_table import PageTableEntry
 from repro.vm.tlb import TLBEntry, TLBHierarchy
@@ -24,18 +23,6 @@ class CacheMapTLB:
 
     def __init__(self, hierarchy: TLBHierarchy):
         self.hierarchy = hierarchy
-
-    # ------------------------------------------------------------------
-    # Lookup path (on every memory access)
-    # ------------------------------------------------------------------
-    def lookup(self, virtual_page: int):
-        """Probe L1/L2; returns ("l1"|"l2"|"miss", entry-or-None).
-
-        On a hit the entry's ``target_page`` is directly the in-package
-        cache page (NC bit clear) or the off-package physical page (NC
-        bit set) -- no tag check follows in either case.
-        """
-        return self.hierarchy.lookup(virtual_page)
 
     # ------------------------------------------------------------------
     # Refill paths (from the cTLB miss handler)
@@ -84,21 +71,3 @@ class CacheMapTLB:
         the bits and freeze eviction.
         """
         return self.hierarchy.flush()
-
-    def resident(self, virtual_page: int) -> bool:
-        return self.hierarchy.resident(virtual_page)
-
-    def peek_target(self, virtual_page: int) -> Optional[int]:
-        """Return the mapped target page without LRU side effects."""
-        entry = self.hierarchy.l2.peek(virtual_page)
-        return None if entry is None else entry.target_page
-
-    @property
-    def accesses(self) -> int:
-        return self.hierarchy.accesses
-
-    def miss_rate(self) -> float:
-        return self.hierarchy.miss_rate()
-
-    def stats(self, prefix: str = "") -> dict:
-        return self.hierarchy.stats(prefix)

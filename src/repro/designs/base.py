@@ -199,8 +199,8 @@ class MemorySystemDesign(Counters):
             tlb_cycles = 0.0
         else:
             l1_tlb.misses += 1
-            # Inlined TLBHierarchy.lookup_after_l1_miss: L2 probe, and
-            # on a hit the promotion into L1 (TLB.insert, verbatim).
+            # Inlined L2 half of TLBHierarchy.lookup: L2 probe, and on
+            # a hit the promotion into L1 (TLB.insert, verbatim).
             l2_tlb = tlb.l2
             l2_map = l2_tlb._map
             entry = l2_map.get(virtual_page)
@@ -232,8 +232,8 @@ class MemorySystemDesign(Counters):
         else:
             line_key = entry.target_page * LINES_PER_PAGE + line_index
 
-        # Inlined on-die L1 probe (SetAssociativeCache.lookup hit branch
-        # for the fused-LRU sets the L1 always uses).
+        # Inlined on-die L1 probe (SetAssociativeCache.lookup's hit
+        # branch).
         ondie = self.ondie[core_id]
         l1 = ondie.l1
         l1_set = l1._sets[line_key % l1.num_sets]
@@ -248,11 +248,10 @@ class MemorySystemDesign(Counters):
             self._last_l3_involved = False
             return tlb_cycles + self._l1_hit_cycles
 
-        # Inlined OnDieHierarchy.access_after_l1_miss and
-        # _after_l1_probe_missed: book the L1 miss, probe the fused-LRU
-        # L2, fill L1 and drain dirty spills -- same operations in the
-        # same order as hierarchy.py (``entries`` above is already the
-        # L1 set the fill lands in).
+        # Inlined miss path of OnDieHierarchy.access: book the L1 miss,
+        # probe L2, fill L1 and drain dirty spills -- the same dict
+        # operations as its lookup/insert/contains/mark_dirty calls
+        # (``entries`` above is already the L1 set the fill lands in).
         l1.misses += 1
         writebacks = ondie.pending_writebacks
         writebacks.clear()

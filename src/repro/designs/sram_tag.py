@@ -32,7 +32,6 @@ class SRAMTagDesign(L3CacheDesign):
         self.tags = SRAMTagArray(
             capacity_pages=config.cache_pages,
             config=config.sram_tag,
-            policy="lru",
         )
 
     def _service_l2_miss(

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 from repro.common.config import SRAMTagConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import Counters
-from repro.sram.replacement import make_policy
 
 
 @dataclasses.dataclass
@@ -29,25 +28,25 @@ class TagEviction:
 
 
 class _TagSet:
-    __slots__ = ("mapping", "free_ways", "policy")
+    """One set: ``mapping`` maps physical page -> way, LRU first."""
 
-    def __init__(self, ways: int, policy_name: str):
-        self.mapping: Dict[int, int] = {}  # physical page -> way
+    __slots__ = ("mapping", "free_ways")
+
+    def __init__(self, ways: int):
+        self.mapping: Dict[int, int] = {}
         self.free_ways: List[int] = list(range(ways - 1, -1, -1))
-        self.policy = make_policy(policy_name)
 
 
 class SRAMTagArray(Counters):
-    """Physical-page -> cache-page translation with LRU replacement."""
+    """Physical-page -> cache-page translation with LRU replacement.
+
+    Each set's ``mapping`` dict is also its recency order: a touch pops
+    and reinserts the page, and the first key is the LRU victim.
+    """
 
     COUNTERS = ("probes", "hits")
 
-    def __init__(
-        self,
-        capacity_pages: int,
-        config: SRAMTagConfig,
-        policy: str = "lru",
-    ):
+    def __init__(self, capacity_pages: int, config: SRAMTagConfig):
         ways = config.associativity
         if capacity_pages < ways:
             ways = max(1, capacity_pages)
@@ -60,7 +59,7 @@ class SRAMTagArray(Counters):
         self.capacity_pages = capacity_pages
         self.ways = ways
         self.num_sets = capacity_pages // ways
-        self._sets = [_TagSet(ways, policy) for _ in range(self.num_sets)]
+        self._sets = [_TagSet(ways) for _ in range(self.num_sets)]
         self._dirty: Dict[int, bool] = {}  # cache page -> dirty
         self.probes = 0
         self.hits = 0
@@ -80,13 +79,14 @@ class SRAMTagArray(Counters):
     def lookup(self, physical_page: int, is_write: bool = False) -> Optional[int]:
         """Probe the tags; return the cache page on a hit, else None."""
         self.probes += 1
-        tag_set = self._sets[self._set_index(physical_page)]
-        way = tag_set.mapping.get(physical_page)
+        set_index = self._set_index(physical_page)
+        mapping = self._sets[set_index].mapping
+        way = mapping.pop(physical_page, None)
         if way is None:
             return None
         self.hits += 1
-        tag_set.policy.on_access(physical_page)
-        cache_page = self._cache_page(self._set_index(physical_page), way)
+        mapping[physical_page] = way
+        cache_page = self._cache_page(set_index, way)
         if is_write:
             self._dirty[cache_page] = True
         return cache_page
@@ -99,9 +99,10 @@ class SRAMTagArray(Counters):
         """
         set_index = self._set_index(physical_page)
         tag_set = self._sets[set_index]
-        if physical_page in tag_set.mapping:
-            way = tag_set.mapping[physical_page]
-            tag_set.policy.on_access(physical_page)
+        mapping = tag_set.mapping
+        if physical_page in mapping:
+            way = mapping.pop(physical_page)
+            mapping[physical_page] = way
             cache_page = self._cache_page(set_index, way)
             if dirty:
                 self._dirty[cache_page] = True
@@ -111,17 +112,15 @@ class SRAMTagArray(Counters):
         if tag_set.free_ways:
             way = tag_set.free_ways.pop()
         else:
-            victim = tag_set.policy.victim()
-            way = tag_set.mapping.pop(victim)
-            tag_set.policy.on_evict(victim)
+            victim = next(iter(mapping))
+            way = mapping.pop(victim)
             victim_cache_page = self._cache_page(set_index, way)
             eviction = TagEviction(
                 physical_page=victim,
                 cache_page=victim_cache_page,
                 dirty=self._dirty.pop(victim_cache_page, False),
             )
-        tag_set.mapping[physical_page] = way
-        tag_set.policy.on_insert(physical_page)
+        mapping[physical_page] = way
         cache_page = self._cache_page(set_index, way)
         self._dirty[cache_page] = dirty
         return cache_page, eviction
@@ -176,10 +175,6 @@ class SRAMTagArray(Counters):
                     raise SimulationError(
                         f"tag set {index}: way {way} out of range"
                     )
-            if set(tag_set.policy.keys()) != set(tag_set.mapping):
-                raise SimulationError(
-                    f"tag set {index}: policy keys != mapped pages"
-                )
             for page in tag_set.mapping:
                 if page % self.num_sets != index:
                     raise SimulationError(

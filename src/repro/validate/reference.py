@@ -1,16 +1,11 @@
-"""Slow-but-obvious reference model of the set-associative structures.
+"""Slow-but-obvious reference model of the set-associative LRU cache.
 
 ``repro.sram.set_assoc`` fuses residency and recency into one
-insertion-ordered dict for LRU/FIFO and pairs a lazy versioned ring with
-the residency map for CLOCK.  This module re-implements the same
-semantics the straightforward way -- explicit per-set recency lists, an
-eager CLOCK hand -- and replays randomized operation traces through both,
-comparing hits, victims, dirty write-backs and full structure state.
-
-The random policy is deliberately excluded: its swap-pop optimisation
-intentionally remaps which resident a given RNG draw selects (documented
-in ``replacement.py``), so the two implementations agree only in
-distribution, not trace-by-trace.
+insertion-ordered dict per set.  This module re-implements the same
+semantics the straightforward way -- an explicit per-set recency list
+beside a dirty map -- and replays randomized operation traces through
+both, comparing hits, victims, dirty write-backs and full structure
+state.
 """
 
 from __future__ import annotations
@@ -21,80 +16,45 @@ from typing import Dict, List, Optional, Tuple
 from repro.sram.set_assoc import SetAssociativeCache
 from repro.validate.invariants import InvariantViolation
 
-#: Policies the reference model covers (deterministic victim orders).
-REFERENCE_POLICIES = ("lru", "fifo", "clock")
-
 
 class _ReferenceSet:
-    """One set: an explicit order list, dirty bits, and CLOCK ref bits.
+    """One set: ``order`` is recency order, front = next victim."""
 
-    ``order`` is the eviction order, front = next victim candidate.  For
-    LRU that is recency order; for FIFO insertion order; for CLOCK the
-    hand's rotation order (the hand always sits at the front).
-    """
-
-    def __init__(self, ways: int, policy: str):
+    def __init__(self, ways: int):
         self.ways = ways
-        self.policy = policy
         self.order: List[int] = []
         self.dirty: Dict[int, bool] = {}
-        self.referenced: Dict[int, bool] = {}
+
+    def _touch(self, key: int) -> None:
+        self.order.remove(key)
+        self.order.append(key)
 
     def lookup(self, key: int, is_write: bool) -> bool:
         if key not in self.dirty:
             return False
-        if self.policy == "lru":
-            self.order.remove(key)
-            self.order.append(key)
-        elif self.policy == "clock":
-            self.referenced[key] = True
+        self._touch(key)
         if is_write:
             self.dirty[key] = True
         return True
 
-    def victim(self) -> int:
-        if self.policy in ("lru", "fifo"):
-            return self.order[0]
-        # CLOCK: rotate past referenced keys, clearing their bit; the
-        # first unreferenced key under the hand is the victim.
-        while True:
-            key = self.order[0]
-            if self.referenced[key]:
-                self.referenced[key] = False
-                self.order.append(self.order.pop(0))
-                continue
-            return key
-
     def insert(self, key: int, dirty: bool) -> Optional[Tuple[int, bool]]:
         """Returns the (victim, victim_dirty) eviction, if any."""
         if key in self.dirty:
-            if self.policy == "lru":
-                self.order.remove(key)
-                self.order.append(key)
-            elif self.policy == "clock":
-                # The fast structure routes a resident re-insert through
-                # policy.on_access, which sets the reference bit.
-                self.referenced[key] = True
-            # FIFO: a resident re-insert leaves the order untouched.
+            self._touch(key)
             self.dirty[key] = self.dirty[key] or dirty
             return None
         evicted = None
         if len(self.dirty) >= self.ways:
-            victim = self.victim()
-            self.order.remove(victim)
+            victim = self.order.pop(0)
             evicted = (victim, self.dirty.pop(victim))
-            self.referenced.pop(victim, None)
         self.order.append(key)
         self.dirty[key] = dirty
-        if self.policy == "clock":
-            self.referenced[key] = False
         return evicted
 
     def invalidate(self, key: int) -> Optional[Tuple[int, bool]]:
         if key not in self.dirty:
             return None
         self.order.remove(key)
-        self.referenced.pop(key, None)
         return (key, self.dirty.pop(key))
 
     def mark_dirty(self, key: int) -> None:
@@ -105,15 +65,10 @@ class _ReferenceSet:
 class ReferenceSetAssociativeCache:
     """Eager, list-based twin of :class:`SetAssociativeCache`."""
 
-    def __init__(self, num_sets: int, ways: int, policy: str = "lru"):
-        if policy not in REFERENCE_POLICIES:
-            raise ValueError(
-                f"reference model covers {REFERENCE_POLICIES}, not {policy!r}"
-            )
+    def __init__(self, num_sets: int, ways: int):
         self.num_sets = num_sets
         self.ways = ways
-        self.policy = policy
-        self._sets = [_ReferenceSet(ways, policy) for _ in range(num_sets)]
+        self._sets = [_ReferenceSet(ways) for _ in range(num_sets)]
 
     def _set_for(self, key: int) -> _ReferenceSet:
         return self._sets[key % self.num_sets]
@@ -134,46 +89,26 @@ class ReferenceSetAssociativeCache:
         self._set_for(key).mark_dirty(key)
 
 
-# ----------------------------------------------------------------------
-# State extraction from the optimized structure, for deep comparison
-# ----------------------------------------------------------------------
-def _fast_set_state(cache: SetAssociativeCache, index: int):
-    """(ordered keys or residency set, dirty map, ref bits) of one set."""
-    cache_set = cache._sets[index]
-    entries = cache_set.entries
-    policy = cache_set.policy
-    if policy is None:  # fused LRU/FIFO: dict order IS the order
-        return list(entries), dict(entries), None
-    # CLOCK: live ring order (stale slots filtered), front = hand.
-    ring = [key for key, version in policy._ring
-            if key in policy._referenced and policy._version[key] == version]
-    return ring, dict(entries), dict(policy._referenced)
-
-
 def _compare_state(fast: SetAssociativeCache,
                    reference: ReferenceSetAssociativeCache,
                    op_index: int) -> None:
+    """Each set's dict order must be the reference's recency order."""
     for index in range(fast.num_sets):
-        order, dirty, refbits = _fast_set_state(fast, index)
+        entries = fast._sets[index].entries
         ref_set = reference._sets[index]
-        if order != ref_set.order:
+        if list(entries) != ref_set.order:
             raise InvariantViolation(
                 f"op {op_index}, set {index}: replacement order diverged -- "
-                f"optimized {order} vs reference {ref_set.order}"
+                f"optimized {list(entries)} vs reference {ref_set.order}"
             )
-        if dirty != ref_set.dirty:
+        if entries != ref_set.dirty:
             raise InvariantViolation(
                 f"op {op_index}, set {index}: dirty bits diverged -- "
-                f"optimized {dirty} vs reference {ref_set.dirty}"
-            )
-        if refbits is not None and refbits != ref_set.referenced:
-            raise InvariantViolation(
-                f"op {op_index}, set {index}: CLOCK ref bits diverged -- "
-                f"optimized {refbits} vs reference {ref_set.referenced}"
+                f"optimized {dict(entries)} vs reference {ref_set.dirty}"
             )
 
 
-def run_reference_differential(policy: str, num_sets: int = 4, ways: int = 8,
+def run_reference_differential(num_sets: int = 4, ways: int = 8,
                                operations: int = 20_000, seed: int = 0,
                                state_check_every: int = 64,
                                fast: Optional[SetAssociativeCache] = None,
@@ -185,8 +120,8 @@ def run_reference_differential(policy: str, num_sets: int = 4, ways: int = 8,
     a structure they intend to corrupt mid-run.
     """
     if fast is None:
-        fast = SetAssociativeCache(num_sets, ways, policy=policy)
-    reference = ReferenceSetAssociativeCache(num_sets, ways, policy=policy)
+        fast = SetAssociativeCache(num_sets, ways)
+    reference = ReferenceSetAssociativeCache(num_sets, ways)
     rng = random.Random(seed)
     # Key space ~2x capacity so sets stay full and evictions are common.
     key_space = max(2 * num_sets * ways, 16)
@@ -230,7 +165,6 @@ def run_reference_differential(policy: str, num_sets: int = 4, ways: int = 8,
 
     _compare_state(fast, reference, operations)
     counts["operations"] = operations
-    counts["policy"] = policy
     return counts
 
 

@@ -109,7 +109,13 @@ class TLB(Counters):
 
 
 class TLBHierarchy(Counters):
-    """Inclusive L1+L2 TLB pair for one core."""
+    """Inclusive L1+L2 TLB pair for one core.
+
+    :meth:`lookup` is the plain model of the translation probe that
+    ``MemorySystemDesign.access_cycles`` and the fused tagless kernel
+    inline on the ``_map`` dicts; :meth:`install` is the refill they
+    call on a miss.
+    """
 
     __slots__ = ("l1", "l2", "on_l2_evict", "l1_hits", "l2_hits", "misses")
 
@@ -146,15 +152,6 @@ class TLBHierarchy(Counters):
             if virtual_page in l2_map:
                 l2_map[virtual_page] = l2_map.pop(virtual_page)
             return "l1", entry
-        return self.lookup_after_l1_miss(virtual_page)
-
-    def lookup_after_l1_miss(self, virtual_page: int):
-        """L2 probe half of :meth:`lookup`.
-
-        The design hot path inlines the L1 probe (and its counter
-        updates) itself and only calls here on an L1 miss, so this must
-        *not* touch L1 statistics.
-        """
         entry = self.l2.lookup(virtual_page)
         if entry is not None:
             self.l2_hits += 1
@@ -234,13 +231,6 @@ class TLBHierarchy(Counters):
     def resident(self, virtual_page: int) -> bool:
         """Is the page within this core's TLB reach?"""
         return self.l2.contains(virtual_page)
-
-    def update_target(self, virtual_page: int, entry: TLBEntry) -> None:
-        """Overwrite a resident translation in place (both levels)."""
-        if self.l2.contains(virtual_page):
-            self.l2._map[virtual_page] = entry
-        if self.l1.contains(virtual_page):
-            self.l1._map[virtual_page] = entry
 
     def reset_stats(self) -> None:
         """Zero hit/miss counters; translations stay resident."""

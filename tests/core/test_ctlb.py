@@ -1,4 +1,4 @@
-"""cTLB semantic wrapper tests."""
+"""cTLB semantic wrapper tests (probes read through ``ctlb.hierarchy``)."""
 
 import pytest
 
@@ -14,7 +14,7 @@ def ctlb():
 
 def test_cache_mapping_returns_cache_page(ctlb):
     ctlb.install_cache_mapping(virtual_page=5, cache_page=17)
-    level, entry = ctlb.lookup(5)
+    level, entry = ctlb.hierarchy.lookup(5)
     assert level == "l1"
     assert entry.target_page == 17
     assert not entry.non_cacheable
@@ -24,34 +24,34 @@ def test_noncacheable_mapping_returns_physical_page(ctlb):
     pte = PageTableEntry(virtual_page=6, physical_page=900,
                          non_cacheable=True)
     ctlb.install_noncacheable(pte)
-    __, entry = ctlb.lookup(6)
+    __, entry = ctlb.hierarchy.lookup(6)
     assert entry.target_page == 900
     assert entry.non_cacheable
 
 
 def test_miss_returns_none(ctlb):
-    level, entry = ctlb.lookup(99)
+    level, entry = ctlb.hierarchy.lookup(99)
     assert level == "miss" and entry is None
 
 
 def test_shootdown(ctlb):
     ctlb.install_cache_mapping(1, 2)
     assert ctlb.shootdown(1)
-    level, __ = ctlb.lookup(1)
+    level, __ = ctlb.hierarchy.lookup(1)
     assert level == "miss"
     assert not ctlb.shootdown(1)
 
 
 def test_resident_and_peek(ctlb):
     ctlb.install_cache_mapping(1, 2)
-    assert ctlb.resident(1)
-    assert ctlb.peek_target(1) == 2
-    assert ctlb.peek_target(42) is None
+    assert ctlb.hierarchy.resident(1)
+    assert ctlb.hierarchy.l2.peek(1).target_page == 2
+    assert ctlb.hierarchy.l2.peek(42) is None
 
 
 def test_miss_rate_delegation(ctlb):
-    ctlb.lookup(1)
+    ctlb.hierarchy.lookup(1)
     ctlb.install_cache_mapping(1, 2)
-    ctlb.lookup(1)
-    assert ctlb.accesses == 2
-    assert ctlb.miss_rate() == pytest.approx(0.5)
+    ctlb.hierarchy.lookup(1)
+    assert ctlb.hierarchy.accesses == 2
+    assert ctlb.hierarchy.miss_rate() == pytest.approx(0.5)

@@ -50,7 +50,7 @@ def test_first_touch_fills(table):
     assert cycles > 60  # walk + fill + GIPT
     assert engine.fills == 1
     # The cTLB now maps the page to its cache address.
-    __, entry = h.ctlb.lookup(7)
+    __, entry = h.ctlb.hierarchy.lookup(7)
     assert entry.target_page == table.entry(7).cache_page
 
 
@@ -70,7 +70,7 @@ def test_noncacheable_page_gets_physical_mapping(table):
     cycles, outcome = h.handle(table, 3, 0.0)
     assert outcome is MissOutcome.NON_CACHEABLE
     assert engine.fills == 0
-    __, entry = h.ctlb.lookup(3)
+    __, entry = h.ctlb.hierarchy.lookup(3)
     assert entry.non_cacheable
     assert entry.target_page == table.entry(3).physical_page
 

@@ -1,6 +1,7 @@
 """SRAM tag array (the baseline's physical-to-cache translation)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.addressing import BYTES_PER_GB
 from repro.common.config import SRAMTagConfig
@@ -109,3 +110,39 @@ def test_indivisible_capacity_rejected():
             capacity_pages=65,
             config=SRAMTagConfig(cache_bytes=BYTES_PER_GB, associativity=2),
         )
+
+
+@given(st.lists(st.tuples(st.sampled_from(["lookup", "insert"]),
+                          st.integers(0, 15), st.booleans()), max_size=80))
+def test_lru_matches_reference_model(ops):
+    """Drive the tag array and a per-set list-based LRU model in
+    lockstep: same hits, same victims, same dirty bits on eviction."""
+    tags = SRAMTagArray(
+        capacity_pages=8,
+        config=SRAMTagConfig(cache_bytes=BYTES_PER_GB, associativity=4),
+    )
+    model = [[] for _ in range(tags.num_sets)]  # least-recent first
+    dirty = set()
+    for op, page, is_write in ops:
+        order = model[page % tags.num_sets]
+        if op == "lookup":
+            hit = tags.lookup(page, is_write) is not None
+            assert hit == (page in order)
+            if not hit:
+                continue
+        else:
+            __, eviction = tags.insert(page, dirty=is_write)
+            if page not in order and len(order) == tags.ways:
+                victim = order.pop(0)
+                assert eviction.physical_page == victim
+                assert eviction.dirty == (victim in dirty)
+                dirty.discard(victim)
+            else:
+                assert eviction is None
+        if page in order:
+            order.remove(page)
+        order.append(page)
+        if is_write:
+            dirty.add(page)
+    for index, order in enumerate(model):
+        assert list(tags._sets[index].mapping) == order

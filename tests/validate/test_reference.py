@@ -5,33 +5,24 @@ import pytest
 from repro.sram.set_assoc import SetAssociativeCache
 from repro.validate.invariants import InvariantViolation
 from repro.validate.reference import (
-    REFERENCE_POLICIES,
     ReferenceSetAssociativeCache,
     _compare_state,
     run_reference_differential,
 )
 
 
-@pytest.mark.parametrize("policy", REFERENCE_POLICIES)
-def test_optimized_matches_reference(policy):
-    counts = run_reference_differential(policy, operations=5_000)
-    assert counts["policy"] == policy
+def test_optimized_matches_reference():
+    counts = run_reference_differential(operations=5_000)
     assert counts["operations"] == 5_000
     # The op mix must actually exercise every path.
     for op in ("lookup", "insert", "invalidate", "mark_dirty"):
         assert counts[op] > 0
 
 
-@pytest.mark.parametrize("policy", REFERENCE_POLICIES)
-def test_differential_is_seed_deterministic(policy):
-    a = run_reference_differential(policy, operations=2_000, seed=3)
-    b = run_reference_differential(policy, operations=2_000, seed=3)
+def test_differential_is_seed_deterministic():
+    a = run_reference_differential(operations=2_000, seed=3)
+    b = run_reference_differential(operations=2_000, seed=3)
     assert a == b
-
-
-def test_random_policy_is_excluded():
-    with pytest.raises(ValueError):
-        ReferenceSetAssociativeCache(4, 8, policy="random")
 
 
 def test_catches_preexisting_divergence():
@@ -39,18 +30,17 @@ def test_catches_preexisting_divergence():
     # seen.  The key sits outside the differential's key space, so the
     # trace cannot re-insert it and silently heal the divergence: the
     # first state sweep (or an eviction mismatch) must flag it.
-    fast = SetAssociativeCache(4, 8, policy="lru")
+    fast = SetAssociativeCache(4, 8)
     fast.insert(64)
     with pytest.raises(InvariantViolation):
-        run_reference_differential("lru", operations=500,
-                                   state_check_every=16, fast=fast)
+        run_reference_differential(operations=500, state_check_every=16,
+                                   fast=fast)
 
 
-@pytest.mark.parametrize("policy", ["lru", "fifo"])
-def test_catches_corrupted_recency_order(policy):
+def test_catches_corrupted_recency_order():
     """Same residents, wrong victim order -- the classic fused-dict bug."""
-    fast = SetAssociativeCache(4, 8, policy=policy)
-    reference = ReferenceSetAssociativeCache(4, 8, policy=policy)
+    fast = SetAssociativeCache(4, 8)
+    reference = ReferenceSetAssociativeCache(4, 8)
     for key in (0, 4, 8):  # all land in set 0
         fast.insert(key)
         reference.insert(key, False)
@@ -63,21 +53,9 @@ def test_catches_corrupted_recency_order(policy):
         _compare_state(fast, reference, 1)
 
 
-def test_catches_corrupted_clock_ref_bit():
-    fast = SetAssociativeCache(4, 8, policy="clock")
-    reference = ReferenceSetAssociativeCache(4, 8, policy="clock")
-    for key in (0, 4):
-        fast.insert(key)
-        reference.insert(key, False)
-    _compare_state(fast, reference, 0)
-    fast._sets[0].policy._referenced[0] = True  # spurious reference bit
-    with pytest.raises(InvariantViolation, match="ref bits diverged"):
-        _compare_state(fast, reference, 1)
-
-
 def test_catches_corrupted_dirty_bit():
-    fast = SetAssociativeCache(4, 8, policy="lru")
-    reference = ReferenceSetAssociativeCache(4, 8, policy="lru")
+    fast = SetAssociativeCache(4, 8)
+    reference = ReferenceSetAssociativeCache(4, 8)
     fast.insert(0)
     reference.insert(0, False)
     fast.mark_dirty(0)  # reference not told

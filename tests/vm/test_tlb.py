@@ -112,13 +112,6 @@ class TestTLBHierarchy:
         h.install(2, TLBEntry(2))
         assert h.resident(1)  # out of L1, still within TLB reach
 
-    def test_update_target_rewrites_both_levels(self):
-        h = self.make()
-        h.install(1, TLBEntry(10))
-        h.update_target(1, TLBEntry(20))
-        __, entry = h.lookup(1)
-        assert entry.target_page == 20
-
     def test_l2_smaller_than_l1_rejected(self):
         with pytest.raises(ValueError):
             TLBHierarchy(4, 2)

@@ -42,7 +42,6 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
 )
-from repro.common.stats import StatGroup
 
 __all__ = [
     "AddressSpace",
@@ -67,5 +66,4 @@ __all__ = [
     "ConfigurationError",
     "ReproError",
     "SimulationError",
-    "StatGroup",
 ]

@@ -2,13 +2,11 @@
 
 Each component declares its event counters once, with :class:`Counters`;
 designs merge their components' ``stats()`` into the flat dictionary a
-run reports.  :class:`StatGroup` is a free-standing bag of named
-counters, and :class:`Histogram` the bounded latency histogram.
+run reports.  :class:`Histogram` is the bounded latency histogram.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 
@@ -56,72 +54,6 @@ class Counters:
         for name in self._all_counters:
             zero = 0.0 if isinstance(getattr(self, name), float) else 0
             setattr(self, name, zero)
-
-
-class StatGroup:
-    """A named bag of additive counters.
-
-    >>> stats = StatGroup("l1")
-    >>> stats.add("hits")
-    >>> stats.add("hits", 2)
-    >>> stats["hits"]
-    3.0
-    >>> stats.ratio("hits", "hits")
-    1.0
-    """
-
-    __slots__ = ("name", "_counters")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._counters: Dict[str, float] = defaultdict(float)
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        """Increment counter ``key`` by ``amount``."""
-        self._counters[key] += amount
-
-    def set(self, key: str, value: float) -> None:
-        """Overwrite counter ``key`` (used for gauges like final sizes)."""
-        self._counters[key] = value
-
-    def __getitem__(self, key: str) -> float:
-        return self._counters.get(key, 0.0)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._counters
-
-    def keys(self) -> Iterable[str]:
-        return self._counters.keys()
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """Return counters[num] / counters[den], or 0.0 if the denominator
-        is zero (a convention that keeps report code branch-free)."""
-        den = self._counters.get(denominator, 0.0)
-        if den == 0.0:
-            return 0.0
-        return self._counters.get(numerator, 0.0) / den
-
-    def mean(self, total: str, count: str) -> float:
-        """Alias of :meth:`ratio` that reads better for averages."""
-        return self.ratio(total, count)
-
-    def as_dict(self, prefix: str = "") -> Dict[str, float]:
-        """Flatten to a plain dict, optionally prefixing every key."""
-        if prefix:
-            return {f"{prefix}{k}": v for k, v in self._counters.items()}
-        return dict(self._counters)
-
-    def merge(self, other: "StatGroup") -> None:
-        """Add every counter of ``other`` into this group."""
-        for key, value in other._counters.items():
-            self._counters[key] += value
-
-    def reset(self) -> None:
-        self._counters.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
-        return f"StatGroup({self.name!r}: {body})"
 
 
 class Histogram:
@@ -253,15 +185,6 @@ class Histogram:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Histogram({self.name!r}: n={self.count}, "
                 f"mean={self.mean():g})")
-
-
-def merge_stat_dicts(dicts: Iterable[Mapping[str, float]]) -> Dict[str, float]:
-    """Sum a sequence of flat stat dictionaries key-wise."""
-    merged: Dict[str, float] = defaultdict(float)
-    for d in dicts:
-        for key, value in d.items():
-            merged[key] += value
-    return dict(merged)
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -1,19 +1,20 @@
 """Zero-copy trace dispatch over ``multiprocessing.shared_memory``.
 
-Worker processes historically *regenerated* every trace from its spec --
-deterministic, but a sweep of K jobs over the same multi-million-access
-workload paid the synthesis cost K times (and K more times on retries).
-The :class:`TraceArena` moves that cost to the parent, exactly once per
+A sweep of K jobs over one workload would otherwise synthesise the same
+trace K times in its workers (and K more times on retries).  The
+:class:`TraceArena` moves that cost to the parent, exactly once per
 distinct trace recipe:
 
-- the parent materialises the spec's bindings, packs each trace's
-  columnar buffer (:class:`~repro.workloads.trace.ColumnarTrace`) into
-  one ``SharedMemory`` segment, and keeps the handle;
+- the parent materialises the spec's bindings, packs each
+  :class:`~repro.workloads.trace.AccessTrace`'s numpy columns into one
+  ``SharedMemory`` segment in the :data:`COLUMNS` layout, and keeps the
+  handle;
 - the job rides the pool's submit payload with a tiny
   :class:`TraceShare` manifest (segment names and trace metadata, no
   trace data);
 - the worker attaches the named segments -- zero-copy, cached for the
-  life of the process -- and replays ``ColumnarTrace`` views over them.
+  life of the process -- and replays ``AccessTrace``s whose columns are
+  ``np.frombuffer`` views over them.
 
 Lifecycle is parent-owned: segments are created before the first submit
 that needs them and unlinked in the runner's ``finally``, so a worker
@@ -21,46 +22,64 @@ that is SIGKILLed mid-job (or replaced after a crash) never leaks a
 segment -- it only ever held an *attachment*.  Retries and replacement
 workers re-attach the same segments; nothing is ever re-published.
 
-``REPRO_SHM=0`` disables the arena (workers fall back to in-worker
-regeneration, the pre-arena behaviour).  Platforms where ``SharedMemory``
-creation fails fall back per-trace to shipping the packed bytes inline
-in the manifest -- still one materialisation in the parent, but the
-bytes then cross the pipe by pickling and are counted as such
+Where ``SharedMemory`` creation fails (``/dev/shm`` missing or full) a
+trace falls back to shipping the packed bytes inline in the manifest --
+still one materialisation in the parent, but the bytes then cross the
+pipe by pickling and are counted as such
 (``JobResult.trace_bytes_pickled`` vs ``trace_bytes_shared``).
 
-Either way the results are bit-identical to regeneration: the golden
-oracle locks ``ColumnarTrace`` replay against the object traces, and
-the recipe key covers every input trace generation depends on.
+Either way the worker replays the same class, with the same column
+values, as a serial run, and the recipe key covers every input trace
+generation depends on, so results are bit-identical to regeneration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
+from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common import rng
 from repro.cpu.multicore import BoundTrace
 from repro.obs.metrics import get_registry
-from repro.workloads.trace import ColumnarTrace
+from repro.workloads.trace import AccessTrace
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - stripped-down interpreters
-    _shared_memory = None
+#: Packed layout of one trace, column after column: ``AccessTrace``
+#: field and stored dtype.  The 8-byte columns come first, so every
+#: column starts aligned.
+COLUMNS = (
+    ("virtual_pages", np.int64),
+    ("instruction_gaps", np.int64),
+    ("lines", np.uint8),
+    ("writes", np.bool_),
+)
 
-#: Environment switch: ``0``/``off``/``false`` disables shared-memory
-#: dispatch (workers regenerate traces from specs, the legacy path).
-SHM_ENV = "REPRO_SHM"
+#: Packed bytes per access (18).
+BYTES_PER_ACCESS = sum(np.dtype(dtype).itemsize for _, dtype in COLUMNS)
 
 
-def shm_enabled() -> bool:
-    """Shared-memory dispatch is on unless ``$REPRO_SHM`` turns it off."""
-    if _shared_memory is None:
-        return False
-    raw = os.environ.get(SHM_ENV, "1").strip().lower()
-    return raw not in ("0", "off", "false", "no")
+def _column_views(buffer, accesses: int) -> Dict[str, np.ndarray]:
+    """``COLUMNS``-layout numpy views over ``buffer``, keyed by field."""
+    views = {}
+    offset = 0
+    for field, dtype in COLUMNS:
+        views[field] = np.frombuffer(buffer, dtype=dtype, count=accesses,
+                                     offset=offset)
+        offset += views[field].nbytes
+    return views
+
+
+def _pack(trace: AccessTrace, buffer) -> None:
+    """Write ``trace``'s columns into ``buffer`` in the ``COLUMNS`` layout.
+
+    The views are dropped on return: a live view over a segment's
+    buffer would make ``SharedMemory.close()`` raise ``BufferError``.
+    """
+    for field, view in _column_views(buffer, len(trace)).items():
+        view[:] = getattr(trace, field)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +100,16 @@ class SegmentRef:
 
     @property
     def nbytes(self) -> int:
-        return ColumnarTrace.buffer_nbytes(self.accesses)
+        return BYTES_PER_ACCESS * self.accesses
+
+    def trace_over(self, buffer) -> AccessTrace:
+        """An ``AccessTrace`` whose columns are views over ``buffer``."""
+        return AccessTrace(
+            name=self.trace_name,
+            base_cpi=self.base_cpi,
+            mlp=self.mlp,
+            **_column_views(buffer, self.accesses),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,13 +155,11 @@ class TraceArena:
     segments' lifetime is bounded by the sweep, not by any worker.
     """
 
-    def __init__(self, enabled: Optional[bool] = None):
-        self.enabled = shm_enabled() if enabled is None else enabled
+    def __init__(self):
         self._shares: Dict[tuple, TraceShare] = {}
         self._segments: list = []
         self.publishes = 0
         self.reuses = 0
-        self.bytes_published = 0
         registry = get_registry()
         self._m_shares = registry.counter(
             "repro_shm_shares_total",
@@ -145,8 +171,6 @@ class TraceArena:
     # ------------------------------------------------------------------
     def share_for(self, spec) -> Optional[TraceShare]:
         """Manifest for ``spec``'s traces (publishing them if new)."""
-        if not self.enabled:
-            return None
         if spec.workload_kind == "tenants":
             # Tenant jobs replay a context-switched schedule built
             # in-worker from the scenario file; there are no per-core
@@ -179,29 +203,28 @@ class TraceArena:
                 rng.BASE_SEED = previous
         refs = []
         for binding in bindings:
-            columnar = ColumnarTrace.from_trace(binding.trace)
-            nbytes = columnar.nbytes
+            trace = binding.trace
+            nbytes = BYTES_PER_ACCESS * len(trace)
             segment_name = None
             payload = None
             segment = self._create_segment(nbytes)
             if segment is not None:
-                columnar.pack_into(segment.buf)
+                _pack(trace, segment.buf)
                 segment_name = segment.name
                 self._segments.append(segment)
                 self._m_bytes.inc(nbytes, transport="shared")
             else:  # inline fallback: ship the packed bytes by value
                 buffer = bytearray(nbytes)
-                columnar.pack_into(buffer)
+                _pack(trace, buffer)
                 payload = bytes(buffer)
                 self._m_bytes.inc(nbytes, transport="pickled")
-            self.bytes_published += nbytes
             refs.append(SegmentRef(
                 segment=segment_name,
                 payload=payload,
-                accesses=len(columnar),
-                trace_name=columnar.name,
-                base_cpi=columnar.base_cpi,
-                mlp=columnar.mlp,
+                accesses=len(trace),
+                trace_name=trace.name,
+                base_cpi=trace.base_cpi,
+                mlp=trace.mlp,
                 core_id=binding.core_id,
                 process_id=binding.process_id,
             ))
@@ -209,11 +232,9 @@ class TraceArena:
 
     @staticmethod
     def _create_segment(nbytes: int):
-        if _shared_memory is None:
-            return None
         try:
-            return _shared_memory.SharedMemory(create=True,
-                                               size=max(1, nbytes))
+            return shared_memory.SharedMemory(create=True,
+                                              size=max(1, nbytes))
         except OSError:  # /dev/shm missing or full: inline fallback
             return None
 
@@ -240,17 +261,17 @@ class TraceArena:
 # Worker side
 # ----------------------------------------------------------------------
 
-#: Segment-name -> (SharedMemory, ColumnarTrace) attachments, cached for
+#: Segment-name -> (SharedMemory, AccessTrace) attachments, cached for
 #: the worker process's lifetime: a worker running 50 jobs over one
-#: trace attaches (and type-casts) it once.
+#: trace attaches it (and converts it to lists) once.
 _ATTACHMENTS: Dict[str, tuple] = {}
 
 
-def _attach_segment(ref: SegmentRef) -> ColumnarTrace:
+def _attach_segment(ref: SegmentRef) -> AccessTrace:
     cached = _ATTACHMENTS.get(ref.segment)
     if cached is not None:
         return cached[1]
-    segment = _shared_memory.SharedMemory(name=ref.segment, create=False)
+    segment = shared_memory.SharedMemory(name=ref.segment, create=False)
     # Under the spawn start method each worker runs its own resource
     # tracker, which assumes whoever attaches also owns cleanup and
     # would unlink the segment when this worker exits -- yanking it out
@@ -267,10 +288,7 @@ def _attach_segment(ref: SegmentRef) -> ColumnarTrace:
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:
             pass
-    trace = ColumnarTrace.from_buffer(
-        ref.trace_name, ref.accesses, segment.buf,
-        base_cpi=ref.base_cpi, mlp=ref.mlp, owner=segment,
-    )
+    trace = ref.trace_over(segment.buf)
     _ATTACHMENTS[ref.segment] = (segment, trace)
     return trace
 
@@ -279,18 +297,16 @@ def attach_bindings(share: TraceShare) -> List[BoundTrace]:
     """Rebuild a job's bindings from its manifest (worker side).
 
     Shared segments are attached zero-copy and cached; inline payloads
-    are wrapped in place.  Raises on a vanished segment -- the caller
-    falls back to regenerating from the spec.
+    are wrapped in place (read-only views over the ``bytes``).  Raises
+    on a vanished segment -- the caller falls back to regenerating from
+    the spec.
     """
     bindings = []
     for ref in share.refs:
         if ref.segment is not None:
             trace = _attach_segment(ref)
         else:
-            trace = ColumnarTrace.from_buffer(
-                ref.trace_name, ref.accesses, ref.payload,
-                base_cpi=ref.base_cpi, mlp=ref.mlp, owner=ref.payload,
-            )
+            trace = ref.trace_over(ref.payload)
         bindings.append(BoundTrace(core_id=ref.core_id,
                                    process_id=ref.process_id,
                                    trace=trace))

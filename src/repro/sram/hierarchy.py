@@ -139,9 +139,3 @@ class OnDieHierarchy(Counters):
     @property
     def accesses(self) -> int:
         return self.l1_hits + self.l2_hits + self.misses
-
-    def miss_rate(self) -> float:
-        """Fraction of accesses that left the on-die hierarchy."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses

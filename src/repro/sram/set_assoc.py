@@ -13,7 +13,7 @@ move-to-end is pop + reinsert and the LRU victim is the first key.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.stats import Counters
@@ -127,20 +127,6 @@ class SetAssociativeCache(Counters):
     def __iter__(self) -> Iterator[int]:
         for cache_set in self._sets:
             yield from cache_set.entries
-
-    def occupancy(self) -> float:
-        """Fraction of the cache currently valid."""
-        return len(self) / self.capacity_blocks
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
-    def set_of(self, key: int) -> Tuple[int, ...]:
-        """Keys currently resident in ``key``'s set (testing aid)."""
-        return tuple(self._sets[key % self.num_sets].entries)
 
     def check_consistency(self) -> None:
         """Validate per-set structure (read-only; ``repro.validate``).

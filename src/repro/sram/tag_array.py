@@ -193,11 +193,6 @@ class SRAMTagArray(Counters):
     def __len__(self) -> int:
         return sum(len(s.mapping) for s in self._sets)
 
-    def hit_rate(self) -> float:
-        if self.probes == 0:
-            return 0.0
-        return self.hits / self.probes
-
     def stats(self, prefix: str = "") -> dict:
         out = super().stats(prefix)
         out[f"{prefix}resident_pages"] = float(len(self))

@@ -101,12 +101,6 @@ class TLB(Counters):
     def __iter__(self):
         return iter(self._map)
 
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
 
 class TLBHierarchy(Counters):
     """Inclusive L1+L2 TLB pair for one core.
@@ -228,21 +222,8 @@ class TLBHierarchy(Counters):
         self.l1._map.clear()
         return dropped
 
-    def resident(self, virtual_page: int) -> bool:
-        """Is the page within this core's TLB reach?"""
-        return self.l2.contains(virtual_page)
-
     def reset_stats(self) -> None:
         """Zero hit/miss counters; translations stay resident."""
         super().reset_stats()
         self.l1.reset_stats()
         self.l2.reset_stats()
-
-    @property
-    def accesses(self) -> int:
-        return self.l1_hits + self.l2_hits + self.misses
-
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses

@@ -7,7 +7,7 @@ Zipf-skewed footprints, Poisson-ish arrivals, and exponential service
 demands, time-sliced onto the existing cores by a deterministic
 round-robin scheduler.  The output is a :class:`TenantSchedule` -- per
 core, an ordered list of :class:`TenantSegment` slices of per-tenant
-:class:`~repro.workloads.trace.ColumnarTrace` streams -- replayed by
+:class:`~repro.workloads.trace.AccessTrace` streams -- replayed by
 :func:`repro.cpu.scheduled.run_schedule` through the one replay loop,
 :func:`repro.cpu.multicore.replay`.
 
@@ -40,7 +40,7 @@ from repro.common import rng
 from repro.common.errors import ConfigurationError
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import SPEC_PROFILES, spec_profile
-from repro.workloads.trace import AccessTrace, ColumnarTrace
+from repro.workloads.trace import AccessTrace
 
 #: Guard pages between tenant VPN windows (cold-region margin).
 VPN_WINDOW_MARGIN = 64
@@ -212,7 +212,7 @@ class TenantSegment:
 
     tenant_id: int
     process_id: int
-    trace: ColumnarTrace
+    trace: AccessTrace
 
 
 @dataclasses.dataclass
@@ -292,7 +292,7 @@ def build_schedule(
     )
 
     tenants: List[TenantInfo] = []
-    streams: List[ColumnarTrace] = []
+    streams: List[AccessTrace] = []
     vpn_base = 0
     arrival_round = 0
     for tenant_id in range(scenario.tenants):
@@ -320,7 +320,7 @@ def build_schedule(
         # Private VPN window: the generator emits pages in
         # [0, ~3 * footprint); shift each tenant past its predecessors.
         span = 3 * generator.footprint + VPN_WINDOW_MARGIN
-        shifted = AccessTrace(
+        streams.append(AccessTrace(
             name=trace.name,
             virtual_pages=trace.virtual_pages + vpn_base,
             lines=trace.lines,
@@ -328,8 +328,7 @@ def build_schedule(
             instruction_gaps=trace.instruction_gaps,
             base_cpi=trace.base_cpi,
             mlp=trace.mlp,
-        )
-        streams.append(ColumnarTrace.from_trace(shifted))
+        ))
         tenants.append(TenantInfo(
             tenant_id=tenant_id,
             process_id=tenant_id,
@@ -345,7 +344,7 @@ def build_schedule(
 
     # Quantized round-robin: each round admits newly arrived tenants,
     # then every core serves one quantum of the tenant at the head of
-    # the ready queue.  ColumnarTrace slices are O(1) views, so the
+    # the ready queue.  AccessTrace slices are numpy views, so the
     # schedule costs metadata, not copies.
     per_core: List[List[TenantSegment]] = [[] for _ in range(num_cores)]
     positions = [0] * scenario.tenants

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from repro.common.stats import (
     Counters,
     Histogram,
-    StatGroup,
     geometric_mean,
-    merge_stat_dicts,
 )
 
 
@@ -53,120 +51,6 @@ class TestCounters:
 
     def test_slotted_subclasses_stay_slotted(self):
         assert not hasattr(_Derived(), "__dict__")
-
-
-class TestStatGroup:
-    def test_add_and_get(self):
-        g = StatGroup("x")
-        g.add("hits")
-        g.add("hits", 2.5)
-        assert g["hits"] == pytest.approx(3.5)
-
-    def test_missing_key_is_zero(self):
-        assert StatGroup("x")["nothing"] == 0.0
-
-    def test_set_overwrites(self):
-        g = StatGroup("x")
-        g.add("gauge", 5)
-        g.set("gauge", 2)
-        assert g["gauge"] == 2
-
-    def test_ratio(self):
-        g = StatGroup("x")
-        g.add("hits", 3)
-        g.add("total", 4)
-        assert g.ratio("hits", "total") == pytest.approx(0.75)
-
-    def test_ratio_zero_denominator(self):
-        g = StatGroup("x")
-        g.add("hits", 3)
-        assert g.ratio("hits", "absent") == 0.0
-
-    def test_as_dict_with_prefix(self):
-        g = StatGroup("x")
-        g.add("a", 1)
-        assert g.as_dict("p_") == {"p_a": 1.0}
-
-    def test_merge(self):
-        a, b = StatGroup("a"), StatGroup("b")
-        a.add("k", 1)
-        b.add("k", 2)
-        b.add("only_b", 5)
-        a.merge(b)
-        assert a["k"] == 3
-        assert a["only_b"] == 5
-
-    def test_reset(self):
-        g = StatGroup("x")
-        g.add("k", 9)
-        g.reset()
-        assert g["k"] == 0.0
-        assert "k" not in g
-
-    def test_add_after_set_accumulates(self):
-        # set() establishes a gauge baseline; add() keeps counting on top
-        # of it.  The two are the same counter namespace, not two kinds.
-        g = StatGroup("x")
-        g.set("gauge", 10)
-        g.add("gauge", 2)
-        assert g["gauge"] == 12
-
-    def test_set_defines_membership(self):
-        g = StatGroup("x")
-        g.set("gauge", 0.0)
-        assert "gauge" in g  # explicitly set, even to zero
-        assert "other" not in g
-
-    def test_merge_sums_gauges_too(self):
-        # merge() is additive for *every* key: per-core groups merged at
-        # report time sum their gauges (e.g. occupancy per device), so a
-        # gauge meant to be machine-global must live in one group only.
-        a, b = StatGroup("a"), StatGroup("b")
-        a.set("occupancy", 3)
-        b.set("occupancy", 4)
-        a.merge(b)
-        assert a["occupancy"] == 7
-
-    def test_merge_does_not_alias_source(self):
-        a, b = StatGroup("a"), StatGroup("b")
-        b.add("k", 2)
-        a.merge(b)
-        b.add("k", 5)
-        assert a["k"] == 2
-
-    def test_as_dict_is_a_snapshot(self):
-        g = StatGroup("x")
-        g.add("k", 1)
-        snapshot = g.as_dict()
-        g.add("k", 1)
-        assert snapshot == {"k": 1.0}
-
-
-class TestMergeStatDicts:
-    def test_merges_keywise(self):
-        merged = merge_stat_dicts([{"a": 1.0, "b": 2.0}, {"a": 3.0}])
-        assert merged == {"a": 4.0, "b": 2.0}
-
-    def test_empty(self):
-        assert merge_stat_dicts([]) == {}
-
-    def test_single_dict_is_copied(self):
-        source = {"a": 1.0}
-        merged = merge_stat_dicts([source])
-        merged["a"] = 9.0
-        assert source == {"a": 1.0}
-
-    def test_matches_statgroup_merge(self):
-        # The flat-dict path and the StatGroup path are two routes to the
-        # same aggregate; they must agree key-for-key.
-        a, b = StatGroup("a"), StatGroup("b")
-        a.add("hits", 1)
-        a.set("occupancy", 3)
-        b.add("hits", 2)
-        b.set("occupancy", 4)
-        flat = merge_stat_dicts([a.as_dict(), b.as_dict()])
-        a.merge(b)
-        assert flat == a.as_dict()
 
 
 class TestHistogram:

@@ -3,19 +3,18 @@
 Locks the TraceArena contract: one publication per trace recipe
 (reused across designs, retries and replacement workers), zero trace
 bytes pickled in shm mode, bit-identical results against in-worker
-regeneration, and parent-owned segment lifecycle that survives worker
-crashes without leaking ``/dev/shm`` entries.
+regeneration over both transports (shared segment and inline payload),
+and parent-owned segment lifecycle that survives worker crashes without
+leaking ``/dev/shm`` entries.
 """
 
 import glob
-import os
 
-from repro.harness.jobs import JobSpec
+from repro.harness.jobs import JobSpec, execute_job
 from repro.harness.runner import run_jobs
 from repro.harness.shm import (
     TraceArena,
     attach_bindings,
-    shm_enabled,
 )
 
 ACCESSES = 2_000
@@ -38,11 +37,16 @@ def _metrics(outcomes):
     ]
 
 
+#: Patched over ``TraceArena._create_segment``: shared memory is
+#: unavailable, so every trace travels as an inline payload.
+_NO_SEGMENT = staticmethod(lambda nbytes: None)
+
+
 # ----------------------------------------------------------------------
 # Arena unit behaviour
 # ----------------------------------------------------------------------
 def test_publish_once_per_recipe_across_designs():
-    with TraceArena(enabled=True) as arena:
+    with TraceArena() as arena:
         a, b = _specs("tagless", "sram")
         share_a = arena.share_for(a)
         share_b = arena.share_for(b)
@@ -55,7 +59,7 @@ def test_publish_once_per_recipe_across_designs():
 
 
 def test_distinct_recipes_publish_separately():
-    with TraceArena(enabled=True) as arena:
+    with TraceArena() as arena:
         spec = _specs("tagless")[0]
         other = _specs("tagless", accesses=ACCESSES + 1)[0]
         assert arena.share_for(spec) is not arena.share_for(other)
@@ -65,7 +69,7 @@ def test_distinct_recipes_publish_separately():
 def test_attach_bindings_equals_regeneration():
     spec = _specs("tagless")[0]
     expected = spec.bindings()
-    with TraceArena(enabled=True) as arena:
+    with TraceArena() as arena:
         share = arena.share_for(spec)
         attached = attach_bindings(share)
         assert len(attached) == len(expected)
@@ -73,32 +77,60 @@ def test_attach_bindings_equals_regeneration():
             assert ours.core_id == theirs.core_id
             assert ours.process_id == theirs.process_id
             assert ours.trace.as_lists() == theirs.trace.as_lists()
-            assert (ours.trace.page_access_counts()
-                    == theirs.trace.page_access_counts())
+            # Same Python types too: replay arithmetic is type-sensitive,
+            # and the packed lines column is narrower than the generator's.
+            pages, lines, writes, gaps = ours.trace.as_lists()
+            assert all(type(v) is int for v in pages[:16] + lines[:16])
+            assert all(type(w) is bool for w in writes[:16])
+            ours_counts = ours.trace.page_access_counts()
+            theirs_counts = theirs.trace.page_access_counts()
+            assert ours_counts == theirs_counts
+            # NC classification iterates the counts: order is API.
+            assert list(ours_counts) == list(theirs_counts)
+            for attribute in ("name", "base_cpi", "mlp",
+                              "total_instructions", "footprint_pages",
+                              "accesses_per_kilo_instruction"):
+                assert (getattr(ours.trace, attribute)
+                        == getattr(theirs.trace, attribute))
+            assert ours.trace.write_fraction() == theirs.trace.write_fraction()
+
+
+def _replay_digest(result):
+    return (result.stats, result.energy,
+            [(c.instructions, c.cycles, c.stall_cycles)
+             for c in result.cores])
+
+
+def test_attached_replay_bit_identical(monkeypatch):
+    """Full simulations over attached traces -- segment views, then
+    read-only payload views -- equal simulations over in-process traces,
+    on the kernel (tagless) and on the reference loop (sram)."""
+    specs = _specs("tagless", "sram")
+    expected = [_replay_digest(execute_job(spec)) for spec in specs]
+    for inline in (False, True):
+        if inline:
+            monkeypatch.setattr(TraceArena, "_create_segment", _NO_SEGMENT)
+        for spec, digest in zip(specs, expected):
+            with TraceArena() as arena:
+                share = arena.share_for(spec)
+                assert all((ref.segment is None) == inline
+                           for ref in share.refs)
+                bindings = attach_bindings(share)
+                # Payload views are read-only: they wrap ``bytes``.
+                assert inline != any(b.trace.virtual_pages.flags.writeable
+                                     for b in bindings)
+                assert _replay_digest(
+                    execute_job(spec, bindings=bindings)) == digest
 
 
 def test_close_unlinks_segments():
     before = _segment_names()
-    arena = TraceArena(enabled=True)
+    arena = TraceArena()
     arena.share_for(_specs("tagless")[0])
     assert _segment_names() - before  # something was published
     arena.close()
     assert _segment_names() - before == set()
     arena.close()  # idempotent
-
-
-def test_env_switch_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm_enabled()
-    assert TraceArena().share_for(_specs("tagless")[0]) is None
-    monkeypatch.setenv("REPRO_SHM", "1")
-    assert shm_enabled()
-
-
-def test_disabled_arena_returns_none():
-    arena = TraceArena(enabled=False)
-    assert arena.share_for(_specs("tagless")[0]) is None
-    assert arena.publishes == 0
 
 
 # ----------------------------------------------------------------------
@@ -120,11 +152,26 @@ def test_pooled_shm_matches_serial_and_counts_transfer():
     assert all(o.trace_bytes_shared == 0 for o in serial)
 
 
-def test_pooled_legacy_mode_still_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
+def test_pooled_inline_payload_matches_serial(monkeypatch):
+    monkeypatch.setattr(TraceArena, "_create_segment", _NO_SEGMENT)
+    specs = _specs("tagless", "sram")
+    before = _segment_names()
+    serial = run_jobs(specs, jobs=1)
+    pooled = run_jobs(specs, jobs=2)
+    assert all(o.ok for o in pooled)
+    assert _metrics(serial) == _metrics(pooled)
+    # The packed columns crossed the pipe by value, once per job.
+    assert all(o.trace_bytes_pickled == 18 * ACCESSES for o in pooled)
+    assert all(o.trace_bytes_shared == 0 for o in pooled)
+    assert _segment_names() - before == set()
+
+
+def test_pooled_regeneration_still_identical(monkeypatch):
+    # No manifest: every worker regenerates its traces from the spec.
+    monkeypatch.setattr(TraceArena, "share_for", lambda self, spec: None)
     specs = _specs("tagless", "sram")
     pooled = run_jobs(specs, jobs=2)
-    monkeypatch.delenv("REPRO_SHM")
+    monkeypatch.undo()
     serial = run_jobs(specs, jobs=1)
     assert _metrics(serial) == _metrics(pooled)
     assert all(o.trace_bytes_shared == 0 for o in pooled)

@@ -62,7 +62,7 @@ class TestSpecWiring:
     def test_shared_traces_stand_down(self, scenario_file):
         from repro.harness.shm import TraceArena
 
-        arena = TraceArena(enabled=True)
+        arena = TraceArena()
         try:
             assert arena.share_for(tenant_spec(scenario_file)) is None
         finally:

@@ -37,7 +37,7 @@ def evict_from_tlb(design, vpn, start_vpn, now):
     entries = design.config.scaled_tlb.l2_entries
     for i in range(entries + 2):
         design.access(0, 0, start_vpn + i, 0, False, now + i * 100.0)
-    assert not design.tlbs[0].resident(vpn)
+    assert not design.tlbs[0].l2.contains(vpn)
 
 
 def test_case4_then_case1_ordering(design):

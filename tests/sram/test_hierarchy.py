@@ -132,7 +132,7 @@ def test_miss_rate_and_stats():
     h = make_hierarchy()
     h.access(1, False)
     h.access(1, False)
-    assert h.miss_rate() == pytest.approx(0.5)
+    assert h.misses / h.accesses == pytest.approx(0.5)
     stats = h.stats("p_")
     assert stats["p_l1_hits"] == 1.0
     assert stats["p_misses"] == 1.0

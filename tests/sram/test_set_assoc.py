@@ -74,13 +74,13 @@ def test_keys_map_to_distinct_sets():
 
 def test_occupancy_and_hit_rate():
     cache = SetAssociativeCache(num_sets=2, ways=2)
-    assert cache.occupancy() == 0.0
-    assert cache.hit_rate() == 0.0
+    assert len(cache) == 0
+    assert cache.hits == cache.misses == 0
     cache.insert(1)
     cache.lookup(1)
     cache.lookup(2)
-    assert cache.occupancy() == pytest.approx(0.25)
-    assert cache.hit_rate() == pytest.approx(0.5)
+    assert len(cache) / cache.capacity_blocks == pytest.approx(0.25)
+    assert cache.hits / (cache.hits + cache.misses) == pytest.approx(0.5)
 
 
 def test_bad_geometry_rejected():
@@ -112,4 +112,4 @@ def test_residency_invariants(num_sets, ways, keys):
         assert len(cache) <= cache.capacity_blocks
     assert set(cache) == resident
     for key in resident:
-        assert len(cache.set_of(key)) <= ways
+        assert len(cache._sets[key % cache.num_sets].entries) <= ways

@@ -90,7 +90,7 @@ def test_hit_rate_and_stats(tags):
     tags.insert(1)
     tags.lookup(1)
     tags.lookup(2)
-    assert tags.hit_rate() == pytest.approx(0.5)
+    assert tags.hits / tags.probes == pytest.approx(0.5)
     stats = tags.stats("t_")
     assert stats["t_probes"] == 2.0
     assert stats["t_resident_pages"] == 1.0

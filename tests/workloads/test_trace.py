@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TraceError
-from repro.workloads.trace import AccessTrace, concatenate_traces
+from repro.workloads.generator import TraceGenerator
+from repro.workloads.spec import spec_profile
+from repro.workloads.trace import AccessTrace
 
 
 def make(pages, lines=None, writes=None, gaps=None):
@@ -86,19 +88,27 @@ def test_as_lists_round_trip():
     assert isinstance(pages, list)
 
 
-def test_concatenate():
-    joined = concatenate_traces("j", [make([1, 2]), make([3])])
-    assert len(joined) == 3
-    assert list(joined.virtual_pages) == [1, 2, 3]
-
-
-def test_concatenate_empty_rejected():
-    with pytest.raises(TraceError):
-        concatenate_traces("j", [])
-
-
 def test_empty_trace_properties():
     trace = make([])
     assert trace.footprint_pages == 0
     assert trace.accesses_per_kilo_instruction == 0.0
     assert trace.write_fraction() == 0.0
+
+
+def test_object_slice_seeded_from_materialized_parent():
+    """Regression for the warmup-split path: once a parent's list cache
+    is materialized, ``AccessTrace.slice`` children inherit shared
+    slices of it instead of re-converting the numpy columns."""
+    trace = TraceGenerator(spec_profile("mcf"), capacity_scale=64).generate(
+        4_000)
+    parent_lists = trace.as_lists()
+    split = len(trace) // 4
+    warm = trace.slice(0, split)
+    measured = trace.slice(split, len(trace))
+    assert warm._lists is not None and measured._lists is not None
+    assert warm.as_lists() == tuple(p[:split] for p in parent_lists)
+    assert measured.as_lists() == tuple(p[split:] for p in parent_lists)
+    # Shared, not copied: the seeded slices are views over the same
+    # objects the parent cached (ints are interned/shared; identity on
+    # the first element proves no per-element reconversion happened).
+    assert warm.as_lists()[0][0] is parent_lists[0][0]

@@ -9,13 +9,14 @@ tally.  These tests pin all three properties.
 import argparse
 import json
 import os
+import re
 
 import pytest
 
 from repro.campaign import CampaignSpec, campaign_status, run_campaign
 from repro.cli.main import build_parser, main
 from repro.harness import Harness, RunArtifact, read_artifact
-from repro.obs import get_registry, set_registry
+from repro.obs import get_registry, load_timeseries, set_registry
 
 #: Flags every harness command shares (one helper adds them all).
 SHARED_FLAGS = ("--jobs", "--cache-dir", "--no-cache", "--timeout",
@@ -142,18 +143,85 @@ def _summary_record(path):
     return {key: summary[key] for key in EXPECTED}
 
 
+def _expected(counts):
+    """``EXPECTED`` restricted to the keys one view shows."""
+    return {key: EXPECTED[key] for key in counts}
+
+
+def _progress_summary(err):
+    """``jobs``/``errors`` of the progress reporter's end-of-run line."""
+    match = re.search(r"^sweep: (\d+) jobs, (\d+) errors, ", err, re.M)
+    assert match, err
+    return {"jobs": int(match[1]), "errors": int(match[2])}
+
+
+def _live_header(err):
+    """Counts of the last ``--live`` frame's header line."""
+    head = [line for line in err.splitlines()
+            if line.startswith("sweep: workers ")][-1]
+    counts = dict(re.findall(r"(jobs|cache|resumed|retries|errors) (\d+)",
+                             head))
+    return {"jobs": int(counts["jobs"]), "cache_hits": int(counts["cache"]),
+            "resumed": int(counts["resumed"]),
+            "retries": int(counts["retries"]),
+            "errors": int(counts["errors"])}
+
+
+def _last_window(path):
+    """Counts of the harness timeseries' final window."""
+    _meta, columns, _ = load_timeseries(path)
+    return {"jobs": columns["jobs_done"][-1],
+            "cache_hits": columns["cache_hits"][-1],
+            "errors": columns["errors"][-1],
+            "retries": columns["retries"][-1]}
+
+
+def _trace_counts(path):
+    """Health recounted from the harness Perfetto trace's events."""
+    with open(path) as handle:
+        events = json.load(handle)["traceEvents"]
+    jobs = [e["args"] for e in events if e.get("cat") == "job"]
+    return {"jobs": len(jobs),
+            "errors": sum(not job["ok"] for job in jobs),
+            "worker_crashes": sum(job["status"] == "worker-crashed"
+                                  for job in jobs),
+            "timeouts": sum(job["status"] == "timeout" for job in jobs),
+            "retries": sum(e.get("cat") == "retry" for e in events),
+            "cache_hits": sum(job["cache"] == "hit" for job in jobs),
+            "resumed": sum(job["cache"] == "resume" for job in jobs)}
+
+
 def test_every_health_summary_comes_from_one_tally(tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.setenv("REPRO_FAULT_INJECT", FAULTS)
 
-    sweep_artifact = str(tmp_path / "sweep.jsonl")
-    code = main(["sweep", "--designs", *DESIGNS, "--workloads", *WORKLOADS,
-                 "--accesses", "1500", "--jobs", "2", "--retries", "1",
-                 "--retry-backoff", "0", "--no-cache",
-                 "--out", sweep_artifact, "--json"])
-    assert code == 1
-    sweep_json = json.loads(capsys.readouterr().out)
-    assert sweep_json.pop("artifact") == sweep_artifact
+    # The same faulted sweep twice: with the line-per-job progress
+    # reporter, then with --live owning stderr; both write the harness
+    # trace and timeseries.
+    views = {}
+    for mode in ("progress", "live"):
+        sweep_artifact = str(tmp_path / f"{mode}.jsonl")
+        trace = str(tmp_path / f"{mode}.perfetto.json")
+        timeseries = str(tmp_path / f"{mode}.timeseries.jsonl")
+        code = main(["sweep", "--designs", *DESIGNS,
+                     "--workloads", *WORKLOADS, "--accesses", "1500",
+                     "--jobs", "2", "--retries", "1",
+                     "--retry-backoff", "0", "--no-cache",
+                     "--out", sweep_artifact, "--json",
+                     "--trace", trace, "--timeseries", timeseries]
+                    + (["--live"] if mode == "live" else []))
+        assert code == 1
+        captured = capsys.readouterr()
+        sweep_json = json.loads(captured.out)
+        assert sweep_json.pop("artifact") == sweep_artifact
+        views[mode] = captured.err
+        assert sweep_json == EXPECTED
+        assert _summary_record(sweep_artifact) == EXPECTED
+        for counts in (_last_window(timeseries), _trace_counts(trace)):
+            assert counts == _expected(counts)
+    for counts in (_progress_summary(views["progress"]),
+                   _live_header(views["live"])):
+        assert counts == _expected(counts)
 
     spec = CampaignSpec.from_dict({
         "name": "tally-unit",
@@ -171,8 +239,6 @@ def test_every_health_summary_comes_from_one_tally(tmp_path, capsys,
         run = run_campaign(spec, Harness(jobs=2, retries=1,
                                          observer=artifact))
 
-    assert sweep_json == EXPECTED
-    assert _summary_record(sweep_artifact) == EXPECTED
     assert run.counters() == EXPECTED
     assert _summary_record(campaign_artifact) == EXPECTED
     assert campaign_status(out_dir).counters == EXPECTED

@@ -11,6 +11,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import experiments
+from repro.common.config import REPLACEMENT_POLICIES
 from repro.common.errors import ConfigurationError
 from repro.common.machine import MachineSpec, build_system
 from repro.cpu.multicore import BoundTrace
@@ -22,6 +23,7 @@ from repro.harness import (
     ProgressReporter,
     ResultCache,
     RunArtifact,
+    RunRecord,
     default_artifact_path,
     execute_job,
     load_resume_map,
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(generate mode)")
     trace.add_argument("--cache-mb", type=int, default=1024)
     trace.add_argument("--replacement", default="fifo",
-                       choices=("fifo", "lru", "clock"))
+                       choices=REPLACEMENT_POLICIES)
     trace.add_argument("--warmup", type=float, default=0.25)
     trace.add_argument("--interval", type=_bounded(int, 1), default=1024,
                        help="time-series window size (default 1024)")
@@ -205,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-mb", type=int, default=1024)
     run.add_argument("--scale", type=int, default=64)
     run.add_argument("--replacement", default="fifo",
-                     choices=("fifo", "lru", "clock"))
+                     choices=REPLACEMENT_POLICIES)
     run.add_argument("--warmup", type=float, default=0.25,
                      help="fraction of each trace that warms state "
                           "unmeasured (default 0.25)")
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-core trace length (default 50k)")
     sweep.add_argument("--scale", type=int, default=64)
     sweep.add_argument("--replacement", default="fifo",
-                       choices=("fifo", "lru", "clock"))
+                       choices=REPLACEMENT_POLICIES)
     sweep.add_argument("--warmup", type=float, default=0.25)
     sweep.add_argument("--out", default="sweep.jsonl",
                        help="JSONL artifact path (default sweep.jsonl)")
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--cache-mb", type=int, default=1024)
     profile.add_argument("--scale", type=int, default=64)
     profile.add_argument("--replacement", default="fifo",
-                         choices=("fifo", "lru", "clock"))
+                         choices=REPLACEMENT_POLICIES)
     profile.add_argument("--warmup", type=float, default=0.25)
     profile.add_argument("--top", type=_bounded(int, 1), default=25,
                          help="rows to report (default 25)")
@@ -425,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--scale", type=int, default=512,
                          help="capacity scale-down factor (default 512)")
     tenants.add_argument("--replacement", default="fifo",
-                         choices=("fifo", "lru", "clock"),
+                         choices=REPLACEMENT_POLICIES,
                          help="victim selection policy")
     tenants.add_argument("--tlb-scale", type=int, default=32,
                          help="TLB reach scale-down matching --scale "
@@ -821,21 +823,21 @@ def _write_metrics(path: Optional[str]) -> None:
 
 
 def _fleet_observers(args: argparse.Namespace, name: str,
-                     total: Optional[int]) -> list:
+                     record: RunRecord) -> list:
     """Observers behind ``--trace``/``--timeseries`` and ``--live``."""
     observers = []
     if getattr(args, "trace_out", None) or getattr(args, "timeseries_out",
                                                    None):
         from repro.obs import HarnessObserver
 
-        harness_obs = HarnessObserver(label=name)
+        harness_obs = HarnessObserver(record, label=name)
         harness_obs.trace_path = args.trace_out
         harness_obs.timeseries_path = args.timeseries_out
         observers.append(harness_obs)
     if args.live:
         from repro.obs import LiveMonitor
 
-        observers.append(LiveMonitor(total=total or 0, label=name))
+        observers.append(LiveMonitor(record, label=name))
     return observers
 
 
@@ -849,11 +851,13 @@ def _harness_session(args: argparse.Namespace, name: str,
 
     The one execution lifecycle of ``experiment``, ``sweep`` and
     ``campaign run``/``resume``.  Yields ``(harness, artifact)``: the
-    progress reporter, the JSONL artifact and any fleet observers, all
-    labelled ``name``, ride the harness's one observer slot, in that
-    order.  On exit -- Ctrl-C included -- the artifact gets its summary
-    record, telemetry files are written, the progress summary prints
-    and the ``--metrics`` snapshot lands.  Progress and file locations
+    run record, then the progress reporter, the JSONL artifact and any
+    fleet observers, all labelled ``name``, ride the harness's one
+    observer slot, in that order.  The record counts each job event
+    once; every view reads its counts from it.  On exit -- Ctrl-C
+    included -- the artifact gets its summary record, telemetry files
+    are written, the progress summary prints (without ``--live``) and
+    the ``--metrics`` snapshot lands.  Progress and file locations
     go to stderr so stdout carries only the figure tables / JSON --
     byte-identical to a serial, uncached invocation.
     """
@@ -868,19 +872,21 @@ def _harness_session(args: argparse.Namespace, name: str,
         artifact_path = default_artifact_path(
             resolve_cache_dir(args.cache_dir), name
         )
+    record = RunRecord(total)
     artifact = RunArtifact(
         artifact_path, name=name,
         meta={"jobs": args.jobs, "cache": not args.no_cache,
               **(meta or {}), "argv": sys.argv[1:]},
+        record=record,
     )
-    # --live owns the terminal; the line-per-job reporter keeps counting
-    # silently so its end-of-run summary still prints.
-    progress = ProgressReporter(total=total, label=name,
-                                enabled=not args.live)
-    fleet = _fleet_observers(args, name, total)
+    # --live owns the terminal: the line-per-job reporter stays silent,
+    # its end-of-run summary included.
+    progress = ProgressReporter(record, label=name, enabled=not args.live)
+    fleet = _fleet_observers(args, name, record)
     print(f"artifact: {artifact_path}", file=sys.stderr)
     harness = Harness(jobs=args.jobs, cache=cache,
-                      observer=CompositeObserver(progress, artifact, *fleet),
+                      observer=CompositeObserver(record, progress, artifact,
+                                                 *fleet),
                       timeout_s=args.timeout, retries=args.retries,
                       retry_backoff_s=args.retry_backoff, resume=resume,
                       heartbeat_s=LIVE_HEARTBEAT_S if args.live else None)

@@ -38,6 +38,10 @@ LINES_PER_PAGE = PAGE_BYTES // CACHE_LINE_BYTES
 #: Width of the physical address space assumed by the paper (48 bits).
 PHYSICAL_ADDRESS_BITS = 48
 
+#: Pages in that address space (2^36): every page number, virtual or
+#: physical, lies below it.
+ADDRESS_SPACE_PAGES = 1 << (PHYSICAL_ADDRESS_BITS - PAGE_SHIFT)
+
 
 def page_of_address(address: int) -> int:
     """Return the page number containing byte ``address``."""

@@ -281,6 +281,10 @@ class SRAMTagConfig:
         return self.leakage_watts_per_mb * self.tag_megabytes
 
 
+#: Tagless victim-selection policies: the ``--replacement`` choices.
+REPLACEMENT_POLICIES = ("fifo", "lru", "clock")
+
+
 @dataclasses.dataclass(frozen=True)
 class DRAMCacheConfig:
     """The in-package DRAM cache itself (capacity, replacement, alpha)."""
@@ -306,10 +310,10 @@ class DRAMCacheConfig:
     superpage_handling: str = "split"
 
     def __post_init__(self) -> None:
-        if self.replacement not in ("fifo", "lru", "clock"):
+        if self.replacement not in REPLACEMENT_POLICIES:
             raise ConfigurationError(
                 f"unknown replacement policy {self.replacement!r}; "
-                "expected 'fifo', 'lru' or 'clock'"
+                f"expected one of {REPLACEMENT_POLICIES}"
             )
         if self.superpage_handling not in ("split", "nc"):
             raise ConfigurationError(

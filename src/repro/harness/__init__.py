@@ -42,7 +42,7 @@ from repro.harness.jobs import (
     infer_workload_kind,
     job_health,
 )
-from repro.harness.progress import ProgressReporter
+from repro.harness.progress import ProgressReporter, RunRecord
 from repro.harness.runner import (
     TIMEOUT_ENV,
     Harness,
@@ -63,6 +63,7 @@ __all__ = [
     "ResultCache",
     "ResumeMap",
     "RunArtifact",
+    "RunRecord",
     "SCHEMA_VERSION",
     "TIMEOUT_ENV",
     "default_artifact_path",

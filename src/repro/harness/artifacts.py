@@ -14,13 +14,13 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.machine import system_config_to_dict
 from repro.harness.cache import CacheStats, simulation_result_to_dict
-from repro.harness.jobs import JobResult, code_fingerprint, job_health
+from repro.harness.jobs import JobResult, code_fingerprint
+from repro.harness.progress import RunRecord
 from repro.cpu.simulator import SimulationResult
 
 
@@ -65,19 +65,19 @@ class RunArtifact:
     artifact *resumable*: ``run_jobs(resume=load_resume_map(path))``
     seeds those outcomes without recomputing them.  Pass
     ``store_results=False`` to keep rows headline-only when artifacts
-    must stay small and resume is not needed.
+    must stay small and resume is not needed.  The summary's counts are
+    ``record``'s; an artifact given none keeps and feeds its own.
     """
 
     def __init__(self, path: str, name: str = "run",
                  meta: Optional[Dict[str, object]] = None,
-                 store_results: bool = True):
+                 store_results: bool = True,
+                 record: Optional[RunRecord] = None):
         self.path = path
         self.name = name
         self.store_results = store_results
-        self._started = time.perf_counter()
-        #: ``(status, cache status, retries)`` per recorded job: the
-        #: input of :func:`~repro.harness.jobs.job_health`.
-        self._health: List[Tuple[str, str, int]] = []
+        self._feeds_record = record is None
+        self.record = RunRecord() if record is None else record
         self._job_wall_s = 0.0
         self._closed = False
         directory = os.path.dirname(os.path.abspath(path))
@@ -97,9 +97,8 @@ class RunArtifact:
     # ------------------------------------------------------------------
     def job_done(self, outcome: JobResult) -> None:
         """Append one job record (the runner's observer hook)."""
-        self._health.append(
-            (outcome.status, outcome.cache_status, outcome.retries)
-        )
+        if self._feeds_record:
+            self.record.job_done(outcome)
         self._job_wall_s += outcome.wall_time_s
         machine: Dict[str, object] = {
             "spec": outcome.spec.machine.to_dict(),
@@ -145,14 +144,14 @@ class RunArtifact:
 
     @property
     def counters(self) -> Dict[str, int]:
-        """Execution-health counters accumulated so far (a live view).
+        """The record's execution-health counters (a live copy).
 
         The same numbers the summary record carries; exposed so the
-        ``--json`` summaries of ``repro sweep``/``experiment`` (and the
-        campaign run summary) can surface retry/timeout/crash counts
-        without re-reading the artifact.
+        ``--json`` summaries of ``repro sweep``/``experiment`` can
+        surface retry/timeout/crash counts without re-reading the
+        artifact.
         """
-        return job_health(self._health)
+        return dict(self.record.health)
 
     def close(self, cache_stats: Optional[CacheStats] = None) -> None:
         """Append the summary record and close the file (idempotent)."""
@@ -167,7 +166,7 @@ class RunArtifact:
             **counters,
             "cache_hit_rate": counters["cache_hits"] / jobs if jobs else 0.0,
             "job_wall_time_s": self._job_wall_s,
-            "elapsed_s": time.perf_counter() - self._started,
+            "elapsed_s": self.record.elapsed_s(),
         }
         if cache_stats is not None:
             summary["cache"] = cache_stats.as_dict()

@@ -133,11 +133,14 @@ def run_jobs(
     Resume seeds and cache hits are resolved up front in the parent
     process (they never occupy a worker); only misses are dispatched.
     Each completed job is reported to ``observer``'s ``job_done`` hook
-    as it lands -- a :class:`~repro.harness.progress.ProgressReporter`,
-    a :class:`~repro.harness.artifacts.RunArtifact`, a
-    :class:`~repro.obs.harness.HarnessObserver`, or several fanned out
-    by :class:`~repro.obs.live.CompositeObserver` -- and stored in the
-    cache on success.  ``resume`` maps cache keys to job
+    as it lands, each granted retry to its ``job_retry`` hook, and the
+    job is stored in the cache on success.  A harness session's
+    observer is a :class:`~repro.obs.live.CompositeObserver` that
+    records both in its :class:`~repro.harness.progress.RunRecord`
+    first, then fans them out to the views that read the record's
+    counts (progress line, artifact, harness trace, ``--live``); a
+    lone :class:`~repro.harness.artifacts.RunArtifact` keeps a record
+    of its own.  ``resume`` maps cache keys to job
     records from a prior artifact (see
     :func:`repro.harness.artifacts.load_resume_map`).
 

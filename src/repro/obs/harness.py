@@ -5,8 +5,8 @@ simulator-level telemetry cannot cross the pickling boundary.  What the
 parent process *can* observe -- and what matters for harness tuning --
 is the run's own lifecycle: when each job landed, how long it ran,
 whether it came from the cache, how the error count grew.  The
-:class:`HarnessObserver` records exactly that, on ``time.monotonic()``,
-and exports the same two artifact kinds as simulator telemetry: a
+:class:`HarnessObserver` paints exactly that from the run record
+(:class:`~repro.harness.progress.RunRecord`) and exports the same two artifact kinds as simulator telemetry: a
 Perfetto trace of job slices and a progress time-series.
 
 The trace carries one thread track per pool worker (tid = worker id +
@@ -22,42 +22,28 @@ number.  The export is mergeable with a sim-level telemetry trace via
 from __future__ import annotations
 
 import json
-import time
 from typing import Dict, List, Optional
 
 from repro.obs.events import EventTracer
 
 
-class HarnessObserver:
-    """Records job-completion events and progress curves for one run."""
+#: Harness timeseries columns: one window per landed job, counts as
+#: the run record had them when it landed.
+COLUMNS = ("t_ns", "jobs_done", "cache_hits", "errors", "job_wall_s",
+           "retries", "trace_bytes_shared")
 
-    def __init__(self, label: str = "run", tracer: Optional[EventTracer] = None,
-                 clock=time.monotonic):
+
+class HarnessObserver:
+    """Paints one run's job lifecycle; counts and clock are ``record``'s."""
+
+    def __init__(self, record, label: str = "run"):
+        self.record = record
         self.label = label
-        self.tracer = tracer if tracer is not None else EventTracer()
-        self._clock = clock
-        self._t0 = clock()
-        self.done = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.resumed = 0
-        self.timeouts = 0
-        self.crashes = 0
-        self.retries = 0
-        #: Trace bytes shipped to workers by value vs attached from
-        #: shared memory (see :mod:`repro.harness.shm`): the zero-copy
-        #: dispatch ledger.  Shared bytes are counted per *consuming*
-        #: job; the arena wrote each segment only once.
-        self.trace_bytes_pickled = 0
-        self.trace_bytes_shared = 0
-        self.heartbeats = 0
+        self.tracer = EventTracer()
         #: Worker ids seen via the lifecycle hooks (names their tracks).
         self.worker_ids: set = set()
-        #: Progress samples, one per completed job (columnar).
-        self.columns: Dict[str, List[float]] = {
-            "t_ns": [], "jobs_done": [], "cache_hits": [], "errors": [],
-            "job_wall_s": [], "retries": [], "trace_bytes_shared": [],
-        }
+        #: Progress samples, one row of :data:`COLUMNS` per landed job.
+        self.windows: List[List[float]] = []
         self._finished = False
         #: Artifact destinations the CLI wires up; written at finish().
         self.trace_path: Optional[str] = None
@@ -65,49 +51,32 @@ class HarnessObserver:
         self.tracer.begin("harness", label, 0.0)
 
     def _now_ns(self) -> float:
-        return (self._clock() - self._t0) * 1e9
+        return self.record.elapsed_s() * 1e9
 
     # ------------------------------------------------------------------
     def job_done(self, outcome) -> None:
-        """Record one finished :class:`~repro.harness.jobs.JobResult`."""
+        """Paint one finished :class:`~repro.harness.jobs.JobResult`."""
         now_ns = self._now_ns()
-        self.done += 1
-        status = getattr(outcome, "status",
-                         "ok" if outcome.ok else "error")
-        if not outcome.ok:
-            self.errors += 1
-        if status == "timeout":
-            self.timeouts += 1
-        elif status == "worker-crashed":
-            self.crashes += 1
-        if outcome.cache_status == "hit":
-            self.cache_hits += 1
-        elif outcome.cache_status == "resume":
-            self.resumed += 1
-        self.trace_bytes_pickled += getattr(outcome,
-                                            "trace_bytes_pickled", 0)
-        self.trace_bytes_shared += getattr(outcome,
-                                           "trace_bytes_shared", 0)
         wall_ns = outcome.wall_time_s * 1e9
         self.tracer.event(
             "job", outcome.spec.label, max(0.0, now_ns - wall_ns),
             dur_ns=wall_ns,
             args={"cache": outcome.cache_status, "ok": outcome.ok,
-                  "status": status,
-                  "retries": getattr(outcome, "retries", 0),
-                  "trace_bytes_pickled": getattr(
-                      outcome, "trace_bytes_pickled", 0),
-                  "trace_bytes_shared": getattr(
-                      outcome, "trace_bytes_shared", 0)},
+                  "status": outcome.status,
+                  "retries": outcome.retries,
+                  "trace_bytes_pickled": outcome.trace_bytes_pickled,
+                  "trace_bytes_shared": outcome.trace_bytes_shared},
         )
-        self.columns["t_ns"].append(now_ns)
-        self.columns["jobs_done"].append(float(self.done))
-        self.columns["cache_hits"].append(float(self.cache_hits))
-        self.columns["errors"].append(float(self.errors))
-        self.columns["job_wall_s"].append(outcome.wall_time_s)
-        self.columns["retries"].append(float(self.retries))
-        self.columns["trace_bytes_shared"].append(
-            float(self.trace_bytes_shared))
+        health = self.record.health
+        # Trace bytes attached from shared memory (see
+        # :mod:`repro.harness.shm`), summed per *consuming* job.
+        shared = self.windows[-1][-1] if self.windows else 0.0
+        self.windows.append([
+            now_ns, float(health["jobs"]), float(health["cache_hits"]),
+            float(health["errors"]), outcome.wall_time_s,
+            float(self.record.retries_granted),
+            shared + outcome.trace_bytes_shared,
+        ])
 
     # ------------------------------------------------------------------
     # Per-attempt lifecycle (invoked by the pooled runner when present)
@@ -150,7 +119,6 @@ class HarnessObserver:
 
     def worker_heartbeat(self, payload: dict) -> None:
         """Liveness beat from a busy worker (instant tick on its track)."""
-        self.heartbeats += 1
         worker_id = int(payload.get("worker", 0))
         self.worker_ids.add(worker_id)
         self.tracer.event(
@@ -167,7 +135,6 @@ class HarnessObserver:
         time is folded into the job's terminal slice, while the retry
         marks *when* the harness decided to go again and why.
         """
-        self.retries += 1
         self.tracer.event(
             "retry", spec.label, self._now_ns(),
             args={"attempt": attempt, "error": error},
@@ -197,17 +164,13 @@ class HarnessObserver:
     def to_timeseries_jsonl(self, path: str) -> None:
         """Progress series in the same artifact schema ``repro report``
         reads for simulator timeseries."""
-        names = list(self.columns)
         meta = {
             "record": "meta", "kind": "timeseries", "design": "harness",
             "interval": 1, "unit": "jobs", "label": self.label,
-            "columns": names, "windows": self.done,
+            "columns": list(COLUMNS), "windows": len(self.windows),
         }
         with open(path, "w") as handle:
             handle.write(json.dumps(meta) + "\n")
-            for index in range(self.done):
-                record = {
-                    "record": "window",
-                    "v": [self.columns[name][index] for name in names],
-                }
-                handle.write(json.dumps(record) + "\n")
+            for row in self.windows:
+                handle.write(json.dumps({"record": "window", "v": row})
+                             + "\n")

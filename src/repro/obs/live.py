@@ -20,16 +20,17 @@ simultaneously.
 from __future__ import annotations
 
 import sys
-import time
 from typing import Dict, List, Optional
 
 
 class CompositeObserver:
-    """Fan one runner hook stream out to several observers.
+    """Fan one runner hook stream out to several observers, in order.
 
     Hooks are forwarded only to children that define them, mirroring
     the runner's own optional-hook discipline, so a plain legacy
-    observer can sit next to a :class:`LiveMonitor`.
+    observer can sit next to a :class:`LiveMonitor`.  A harness session
+    puts its :class:`~repro.harness.progress.RunRecord` first, so each
+    event is recorded once before any view reads the counts.
     """
 
     _HOOKS = ("job_done", "job_retry", "job_dispatched", "job_finished",
@@ -56,7 +57,7 @@ class _WorkerRow:
 
     __slots__ = ("worker_id", "label", "attempt", "elapsed_s",
                  "accesses_done", "jobs_done", "last_status", "busy",
-                 "first_seen", "last_seen")
+                 "first_seen")
 
     def __init__(self, worker_id: int, now: float):
         self.worker_id = worker_id
@@ -68,7 +69,6 @@ class _WorkerRow:
         self.last_status = ""
         self.busy = False
         self.first_seen = now
-        self.last_seen = now
 
     def rate(self, now: float) -> float:
         """Accesses per second over the worker's observed lifetime."""
@@ -77,45 +77,33 @@ class _WorkerRow:
 
 
 class LiveMonitor:
-    """Renders fleet state from runner hooks; safe on TTYs and pipes."""
+    """Renders fleet state from runner hooks; safe on TTYs and pipes.
 
-    def __init__(self, total: int, label: str = "run", stream=None,
-                 interval_s: float = 0.5, clock=time.monotonic,
-                 is_tty: Optional[bool] = None):
-        self.total = total
+    The header's counts, clock and ETA are ``record``'s
+    (:class:`~repro.harness.progress.RunRecord`); the monitor keeps
+    only the per-worker rows.
+    """
+
+    def __init__(self, record, label: str = "run", stream=None,
+                 interval_s: float = 0.5, is_tty: Optional[bool] = None):
+        self.record = record
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.interval_s = interval_s
-        self._clock = clock
-        self._t0 = clock()
         self._tty = (self.stream.isatty() if is_tty is None
                      and hasattr(self.stream, "isatty") else bool(is_tty))
         self._last_render = -float("inf")
         self._last_lines = 0
         self.workers: Dict[int, _WorkerRow] = {}
-        self.done = 0
-        self.errors = 0
-        self.cache_hits = 0
-        self.resumed = 0
-        self.retries = 0
-        self.heartbeats = 0
         self._finished = False
 
     # ------------------------------------------------------------------
     # Observer hooks
     # ------------------------------------------------------------------
     def job_done(self, outcome) -> None:
-        self.done += 1
-        if not outcome.ok:
-            self.errors += 1
-        if outcome.cache_status == "hit":
-            self.cache_hits += 1
-        elif outcome.cache_status == "resume":
-            self.resumed += 1
         self._render()
 
     def job_retry(self, spec, attempt: int, error: str) -> None:
-        self.retries += 1
         self._render()
 
     def job_dispatched(self, index: int, spec, attempt: int,
@@ -137,7 +125,6 @@ class LiveMonitor:
         self._render()
 
     def worker_heartbeat(self, payload: dict) -> None:
-        self.heartbeats += 1
         row = self._row(int(payload.get("worker", 0)))
         row.busy = True
         row.label = payload.get("label", row.label)
@@ -161,27 +148,22 @@ class LiveMonitor:
     def _row(self, worker_id: int) -> _WorkerRow:
         row = self.workers.get(worker_id)
         if row is None:
-            row = _WorkerRow(worker_id, self._clock())
+            row = _WorkerRow(worker_id, self.record.clock())
             self.workers[worker_id] = row
-        row.last_seen = self._clock()
         return row
 
-    def eta_s(self, now: Optional[float] = None) -> Optional[float]:
-        """Naive remaining-time estimate from mean landed-job pace."""
-        now = self._clock() if now is None else now
-        if not self.done or self.total <= self.done:
-            return None
-        pace = (now - self._t0) / self.done
-        return pace * (self.total - self.done)
-
     def render_lines(self) -> List[str]:
-        now = self._clock()
-        pct = (100.0 * self.done / self.total) if self.total else 100.0
-        eta = self.eta_s(now)
+        now = self.record.clock()
+        health = self.record.health
+        done, total = health["jobs"], self.record.total or 0
+        pct = (100.0 * done / total) if total else 100.0
+        eta = self.record.eta_s()
         head = (f"{self.label}: workers {len(self.workers)}  "
-                f"jobs {self.done}/{self.total} ({pct:.0f}%)  "
-                f"cache {self.cache_hits}  resumed {self.resumed}  "
-                f"retries {self.retries}  errors {self.errors}")
+                f"jobs {done}/{total} ({pct:.0f}%)  "
+                f"cache {health['cache_hits']}  "
+                f"resumed {health['resumed']}  "
+                f"retries {self.record.retries_granted}  "
+                f"errors {health['errors']}")
         if eta is not None:
             head += f"  eta {_fmt_duration(eta)}"
         lines = [head]
@@ -201,7 +183,7 @@ class LiveMonitor:
         return lines
 
     def _render(self, force: bool = False) -> None:
-        now = self._clock()
+        now = self.record.clock()
         # Pipes get a frame at most every 4 intervals to keep CI logs
         # readable; TTYs redraw in place at the configured cadence.
         min_gap = self.interval_s if self._tty else self.interval_s * 4

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.common.addressing import LINES_PER_PAGE
+from repro.common.addressing import ADDRESS_SPACE_PAGES, LINES_PER_PAGE
 from repro.common.errors import TraceError
 
 
@@ -51,6 +51,9 @@ class AccessTrace:
             )
         if n and self.virtual_pages.min() < 0:
             raise TraceError(f"trace {self.name!r}: negative virtual page")
+        if n and self.virtual_pages.max() >= ADDRESS_SPACE_PAGES:
+            raise TraceError(f"trace {self.name!r}: virtual page past "
+                             f"the address space ({ADDRESS_SPACE_PAGES})")
         if n and self.instruction_gaps.min() < 0:
             raise TraceError(f"trace {self.name!r}: negative instruction gap")
 

@@ -1,10 +1,12 @@
 """Command-line interface tests."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.common.config import REPLACEMENT_POLICIES
 from repro.workloads.trace import load_trace
 
 
@@ -383,3 +385,15 @@ def test_profile_json_reports_sampling_metadata(capsys):
     assert report["accesses"] == 2000
     assert report["design"] == "no-l3"
     assert report["replacement"] == "fifo"
+
+
+def test_replacement_choices_are_the_declared_policies():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    choices = {name: action.choices
+               for name, sub in subparsers.choices.items()
+               for action in sub._actions
+               if "--replacement" in action.option_strings}
+    assert sorted(choices) == ["profile", "run", "sweep", "tenants",
+                               "trace"]
+    assert all(c == REPLACEMENT_POLICIES for c in choices.values())

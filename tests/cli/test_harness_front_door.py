@@ -273,3 +273,27 @@ def test_unbuildable_sweep_point_fails_alone(tmp_path, capsys):
     assert "ConfigurationError" in rows[0]["error"]
     assert "resolved" not in rows[0]["machine"]
     assert "resolved" in rows[1]["machine"]
+
+
+def test_progress_eta_paces_on_computed_jobs(tmp_path, capsys,
+                                             monkeypatch):
+    """Cache hits land at once and cost nothing: the ETA after the first
+    computed job must pace on that job alone, not on the hits."""
+    sweep = ["sweep", "--designs", "no-l3",
+             "--workloads", "sphinx3", "libquantum", "--accesses", "300",
+             "--cache-dir", str(tmp_path / "cache")]
+    warm = ["--cache-sizes", "128", "256", "512", "1024"]
+    assert main(sweep + warm + ["--out", str(tmp_path / "warm.jsonl")]) == 0
+    capsys.readouterr()
+    # The first computed job fails once and retries after a 2 s backoff,
+    # so it lands no sooner than 2 s in, with one computed job to go.
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:no-l3/sphinx3@2048MB:1")
+    assert main(sweep + warm + ["2048", "--retries", "1",
+                                "--retry-backoff", "2",
+                                "--out", str(tmp_path / "s.jsonl")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    first_computed = next(line for line in lines
+                          if line.startswith("[9/10] "))
+    assert "cache miss" in first_computed
+    eta = re.search(r", eta (\d+)s\)$", first_computed)
+    assert eta and int(eta[1]) >= 2, first_computed

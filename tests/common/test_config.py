@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.addressing import BYTES_PER_GB, BYTES_PER_MB
 from repro.common.config import (
+    REPLACEMENT_POLICIES,
     DRAMCacheConfig,
     OnDieCacheConfig,
     SRAMTagConfig,
@@ -138,6 +139,10 @@ class TestValidation:
     def test_bad_replacement_rejected(self):
         with pytest.raises(ConfigurationError):
             DRAMCacheConfig(replacement="mru")
+
+    @pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
+    def test_every_declared_replacement_accepted(self, policy):
+        assert DRAMCacheConfig(replacement=policy).replacement == policy
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -12,8 +12,9 @@ from repro.harness.artifacts import (
 )
 from repro.harness.cache import ResultCache
 from repro.harness.jobs import JobSpec, code_fingerprint
-from repro.harness.progress import ProgressReporter
+from repro.harness.progress import ProgressReporter, RunRecord
 from repro.harness.runner import run_jobs
+from repro.obs.live import CompositeObserver
 
 SPECS = [
     JobSpec(design="no-l3", workload="sphinx3", accesses=2_000),
@@ -75,8 +76,10 @@ def test_default_artifact_path_is_unique(tmp_path):
 
 def test_progress_reporter_lines_and_summary():
     stream = io.StringIO()
-    reporter = ProgressReporter(total=2, stream=stream, label="unit")
-    for outcome in run_jobs(SPECS, jobs=1, observer=reporter):
+    record = RunRecord(total=2)
+    reporter = ProgressReporter(record, stream=stream, label="unit")
+    for outcome in run_jobs(SPECS, jobs=1,
+                            observer=CompositeObserver(record, reporter)):
         pass
     text = stream.getvalue()
     assert "[1/2] no-l3/sphinx3@1024MB ok" in text
@@ -180,8 +183,9 @@ def test_current_build_rows_resume_cleanly(tmp_path):
 
 def test_progress_reporter_disabled_is_silent():
     stream = io.StringIO()
-    reporter = ProgressReporter(total=1, stream=stream, enabled=False)
-    run_jobs(SPECS[:1], jobs=1, observer=reporter)
+    record = RunRecord(total=1)
+    reporter = ProgressReporter(record, stream=stream, enabled=False)
+    run_jobs(SPECS[:1], jobs=1, observer=CompositeObserver(record, reporter))
     reporter.summary()
     assert stream.getvalue() == ""
-    assert reporter.done == 1
+    assert record.health["jobs"] == 1

@@ -16,13 +16,15 @@ from repro.harness import (
     HarnessError,
     JobSpec,
     RunArtifact,
+    RunRecord,
     load_resume_map,
     parse_fault_plan,
     read_artifact,
     run_jobs,
 )
 from repro.harness import runner as runner_mod
-from repro.obs.harness import HarnessObserver
+from repro.obs.harness import COLUMNS, HarnessObserver
+from repro.obs.live import CompositeObserver
 
 SPECS = [
     JobSpec(design="no-l3", workload="sphinx3", accesses=2_000),
@@ -34,6 +36,11 @@ SPECS = [
 HANG = "hang:tagless/sphinx3"
 CRASH = "crash:no-l3/sphinx3"
 FLAKY2 = "flaky:tagless/libquantum:2"
+
+
+def _session(view):
+    """The view behind its run record, as a harness session wires it."""
+    return CompositeObserver(view.record, view)
 
 
 def _metrics(outcomes):
@@ -131,15 +138,15 @@ class TestWorkerCrash:
 class TestRetries:
     def test_flaky_succeeds_within_budget(self, monkeypatch, baseline):
         monkeypatch.setenv("REPRO_FAULT_INJECT", FLAKY2)
-        observer = HarnessObserver(label="unit")
+        observer = HarnessObserver(RunRecord(), label="unit")
         outcomes = run_jobs(SPECS, jobs=2, timeout_s=60.0, retries=2,
-                            observer=observer)
+                            observer=_session(observer))
         assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
         assert [o.retries for o in outcomes] == [0, 0, 2]
         # A retried attempt is a fresh deterministic execution: metrics
         # cannot depend on how many tries it took.
         assert _metrics(outcomes) == baseline
-        assert observer.retries == 2
+        assert observer.record.retries_granted == 2
         retry_events = [e for e in observer.tracer.events()
                         if e[2] == "retry"]
         assert len(retry_events) == 2
@@ -255,19 +262,21 @@ class TestBookkeeping:
 class TestObserverLifecycle:
     def test_timeout_and_crash_counters(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", HANG)
-        observer = HarnessObserver(label="unit")
-        run_jobs(SPECS, jobs=2, timeout_s=1.0, observer=observer)
-        assert observer.done == 3
-        assert observer.errors == 1
-        assert observer.timeouts == 1
-        assert observer.crashes == 0
-        assert observer.columns["retries"] == [0.0, 0.0, 0.0]
+        observer = HarnessObserver(RunRecord(), label="unit")
+        run_jobs(SPECS, jobs=2, timeout_s=1.0, observer=_session(observer))
+        health = observer.record.health
+        assert health["jobs"] == 3
+        assert health["errors"] == 1
+        assert health["timeouts"] == 1
+        assert health["worker_crashes"] == 0
+        assert [row[COLUMNS.index("retries")]
+                for row in observer.windows] == [0.0, 0.0, 0.0]
 
     def test_resume_counter(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunArtifact(str(path), name="seed") as artifact:
             run_jobs(SPECS[:2], jobs=1, observer=artifact)
-        observer = HarnessObserver(label="unit")
+        observer = HarnessObserver(RunRecord(), label="unit")
         run_jobs(SPECS[:2], jobs=1, resume=load_resume_map(str(path)),
-                 observer=observer)
-        assert observer.resumed == 2
+                 observer=_session(observer))
+        assert observer.record.health["resumed"] == 2

@@ -1,10 +1,13 @@
-"""Progress-reporter tests: line format and degenerate-run guards."""
+"""Run-record and progress-reporter tests: line format, the one ETA
+and degenerate-run guards."""
 
 import io
 
+import pytest
+
 from repro.harness.cache import CacheStats
 from repro.harness.jobs import JobResult, JobSpec
-from repro.harness.progress import ProgressReporter
+from repro.harness.progress import ProgressReporter, RunRecord
 
 SPEC = JobSpec(design="tagless", workload="sphinx3", accesses=2_000)
 
@@ -16,15 +19,31 @@ def outcome(**overrides):
     return JobResult(**fields)
 
 
-def reporter(**kwargs):
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def reporter(total=None, clock=None, **kwargs):
     stream = io.StringIO()
-    return ProgressReporter(stream=stream, **kwargs), stream
+    record = RunRecord(total, clock=clock or FakeClock())
+    return ProgressReporter(record, stream=stream, **kwargs), stream
+
+
+def land(rep, result):
+    """Deliver one outcome as the session's observer does: record first."""
+    rep.record.job_done(result)
+    rep.job_done(result)
 
 
 def test_job_lines_and_summary():
     rep, stream = reporter(total=3)
-    rep.job_done(outcome())
-    rep.job_done(outcome(error="boom", cache_status="miss"))
+    rep.record.clock.now += 1.0
+    land(rep, outcome())
+    land(rep, outcome(error="boom", cache_status="miss"))
     text = stream.getvalue()
     assert "[1/3] tagless/sphinx3@1024MB ok" in text
     assert "ERROR boom" in text
@@ -37,21 +56,58 @@ def test_job_lines_and_summary():
 
 def test_eta_appears_once_progress_exists():
     rep, stream = reporter(total=10)
-    rep.job_done(outcome())
+    rep.record.clock.now += 1.0
+    land(rep, outcome())
     assert ", eta " in stream.getvalue()
 
 
 def test_eta_suppressed_without_total():
     rep, stream = reporter()
-    rep.job_done(outcome())
+    rep.record.clock.now += 1.0
+    land(rep, outcome())
     assert ", eta " not in stream.getvalue()
     assert "[1/?]" in stream.getvalue()
 
 
 def test_eta_suppressed_on_final_job():
     rep, stream = reporter(total=1)
-    rep.job_done(outcome())
+    rep.record.clock.now += 1.0
+    land(rep, outcome())
     assert ", eta " not in stream.getvalue()
+
+
+def test_eta_paces_on_computed_jobs_only():
+    # 100 jobs, 90 served from the cache at t=0, then one computed job
+    # landing after 10 s: 9 more jobs at 10 s each are left.
+    rep, stream = reporter(total=100)
+    for _ in range(90):
+        land(rep, outcome(cache_status="hit", wall_time_s=0.0))
+    assert ", eta " not in stream.getvalue()  # no pace known yet
+    rep.record.clock.now += 10.0
+    land(rep, outcome(cache_status="miss", wall_time_s=10.0))
+    assert rep.record.eta_s() == pytest.approx(90.0)
+    assert stream.getvalue().splitlines()[-1].endswith(
+        "(10.00s, cache miss, eta 90s)")
+
+
+def test_eta_ignores_resume_seeds_and_counts_failures():
+    record = RunRecord(total=6, clock=FakeClock())
+    for _ in range(2):
+        record.job_done(outcome(cache_status="resume"))
+    record.clock.now += 4.0
+    record.job_done(outcome(error="boom"))
+    record.job_done(outcome())
+    # Two computed jobs (a failure costs time too) in 4 s: 2 s each.
+    assert record.eta_s() == pytest.approx(4.0)
+
+
+def test_record_counts_retries_when_granted():
+    record = RunRecord(total=2)
+    record.job_retry(SPEC, 0, "boom")
+    assert record.retries_granted == 1
+    assert record.health["retries"] == 0  # the retried job is in flight
+    record.job_done(outcome(retries=1))
+    assert record.health["retries"] == record.retries_granted == 1
 
 
 def test_zero_job_summary_has_no_rate():
@@ -64,14 +120,10 @@ def test_zero_job_summary_has_no_rate():
     assert "nan" not in summary
 
 
-def test_instant_run_guard(monkeypatch):
+def test_instant_run_guard():
     # All cache hits on a fast disk: elapsed can round to exactly zero.
-    import repro.harness.progress as progress_mod
-
     rep, stream = reporter(total=5)
-    monkeypatch.setattr(progress_mod.time, "monotonic",
-                        lambda: rep._started)
-    rep.job_done(outcome(cache_status="hit"))
+    land(rep, outcome(cache_status="hit"))
     assert ", eta " not in stream.getvalue()
     summary = rep.summary()
     assert "jobs/s" not in summary
@@ -80,8 +132,8 @@ def test_instant_run_guard(monkeypatch):
 
 def test_disabled_reporter_still_counts():
     rep, stream = reporter(total=2, enabled=False)
-    rep.job_done(outcome(cache_status="hit"))
-    assert rep.done == 1
-    assert rep.cache_hits == 1
+    land(rep, outcome(cache_status="hit"))
+    assert rep.record.health["jobs"] == 1
+    assert rep.record.health["cache_hits"] == 1
     assert stream.getvalue() == ""
     assert "1 jobs" in rep.summary(CacheStats())

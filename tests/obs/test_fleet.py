@@ -15,7 +15,7 @@ import io
 
 import pytest
 
-from repro.harness import JobSpec, run_jobs
+from repro.harness import JobSpec, RunRecord, run_jobs
 from repro.obs.harness import HarnessObserver
 from repro.obs.live import CompositeObserver, LiveMonitor
 
@@ -144,7 +144,7 @@ class TestLifecycleOrdering:
 class TestHarnessObserverTracks:
     def test_retried_attempts_leave_exec_slices(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", FLAKY2)
-        observer = HarnessObserver(label="unit")
+        observer = HarnessObserver(RunRecord(), label="unit")
         run_jobs(SPECS, jobs=2, timeout_s=60.0, retries=2,
                  observer=observer)
         execs = [e for e in observer.tracer.events() if e[2] == "exec"
@@ -159,7 +159,7 @@ class TestHarnessObserverTracks:
             assert names[worker_id + 1] == f"worker {worker_id}"
 
     def test_queue_wait_slices_precede_exec_on_same_track(self):
-        observer = HarnessObserver(label="unit")
+        observer = HarnessObserver(RunRecord(), label="unit")
         run_jobs(SPECS, jobs=1, timeout_s=60.0, observer=observer)
         events = observer.tracer.events()
         waits = [e for e in events if e[2] == "queue"]
@@ -190,18 +190,21 @@ class _Outcome:
         self.cache_status = cache_status
         self.status = status or ("ok" if ok else "error")
         self.wall_time_s = 1.0
+        self.retries = 0
 
 
 class TestLiveMonitor:
     def _monitor(self, total=4, tty=False):
         clock = FakeClock()
         stream = io.StringIO()
-        monitor = LiveMonitor(total=total, label="sweep", stream=stream,
-                              interval_s=0.5, clock=clock, is_tty=tty)
-        return monitor, clock, stream
+        record = RunRecord(total, clock=clock)
+        monitor = LiveMonitor(record, label="sweep", stream=stream,
+                              interval_s=0.5, is_tty=tty)
+        # Fed as a harness session feeds its views: record first.
+        return CompositeObserver(record, monitor), monitor, clock, stream
 
     def test_rows_track_dispatch_heartbeat_finish(self):
-        monitor, clock, _ = self._monitor()
+        session, monitor, clock, _ = self._monitor()
         monitor.job_dispatched(0, _Spec("tagless/mcf"), 0, 7, 0.01)
         assert monitor.workers[7].busy
         clock.now = 3.0
@@ -213,18 +216,18 @@ class TestLiveMonitor:
         assert row.accesses_done == 60_000
         assert row.rate(clock.now) == pytest.approx(20_000)
         monitor.job_finished(0, _Spec("tagless/mcf"), 0, 7, "ok", 3.0)
-        monitor.job_done(_Outcome("tagless/mcf"))
+        session.job_done(_Outcome("tagless/mcf"))
         assert not monitor.workers[7].busy
         assert monitor.workers[7].jobs_done == 1
-        assert monitor.done == 1
+        assert monitor.record.health["jobs"] == 1
 
     def test_render_lines_shape_and_counters(self):
-        monitor, clock, _ = self._monitor(total=8)
+        session, monitor, clock, _ = self._monitor(total=8)
         monitor.job_dispatched(0, _Spec("tagless/mcf"), 0, 0, 0.0)
-        monitor.job_done(_Outcome("a", cache_status="hit"))
-        monitor.job_done(_Outcome("b", cache_status="resume"))
-        monitor.job_retry(_Spec("c"), 0, "boom")
-        monitor.job_done(_Outcome("c", ok=False))
+        session.job_done(_Outcome("a", cache_status="hit"))
+        session.job_done(_Outcome("b", cache_status="resume"))
+        session.job_retry(_Spec("c"), 0, "boom")
+        session.job_done(_Outcome("c", ok=False))
         clock.now = 10.0
         lines = monitor.render_lines()
         head = lines[0]
@@ -236,7 +239,7 @@ class TestLiveMonitor:
         assert lines[1].lstrip().startswith("w0")
 
     def test_pipe_output_is_throttled(self):
-        monitor, clock, stream = self._monitor(tty=False)
+        _session, monitor, clock, stream = self._monitor(tty=False)
         for i in range(50):
             clock.now = i * 0.01  # 10 ms apart: far below the gap
             monitor.worker_heartbeat({"worker": 0, "index": 0,
@@ -248,15 +251,15 @@ class TestLiveMonitor:
         assert stream.getvalue().count("sweep:") == frames + 1
 
     def test_tty_redraw_rewinds_previous_frame(self):
-        monitor, clock, stream = self._monitor(tty=True)
-        monitor.job_done(_Outcome("a"))
+        session, _monitor, clock, stream = self._monitor(tty=True)
+        session.job_done(_Outcome("a"))
         clock.now = 1.0
-        monitor.job_done(_Outcome("b"))
+        session.job_done(_Outcome("b"))
         text = stream.getvalue()
         assert "\x1b[1F\x1b[J" in text  # rewound the 1-line first frame
 
     def test_finish_is_idempotent(self):
-        monitor, _, stream = self._monitor()
+        _session, monitor, _, stream = self._monitor()
         monitor.finish()
         once = stream.getvalue()
         monitor.finish()

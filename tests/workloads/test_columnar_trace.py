@@ -9,10 +9,13 @@ iteration order* (NC classification iterates it), derived properties,
 and the pack-then-view round trip itself.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.harness.shm import BYTES_PER_ACCESS, SegmentRef, _pack
+from repro.common.errors import TraceError
+from repro.harness.shm import BYTES_PER_ACCESS, COLUMNS, SegmentRef, _pack
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
 from repro.workloads.trace import AccessTrace
@@ -104,6 +107,21 @@ def test_flat_buffer_round_trip(object_trace):
 def test_from_buffer_rejects_short_buffer(object_trace):
     with pytest.raises(ValueError):
         _ref(object_trace).trace_over(bytearray(17))
+
+
+def test_mis_packed_payload_fails_at_attach(object_trace):
+    # Every column written at offset 0 (a packing bug): the page view
+    # then reads the write flags' bytes as pages up to about 7e16, past
+    # the address space.  Replaying such a trace runs for minutes; the
+    # attach must refuse it at once instead.
+    buffer = bytearray(BYTES_PER_ACCESS * len(object_trace))
+    for field, dtype in COLUMNS:
+        column = np.asarray(getattr(object_trace, field), dtype=dtype)
+        buffer[:column.nbytes] = column.tobytes()
+    start = time.perf_counter()
+    with pytest.raises(TraceError, match="address space"):
+        _ref(object_trace).trace_over(bytes(buffer))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_slice_is_window_and_shares_list_cache(columnar):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.addressing import ADDRESS_SPACE_PAGES
 from repro.common.errors import TraceError
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.spec import spec_profile
@@ -70,6 +71,12 @@ def test_negative_values_rejected():
         make([-1])
     with pytest.raises(TraceError):
         make([1], gaps=[-5])
+
+
+def test_pages_past_the_address_space_rejected():
+    make([ADDRESS_SPACE_PAGES - 1])
+    with pytest.raises(TraceError, match="past the address space"):
+        make([1, ADDRESS_SPACE_PAGES])
 
 
 def test_head_and_slice():

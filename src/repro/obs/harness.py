@@ -68,8 +68,8 @@ class HarnessObserver:
                   "trace_bytes_shared": outcome.trace_bytes_shared},
         )
         health = self.record.health
-        # Trace bytes attached from shared memory (see
-        # :mod:`repro.harness.shm`), summed per *consuming* job.
+        # The last column sums trace bytes attached from shared memory
+        # (see :mod:`repro.harness.shm`) per *consuming* job.
         shared = self.windows[-1][-1] if self.windows else 0.0
         self.windows.append([
             now_ns, float(health["jobs"]), float(health["cache_hits"]),

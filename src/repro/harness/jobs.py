@@ -509,10 +509,11 @@ def job_health(jobs: Iterable[Tuple[str, str, int]]) -> Dict[str, int]:
     The one tally behind the run record every view of a live run reads
     (:class:`~repro.harness.progress.RunRecord`), the ``--json``
     summaries, the campaign run summary and ``repro status`` -- so a
-    live run and an artifact replay of it count identically.  ``errors`` covers every failed terminal status
-    (``timeouts`` and ``worker_crashes`` break two of them out);
-    ``computed`` counts points that actually ran, i.e. neither served
-    from the cache nor seeded by a resume.
+    live run and an artifact replay of it count identically.
+    ``errors`` covers every failed terminal status (``timeouts`` and
+    ``worker_crashes`` break two of them out); ``computed`` counts
+    points that actually ran, i.e. neither served from the cache nor
+    seeded by a resume.
     """
     counters = {
         "jobs": 0,

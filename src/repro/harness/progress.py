@@ -3,10 +3,11 @@
 :class:`RunRecord` counts one run's job events once; the progress
 line, the artifact summary, the harness trace/timeseries and the
 ``--live`` header all read it.  :class:`ProgressReporter` prints one
-line per completed job on ``stderr`` (so stdout stays reserved for the paper-style tables,
-byte-identical whether or not a reporter is attached) plus an
-end-of-run summary with cache accounting.  It prints nothing when
-``enabled=False``, which is what ``--live`` and the test suite use.
+line per completed job on ``stderr`` (so stdout stays reserved for the
+paper-style tables, byte-identical whether or not a reporter is
+attached) plus an end-of-run summary with cache accounting.  It prints
+nothing when ``enabled=False``, which is what ``--live`` and the test
+suite use.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ parent process *can* observe -- and what matters for harness tuning --
 is the run's own lifecycle: when each job landed, how long it ran,
 whether it came from the cache, how the error count grew.  The
 :class:`HarnessObserver` paints exactly that from the run record
-(:class:`~repro.harness.progress.RunRecord`) and exports the same two artifact kinds as simulator telemetry: a
-Perfetto trace of job slices and a progress time-series.
+(:class:`~repro.harness.progress.RunRecord`) and exports the same two
+artifact kinds as simulator telemetry: a Perfetto trace of job slices
+and a progress time-series.
 
 The trace carries one thread track per pool worker (tid = worker id +
 1; tid 0 is the run-level track): the runner's dispatch hook paints a

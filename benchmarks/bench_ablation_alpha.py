@@ -8,52 +8,10 @@ curve is nearly flat: the free queue hides eviction latency already,
 so extra free blocks only shrink the cache.
 """
 
-import dataclasses
 
-from conftest import bench_accesses
-
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.mixes import mix_traces
-
-
-def run_alpha_sweep():
-    accesses = bench_accesses(50_000)
-    traces = mix_traces("MIX5", accesses_per_program=accesses,
-                        capacity_scale=64)
-    bindings = [BoundTrace(i, i, t) for i, t in enumerate(traces)]
-    rows = []
-    ipcs = {}
-    for alpha in (1, 4, 16, 64):
-        config = default_system(cache_megabytes=512, num_cores=4,
-                                capacity_scale=64)
-        config = dataclasses.replace(
-            config,
-            dram_cache=dataclasses.replace(config.dram_cache, alpha=alpha),
-        )
-        result = Simulator(config).run("tagless", bindings)
-        ipcs[alpha] = result.ipc_sum
-        rows.append([
-            alpha,
-            result.ipc_sum,
-            result.stats["engine_fills"],
-            result.stats["engine_fq_evictions_completed"],
-            result.stats["engine_alpha_deficits"],
-        ])
-    table = format_table(
-        "Ablation: free-block budget alpha (tagless, MIX5, 512MB cache)",
-        ["alpha", "IPC", "fills", "evictions", "alpha deficits"],
-        rows,
-    )
-    return table, ipcs
-
-
-def test_ablation_alpha(benchmark, record_table):
-    table, ipcs = benchmark.pedantic(run_alpha_sweep, rounds=1,
-                                     iterations=1)
-    record_table("ablation_alpha", table)
+def test_ablation_alpha(bench_figure):
+    data = bench_figure("ablation_alpha", 50_000).to_dict()
+    ipcs = {alpha: row["ipc"] for alpha, row in data["alpha"].items()}
     # alpha=1 suffices: growing the free pool never helps by much.
     assert ipcs[64] <= ipcs[1] * 1.05
     assert min(ipcs.values()) >= max(ipcs.values()) * 0.85

@@ -13,48 +13,12 @@ This quantifies the "high DRAM row buffer locality / minimal
 over-fetching" rows of Table 2.
 """
 
-from conftest import bench_accesses
 
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.generator import TraceGenerator
-from repro.workloads.spec import spec_profile
-
-
-def run_block_study():
-    accesses = bench_accesses(80_000)
-    config = default_system(cache_megabytes=1024, num_cores=1,
-                            capacity_scale=64)
-    sim = Simulator(config)
-    rows = []
-    norm = {}
-    for program in ("libquantum", "omnetpp"):
-        trace = TraceGenerator(
-            spec_profile(program), capacity_scale=64
-        ).generate(accesses)
-        bindings = [BoundTrace(0, 0, trace)]
-        base = sim.run("no-l3", bindings).ipc_sum
-        row = [program]
-        for design in ("alloy", "sram", "tagless"):
-            result = sim.run(design, bindings)
-            norm[(program, design)] = result.ipc_sum / base
-            row.append(result.ipc_sum / base)
-        rows.append(row)
-    table = format_table(
-        "Ablation: block-based vs page-based vs tagless "
-        "(IPC normalised to No-L3)",
-        ["program", "alloy (block)", "sram (page)", "tagless"],
-        rows,
-    )
-    return table, norm
-
-
-def test_ablation_blockbased(benchmark, record_table):
-    table, norm = benchmark.pedantic(run_block_study, rounds=1,
-                                     iterations=1)
-    record_table("ablation_blockbased", table)
+def test_ablation_blockbased(bench_figure):
+    data = bench_figure("ablation_blockbased", 80_000).to_dict()
+    norm = {(program, design): value
+            for program, row in data["normalized_ipc"].items()
+            for design, value in row.items()}
     # Streaming: page-granularity wins big over block-granularity.
     assert norm[("libquantum", "tagless")] > norm[("libquantum", "alloy")]
     # Tagless never loses to the block cache on these workloads.

@@ -9,57 +9,15 @@ traffic substantially; IPC improves when the channel is the bottleneck
 and the footprint-miss penalty stays small.
 """
 
-import dataclasses
 
-from conftest import bench_accesses
-
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.mixes import mix_traces
-
-
-def run_footprint_study():
-    accesses = bench_accesses(50_000)
-    traces = mix_traces("MIX5", accesses_per_program=accesses,
-                        capacity_scale=64)
-    bindings = [BoundTrace(i, i, t) for i, t in enumerate(traces)]
-    rows = []
-    metrics = {}
+def test_ablation_footprint(bench_figure):
+    data = bench_figure("ablation_footprint", 50_000).to_dict()
     for cache_mb in (256, 512):
-        for label, footprint in (("full-fill", False), ("footprint", True)):
-            config = default_system(cache_megabytes=cache_mb, num_cores=4,
-                                    capacity_scale=64)
-            config = dataclasses.replace(
-                config,
-                dram_cache=dataclasses.replace(
-                    config.dram_cache, footprint_caching=footprint
-                ),
-            )
-            result = Simulator(config).run("tagless", bindings)
-            read_mb = result.stats["offpkg_read_bytes"] / 1e6
-            metrics[(cache_mb, label)] = (result.ipc_sum, read_mb)
-            rows.append([
-                f"{cache_mb}MB", label, result.ipc_sum, read_mb,
-                result.stats["engine_footprint_misses"],
-            ])
-    table = format_table(
-        "Ablation: footprint partial fills (tagless, MIX5)",
-        ["cache", "fill policy", "IPC", "off-pkg reads (MB)",
-         "footprint misses"],
-        rows,
-    )
-    return table, metrics
-
-
-def test_ablation_footprint(benchmark, record_table):
-    table, metrics = benchmark.pedantic(run_footprint_study, rounds=1,
-                                        iterations=1)
-    record_table("ablation_footprint", table)
-    for cache_mb in (256, 512):
-        full_ipc, full_rd = metrics[(cache_mb, "full-fill")]
-        fp_ipc, fp_rd = metrics[(cache_mb, "footprint")]
+        points = data["cache_mb"][cache_mb]
+        full_ipc, full_rd = (points["full-fill"]["ipc"],
+                             points["full-fill"]["offpkg_read_mb"])
+        fp_ipc, fp_rd = (points["footprint"]["ipc"],
+                         points["footprint"]["offpkg_read_mb"])
         # The headline property: footprint fills reduce off-package
         # read traffic under pressure.
         assert fp_rd < full_rd

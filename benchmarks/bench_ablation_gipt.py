@@ -9,66 +9,12 @@ writes.  This ablation measures both claims:
 - the size claim: storage bytes vs cache capacity (the <0.25 % line).
 """
 
-import dataclasses
-
-from conftest import bench_accesses
-
-from repro.analysis.report import format_table
-from repro.common.addressing import BYTES_PER_MB
-from repro.common.config import default_system
 from repro.core.gipt import gipt_storage_megabytes
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.generator import TraceGenerator
-from repro.workloads.spec import spec_profile
 
 
-def run_gipt_study():
-    accesses = bench_accesses(80_000)
-    trace = TraceGenerator(
-        spec_profile("GemsFDTD"), capacity_scale=64
-    ).generate(accesses)
-    bindings = [BoundTrace(0, 0, trace)]
-
-    rows = []
-    ipcs = {}
-    for label, in_package in (("off-package", False), ("in-package", True)):
-        config = default_system(cache_megabytes=1024, num_cores=1,
-                                capacity_scale=64)
-        config = dataclasses.replace(
-            config,
-            dram_cache=dataclasses.replace(
-                config.dram_cache, gipt_in_package=in_package
-            ),
-        )
-        result = Simulator(config).run("tagless", bindings)
-        ipcs[label] = result.ipc_sum
-        rows.append([label, result.ipc_sum,
-                     result.mean_l3_latency_cycles])
-    placement_table = format_table(
-        "Ablation: GIPT placement (GemsFDTD, tagless)",
-        ["GIPT in", "IPC", "avg L3 latency (cycles)"],
-        rows,
-    )
-
-    size_rows = []
-    for cache_gb in (0.25, 0.5, 1.0, 4.0, 16.0):
-        mb = gipt_storage_megabytes(cache_gb)
-        overhead = mb * BYTES_PER_MB / (cache_gb * 1024 * BYTES_PER_MB)
-        size_rows.append([f"{cache_gb:g}GB", f"{mb:.2f}MB",
-                          f"{overhead * 100:.3f}%"])
-    size_table = format_table(
-        "GIPT storage scaling (82-bit entries, quad-core)",
-        ["cache", "GIPT size", "overhead"],
-        size_rows,
-    )
-    return placement_table, size_table, ipcs
-
-
-def test_ablation_gipt(benchmark, record_table):
-    placement, size, ipcs = benchmark.pedantic(run_gipt_study, rounds=1,
-                                               iterations=1)
-    record_table("ablation_gipt", placement, size)
+def test_ablation_gipt(bench_figure):
+    data = bench_figure("ablation_gipt", 80_000).to_dict()
+    ipcs = {label: row["ipc"] for label, row in data["placement"].items()}
     # Placement is a wash (the paper's scalability argument): the GIPT
     # is off the access path, so either DRAM works.
     off, in_pkg = ipcs["off-package"], ipcs["in-package"]

@@ -6,44 +6,12 @@ second-chance approximation Section 5.2 alludes to) and runs at a
 1 GB point where all policies coincide.
 """
 
-from conftest import bench_accesses
 
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.mixes import mix_traces
-
-
-def run_policy_sweep():
-    accesses = bench_accesses(50_000)
-    rows = []
-    ipcs = {}
-    for mix in ("MIX3", "MIX5"):
-        traces = mix_traces(mix, accesses_per_program=accesses,
-                            capacity_scale=64)
-        bindings = [BoundTrace(i, i, t) for i, t in enumerate(traces)]
-        row = [mix]
-        for policy in ("fifo", "clock", "lru"):
-            config = default_system(cache_megabytes=512, num_cores=4,
-                                    replacement=policy, capacity_scale=64)
-            result = Simulator(config).run("tagless", bindings)
-            ipcs[(mix, policy)] = result.ipc_sum
-            row.append(result.ipc_sum)
-        rows.append(row)
-    table = format_table(
-        "Ablation: tagless victim policy at 512MB (IPC; replacement "
-        "pressure visible)",
-        ["mix", "fifo", "clock", "lru"],
-        rows,
-    )
-    return table, ipcs
-
-
-def test_ablation_victim_policy(benchmark, record_table):
-    table, ipcs = benchmark.pedantic(run_policy_sweep, rounds=1,
-                                     iterations=1)
-    record_table("ablation_victim_policy", table)
+def test_ablation_victim_policy(bench_figure):
+    data = bench_figure("ablation_victim_policy", 50_000).to_dict()
+    ipcs = {(mix, policy): value
+            for mix, row in data["ipc"].items()
+            for policy, value in row.items()}
     for mix in ("MIX3", "MIX5"):
         fifo = ipcs[(mix, "fifo")]
         for policy in ("clock", "lru"):

@@ -6,54 +6,11 @@ full per-component breakdown for one representative workload so the
 line item rather than an aggregate.
 """
 
-from conftest import bench_accesses
 
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.designs.registry import DESIGN_NAMES
-from repro.workloads.generator import TraceGenerator
-from repro.workloads.spec import spec_profile
-
-
-def run_breakdown():
-    config = default_system(cache_megabytes=1024, num_cores=1,
-                            capacity_scale=64)
-    trace = TraceGenerator(
-        spec_profile("milc"), capacity_scale=64
-    ).generate(bench_accesses(80_000))
-    bindings = [BoundTrace(0, 0, trace)]
-    sim = Simulator(config)
-    rows = []
-    breakdowns = {}
-    for design in DESIGN_NAMES:
-        result = sim.run(design, bindings)
-        e = result.energy
-        breakdowns[design] = e
-        rows.append([
-            design,
-            e.core_j * 1e3,
-            (e.ondie_dynamic_j + e.ondie_leakage_j) * 1e3,
-            e.tag_j * 1e3,
-            e.in_package_j * 1e3,
-            e.off_package_j * 1e3,
-            e.total_j * 1e3,
-            result.elapsed_ns / 1e6,
-        ])
-    table = format_table(
-        "Energy breakdown on milc (millijoules; time in ms)",
-        ["design", "cores", "on-die SRAM", "tag array", "in-pkg DRAM",
-         "off-pkg DRAM", "total", "runtime"],
-        rows,
-    )
-    return table, breakdowns
-
-
-def test_energy_breakdown(benchmark, record_table):
-    table, breakdowns = benchmark.pedantic(run_breakdown, rounds=1,
-                                           iterations=1)
-    record_table("energy_breakdown", table)
+def test_energy_breakdown(bench_figure):
+    result = bench_figure("energy_breakdown", 80_000)
+    breakdowns = {design: result.value("energy", design=design)
+                  for design in result.levels["design"]}
     # The abstract's claim, as a line item: only the SRAM-tag design
     # burns tag energy.
     assert breakdowns["sram"].tag_j > 0

@@ -12,65 +12,9 @@ a representative workload so the qualitative table becomes numbers:
 - over-fetching: off-package bytes moved per L3 demand access.
 """
 
-from conftest import bench_accesses
 
-from repro.analysis.report import format_table
-from repro.common.config import default_system
-from repro.cpu.multicore import BoundTrace
-from repro.cpu.simulator import Simulator
-from repro.workloads.generator import TraceGenerator
-from repro.workloads.spec import spec_profile
-
-
-def measure_designs():
-    config = default_system(cache_megabytes=1024, num_cores=1,
-                            capacity_scale=64)
-    trace = TraceGenerator(
-        spec_profile("milc"), capacity_scale=64
-    ).generate(bench_accesses(80_000))
-    sim = Simulator(config)
-    rows = []
-    metrics = {}
-    for design_name in ("sram", "tagless"):
-        result = sim.run(design_name, [BoundTrace(0, 0, trace)])
-        s = result.stats
-        l3 = max(s["l3_accesses"], 1.0)
-        if design_name == "sram":
-            tag_mb = config.sram_tag.tag_megabytes
-            hits = s["l3_hits"]
-            misses = s["l3_misses"]
-        else:
-            tag_mb = 0.0
-            hits = s["cache_accesses"]
-            misses = s["engine_fills"]
-        hit_ratio = hits / max(hits + misses, 1.0)
-        overfetch = (s["offpkg_read_bytes"] + s["offpkg_write_bytes"]) / l3
-        metrics[design_name] = {
-            "tag_mb": tag_mb,
-            "hit_ratio": hit_ratio,
-            "l3_latency": result.mean_l3_latency_cycles,
-            "overfetch": overfetch,
-        }
-        rows.append([
-            design_name,
-            f"{tag_mb:.1f}MB",
-            f"{hit_ratio:.4f}",
-            f"{result.mean_l3_latency_cycles:.1f}cy",
-            f"{overfetch:.0f}B",
-        ])
-    table = format_table(
-        "Table 2 (quantified): SRAM-tag vs tagless on milc",
-        ["design", "tag SRAM", "hit ratio", "avg L3 latency",
-         "off-pkg bytes / L3 access"],
-        rows,
-    )
-    return table, metrics
-
-
-def test_table2_design_comparison(benchmark, record_table):
-    table, metrics = benchmark.pedantic(measure_designs, rounds=1,
-                                        iterations=1)
-    record_table("table2", table)
+def test_table2_design_comparison(bench_figure):
+    metrics = bench_figure("table2", 80_000).to_dict()["designs"]
     # "Small tag storage: best" -- zero for tagless.
     assert metrics["tagless"]["tag_mb"] == 0.0
     assert metrics["sram"]["tag_mb"] == 4.0

@@ -2,16 +2,21 @@
 
 Every benchmark regenerates one table or figure of the paper, prints the
 paper-style text table, and archives it under ``benchmarks/results/`` so
-EXPERIMENTS.md can be refreshed by diffing that directory.
+EXPERIMENTS.md can be refreshed by diffing that directory.  Every
+simulated one -- Figs 7-13, Table 2, the energy breakdown and all
+ablations but superpages -- is an entry of
+:data:`repro.analysis.experiments.FIGURES` run through the
+:func:`bench_figure` fixture; the other five build what they print by
+hand (see that module's docstring for why).
 
 Scale knobs: the environment variable ``REPRO_BENCH_ACCESSES`` overrides
-the per-core trace length (default 100k single-programmed / 70k per core
-multi-programmed), trading fidelity for runtime.  It and
-``REPRO_BENCH_JOBS`` must be integers >= 1; anything else raises.
+the per-core trace length each benchmark defaults to, trading fidelity
+for runtime.  It and ``REPRO_BENCH_JOBS`` must be integers >= 1;
+anything else raises.
 
-Execution knobs: ``REPRO_BENCH_JOBS`` fans each figure sweep out to that
-many worker processes through :mod:`repro.harness`, and
-``REPRO_BENCH_CACHE`` (a directory path, or ``1`` for the default
+Execution knobs: ``REPRO_BENCH_JOBS`` fans each :func:`bench_figure`
+sweep out to that many worker processes through :mod:`repro.harness`,
+and ``REPRO_BENCH_CACHE`` (a directory path, or ``1`` for the default
 ``~/.cache/repro``) replays unchanged points from the on-disk result
 cache -- so re-running the benchmark suite after a change only
 recomputes what the change invalidated.  Unset, benchmarks run the
@@ -94,7 +99,8 @@ def bench_figure(benchmark, record_table):
 
     ``bench_figure("fig7", 100_000)`` times ``run_figure("fig7")`` at
     that per-core trace length (env-overridable), archives its tables as
-    ``results/fig07.txt`` and returns the result for the shape checks.
+    ``results/fig07.txt`` (any other name as itself, e.g.
+    ``results/table2.txt``) and returns the result for the shape checks.
     """
     from repro.analysis.experiments import run_figure
 
@@ -105,7 +111,9 @@ def bench_figure(benchmark, record_table):
                     "harness": bench_harness()},
             rounds=1, iterations=1,
         )
-        record_table(f"fig{int(name[3:]):02d}", *result.tables())
+        archive = (f"fig{int(name[3:]):02d}" if name.startswith("fig")
+                   else name)
+        record_table(archive, *result.tables())
         return result
 
     return _run

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common import machine as machine_mod
 from repro.common.errors import ConfigurationError
@@ -53,29 +53,48 @@ class CampaignJob:
     spec: JobSpec
 
 
+def job_fields(assignment: Iterable[Tuple[str, object]],
+               machine: Optional[machine_mod.MachineSpec] = None,
+               ) -> Dict[str, object]:
+    """JobSpec keyword arguments of one factor assignment.
+
+    The one mapping from factor names to jobs, shared by campaigns and
+    the paper figures (:mod:`repro.analysis.experiments`).  Factor
+    names map to JobSpec fields through :data:`FACTOR_FIELDS`.
+    Machine-layer names -- ``"preset"`` and dotted override paths --
+    are collected into the job's :class:`MachineSpec` instead, layered
+    over ``machine``, so a grid can vary any SystemConfig knob without
+    the harness growing a scalar per knob.  A name ``machine`` already
+    sets is refused rather than silently resolved.
+    """
+    base = machine or machine_mod.DEFAULT_MACHINE
+    preset = base.preset
+    overrides = dict(base.overrides)
+    taken = set(overrides)
+    if preset != machine_mod.DEFAULT_PRESET:
+        taken.add("preset")
+    fields: Dict[str, object] = {}
+    for name, value in assignment:
+        if not is_machine_name(name):
+            fields[FACTOR_FIELDS[name]] = value
+        elif name in taken:
+            raise ConfigurationError(
+                f"{name} is set by both the machine spec (--machine/"
+                f"--set) and the grid; drop one of the two"
+            )
+        elif name == "preset":
+            preset = str(value)
+        else:
+            overrides[name] = value
+    fields["machine"] = machine_mod.MachineSpec(preset=preset,
+                                                overrides=overrides)
+    return fields
+
+
 def _job_spec(campaign: CampaignSpec, cell: Cell, repetition: int,
               ) -> JobSpec:
-    """Build the harness job for one (cell, repetition).
-
-    Machine-layer names -- ``"preset"`` and dotted override paths --
-    are collected into the job's :class:`MachineSpec` instead of
-    mapping to a JobSpec field, so a study can vary any SystemConfig
-    knob without the harness growing a scalar per knob.
-    """
-    kwargs: Dict[str, object] = {}
-    preset = machine_mod.DEFAULT_PRESET
-    overrides: Dict[str, object] = {}
-    for name, value in (*campaign.fixed, *cell.assignment):
-        if name == "preset":
-            preset = str(value)
-        elif is_machine_name(name):
-            overrides[name] = value
-        else:
-            kwargs[FACTOR_FIELDS[name]] = value
-    if preset != machine_mod.DEFAULT_PRESET or overrides:
-        kwargs["machine"] = machine_mod.MachineSpec(
-            preset=preset, overrides=overrides
-        )
+    """Build the harness job for one (cell, repetition)."""
+    kwargs = job_fields((*campaign.fixed, *cell.assignment))
     design = kwargs.get("design")
     if design is None:
         raise ConfigurationError(

@@ -127,6 +127,26 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
                              "JSONL")
 
 
+def _add_point_arguments(parser: argparse.ArgumentParser, *,
+                         cache_mb: bool = True) -> None:
+    """Simulation-point flags shared by trace/run/sweep/profile.
+
+    ``sweep`` takes ``--cache-sizes`` instead of ``--cache-mb``.
+    """
+    if cache_mb:
+        parser.add_argument("--cache-mb", type=int, default=1024,
+                            help="nominal DRAM cache size in MB "
+                                 "(default 1024)")
+    parser.add_argument("--scale", type=int, default=64,
+                        help="capacity scale factor (default 64)")
+    parser.add_argument("--replacement", default="fifo",
+                        choices=REPLACEMENT_POLICIES,
+                        help="tagless victim policy (default fifo)")
+    parser.add_argument("--warmup", type=float, default=0.25,
+                        help="fraction of each trace that warms state "
+                             "unmeasured (default 0.25)")
+
+
 def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Artifact-resume and telemetry flags of ``experiment``/``sweep``.
 
@@ -174,14 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--accesses", type=_bounded(int, 0), default=None,
                        help="trace length (default: 100k generate, "
                             "20k capture, 2k smoke)")
-    trace.add_argument("--scale", type=int, default=64,
-                       help="capacity scale factor (default 64)")
     trace.add_argument("--out", help="save as .npz to this path "
                                      "(generate mode)")
-    trace.add_argument("--cache-mb", type=int, default=1024)
-    trace.add_argument("--replacement", default="fifo",
-                       choices=REPLACEMENT_POLICIES)
-    trace.add_argument("--warmup", type=float, default=0.25)
+    _add_point_arguments(trace)
     trace.add_argument("--interval", type=_bounded(int, 1), default=1024,
                        help="time-series window size (default 1024)")
     trace.add_argument("--interval-unit", default="accesses",
@@ -204,13 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload",
                      help="SPEC/PARSEC program or MIX1..MIX8")
     run.add_argument("--accesses", type=_bounded(int, 0), default=100_000)
-    run.add_argument("--cache-mb", type=int, default=1024)
-    run.add_argument("--scale", type=int, default=64)
-    run.add_argument("--replacement", default="fifo",
-                     choices=REPLACEMENT_POLICIES)
-    run.add_argument("--warmup", type=float, default=0.25,
-                     help="fraction of each trace that warms state "
-                          "unmeasured (default 0.25)")
+    _add_point_arguments(run)
     run.add_argument("--json", action="store_true",
                      help="emit metrics as JSON")
     run.add_argument("--trace", dest="trace_out", default=None,
@@ -267,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MB", help="nominal cache sizes in MB")
     sweep.add_argument("--accesses", type=_bounded(int, 0), default=50_000,
                        help="per-core trace length (default 50k)")
-    sweep.add_argument("--scale", type=int, default=64)
-    sweep.add_argument("--replacement", default="fifo",
-                       choices=REPLACEMENT_POLICIES)
-    sweep.add_argument("--warmup", type=float, default=0.25)
+    _add_point_arguments(sweep, cache_mb=False)
     sweep.add_argument("--out", default="sweep.jsonl",
                        help="JSONL artifact path (default sweep.jsonl)")
     sweep.add_argument("--json", action="store_true",
@@ -350,11 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="SPEC/PARSEC program or MIX1..MIX8")
     profile.add_argument("--accesses", type=_bounded(int, 0),
                          default=100_000)
-    profile.add_argument("--cache-mb", type=int, default=1024)
-    profile.add_argument("--scale", type=int, default=64)
-    profile.add_argument("--replacement", default="fifo",
-                         choices=REPLACEMENT_POLICIES)
-    profile.add_argument("--warmup", type=float, default=0.25)
+    _add_point_arguments(profile)
     profile.add_argument("--top", type=_bounded(int, 1), default=25,
                          help="rows to report (default 25)")
     profile.add_argument("--sort", default="cumulative",
@@ -907,7 +909,11 @@ def _harness_session(args: argparse.Namespace, name: str,
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     machine = _machine_from_args(args)
-    with _harness_session(args, args.figure, args.artifact,
+    # Expanded first: a bad grid fails before any file opens, and the
+    # job count gives the progress line and the live view their total.
+    _levels, jobs = experiments.expand_figure(
+        args.figure, accesses=args.accesses, machine=machine)
+    with _harness_session(args, args.figure, args.artifact, total=len(jobs),
                           resume_path=args.resume) as (harness, artifact):
         result = experiments.run_figure(args.figure, accesses=args.accesses,
                                         machine=machine, harness=harness)

@@ -7,7 +7,12 @@ import re
 
 import pytest
 
-from repro.analysis.experiments import FIGURES, run_figure
+from repro.analysis.experiments import FIGURES, expand_figure, run_figure
+from repro.campaign import CampaignSpec, expand
+from repro.cli.main import main
+from repro.common.errors import ConfigurationError
+from repro.common.machine import MachineSpec
+from repro.harness import jobs as jobs_module
 
 _REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
@@ -136,3 +141,68 @@ def test_documented_figure_names_exist(doc):
         names = re.findall(r"repro\.cli experiment ([\w-]+)", handle.read())
     assert names
     assert set(names) <= set(FIGURES)
+
+
+class TestMachinePathFactors:
+    """Figure factors named by a dotted SystemConfig path."""
+
+    def test_cell_level_reaches_system_config(self):
+        levels, jobs = expand_figure("ablation_alpha")
+        assert [job.system_config().dram_cache.alpha
+                for job in jobs.values()] == list(levels["dram_cache.alpha"])
+
+    def test_set_of_another_path_reaches_every_cell(self):
+        machine = MachineSpec(overrides={"core.model": "window"})
+        _levels, jobs = expand_figure("ablation_footprint", machine=machine)
+        for (cache_mb, footprint), job in jobs.items():
+            config = job.system_config()
+            assert config.core.model == "window"
+            assert config.dram_cache.footprint_caching is footprint
+            assert job.cache_megabytes == cache_mb
+
+    def test_set_of_the_same_path_is_refused(self):
+        machine = MachineSpec(overrides={"dram_cache.alpha": 2})
+        with pytest.raises(ConfigurationError, match="dram_cache.alpha"):
+            expand_figure("ablation_alpha", machine=machine)
+
+    def test_pooled_cells_keep_their_overrides(self):
+        from repro.harness import Harness
+
+        # At this length the GIPT placement is the one machine factor
+        # that moves the numbers, so a worker that lost a cell's
+        # override would change the table.
+        result = run_figure("ablation_gipt", accesses=600,
+                            harness=Harness(jobs=2))
+        with open(os.path.join(_REPO, "tests", "analysis", "golden",
+                               "ablation_gipt.txt")) as handle:
+            assert "\n\n".join(result.tables()) + "\n" == handle.read()
+
+    def test_cli_refuses_the_same_path_in_one_line(self, tmp_path, capsys):
+        artifact = tmp_path / "alpha.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "ablation_alpha", "--set",
+                  "dram_cache.alpha=2", "--no-cache",
+                  "--artifact", str(artifact)])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "dram_cache.alpha" in message
+        assert not artifact.exists()
+
+
+@pytest.mark.parametrize("study", ["smoke", "gipt_override_smoke",
+                                   "multitenant_smoke"])
+def test_campaign_cache_keys_survive_the_shared_mapping(study, monkeypatch):
+    """Campaign jobs address the cache entries they always did.
+
+    ``golden/campaign_keys.json`` holds each study's expanded cache
+    keys under a pinned code fingerprint, taken before campaigns and
+    figures shared :func:`~repro.campaign.compile.job_fields`.
+    """
+    monkeypatch.chdir(_REPO)
+    monkeypatch.setattr(jobs_module, "_FINGERPRINT", "pinned")
+    spec = CampaignSpec.from_file(
+        os.path.join("benchmarks", "studies", f"{study}.json"))
+    with open(os.path.join(_REPO, "tests", "analysis", "golden",
+                           "campaign_keys.json")) as handle:
+        golden = json.load(handle)[study]
+    assert [job.spec.cache_key() for job in expand(spec)] == golden

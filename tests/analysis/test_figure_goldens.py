@@ -1,11 +1,12 @@
 """Byte-identity goldens for the paper figures and the validate scorecard.
 
-Every figure's text tables and ``--json`` payload at a short trace
-length, the ``repro validate`` scorecard, and the ordered job list each
-figure dispatches at its default trace length are checked in under
-``golden/``.  A refactor of the figure machinery must leave all of them
-byte-identical: the same jobs run (so every warm result-cache entry
-still hits) and the same numbers come out.
+Every :data:`~repro.analysis.experiments.FIGURES` entry's text tables
+and ``--json`` payload at a short trace length, the ``repro validate``
+scorecard, and the ordered job list each figure dispatches at its
+default trace length are checked in under ``golden/``.  A refactor of
+the figure machinery must leave all of them byte-identical: the same
+jobs run (so every warm result-cache entry still hits) and the same
+numbers come out.
 
 After an intended change to the simulated numbers, regenerate with::
 
@@ -22,13 +23,14 @@ from unittest import mock
 
 import pytest
 
+from repro.analysis.experiments import FIGURES
 from repro.cli.main import main
 from repro.harness.runner import Harness
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-FIGURE_NAMES = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
+FIGURE_NAMES = tuple(FIGURES)
 #: Per-core trace length of the figure goldens (the CI parallel check
-#: reruns fig9 at this length).
+#: reruns fig9 and ablation_footprint at this length).
 GOLDEN_ACCESSES = 600
 VALIDATE_ACCESSES = 2000
 

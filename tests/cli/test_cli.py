@@ -149,6 +149,15 @@ def test_experiment_caches_between_invocations(tmp_path, capsys):
     assert warm_summary["cache_hit_rate"] == 1.0
 
 
+def test_experiment_progress_counts_against_the_grid(tmp_path, capsys):
+    code = main(["experiment", "fig13", "--accesses", "600", "--no-cache",
+                 "--artifact", str(tmp_path / "fig13.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "[1/2]" in err and "[2/2]" in err
+    assert "/?]" not in err
+
+
 def test_sweep_writes_jsonl_artifact(tmp_path, capsys):
     from repro.harness import read_artifact
 

@@ -3,7 +3,9 @@
 ``experiment``, ``sweep``, ``campaign run`` and ``campaign resume`` take
 the same execution flags from one parser helper and run through one
 harness lifecycle; every job-health summary they emit comes from one
-tally.  These tests pin all three properties.
+tally.  These tests pin all three properties, and that the
+simulation-point flags of ``trace``/``run``/``sweep``/``profile`` come
+from one helper too.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, campaign_status, run_campaign
 from repro.cli.main import build_parser, main
+from repro.common.config import REPLACEMENT_POLICIES
 from repro.harness import Harness, RunArtifact, read_artifact
 from repro.obs import get_registry, load_timeseries, set_registry
 
@@ -72,6 +75,40 @@ class TestSharedFlags:
     def test_out_of_range_values_are_rejected(self, command, bad):
         with pytest.raises(SystemExit):
             build_parser().parse_args(COMMANDS[command] + list(bad))
+
+
+#: Simulation-point flags and the commands that share them (one helper
+#: adds them all; ``sweep`` takes ``--cache-sizes`` instead of
+#: ``--cache-mb``).
+POINT_COMMANDS = {
+    "trace": ("--cache-mb", "--scale", "--replacement", "--warmup"),
+    "run": ("--cache-mb", "--scale", "--replacement", "--warmup"),
+    "sweep": ("--scale", "--replacement", "--warmup"),
+    "profile": ("--cache-mb", "--scale", "--replacement", "--warmup"),
+}
+
+
+def _point_options(command):
+    sub = _subparser(build_parser(), command)
+    return {option: (action.type, action.choices, action.default,
+                     action.help)
+            for action in sub._actions
+            for option in action.option_strings
+            if option in POINT_COMMANDS["run"]}
+
+
+def test_point_flags_agree_across_commands():
+    tables = {command: _point_options(command) for command in POINT_COMMANDS}
+    run = tables["run"]
+    assert {option: spec[:3] for option, spec in run.items()} == {
+        "--cache-mb": (int, None, 1024),
+        "--scale": (int, None, 64),
+        "--replacement": (None, REPLACEMENT_POLICIES, "fifo"),
+        "--warmup": (float, None, 0.25),
+    }
+    for command, options in POINT_COMMANDS.items():
+        assert tables[command] == {option: run[option]
+                                   for option in options}, command
 
 
 @pytest.fixture

@@ -177,7 +177,7 @@ class TestMachinePathFactors:
                                "ablation_gipt.txt")) as handle:
             assert "\n\n".join(result.tables()) + "\n" == handle.read()
 
-    def test_cli_refuses_the_same_path_in_one_line(self, tmp_path, capsys):
+    def test_cli_refuses_the_same_path_in_one_line(self, tmp_path):
         artifact = tmp_path / "alpha.jsonl"
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "ablation_alpha", "--set",

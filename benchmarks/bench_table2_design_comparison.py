@@ -2,13 +2,13 @@
 
 The paper's Table 2 rates page-based-with-SRAM-tags vs tagless
 qualitatively (tag storage, hit ratio, hit latency, row-buffer locality,
-over-fetching).  This benchmark measures each criterion on a live run of
-a representative workload so the qualitative table becomes numbers:
+over-fetching).  This benchmark measures four of those criteria on a
+live run of a representative workload so the qualitative table becomes
+numbers (row-buffer locality has no column):
 
 - tag storage: on-die SRAM bytes dedicated to tags;
 - hit ratio: DRAM-cache hits / L3 accesses;
 - hit latency: the Figure 8 metric;
-- row-buffer locality: in-package row-hit rate of page streams;
 - over-fetching: off-package bytes moved per L3 demand access.
 """
 

@@ -384,16 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
              "points) from a campaign directory's artifacts",
     )
     status.add_argument(
-        "dir", nargs="?", default=None,
-        help="campaign directory holding spec.json + jobs.jsonl "
-             "(optional with --smoke)"
+        "dir", help="campaign directory holding spec.json + jobs.jsonl"
     )
     status.add_argument("--json", action="store_true",
                         help="emit the status as JSON")
-    status.add_argument("--smoke", action="store_true",
-                        help="CI gate: run the built-in smoke study and "
-                             "verify status reconstructs the run's exact "
-                             "counters from its artifacts")
 
     merge_trace = sub.add_parser(
         "merge-trace",
@@ -1325,11 +1319,6 @@ def cmd_status(args: argparse.Namespace) -> int:
     """Reconstruct campaign health from spec.json + jobs.jsonl."""
     from repro.campaign import campaign_status, render_status
 
-    if args.smoke:
-        return _status_smoke()
-    if not args.dir:
-        raise SystemExit("status needs a campaign directory (or --smoke); "
-                         "see `repro status --help`")
     try:
         status = campaign_status(args.dir)
     except OSError as exc:
@@ -1344,49 +1333,6 @@ def cmd_status(args: argparse.Namespace) -> int:
         print(json.dumps(status.to_dict(), indent=2, sort_keys=True))
     else:
         print(render_status(status))
-    return 0
-
-
-def _status_smoke() -> int:
-    """CI gate: artifact-reconstructed counters must equal the run's.
-
-    Runs the built-in smoke study into a temp directory through the
-    pooled harness, then rebuilds its health purely from the artifacts
-    and diffs against :meth:`CampaignRun.counters` -- the acceptance
-    check that `repro status` on a finished campaign tells the same
-    story its run summary did.
-    """
-    import tempfile
-
-    from repro.campaign import CampaignSpec, campaign_status, run_campaign
-
-    spec = CampaignSpec.from_dict(_SMOKE_STUDY)
-    problems = []
-    with tempfile.TemporaryDirectory(prefix="repro-status-") as tmp:
-        with open(os.path.join(tmp, "spec.json"), "w") as handle:
-            json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        artifact = RunArtifact(os.path.join(tmp, "jobs.jsonl"),
-                               name=f"campaign-{spec.name}")
-        run = run_campaign(spec, Harness(jobs=2, observer=artifact))
-        artifact.close()
-        status = campaign_status(tmp)
-        expected = run.counters()
-        if status.counters != expected:
-            problems.append(f"reconstructed counters {status.counters} "
-                            f"!= run counters {expected}")
-        if status.missing:
-            problems.append(f"{status.missing} points missing from the "
-                            f"artifact")
-        if not status.complete:
-            problems.append("finished campaign not reported complete")
-    if problems:
-        print("status smoke: FAIL")
-        for problem in problems:
-            print(f"  - {problem}")
-        return 1
-    print(f"status smoke: PASS ({status.expected} points reconstructed "
-          f"bit-identically from artifacts)")
     return 0
 
 

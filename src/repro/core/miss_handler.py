@@ -21,28 +21,22 @@ from __future__ import annotations
 
 import enum
 
-from typing import Optional
-
 from repro.common.config import CoreConfig
 from repro.common.stats import Counters
 from repro.core.ctlb import CacheMapTLB
 from repro.core.tagless_cache import TaglessCacheEngine
-from repro.policy.base import CachingPolicy, PolicyDecision
 from repro.vm.page_table import PageTable
 from repro.vm.walker import PageTableWalker
 
 
 class MissOutcome(enum.Enum):
     """How a cTLB miss was resolved (the rows of Table 1 that start
-    with a TLB miss, plus the NC refill and policy-bypass cases)."""
+    with a TLB miss, plus the NC refill case)."""
 
     NON_CACHEABLE = "non_cacheable"
     VICTIM_HIT = "victim_hit"
     FILL = "fill"
     PU_WAIT = "pu_wait"
-    #: The caching policy declined this fill for now (Section 3.5's
-    #: flexible bypassing); the page stays cacheable for later misses.
-    BYPASS = "bypass"
 
 
 class CTLBMissHandler(Counters):
@@ -51,6 +45,9 @@ class CTLBMissHandler(Counters):
     #: One counter per :class:`MissOutcome`, named by its value, then the
     #: handler's cost and superpage counters.
     COUNTERS = tuple(outcome.value for outcome in MissOutcome) + (
+        # Always 0 (nothing declines a fill); kept because perfbench's
+        # stored result digests hash every stats key, this one included.
+        "bypass",
         "cycles_total", "superpage_splits", "superpage_nc_pins",
     )
 
@@ -61,18 +58,15 @@ class CTLBMissHandler(Counters):
         engine: TaglessCacheEngine,
         walker: PageTableWalker,
         core_config: CoreConfig,
-        policy: Optional[CachingPolicy] = None,
     ):
         self.core_id = core_id
         self.ctlb = ctlb
         self.engine = engine
         self.walker = walker
         self.core_config = core_config
-        #: The pluggable caching policy (Section 3.5).  None means the
-        #: paper's default: always cache.
-        self.policy = policy
         for outcome in MissOutcome:
             setattr(self, outcome.value, 0)
+        self.bypass = 0
         self.cycles_total = 0.0
         self.superpage_splits = 0
         self.superpage_nc_pins = 0
@@ -128,25 +122,6 @@ class CTLBMissHandler(Counters):
             self.victim_hit += 1
             return self._finish(cycles, MissOutcome.VICTIM_HIT)
 
-        # Consult the pluggable caching policy before committing to a
-        # fill (Section 3.5: policies are "flexibly plugged in by
-        # modifying the TLB miss handler").
-        if self.policy is not None:
-            decision = self.policy.decide(
-                table.process_id, virtual_page, pte, now_ns
-            )
-            if decision is PolicyDecision.PIN_NC:
-                pte.non_cacheable = True
-                self.ctlb.install_noncacheable(pte)
-                self.non_cacheable += 1
-                return self._finish(cycles, MissOutcome.NON_CACHEABLE)
-            if decision is PolicyDecision.BYPASS:
-                # Serve this TLB window off-package; the PTE keeps
-                # (VC, NC) = (0, 0) so the page is reconsidered later.
-                self.ctlb.install_noncacheable(pte)
-                self.bypass += 1
-                return self._finish(cycles, MissOutcome.BYPASS)
-
         # Shaded path of Figure 4: allocate, fill, update GIPT + PTE.
         # The fill is issued at the handler's entry time: memory-system
         # timestamps track the core clock, never partial latencies.
@@ -160,8 +135,6 @@ class CTLBMissHandler(Counters):
 
         self.engine.gipt.set_resident(cache_page, self.core_id)
         self.ctlb.install_cache_mapping(virtual_page, cache_page)
-        if self.policy is not None:
-            self.policy.on_fill(table.process_id, virtual_page)
         self.fill += 1
         return self._finish(cycles, MissOutcome.FILL)
 

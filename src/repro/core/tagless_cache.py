@@ -363,11 +363,6 @@ class TaglessCacheEngine(Counters):
     def occupancy(self) -> float:
         return len(self.gipt) / self.capacity_pages
 
-    def mean_fill_latency_ns(self) -> float:
-        if self.fills == 0:
-            return 0.0
-        return self.fill_latency_ns / self.fills
-
     def stats(self, prefix: str = "") -> dict:
         out = super().stats(prefix)
         out[f"{prefix}occupancy"] = self.occupancy()

@@ -106,7 +106,6 @@ def select_kernel(design: MemorySystemDesign):
         pow2  # the kernel indexes sets/channels with bitmasks
         and engine.trace_event is null_event
         and engine.footprint is None
-        and design.caching_policy is None
     ):
         return _run_tagless_kernel
     return None

@@ -283,12 +283,32 @@ def _clock_stop(boundary_ns: float, max_gap_cycles: float,
     An access at clock ``c`` issues at ``(c + gap * base_cpi) *
     cycle_ns``; float rounding is monotone, so when the longest gap
     issues before the boundary from the returned clock, every access
-    from that clock or an earlier one does too.
+    from that clock or an earlier one does too.  Each step is one ulp
+    of the larger of ``stop`` and the gap, so that it moves the sum
+    even when ``stop`` is tiny next to the gap.
     """
     stop = boundary_ns / cycle_ns - max_gap_cycles
     while (stop + max_gap_cycles) * cycle_ns >= boundary_ns:
-        stop = math.nextafter(stop, -math.inf)
+        stop -= math.ulp(max(abs(stop), max_gap_cycles))
     return stop
+
+
+def _max_gap_cycles(cores) -> float:
+    """The most cycles one instruction gap can add to a core's clock.
+
+    A core's model keeps its CPI across the segments of one tenant
+    (:meth:`_CoreState.next_segment` retunes only on a tenant change),
+    so a segment's gaps may retire at the CPI of any segment on its
+    core, not only at its own.
+    """
+    longest = 0.0
+    for _, _, segments in cores:
+        traces = [trace for _, _, trace in segments if len(trace)]
+        if traces:
+            longest = max(longest,
+                          max(max(trace.as_lists()[3]) for trace in traces)
+                          * max(trace.base_cpi for trace in traces))
+    return longest
 
 
 #: One core's replay input: ``(core_id, workload, segments)`` with
@@ -429,10 +449,7 @@ def _replay_to_boundaries(design, cores, states, active, access_cycles, qos,
                                         budget)
         elif kernel is not None and budget >= _MIN_KERNEL_RUN:
             if max_gap_cycles is None:
-                max_gap_cycles = max(
-                    max(trace.as_lists()[3]) * trace.base_cpi
-                    for _, _, segments in cores
-                    for _, _, trace in segments if len(trace))
+                max_gap_cycles = _max_gap_cycles(cores)
             stop = _clock_stop(clock, max_gap_cycles, cycle_ns)
             if min(s.model.cycles for s in active) <= stop:
                 count += kernel(design, active, qos, limit, stop)

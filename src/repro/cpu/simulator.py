@@ -92,7 +92,6 @@ class Simulator:
         bindings: Sequence[BoundTrace],
         non_cacheable: Optional[Dict[int, Sequence[int]]] = None,
         warmup_fraction: float = 0.25,
-        caching_policy=None,
         superpages: Optional[Dict[int, Sequence]] = None,
         validate: Optional[bool] = None,
         validate_every: Optional[int] = None,
@@ -148,8 +147,6 @@ class Simulator:
             for process_id, pages in non_cacheable.items():
                 for virtual_page in pages:
                     design.set_non_cacheable(process_id, virtual_page)
-        if caching_policy is not None and isinstance(design, TaglessDesign):
-            design.set_caching_policy(caching_policy)
         if superpages:
             # process id -> [(base_vpn, order), ...]: map the regions
             # before any access touches them (all designs support this).

@@ -94,8 +94,6 @@ class TaglessDesign(MemorySystemDesign):
         ]
         self.nc_accesses = 0
         self.cache_accesses = 0
-        #: Optional pluggable caching policy (None = always cache).
-        self.caching_policy = None
 
     # ------------------------------------------------------------------
     # cTLB wiring
@@ -215,13 +213,6 @@ class TaglessDesign(MemorySystemDesign):
                          {"process": process_id, "vpn": virtual_page,
                           "value": value})
 
-    def set_caching_policy(self, policy) -> None:
-        """Install a pluggable caching policy into every core's miss
-        handler (Section 3.5's flexibility hook)."""
-        self.caching_policy = policy
-        for handler in self.handlers:
-            handler.policy = policy
-
     # ------------------------------------------------------------------
     # Validation (repro.validate)
     # ------------------------------------------------------------------
@@ -312,10 +303,6 @@ class TaglessDesign(MemorySystemDesign):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.engine.reset_stats()
-        if self.caching_policy is not None:
-            # Policy decision counters feed the ``policy_`` stats keys;
-            # warmup decisions must not leak into the measured window.
-            self.caching_policy.reset_stats()
         for handler in self.handlers:
             handler.reset_stats()
         # The simulation clock restarts at zero after a warmup phase;
@@ -339,6 +326,4 @@ class TaglessDesign(MemorySystemDesign):
         out.update(self.engine.stats("engine_"))
         for handler in self.handlers:
             out.update(handler.stats(f"core{handler.core_id}_handler_"))
-        if self.caching_policy is not None:
-            out.update(self.caching_policy.stats("policy_"))
         return out

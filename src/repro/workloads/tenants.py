@@ -232,11 +232,6 @@ class TenantSchedule:
             for segments in self.per_core for segment in segments
         )
 
-    @property
-    def context_switch_bound(self) -> int:
-        """Upper bound on tenant switches (segments across all cores)."""
-        return sum(len(segments) for segments in self.per_core)
-
     def digest(self) -> str:
         """Bit-level identity of the schedule (determinism test hook).
 

@@ -427,9 +427,10 @@ def _drawn_windows(draw):
 def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     """The kernel equals the reference loop on drawn segment lists, on
     ``tagless`` or on ``tagless-resizable`` with a drawn resize
-    schedule; and again with invariant sweeps every 1-200 accesses and
-    drawn telemetry windows, which the kernel stops for: same sweeps,
-    same windows, the numbers of the unvalidated run."""
+    schedule, with 0-60 drawn pages pinned NC; and again with invariant
+    sweeps every 1-200 accesses and drawn telemetry windows, which the
+    kernel stops for: same sweeps, same windows, the numbers of the
+    unvalidated run."""
     cores, tenants, switch = drawn
     config = _SMALL[len(cores)]
     accesses = sum(len(trace) for _, _, segments in cores
@@ -441,9 +442,18 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
                                         label="resizes")
     period = data.draw(st.integers(1, 200), label="check period")
     windows = data.draw(_drawn_windows(), label="windows")
+    # The count is drawn first: a plain list draw stays at 0-1 pins in
+    # most examples, and then hardly any access meets a pinned page.
+    count = data.draw(st.integers(0, 60), label="NC pin count")
+    pins = data.draw(st.lists(st.tuples(st.integers(0, len(cores) - 1),
+                                        st.integers(0, 399)),
+                              min_size=count, max_size=count),
+                     label="NC pins")
 
     def make_design():
         design = create_design(name, config)
+        for process_id, virtual_page in pins:
+            design.set_non_cacheable(process_id, virtual_page)
         if schedule:
             design.set_resize_schedule(schedule,
                                        max_remap_per_resize=max_remap)
@@ -469,6 +479,37 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     assert validated[0] == validated[1]
     assert validated[0][0] == kernel
     assert validated[0][1] == accesses // period + 1
+
+
+def test_kernel_stops_for_cycle_windows_across_a_cpi_change():
+    """One tenant runs two traces.  The core keeps the first trace's CPI
+    (1.0) through the second, whose own CPI is 0.25, so each of its
+    40-instruction gaps adds 40 cycles, not 10.  The kernel's clock stop
+    must bound the gaps by the CPI the core runs at; else it runs
+    accesses past window boundaries that the reference loop closes the
+    windows at."""
+    def trace(name, n, gap, cpi):
+        return AccessTrace(
+            name=name,
+            virtual_pages=np.arange(n, dtype=np.int64) % 8,
+            lines=np.arange(n, dtype=np.int16) % 64,
+            writes=np.zeros(n, dtype=bool),
+            instruction_gaps=np.full(n, gap, dtype=np.int64),
+            base_cpi=cpi,
+        )
+
+    cores = [(0, "cpi", [("A", 0, trace("first", 4, 0, 1.0)),
+                         ("A", 0, trace("second", 200, 40, 0.25))])]
+    observed = []
+    for path in (_run_tagless_kernel, None):
+        design = create_design("tagless", _SMALL[1])
+        recorder = TimeseriesRecorder(100, "cycles")
+        recorder.install(design)
+        outcome = _replay_outcome(design, cores, _kernel=path)
+        recorder.finalize()
+        observed.append((outcome, recorder.columns))
+    assert observed[0] == observed[1]
+    assert len(observed[1][1]["t_ns"]) == 107
 
 
 def test_kernel_forgets_the_page_after_a_fallback():

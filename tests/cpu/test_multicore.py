@@ -1,9 +1,16 @@
 """Interleaved multicore execution engine tests."""
 
+import signal
+
 import numpy as np
 import pytest
 
-from repro.cpu.multicore import BoundTrace, replay, run_interleaved
+from repro.cpu.multicore import (
+    BoundTrace,
+    _clock_stop,
+    replay,
+    run_interleaved,
+)
 from repro.designs import create_design
 from repro.workloads.trace import AccessTrace
 
@@ -120,3 +127,22 @@ def test_ipc_property(small_config):
     )
     r = results[0]
     assert r.ipc == pytest.approx(r.instructions / r.cycles)
+
+
+def test_clock_stop_returns_when_stop_is_tiny_next_to_the_gap():
+    """A 20-cycle window on a 3 GHz core whose longest gap is 20 cycles:
+    the first candidate stop is 3.6e-15, so one-ulp steps of ``stop``
+    alone would need about 4.5e15 of them to move the sum below 20."""
+    def too_slow(signum, frame):
+        raise TimeoutError("_clock_stop did not return")
+
+    boundary_ns, max_gap_cycles, cycle_ns = 6.666666666666667, 20.0, 1 / 3
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        stop = _clock_stop(boundary_ns, max_gap_cycles, cycle_ns)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (stop + max_gap_cycles) * cycle_ns < boundary_ns
+    assert stop <= boundary_ns / cycle_ns - max_gap_cycles

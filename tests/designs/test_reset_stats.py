@@ -74,19 +74,3 @@ def test_reset_keeps_cache_warm(small_config, tiny_trace):
     assert len(design.engine.gipt._entries) == occupancy
     assert design.stats()["engine_fills"] == 0.0
 
-
-def test_reset_clears_caching_policy_counters(small_config, tiny_trace):
-    from repro.policy.touch_filter import TouchCountFilterPolicy
-
-    design = create_design("tagless", small_config)
-    design.set_caching_policy(TouchCountFilterPolicy(threshold=2))
-    drive(design, tiny_trace)
-    policy = design.caching_policy
-    assert policy.bypasses + policy.promotions > 0
-    counts_before = dict(policy._counts)
-    design.reset_stats()
-    assert policy.bypasses == 0
-    assert policy.promotions == 0
-    # Learned state (the touch counters) survives: reset is a stats
-    # boundary, not a policy retrain.
-    assert policy._counts == counts_before

@@ -14,7 +14,6 @@ import pytest
 
 from repro.common.config import default_system
 from repro.designs.registry import ALL_DESIGN_NAMES, create_design
-from repro.policy.always import AlwaysCachePolicy
 
 CORES = 2
 
@@ -136,16 +135,14 @@ def test_timeseries_probe_names(two_core_config, name):
 
 
 def test_optional_tagless_components_append_in_order(two_core_config):
-    """Footprint caching and a caching policy add their own blocks: the
-    footprint predictor's keys close the engine block, the policy's close
-    the design's."""
+    """Footprint caching adds its own block: the footprint predictor's
+    keys close the engine block."""
     cfg = dataclasses.replace(
         two_core_config,
         dram_cache=dataclasses.replace(two_core_config.dram_cache,
                                        footprint_caching=True),
     )
     design = create_design("tagless", cfg)
-    design.set_caching_policy(AlwaysCachePolicy())
     footprint = ["engine_footprint_" + name for name in (
         "predictions", "full_fetches", "predicted_bytes", "records",
         "tracked_pages",
@@ -153,7 +150,7 @@ def test_optional_tagless_components_append_in_order(two_core_config):
     engine_end = TAGLESS_STATS.index("engine_fq_pending") + 1
     expected = (
         SHARED_STATS + TAGLESS_STATS[:engine_end] + footprint
-        + TAGLESS_STATS[engine_end:] + ["policy_decisions"]
+        + TAGLESS_STATS[engine_end:]
     )
     assert list(design.stats()) == expected
 

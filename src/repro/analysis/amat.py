@@ -2,10 +2,11 @@
 
 The paper derives AMAT for the SRAM-tag baseline (Equations 1-3) and the
 tagless cache (Equations 4-5).  This module implements both expressions
-so they can be (a) unit-tested against hand-computed values, (b) fed with
-*measured* component statistics from a simulation to cross-check the
-simulator (the Figure 8 benchmark does exactly that), and (c) used for
-quick what-if studies without running traces.
+so they can be unit-tested against hand-computed values and used for
+quick what-if studies without running traces
+(``examples/amat_model_explorer.py``).  Nothing feeds them measured
+statistics from a simulation yet: the designs record only a total L3
+latency, not the per-term components the equations take.
 
 All times are in core cycles, all rates in [0, 1].
 """

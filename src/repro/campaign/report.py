@@ -27,8 +27,8 @@ from repro.campaign.stats import (
 )
 from repro.common import rng
 
-#: Bump when the JSON report layout changes; the CI smoke gate and any
-#: downstream aggregation key on it.
+#: Bump when the JSON report layout changes; :func:`validate_report` and
+#: any downstream aggregation key on it.
 REPORT_SCHEMA = 1
 
 
@@ -314,7 +314,7 @@ def write_reports(report: StudyReport, out_dir: str) -> Dict[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Schema validation (the CI smoke gate)
+# Schema validation
 
 _SUMMARY_KEYS = ("n", "mean", "median", "stdev", "ci_low", "ci_high",
                  "boot_low", "boot_high", "minimum", "maximum")

@@ -3,10 +3,9 @@
 Commands:
 
 - ``workloads``  -- list the SPEC/PARSEC workload models and the mixes;
-- ``trace``      -- generate a synthetic trace, print its statistics,
-  optionally save it as ``.npz``;
 - ``run``        -- simulate one workload (or mix) on one design and
-  print the headline metrics (optionally as JSON);
+  print the headline metrics (optionally as JSON); ``--trace`` and
+  ``--timeseries`` capture a Perfetto trace and a windowed time series;
 - ``experiment`` -- regenerate one of the paper's figures end to end;
 - ``sweep``      -- cartesian design x workload x size sweep to JSONL;
 - ``profile``    -- cProfile one simulation run and rank the hot spots;

@@ -34,7 +34,6 @@ from repro.workloads.generator import TraceGenerator
 from repro.workloads.mixes import MIX_ORDER, MIXES
 from repro.workloads.parsec import PARSEC_ORDER, PARSEC_PROFILES
 from repro.workloads.spec import SPEC_ORDER, SPEC_PROFILES
-from repro.workloads.trace import save_trace
 
 
 def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -129,7 +128,7 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_point_arguments(parser: argparse.ArgumentParser, *,
                          cache_mb: bool = True) -> None:
-    """Simulation-point flags shared by trace/run/sweep/profile.
+    """Simulation-point flags shared by run/sweep/profile.
 
     ``sweep`` takes ``--cache-sizes`` instead of ``--cache-mb``.
     """
@@ -176,43 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("workloads", help="list workload models and mixes")
-
-    trace = sub.add_parser(
-        "trace",
-        help="generate a synthetic trace, or capture telemetry "
-             "(Perfetto trace + time-series) from a simulation",
-    )
-    trace.add_argument(
-        "target", nargs="?", default=None,
-        help="a design name captures telemetry from a simulated run "
-             f"({', '.join(ALL_DESIGN_NAMES)}); any other name is a "
-             "workload and generates a synthetic trace (legacy mode)",
-    )
-    trace.add_argument("workload", nargs="?", default=None,
-                       help="workload for capture mode "
-                            "(SPEC/PARSEC program or MIX1..MIX8)")
-    trace.add_argument("--accesses", type=_bounded(int, 0), default=None,
-                       help="trace length (default: 100k generate, "
-                            "20k capture, 2k smoke)")
-    trace.add_argument("--out", help="save as .npz to this path "
-                                     "(generate mode)")
-    _add_point_arguments(trace)
-    trace.add_argument("--interval", type=_bounded(int, 1), default=1024,
-                       help="time-series window size (default 1024)")
-    trace.add_argument("--interval-unit", default="accesses",
-                       choices=("accesses", "cycles"),
-                       help="window unit (default accesses)")
-    trace.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="Perfetto JSON path (default "
-                            "<design>-<workload>.perfetto.json)")
-    trace.add_argument("--timeseries-out", default=None, metavar="PATH",
-                       help="time-series artifact path; a .csv suffix "
-                            "switches format (default "
-                            "<design>-<workload>.timeseries.jsonl)")
-    trace.add_argument("--smoke", action="store_true",
-                       help="CI gate: capture every design on a short "
-                            "trace into a temp dir and validate the "
-                            "artifacts (exit non-zero on any failure)")
 
     run = sub.add_parser("run", help="simulate a workload on a design")
     run.add_argument("design", choices=ALL_DESIGN_NAMES)
@@ -300,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a study spec end to end and write reports"
     )
     campaign_run.add_argument(
-        "study", nargs="?", default=None,
-        help="path to a .json/.toml campaign spec (optional with --smoke)"
+        "study", help="path to a .json/.toml campaign spec"
     )
     campaign_run.add_argument(
         "--out", default=None, metavar="DIR",
@@ -313,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="seed completed points from DIR/jobs.jsonl of an "
              "interrupted run; only missing/failed points are recomputed"
-    )
-    campaign_run.add_argument(
-        "--smoke", action="store_true",
-        help="CI gate: run a tiny built-in study (or the given one) and "
-             "schema-validate the JSON report (exit non-zero on any "
-             "problem)"
     )
     _add_machine_arguments(campaign_run)
     _add_harness_arguments(campaign_run)
@@ -371,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("artifact",
                         help="path to a .timeseries.jsonl/.csv artifact "
-                             "(from `repro trace` or --timeseries)")
+                             "(from `repro run <design> <workload> "
+                             "--timeseries PATH`)")
     report.add_argument("--width", type=_bounded(int, 1), default=60,
                         help="sparkline width in characters (default 60)")
     report.add_argument("--metrics", nargs="+", default=None,
@@ -460,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_VALIDATE_EVERY or 1024)")
     check.add_argument("--workload", default="mcf",
                        help="SPEC program driving the checked runs")
-    check.add_argument("--smoke", action="store_true",
-                       help="CI-sized pass: short traces, frequent sweeps")
     return parser
 
 
@@ -494,192 +448,9 @@ def _profile_for(workload: str):
     )
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Dispatch the dual-mode ``trace`` subcommand.
-
-    ``repro trace <design> <workload>`` captures telemetry from a
-    simulated run; ``repro trace <workload>`` keeps the original
-    synthetic-trace generator (design names and workload names do not
-    collide, so the first positional disambiguates); ``--smoke`` runs
-    the CI artifact gate over every design.
-    """
-    if args.smoke:
-        return _trace_smoke(args)
-    if args.target is None:
-        raise SystemExit(
-            "trace needs a design (capture) or workload (generate); "
-            "see `repro trace --help`"
-        )
-    if args.target in ALL_DESIGN_NAMES:
-        return _trace_capture(args)
-    if args.workload is not None:
-        raise SystemExit(
-            f"unknown design {args.target!r}; capture mode is "
-            f"`repro trace <design> <workload>` with design one of: "
-            f"{', '.join(ALL_DESIGN_NAMES)}"
-        )
-    return _trace_generate(args)
-
-
-def _trace_generate(args: argparse.Namespace) -> int:
-    profile = _profile_for(args.target)
-    generator = TraceGenerator(profile, capacity_scale=args.scale)
-    accesses = args.accesses if args.accesses is not None else 100_000
-    trace = generator.generate(accesses)
-    print(f"{trace.name}: {len(trace)} accesses, "
-          f"{trace.footprint_pages} pages, "
-          f"apki {trace.accesses_per_kilo_instruction:.1f}, "
-          f"writes {trace.write_fraction():.2f}, "
-          f"{trace.total_instructions} instructions")
-    if args.out:
-        save_trace(trace, args.out)
-        print(f"saved to {args.out}")
-    return 0
-
-
-def _trace_capture(args: argparse.Namespace) -> int:
-    """Run one design/workload point with telemetry and write artifacts."""
-    from repro.obs import make_telemetry
-
-    if args.workload is None:
-        raise SystemExit(
-            "capture mode needs a workload: repro trace <design> <workload>"
-        )
-    accesses = args.accesses if args.accesses is not None else 20_000
-    spec = _point_spec(args, args.target, args.workload, accesses)
-    telemetry = make_telemetry(interval=args.interval,
-                               unit=args.interval_unit)
-    result = execute_job(spec, telemetry=telemetry)
-    stem = f"{args.target}-{args.workload}"
-    trace_path = args.trace_out or f"{stem}.perfetto.json"
-    timeseries_path = args.timeseries_out or f"{stem}.timeseries.jsonl"
-    telemetry.write_artifacts(trace_path, timeseries_path,
-                              workload=args.workload)
-    tracer = telemetry.tracer
-    print(f"{args.target} on {args.workload}: {accesses} accesses, "
-          f"IPC {result.ipc_sum:.3f}, "
-          f"{telemetry.timeseries.windows} windows, "
-          f"{len(tracer)} events retained ({tracer.dropped} dropped)")
-    print(f"trace:      {trace_path} (open at ui.perfetto.dev)")
-    print(f"timeseries: {timeseries_path} (render with `repro report`)")
-    return 0
-
-
-#: Time-series columns the smoke gate (and the paper's figures) require.
-_SMOKE_REQUIRED_COLUMNS = ("free_queue_depth", "ctlb_hit_rate",
-                           "offpkg_gbps")
-
-
-def _validate_trace_artifacts(trace_path: str,
-                              timeseries_path: str) -> List[str]:
-    """Schema checks for one captured artifact pair; returns problems."""
-    from repro.obs import load_timeseries
-
-    problems: List[str] = []
-    try:
-        with open(trace_path) as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"perfetto: unreadable ({exc})"]
-    events = document.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        problems.append("perfetto: traceEvents missing or empty")
-        events = []
-    last_ts = None
-    open_slices: dict = {}
-    for index, event in enumerate(events):
-        missing = [k for k in ("name", "ph", "ts", "pid", "tid")
-                   if k not in event]
-        if missing:
-            problems.append(
-                f"perfetto: event {index} missing {','.join(missing)}"
-            )
-            continue
-        phase = event["ph"]
-        if phase == "M":
-            continue
-        ts = event["ts"]
-        if not isinstance(ts, (int, float)) or ts < 0:
-            problems.append(f"perfetto: event {index} bad ts {ts!r}")
-            continue
-        if last_ts is not None and ts < last_ts:
-            problems.append("perfetto: timestamps not monotonic")
-        last_ts = ts
-        key = (event["tid"], event["name"])
-        if phase == "B":
-            open_slices[key] = open_slices.get(key, 0) + 1
-        elif phase == "E":
-            if open_slices.get(key, 0) <= 0:
-                problems.append(f"perfetto: unmatched E for {event['name']}")
-            else:
-                open_slices[key] -= 1
-    unclosed = [name for (_tid, name), depth in open_slices.items()
-                if depth > 0]
-    if unclosed:
-        problems.append(f"perfetto: unclosed B slices: {unclosed}")
-
-    try:
-        _meta, columns, _histogram = load_timeseries(timeseries_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        problems.append(f"timeseries: unreadable ({exc})")
-        return problems
-    for column in _SMOKE_REQUIRED_COLUMNS:
-        if not columns.get(column):
-            problems.append(f"timeseries: missing {column} series")
-    return problems
-
-
-def _trace_smoke(args: argparse.Namespace) -> int:
-    """CI gate: every design must produce schema-valid artifacts."""
-    import os
-    import tempfile
-
-    from repro.obs import make_telemetry
-
-    designs = ALL_DESIGN_NAMES
-    if args.target is not None:
-        if args.target not in ALL_DESIGN_NAMES:
-            raise SystemExit(f"unknown design {args.target!r}")
-        designs = (args.target,)
-    workload = args.workload or "mcf"
-    accesses = args.accesses if args.accesses is not None else 2000
-    specs = [_point_spec(args, design, workload, accesses)
-             for design in designs]
-    # One set of traces replayed on every design.
-    bindings = specs[0].bindings()
-    failures = 0
-    print(f"trace smoke: {len(designs)} designs x {accesses} accesses "
-          f"({workload})")
-    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
-        for design, spec in zip(designs, specs):
-            # Windows sized so even the short smoke trace produces a
-            # multi-window series for the column checks.
-            telemetry = make_telemetry(
-                interval=max(1, accesses // 8), unit=args.interval_unit,
-            )
-            execute_job(spec, bindings=bindings, telemetry=telemetry)
-            trace_path = os.path.join(tmp, f"{design}.perfetto.json")
-            timeseries_path = os.path.join(
-                tmp, f"{design}.timeseries.jsonl"
-            )
-            telemetry.write_artifacts(trace_path, timeseries_path,
-                                      workload=workload)
-            problems = _validate_trace_artifacts(trace_path,
-                                                 timeseries_path)
-            if problems:
-                failures += 1
-                print(f"  [FAIL] {design}: {'; '.join(problems)}")
-            else:
-                print(f"  [ok]   {design}: "
-                      f"{telemetry.timeseries.windows} windows, "
-                      f"{len(telemetry.tracer)} events")
-    print("trace smoke:", "PASS" if failures == 0 else f"FAIL ({failures})")
-    return 0 if failures == 0 else 1
-
-
 def _point_spec(args: argparse.Namespace, design: str, workload: str,
                 accesses: int, **fields) -> JobSpec:
-    """The JobSpec of one ``run``/``trace``/``profile`` point.
+    """The JobSpec of one ``run``/``profile`` point.
 
     The same description every sweep point has, so a single point
     simulates exactly what the harness would (four threads on four
@@ -953,41 +724,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if summary["errors"] else 0
 
 
-#: Built-in study behind ``repro campaign run --smoke``: a 2-design x
-#: 2-workload grid, two repetitions, small traces -- big enough to
-#: exercise expansion, seed pairing, reduction and report writing, small
-#: enough for a CI gate.
-_SMOKE_STUDY = {
-    "name": "smoke",
-    "repetitions": 2,
-    "factors": {
-        "design": ["tagless", "no-l3"],
-        "workload": ["mcf", "lbm"],
-    },
-    "fixed": {"accesses": 2000, "cache_mb": 256, "scale": 512},
-    "metrics": ["ipc"],
-    "baseline": "no-l3",
-    "bootstrap_resamples": 200,
-}
-
-
 def _campaign_spec(args: argparse.Namespace):
-    """Load the study for ``campaign run`` (file, or the smoke built-in)."""
+    """Load the study file of ``campaign run``."""
     from repro.campaign import CampaignSpec
 
-    if args.study is not None:
-        try:
-            return CampaignSpec.from_file(args.study)
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot read study {args.study}: {exc}"
-            ) from None
-        except ConfigurationError as exc:
-            raise SystemExit(f"bad study {args.study}: {exc}") from None
-    if args.smoke:
-        return CampaignSpec.from_dict(_SMOKE_STUDY)
-    raise SystemExit("campaign run needs a study file (or --smoke); "
-                     "see `repro campaign run --help`")
+    try:
+        return CampaignSpec.from_file(args.study)
+    except OSError as exc:
+        raise SystemExit(f"cannot read study {args.study}: {exc}") from None
+    except ConfigurationError as exc:
+        raise SystemExit(f"bad study {args.study}: {exc}") from None
 
 
 def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
@@ -999,7 +745,6 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
         CampaignRun,
         expand,
         reduce_campaign,
-        validate_report,
         write_reports,
     )
     from repro.campaign.compile import check_scenarios
@@ -1088,27 +833,6 @@ def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
         for kind, path in paths.items():
             print(f"{kind:10s} {path}")
 
-    if getattr(args, "smoke", False):
-        with open(paths["json"]) as handle:
-            data = json.load(handle)
-        problems = validate_report(data)
-        if report.missing_points:
-            problems.append(
-                f"{report.missing_points} points missing from the study"
-            )
-        for cell in data.get("cells", []):
-            if cell.get("n") != spec.repetitions:
-                problems.append(f"cell {cell.get('label')}: n={cell.get('n')}"
-                                f" != repetitions={spec.repetitions}")
-        if not data.get("pairs"):
-            problems.append("no paired comparisons in the smoke report")
-        if problems:
-            print("campaign smoke: FAIL")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print("campaign smoke: PASS")
-        return 0
     return 1 if counters["errors"] else 0
 
 
@@ -1144,24 +868,14 @@ def _merge_machine_into_campaign(spec, machine: MachineSpec):
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     import os
-    import tempfile
 
     from repro.campaign import CampaignSpec
 
     if args.campaign_command == "run":
         spec = _campaign_spec(args)
         spec = _merge_machine_into_campaign(spec, _machine_from_args(args))
-        if args.out is not None:
-            out_dir = args.out
-        elif args.smoke:
-            # The smoke gate is a pass/fail check; don't litter the
-            # working tree with its campaign directory.
-            with tempfile.TemporaryDirectory(prefix="repro-campaign-") \
-                    as tmp:
-                return _campaign_execute(spec, tmp, args,
-                                         resume=args.resume)
-        else:
-            out_dir = os.path.join("campaigns", spec.name)
+        out_dir = (args.out if args.out is not None
+                   else os.path.join("campaigns", spec.name))
         return _campaign_execute(spec, out_dir, args, resume=args.resume)
 
     spec_path = os.path.join(args.dir, "spec.json")
@@ -1450,10 +1164,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     from repro.validate import differential, reference
     from repro.validate.invariants import InvariantViolation
 
-    accesses = 4000 if args.smoke else args.accesses
-    every = args.every if args.every is not None else (500 if args.smoke
-                                                      else None)
-    ref_ops = 4000 if args.smoke else 20_000
+    accesses = args.accesses
+    ref_ops = 20_000
 
     # A small cache over a scaled-down footprint keeps fill/evict churn
     # high -- the same shape the golden-stats fixtures pin -- so the
@@ -1482,7 +1194,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for design in args.design:
         try:
             simulator.run(design, bindings, validate=True,
-                          validate_every=every,
+                          validate_every=args.every,
                           resize_schedule=resize_schedule,
                           max_remap_per_resize=8)
             print(f"  [ok]   {design}")
@@ -1519,7 +1231,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "workloads": cmd_workloads,
-    "trace": cmd_trace,
     "run": cmd_run,
     "experiment": cmd_experiment,
     "sweep": cmd_sweep,

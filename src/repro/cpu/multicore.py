@@ -91,10 +91,11 @@ class _CoreState:
     def next_segment(self) -> bool:
         """Move to the next non-empty segment; False when none is left.
 
-        A tenant change charges ``switch_cycles`` to the core clock,
+        A tenant change charges ``switch_cycles`` to the core clock and
         flushes ``tlb`` when one is set (through the callback-firing
         :meth:`repro.vm.tlb.TLBHierarchy.flush`, so GIPT residence bits
-        stay consistent) and retunes the core model.
+        stay consistent).  Every segment retunes the core model to its
+        own trace's ``base_cpi`` and ``mlp``.
         """
         for tenant_id, process_id, trace in self.segments:
             if len(trace):
@@ -106,8 +107,8 @@ class _CoreState:
             self.model.cycles += self.switch_cycles
             if self.tlb is not None:
                 self.flushed += self.tlb.flush()
-            self.model.retune(trace.base_cpi, trace.mlp)
             self.tenant_id = tenant_id
+        self.model.retune(trace.base_cpi, trace.mlp)
         self.process_id = process_id
         self.pages, self.lines, self.writes, self.gaps = trace.as_lists()
         self.pos = 0
@@ -294,21 +295,11 @@ def _clock_stop(boundary_ns: float, max_gap_cycles: float,
 
 
 def _max_gap_cycles(cores) -> float:
-    """The most cycles one instruction gap can add to a core's clock.
-
-    A core's model keeps its CPI across the segments of one tenant
-    (:meth:`_CoreState.next_segment` retunes only on a tenant change),
-    so a segment's gaps may retire at the CPI of any segment on its
-    core, not only at its own.
-    """
-    longest = 0.0
-    for _, _, segments in cores:
-        traces = [trace for _, _, trace in segments if len(trace)]
-        if traces:
-            longest = max(longest,
-                          max(max(trace.as_lists()[3]) for trace in traces)
-                          * max(trace.base_cpi for trace in traces))
-    return longest
+    """The most cycles one instruction gap can add to a core's clock:
+    each segment's gaps retire at its own trace's CPI."""
+    return max((max(trace.as_lists()[3]) * trace.base_cpi
+                for _, _, segments in cores
+                for _, _, trace in segments if len(trace)), default=0.0)
 
 
 #: One core's replay input: ``(core_id, workload, segments)`` with

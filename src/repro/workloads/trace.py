@@ -131,31 +131,3 @@ class AccessTrace:
             child._lists = tuple(part[start:stop] for part in self._lists)
         return child
 
-
-def save_trace(trace: AccessTrace, path: str) -> None:
-    """Persist a trace as a compressed ``.npz`` archive."""
-    np.savez_compressed(
-        path,
-        name=np.array(trace.name),
-        virtual_pages=trace.virtual_pages,
-        lines=trace.lines,
-        writes=trace.writes,
-        instruction_gaps=trace.instruction_gaps,
-        base_cpi=np.array(trace.base_cpi),
-        mlp=np.array(trace.mlp),
-    )
-
-
-def load_trace(path: str) -> AccessTrace:
-    """Load a trace saved by :func:`save_trace`."""
-    with np.load(path) as data:
-        return AccessTrace(
-            name=str(data["name"]),
-            virtual_pages=data["virtual_pages"],
-            lines=data["lines"],
-            writes=data["writes"],
-            instruction_gaps=data["instruction_gaps"],
-            base_cpi=float(data["base_cpi"]),
-            mlp=float(data["mlp"]),
-        )
-

@@ -1,11 +1,15 @@
 """End-to-end `repro campaign` CLI tests (tiny grids, no workers)."""
 
 import json
+import os
 import warnings
 
 import pytest
 
+from repro.campaign import validate_report
 from repro.cli.main import main
+
+_REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
 STUDY = {
     "name": "cli-unit",
@@ -130,18 +134,35 @@ def test_campaign_resume_rejects_edited_study(capsys, tmp_path, study_path):
               "--resume", "--jobs", "1", "--no-cache"])
 
 
-def test_campaign_smoke_gate_passes(capsys, tmp_path):
-    code, out = run_cli(
-        capsys, "campaign", "run", "--smoke",
-        "--out", str(tmp_path / "smoke"), "--jobs", "1", "--no-cache",
+@pytest.mark.parametrize("study", ["smoke", "gipt_override_smoke",
+                                   "multitenant_smoke"])
+def test_smoke_study_reduces_to_a_complete_report(capsys, tmp_path,
+                                                  monkeypatch, study):
+    """Each checked-in smoke study runs end to end into a schema-valid
+    report with every point present, every cell at full repetitions and
+    paired comparisons against the baseline."""
+    # The multi-tenant study names its scenario from the repository root.
+    monkeypatch.chdir(_REPO)
+    out_dir = tmp_path / study
+    code, _ = run_cli(
+        capsys, "campaign", "run",
+        os.path.join("benchmarks", "studies", f"{study}.json"),
+        "--out", str(out_dir), "--jobs", "1", "--no-cache",
     )
     assert code == 0
-    assert "campaign smoke: PASS" in out
+    report = json.loads((out_dir / "report.json").read_text())
+    assert validate_report(report) == []
+    assert report["missing_points"] == 0
+    assert all(cell["n"] == report["repetitions"]
+               for cell in report["cells"])
+    assert report["pairs"]
 
 
-def test_campaign_run_requires_study_or_smoke():
-    with pytest.raises(SystemExit, match="needs a study file"):
+def test_campaign_run_requires_study(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["campaign", "run"])
+    assert exc.value.code == 2
+    assert "study" in capsys.readouterr().err
 
 
 def test_campaign_report_rejects_non_campaign_dir(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cli.main import build_parser, main
 from repro.common.config import REPLACEMENT_POLICIES
-from repro.workloads.trace import load_trace
 
 
 def run_cli(capsys, *argv):
@@ -22,23 +21,6 @@ def test_workloads_lists_catalogues(capsys):
     assert "mcf" in out
     assert "streamcluster" in out
     assert "MIX5: mcf-soplex-GemsFDTD-lbm" in out
-
-
-def test_trace_generation_and_save(tmp_path, capsys):
-    out_path = str(tmp_path / "trace.npz")
-    code, out = run_cli(
-        capsys, "trace", "sphinx3", "--accesses", "2000", "--out", out_path
-    )
-    assert code == 0
-    assert "2000 accesses" in out
-    trace = load_trace(out_path)
-    assert len(trace) == 2000
-    assert trace.name == "sphinx3"
-
-
-def test_trace_unknown_workload(capsys):
-    with pytest.raises(SystemExit):
-        main(["trace", "not-a-program"])
 
 
 def test_run_single_program_json(capsys):
@@ -234,8 +216,6 @@ def test_profile_rejects_bad_top(capsys):
     ["run", "tagless", "mcf", "--timeout", "0"],
     ["run", "tagless", "mcf", "--retries", "-1"],
     ["profile", "--accesses", "-5"],
-    ["trace", "tagless", "mcf", "--accesses", "-5"],
-    ["trace", "tagless", "mcf", "--interval", "0"],
     ["report", "series.jsonl", "--width", "0"],
     ["experiment", "fig13", "--accesses", "0"],
     ["experiment", "fig13", "--accesses", "-5"],
@@ -250,7 +230,8 @@ def test_out_of_range_flags_are_parse_errors(capsys, argv):
 
 
 def test_check_smoke_single_design(capsys):
-    code, out = run_cli(capsys, "check", "--smoke", "--design", "tagless")
+    code, out = run_cli(capsys, "check", "--accesses", "4000",
+                        "--every", "500", "--design", "tagless")
     assert code == 0
     assert "[ok]   tagless" in out
     assert "[ok]   lru" in out
@@ -258,8 +239,8 @@ def test_check_smoke_single_design(capsys):
 
 
 def test_check_smoke_runs_bound_chain(capsys):
-    code, out = run_cli(capsys, "check", "--smoke",
-                        "--design", "tagless", "no-l3")
+    code, out = run_cli(capsys, "check", "--accesses", "4000",
+                        "--every", "500", "--design", "tagless", "no-l3")
     assert code == 0
     assert "service_ratio[tagless] >= service_ratio[no-l3]" in out
     assert "check: PASS" in out
@@ -285,13 +266,12 @@ def test_sweep_validate_flag_parses():
 def test_trace_capture_mode_writes_artifacts(tmp_path, capsys):
     trace_path = str(tmp_path / "t.perfetto.json")
     series_path = str(tmp_path / "t.timeseries.jsonl")
-    code, out = run_cli(
-        capsys, "trace", "tagless", "sphinx3", "--accesses", "3000",
+    code, _ = run_cli(
+        capsys, "run", "tagless", "sphinx3", "--accesses", "3000",
         "--interval", "256",
-        "--trace-out", trace_path, "--timeseries-out", series_path,
+        "--trace", trace_path, "--timeseries", series_path,
     )
     assert code == 0
-    assert "windows" in out
     document = json.loads(open(trace_path).read())
     assert document["traceEvents"]
     from repro.obs import load_timeseries
@@ -301,25 +281,10 @@ def test_trace_capture_mode_writes_artifacts(tmp_path, capsys):
     assert columns["free_queue_depth"]
 
 
-def test_trace_capture_requires_workload():
-    with pytest.raises(SystemExit):
-        main(["trace", "tagless"])
-
-
-def test_trace_smoke_single_design(capsys):
-    code, out = run_cli(capsys, "trace", "tagless", "--smoke",
-                        "--accesses", "1500")
-    assert code == 0
-    assert "[ok]   tagless" in out
-    assert "trace smoke: PASS" in out
-
-
 def test_report_renders_captured_artifact(tmp_path, capsys):
     series_path = str(tmp_path / "t.timeseries.jsonl")
-    run_cli(capsys, "trace", "no-l3", "sphinx3", "--accesses", "2500",
-            "--interval", "256",
-            "--trace-out", str(tmp_path / "t.perfetto.json"),
-            "--timeseries-out", series_path)
+    run_cli(capsys, "run", "no-l3", "sphinx3", "--accesses", "2500",
+            "--interval", "256", "--timeseries", series_path)
     code, out = run_cli(capsys, "report", series_path, "--width", "20")
     assert code == 0
     assert "no-l3 on sphinx3" in out
@@ -403,6 +368,5 @@ def test_replacement_choices_are_the_declared_policies():
                for name, sub in subparsers.choices.items()
                for action in sub._actions
                if "--replacement" in action.option_strings}
-    assert sorted(choices) == ["profile", "run", "sweep", "tenants",
-                               "trace"]
+    assert sorted(choices) == ["profile", "run", "sweep", "tenants"]
     assert all(c == REPLACEMENT_POLICIES for c in choices.values())

@@ -81,7 +81,6 @@ class TestSharedFlags:
 #: adds them all; ``sweep`` takes ``--cache-sizes`` instead of
 #: ``--cache-mb``).
 POINT_COMMANDS = {
-    "trace": ("--cache-mb", "--scale", "--replacement", "--warmup"),
     "run": ("--cache-mb", "--scale", "--replacement", "--warmup"),
     "sweep": ("--scale", "--replacement", "--warmup"),
     "profile": ("--cache-mb", "--scale", "--replacement", "--warmup"),
@@ -288,8 +287,9 @@ def test_campaign_ctrl_c_closes_artifact_and_exits_130(tmp_path, capsys,
 
     monkeypatch.setattr(Harness, "run", interrupted)
     out_dir = str(tmp_path / "camp")
-    code = main(["campaign", "run", "--smoke", "--out", out_dir,
-                 "--no-cache"])
+    study = os.path.join(os.path.dirname(__file__), "..", "..",
+                         "benchmarks", "studies", "smoke.json")
+    code = main(["campaign", "run", study, "--out", out_dir, "--no-cache"])
     assert code == 130
     assert "interrupted; completed points are in" in capsys.readouterr().err
     summary = read_artifact(os.path.join(out_dir, "jobs.jsonl"))[-1]

@@ -1,4 +1,4 @@
-"""``run``, ``trace`` and ``profile`` simulate one point the harness way.
+"""``run`` and ``profile`` simulate one point the harness way.
 
 Each builds a :class:`~repro.harness.JobSpec` and executes it, in
 process or (``run --timeout``) in a supervised worker, so a single
@@ -43,16 +43,16 @@ def test_run_agrees_with_sweep(tmp_path, capsys, workload, cores):
 
 def test_trace_and_profile_run_parsec_threads_on_four_cores(tmp_path,
                                                            capsys):
-    code = main(["trace", "tagless", "streamcluster", "--accesses", "800",
-                 "--trace-out", str(tmp_path / "t.perfetto.json"),
-                 "--timeseries-out", str(tmp_path / "t.timeseries.jsonl")])
-    assert code == 0
-    assert "streamcluster: 800 accesses" in capsys.readouterr().out
+    traced = run_json(capsys, "run", "tagless", "streamcluster",
+                      "--accesses", "800", "--json",
+                      "--trace", str(tmp_path / "t.perfetto.json"),
+                      "--timeseries", str(tmp_path / "t.timeseries.jsonl"))
+    assert len(traced["per_core_ipc"]) == 4
     report = run_json(capsys, "profile", "--workload", "streamcluster",
                       "--accesses", "800", "--top", "1", "--json")
     # Four threads of 800 accesses each.
     assert report["accesses"] == 4 * 800
     direct = run_json(capsys, "run", "tagless", "streamcluster",
                       "--accesses", "800", "--json")
-    assert report["ipc"] == direct["ipc"]
+    assert report["ipc"] == direct["ipc"] == traced["ipc"]
 

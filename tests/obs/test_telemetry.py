@@ -114,8 +114,23 @@ class TestArtifactsAcrossDesigns:
         events = document["traceEvents"]
         assert events[0]["ph"] == "M"
         assert events[0]["args"]["name"] == design
-        timestamps = [e["ts"] for e in events if e["ph"] != "M"]
+        timed = [e for e in events if e["ph"] != "M"]
+        for event in timed:
+            assert {"name", "ph", "ts", "pid", "tid"} <= event.keys(), event
+        timestamps = [e["ts"] for e in timed]
         assert timestamps == sorted(timestamps)
+        assert all(ts >= 0 for ts in timestamps)
+        # Duration slices balance per (track, name): no E before its B,
+        # no B left open.
+        depth = {}
+        for event in timed:
+            key = (event["tid"], event["name"])
+            if event["ph"] == "B":
+                depth[key] = depth.get(key, 0) + 1
+            elif event["ph"] == "E":
+                assert depth.get(key, 0) > 0, f"unmatched E {key}"
+                depth[key] -= 1
+        assert not any(depth.values()), depth
 
         meta, columns, histogram = load_timeseries(series_path)
         assert meta["design"] == design

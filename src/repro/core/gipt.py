@@ -15,6 +15,10 @@ At 82 bits per entry (36 PPN + 42 PTEP + 4 residence bits for a quad-core)
 a 1 GB cache needs 2.56 MB -- 0.25 % overhead -- and, crucially, the table
 is only touched at TLB misses and evictions, never on the cache access
 path, so it can live in either DRAM.
+
+:attr:`GIPTEntry.touched_cores` is not part of that 82-bit entry: it is
+simulator bookkeeping that lets the untimed purge of a recycled cache
+address visit only the cores that can hold the page's lines on-die.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ ENTRY_BITS_BASE = PPN_BITS + PTEP_BITS
 class GIPTEntry:
     """One cached page's reverse mapping.
 
-    The two footprint masks exist only when footprint caching (the
+    ``fetched_mask`` matters only when footprint caching (the
     partial-fill extension, :mod:`repro.core.footprint`) is enabled;
-    with full fills ``fetched_mask`` simply stays all-ones.
+    with full fills it simply stays all-ones.
     """
 
     physical_page: int
@@ -49,8 +53,16 @@ class GIPTEntry:
     #: Blocks of the page present in the cache (bit per 64 B block).
     fetched_mask: int = (1 << 64) - 1
     #: Blocks touched during this residency (feeds the footprint
-    #: predictor at eviction).
+    #: predictor at eviction).  Every line of the page in an on-die
+    #: cache has its bit here: a line reaches L1/L2 only through an
+    #: on-die miss to L3, which sets it.
     touched_mask: int = 0
+    #: Cores whose on-die L1/L2 may hold lines of this residency, one
+    #: bit per core, set next to ``touched_mask`` and sticky for the
+    #: residency.  Simulator bookkeeping, not part of the 82-bit
+    #: hardware entry: it only narrows the (untimed) on-die purge at
+    #: eviction.
+    touched_cores: int = 0
 
     def resident_anywhere(self) -> bool:
         """True when any core's TLB still maps this page."""

@@ -32,8 +32,10 @@ GIPT_ENTRY_BYTES = 16
 
 #: Callback invoked when a cache page is recycled, so the design can
 #: invalidate the departing page's lines from the on-die caches (which
-#: are tagged by cache address in this design).
-PageEvictedFn = Callable[[int], None]
+#: are tagged by cache address in this design).  Called as
+#: ``(cache_page, touched_cores, touched_mask)`` with the removed GIPT
+#: entry's masks: only those cores and lines can hold the page on-die.
+PageEvictedFn = Callable[[int, int, int], None]
 
 
 class TaglessCacheEngine(Counters):
@@ -173,18 +175,6 @@ class TaglessCacheEngine(Counters):
     # ------------------------------------------------------------------
     # Access-path bookkeeping (no latency -- that is the design's point)
     # ------------------------------------------------------------------
-    def note_access(
-        self, cache_page: int, is_write: bool, line_index: int = 0
-    ) -> None:
-        """Record a DRAM-cache access for replacement and dirtiness."""
-        self.victims.on_touch(cache_page)
-        entry = self.gipt.lookup(cache_page)
-        if entry is None:
-            return
-        entry.touched_mask |= mask_bit(line_index)
-        if is_write:
-            entry.dirty = True
-
     def ensure_line_fetched(
         self, cache_page: int, line_index: int, now_ns: float
     ) -> float:
@@ -255,7 +245,9 @@ class TaglessCacheEngine(Counters):
             if self.on_page_evicted is not None:
                 # Stale on-die lines tagged with this cache address must
                 # go; their dirt is subsumed by the page write-back.
-                self.on_page_evicted(cache_page)
+                self.on_page_evicted(
+                    cache_page, entry.touched_cores, entry.touched_mask
+                )
             if entry.dirty:
                 # Read the (resident part of the) page out of the cache
                 # and write it home.

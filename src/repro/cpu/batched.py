@@ -892,6 +892,7 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
                 if on_touch is not None:
                     on_touch(target)
                 g.touched_mask |= 1 << line
+                g.touched_cores |= core_bit
                 if w:
                     g.dirty = True
                 # DRAMDevice.access_block, closed-page path, inlined.

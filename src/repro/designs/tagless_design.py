@@ -12,7 +12,7 @@ Wires the :mod:`repro.core` machinery into the common design interface:
 - an on-die miss on a cached page is *guaranteed* to hit in-package DRAM
   with zero tag-check latency -- the headline property;
 - recycling a cache address invalidates the departing page's lines from
-  every core's on-die hierarchy.
+  the on-die hierarchies of the cores that touched it.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class TaglessDesign(MemorySystemDesign):
         cache_page = entry.target_page
         engine = self.engine
         # One GIPT probe serves both the invariant check and the
-        # bookkeeping below (engine.note_access inlined).
+        # bookkeeping below.
         gipt_entry = engine.gipt._entries.get(cache_page)
         if gipt_entry is None:
             raise SimulationError(
@@ -170,7 +170,10 @@ class TaglessDesign(MemorySystemDesign):
             )
         self.cache_accesses += 1
         engine.victims.on_touch(cache_page)
+        # The line is entering this core's on-die caches: the purge at
+        # eviction must visit it (see _invalidate_ondie_page).
         gipt_entry.touched_mask |= 1 << line_index
+        gipt_entry.touched_cores |= 1 << core_id
         if is_write:
             gipt_entry.dirty = True
         if engine.footprint is not None:
@@ -196,10 +199,23 @@ class TaglessDesign(MemorySystemDesign):
         if gipt_entry is not None:
             gipt_entry.dirty = True
 
-    def _invalidate_ondie_page(self, cache_page: int) -> None:
-        """Recycled cache address: purge its lines from every core."""
-        for hierarchy in self.ondie:
-            hierarchy.invalidate_page(cache_page)
+    def _invalidate_ondie_page(
+        self, cache_page: int, cores: int, lines: int
+    ) -> None:
+        """Recycled cache address: purge its lines from the on-die caches.
+
+        ``cores`` and ``lines`` are the departing GIPT entry's
+        ``touched_cores`` and ``touched_mask``.  A line of the page
+        enters core c's L1/L2 only through core c's on-die miss to L3,
+        which sets both bits, so only the lines in ``lines`` of the
+        cores in ``cores`` are probed.  The purge is not timed.
+        """
+        core_id = 0
+        while cores:
+            if cores & 1:
+                self.ondie[core_id].invalidate_page(cache_page, lines)
+            cores >>= 1
+            core_id += 1
 
     # ------------------------------------------------------------------
     # Policy surface (Section 3.5)
@@ -262,12 +278,14 @@ class TaglessDesign(MemorySystemDesign):
                     )
 
     def _check_ondie_keys_live(self) -> None:
-        """No on-die cache holds a line of a recycled cache address.
+        """No on-die cache holds a line the eviction purge would miss.
 
-        CA-keyed lines (below the PA namespace) must belong to pages the
-        engine currently maps; anything else means eviction forgot to
-        invalidate the on-die hierarchies.  Iterates the (small) on-die
-        caches, not the cache's page space.
+        A CA-keyed line (below the PA namespace) of core c must belong
+        to a page the engine currently maps, whose ``touched_cores``
+        has bit c and whose ``touched_mask`` has the line's bit;
+        anything else means eviction forgot to invalidate the on-die
+        hierarchies, or will.  Iterates the (small) on-die caches, not
+        the cache's page space.
         """
         live = self.engine.gipt._entries
         for core_id, hierarchy in enumerate(self.ondie):
@@ -276,13 +294,25 @@ class TaglessDesign(MemorySystemDesign):
                 for line_key in level:
                     if line_key >= PA_NAMESPACE_OFFSET:
                         continue  # NC line, PA-keyed: no cache page
-                    cache_page = line_key // LINES_PER_PAGE
-                    if cache_page not in live:
+                    cache_page, line_index = divmod(line_key,
+                                                    LINES_PER_PAGE)
+                    gipt_entry = live.get(cache_page)
+                    if gipt_entry is None:
                         raise SimulationError(
                             f"core {core_id} on-die {level_name} holds "
                             f"line {line_key} of CA {cache_page:#x}, which "
                             "is not cached (recycled address not "
                             "invalidated)"
+                        )
+                    if not ((gipt_entry.touched_cores >> core_id) & 1
+                            and (gipt_entry.touched_mask >> line_index) & 1):
+                        raise SimulationError(
+                            f"core {core_id} on-die {level_name} holds "
+                            f"line {line_key} of CA {cache_page:#x} outside "
+                            "its GIPT entry's touched masks (cores="
+                            f"{gipt_entry.touched_cores:#x}, lines="
+                            f"{gipt_entry.touched_mask:#x}); its eviction "
+                            "would not purge it"
                         )
 
     def _check_victim_tracker(self) -> None:

@@ -348,13 +348,17 @@ class TaglessResizableDesign(TaglessDesign):
         The GIPT entry moves with its dirtiness and footprint masks, the
         PTE is rewritten to the new cache address, and the old block's
         on-die lines are invalidated (its cache address is being
-        retired, exactly like an eviction's recycle).  Costs are charged
-        as background traffic plus the conservative GIPT rewrite.
+        retired, exactly like an eviction's recycle).  The new entry's
+        ``touched_cores`` starts empty: no core holds a line of the new
+        cache address yet.  Costs are charged as background traffic
+        plus the conservative GIPT rewrite.
         """
         engine = self.engine
         new_ca = engine.free_queue.allocate()
         moved = engine.gipt.remove(old_ca)
-        self._invalidate_ondie_page(old_ca)
+        self._invalidate_ondie_page(
+            old_ca, moved.touched_cores, moved.touched_mask
+        )
         engine.victims.on_evicted(old_ca)
         fresh = engine.gipt.insert(new_ca, moved.physical_page, moved.pte)
         fresh.dirty = moved.dirty

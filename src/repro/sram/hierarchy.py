@@ -101,13 +101,19 @@ class OnDieHierarchy(Counters):
             writebacks.append(eviction.key)
             self.writebacks += 1
 
-    def invalidate_page(self, page_number: int) -> List[int]:
-        """Invalidate all 64 lines of a page; return dirty lines dropped.
+    def invalidate_page(
+        self, page_number: int, lines: int = (1 << LINES_PER_PAGE) - 1
+    ) -> List[int]:
+        """Invalidate a page's lines; return the dirty lines dropped.
 
-        The tagless design calls this when a cache address is recycled.
-        Dirty lines are returned so the caller can merge them into the
-        page's write-back (they are part of the page being evicted), in
-        line order; a line dirty in both levels is listed twice.
+        ``lines`` is a 64-bit mask of the page's lines to probe (bit ``i``
+        is line ``i``), all of them by default.  The tagless design calls
+        this when a cache address is recycled, with the lines the page
+        touched during its residency: no other line of it can be
+        on-die.  Dirty lines are returned so the caller can merge them
+        into the page's write-back (they are part of the page being
+        evicted), in line order; a line dirty in both levels is listed
+        twice.
 
         Each probe is one ``pop`` on the set dict: the removal
         :meth:`SetAssociativeCache.invalidate` performs, without the call
@@ -119,7 +125,11 @@ class OnDieHierarchy(Counters):
         l1_sets = len(l1_entries)
         l2_sets = len(l2_entries)
         first = page_number * LINES_PER_PAGE
-        for line in range(first, first + LINES_PER_PAGE):
+        while lines:
+            # Lowest set bit first, so the dirty list keeps line order.
+            low = lines & -lines
+            lines ^= low
+            line = first + low.bit_length() - 1
             # ``False`` for an absent line and a clean one alike.
             if l1_entries[line % l1_sets].pop(line, False):
                 dirty.append(line)

@@ -24,9 +24,19 @@ def make_engine(capacity_pages=8, replacement="fifo", alpha=1,
         in_package=in_pkg,
         off_package=off_pkg,
         gipt_base_page=10_000,
-        on_page_evicted=evicted.append,
+        on_page_evicted=lambda ca, cores, lines: evicted.append(ca),
     )
     return engine, evicted
+
+
+def touch(engine, ca, is_write, line_index=0, core_id=0):
+    """The engine-side bookkeeping of a cached access reaching L3."""
+    engine.victims.on_touch(ca)
+    entry = engine.gipt.require(ca)
+    entry.touched_mask |= 1 << line_index
+    entry.touched_cores |= 1 << core_id
+    if is_write:
+        entry.dirty = True
 
 
 @pytest.fixture
@@ -94,7 +104,7 @@ def test_resident_page_never_evicted(table):
 def test_dirty_eviction_writes_back(table):
     engine, __ = make_engine(capacity_pages=2, alpha=1)
     ca, __ = engine.allocate_and_fill(0.0, table.entry(0), core_id=0)
-    engine.note_access(ca, is_write=True)
+    touch(engine, ca, is_write=True)
     engine.gipt.clear_resident(ca, 0)
     before = engine.off_package.energy.write_bytes
     ca2, __ = engine.allocate_and_fill(0.0, table.entry(1), core_id=0)
@@ -103,10 +113,22 @@ def test_dirty_eviction_writes_back(table):
     assert engine.off_package.energy.write_bytes >= before + 4096
 
 
+def test_eviction_hands_the_entrys_touched_masks_to_the_callback(table):
+    engine, __ = make_engine(capacity_pages=2, alpha=1)
+    calls = []
+    engine.on_page_evicted = lambda *args: calls.append(args)
+    ca, __ = engine.allocate_and_fill(0.0, table.entry(0), core_id=0)
+    touch(engine, ca, is_write=False, line_index=3, core_id=1)
+    touch(engine, ca, is_write=False, line_index=9, core_id=1)
+    engine.gipt.clear_resident(ca, 0)
+    engine.allocate_and_fill(0.0, table.entry(1), core_id=0)
+    assert calls == [(ca, 0b10, (1 << 3) | (1 << 9))]
+
+
 def test_clean_eviction_skips_writeback(table):
     engine, __ = make_engine(capacity_pages=2, alpha=1)
     ca, __ = engine.allocate_and_fill(0.0, table.entry(0), core_id=0)
-    engine.note_access(ca, is_write=False)
+    touch(engine, ca, is_write=False)
     engine.gipt.clear_resident(ca, 0)
     engine.allocate_and_fill(0.0, table.entry(1), core_id=0)
     assert engine.writebacks == 0
@@ -165,7 +187,7 @@ def test_engine_invariants_under_random_workload(vpns, replacement):
         pte = table.entry(vpn)
         if pte.valid_in_cache:
             engine.note_victim_hit(pte.cache_page)
-            engine.note_access(pte.cache_page, is_write=(i % 3 == 0))
+            touch(engine, pte.cache_page, is_write=(i % 3 == 0))
         else:
             ca, __ = engine.allocate_and_fill(float(i), pte, core_id=0)
             resident_cas.append(ca)

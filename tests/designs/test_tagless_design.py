@@ -111,7 +111,14 @@ def test_writeback_marks_gipt_dirty(design):
     touch_page(design, vpn=1, lines=2, write=True)
     ca = design.page_table(0).entry(1).cache_page
     # Force the dirty L1/L2 lines out by invalidating the page.
-    design._invalidate_ondie_page(ca)  # drops them; dirt subsumed
+    gipt_entry = design.engine.gipt.require(ca)
+    assert (gipt_entry.touched_cores, gipt_entry.touched_mask) == (1, 0b11)
+    design._invalidate_ondie_page(  # drops them; dirt subsumed
+        ca, gipt_entry.touched_cores, gipt_entry.touched_mask
+    )
+    assert not any(line // 64 == ca for level in (design.ondie[0].l1,
+                                                  design.ondie[0].l2)
+                   for line in level)
     # Direct path: dirty L2 victim routed through _writeback_line.
     line = ca * 64
     design._writeback_line(line, 0.0)

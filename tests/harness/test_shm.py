@@ -8,7 +8,7 @@ and parent-owned segment lifecycle that survives worker crashes without
 leaking ``/dev/shm`` entries.
 """
 
-import glob
+import os
 
 from repro.harness.jobs import JobSpec, execute_job
 from repro.harness.runner import run_jobs
@@ -26,8 +26,29 @@ def _specs(*designs, **overrides):
     return [JobSpec(design=d, **kwargs) for d in designs]
 
 
-def _segment_names():
-    return set(glob.glob("/dev/shm/psm_*"))
+def _record_segments(monkeypatch):
+    """List that collects the name of every segment ``TraceArena``
+    creates from now on (over the current ``_create_segment``)."""
+    names = []
+    create = TraceArena._create_segment
+
+    def recording(nbytes):
+        segment = create(nbytes)
+        if segment is not None:
+            names.append(segment.name)
+        return segment
+
+    monkeypatch.setattr(TraceArena, "_create_segment",
+                        staticmethod(recording))
+    return names
+
+
+def _live(names):
+    """Those of ``names`` still present in ``/dev/shm``.  Only segments
+    this test created are looked at, so other processes' segments
+    cannot fail it."""
+    return {name for name in names
+            if os.path.exists(os.path.join("/dev/shm", name))}
 
 
 def _metrics(outcomes):
@@ -123,22 +144,22 @@ def test_attached_replay_bit_identical(monkeypatch):
                     execute_job(spec, bindings=bindings)) == digest
 
 
-def test_close_unlinks_segments():
-    before = _segment_names()
+def test_close_unlinks_segments(monkeypatch):
+    created = _record_segments(monkeypatch)
     arena = TraceArena()
     arena.share_for(_specs("tagless")[0])
-    assert _segment_names() - before  # something was published
+    assert _live(created)  # something was published
     arena.close()
-    assert _segment_names() - before == set()
+    assert _live(created) == set()
     arena.close()  # idempotent
 
 
 # ----------------------------------------------------------------------
 # Through the pool
 # ----------------------------------------------------------------------
-def test_pooled_shm_matches_serial_and_counts_transfer():
+def test_pooled_shm_matches_serial_and_counts_transfer(monkeypatch):
     specs = _specs("tagless", "sram", "no-l3")
-    before = _segment_names()
+    created = _record_segments(monkeypatch)
     serial = run_jobs(specs, jobs=1)
     pooled = run_jobs(specs, jobs=2)
     assert all(o.ok for o in pooled)
@@ -147,7 +168,7 @@ def test_pooled_shm_matches_serial_and_counts_transfer():
     # crossed the pipe by value, and nothing leaked.
     assert all(o.trace_bytes_pickled == 0 for o in pooled)
     assert all(o.trace_bytes_shared == 18 * ACCESSES for o in pooled)
-    assert _segment_names() - before == set()
+    assert created and _live(created) == set()
     # The serial path never pays the arena (no pool, no transfer).
     assert all(o.trace_bytes_shared == 0 for o in serial)
 
@@ -155,7 +176,7 @@ def test_pooled_shm_matches_serial_and_counts_transfer():
 def test_pooled_inline_payload_matches_serial(monkeypatch):
     monkeypatch.setattr(TraceArena, "_create_segment", _NO_SEGMENT)
     specs = _specs("tagless", "sram")
-    before = _segment_names()
+    created = _record_segments(monkeypatch)
     serial = run_jobs(specs, jobs=1)
     pooled = run_jobs(specs, jobs=2)
     assert all(o.ok for o in pooled)
@@ -163,7 +184,7 @@ def test_pooled_inline_payload_matches_serial(monkeypatch):
     # The packed columns crossed the pipe by value, once per job.
     assert all(o.trace_bytes_pickled == 18 * ACCESSES for o in pooled)
     assert all(o.trace_bytes_shared == 0 for o in pooled)
-    assert _segment_names() - before == set()
+    assert created == []
 
 
 def test_pooled_regeneration_still_identical(monkeypatch):
@@ -182,7 +203,7 @@ def test_retry_reattaches_without_republishing(monkeypatch):
     specs = _specs("tagless", "sram")
     label = specs[0].label
     monkeypatch.setenv("REPRO_FAULT_INJECT", f"flaky:{label}:1")
-    before = _segment_names()
+    created = _record_segments(monkeypatch)
     outcomes = run_jobs(specs, jobs=2, retries=1)
     assert all(o.ok for o in outcomes)
     assert outcomes[0].retries == 1
@@ -190,14 +211,14 @@ def test_retry_reattaches_without_republishing(monkeypatch):
     # pickled bytes, and the segments are gone after the sweep.
     assert all(o.trace_bytes_pickled == 0 for o in outcomes)
     assert all(o.trace_bytes_shared == 18 * ACCESSES for o in outcomes)
-    assert _segment_names() - before == set()
+    assert created and _live(created) == set()
 
 
 def test_worker_crash_does_not_leak_segments(monkeypatch):
     specs = _specs("tagless", "sram", "no-l3")
     label = specs[1].label
     monkeypatch.setenv("REPRO_FAULT_INJECT", f"crash:{label}")
-    before = _segment_names()
+    created = _record_segments(monkeypatch)
     outcomes = run_jobs(specs, jobs=2)
     # The crashed job is attributed precisely; its SIGKILLed worker
     # held only an attachment, so the surviving jobs complete from the
@@ -205,4 +226,4 @@ def test_worker_crash_does_not_leak_segments(monkeypatch):
     assert outcomes[1].status == "worker-crashed"
     assert outcomes[0].ok and outcomes[2].ok
     assert outcomes[0].trace_bytes_shared == 18 * ACCESSES
-    assert _segment_names() - before == set()
+    assert created and _live(created) == set()

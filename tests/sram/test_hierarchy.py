@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.addressing import LINES_PER_PAGE
 from repro.common.config import OnDieCacheConfig
@@ -82,11 +83,19 @@ def test_invalidate_unknown_page_is_noop():
     assert h.invalidate_page(999) == []
 
 
-def _naive_invalidate_page(hierarchy, page):
-    """Reference: one SetAssociativeCache.invalidate per line and level."""
+ALL_LINES = (1 << LINES_PER_PAGE) - 1
+PAGES = [3, 4, 17, 64, 65, 1000, 999]  # 999 is never accessed
+
+
+def _naive_invalidate_page(hierarchy, page, lines=ALL_LINES):
+    """Reference: one SetAssociativeCache.invalidate per masked line and
+    level, in line order."""
     dirty = []
     first = page * LINES_PER_PAGE
-    for line in range(first, first + LINES_PER_PAGE):
+    for index in range(LINES_PER_PAGE):
+        if not (lines >> index) & 1:
+            continue
+        line = first + index
         for level in (hierarchy.l1, hierarchy.l2):
             evicted = level.invalidate(line)
             if evicted is not None and evicted.dirty:
@@ -100,26 +109,40 @@ def _contents(hierarchy):
             for level in (hierarchy.l1, hierarchy.l2)]
 
 
+@settings(max_examples=8, deadline=None)
+@given(masks=st.lists(
+    st.one_of(st.just(0), st.just(ALL_LINES), st.integers(0, ALL_LINES)),
+    min_size=len(PAGES), max_size=len(PAGES),
+))
+@example(masks=[0] * len(PAGES))
+@example(masks=[ALL_LINES] * len(PAGES))
 @pytest.mark.parametrize("l1_lines,l2_lines", [(8, 32), (16, 256),
                                                (512, 8192)])
-def test_invalidate_page_matches_per_line_reference(l1_lines, l2_lines):
+def test_invalidate_page_matches_per_line_reference(l1_lines, l2_lines,
+                                                    masks):
     """Random clean and dirty lines of several pages: after each page is
-    invalidated, both levels hold exactly what the per-line reference
-    leaves, in the same order, and the dirty lists agree (a line dirty
-    in both levels is listed twice)."""
+    invalidated under a drawn line mask, both levels hold exactly what
+    the per-line reference restricted to that mask leaves, in the same
+    order, and the dirty lists agree (a line dirty in both levels is
+    listed twice).  A second pass with the default mask (every line)
+    then empties both levels."""
     rng = random.Random(7)
-    pages = [3, 4, 17, 64, 65, 1000]
     fast = make_hierarchy(l1_lines, l2_lines)
     naive = make_hierarchy(l1_lines, l2_lines)
     for _ in range(3 * l2_lines):
-        line = (rng.choice(pages) * LINES_PER_PAGE
+        line = (rng.choice(PAGES[:-1]) * LINES_PER_PAGE
                 + rng.randrange(LINES_PER_PAGE))
         is_write = rng.random() < 0.4
         fast.access(line, is_write)
         naive.access(line, is_write)
     assert _contents(fast) == _contents(naive)
     saw_dirty = False
-    for page in pages + [999]:
+    for page, lines in zip(PAGES, masks):
+        dirty = fast.invalidate_page(page, lines)
+        assert dirty == _naive_invalidate_page(naive, page, lines)
+        assert _contents(fast) == _contents(naive)
+        saw_dirty = saw_dirty or bool(dirty)
+    for page in PAGES:
         dirty = fast.invalidate_page(page)
         assert dirty == _naive_invalidate_page(naive, page)
         assert _contents(fast) == _contents(naive)

@@ -175,6 +175,18 @@ def test_catches_dangling_ctlb_translation(warm_tagless):
         checker.run_checks()
 
 
+@pytest.mark.parametrize("mask", ["touched_cores", "touched_mask"])
+def test_catches_ondie_line_the_purge_would_miss(warm_tagless, mask):
+    design, checker = warm_tagless
+    gipt = design.engine.gipt._entries
+    line = next(line for line in design.ondie[0].l1 if line // 64 in gipt)
+    entry = gipt[line // 64]
+    bit = 1 if mask == "touched_cores" else 1 << (line % 64)
+    setattr(entry, mask, getattr(entry, mask) & ~bit)
+    with pytest.raises(InvariantViolation, match="ondie_keys_live"):
+        checker.run_checks()
+
+
 def test_catches_tlb_inclusion_break(small_config, tiny_trace):
     design = create_design("no-l3", small_config)
     checker = InvariantChecker(design)

@@ -32,6 +32,10 @@ FIGURE_NAMES = tuple(FIGURES)
 #: Per-core trace length of the figure goldens (the CI parallel check
 #: reruns fig9 and ablation_footprint at this length).
 GOLDEN_ACCESSES = 600
+#: Figures pinned at another length, where 600 accesses leave a factor
+#: without effect: at 600, every alpha level evicts nothing and prints
+#: one identical row; at 12,000 the levels evict 7/10/22/74 pages.
+GOLDEN_LENGTHS = {"ablation_alpha": 12_000}
 VALIDATE_ACCESSES = 2000
 
 
@@ -51,7 +55,8 @@ def figure_outputs(figure, workdir):
     cache, so both come from one set of simulations.  The volatile
     ``harness`` health block is dropped from the payload.
     """
-    common = ["experiment", figure, "--accesses", str(GOLDEN_ACCESSES),
+    accesses = GOLDEN_LENGTHS.get(figure, GOLDEN_ACCESSES)
+    common = ["experiment", figure, "--accesses", str(accesses),
               "--cache-dir", os.path.join(workdir, "cache"),
               "--artifact", os.path.join(workdir, f"{figure}.jsonl")]
     _, text = _cli(common)
@@ -96,6 +101,16 @@ def test_figure_tables_and_json_byte_identical(figure, tmp_path):
     text, payload = figure_outputs(figure, str(tmp_path))
     assert text == _golden(f"{figure}.txt")
     assert payload == _golden(f"{figure}.json")
+
+
+def test_every_alpha_level_renders_its_own_row():
+    """The alpha golden runs the eviction paths: no two alpha levels
+    print the same row."""
+    rows = [line.split(None, 1)[1]
+            for line in _golden("ablation_alpha.txt").splitlines()
+            if line.split(None, 1)[0].isdigit()]
+    assert len(rows) == 4
+    assert len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("figure", FIGURE_NAMES)

@@ -1,8 +1,8 @@
-"""Fused-kernel speedup guard: the tagless kernel must stay fast.
+"""Fused-kernel speedup guard: the kernel must stay fast for every design.
 
 The simulator replays through
 :func:`repro.cpu.batched.run_interleaved_batched`, which runs the fused
-tagless kernel where it applies.  The kernel exists to be faster than
+kernel where it applies.  The kernel exists to be faster than
 the reference loop (:func:`repro.cpu.multicore.run_interleaved`) while
 staying bit-identical to it (the golden oracle locks identity; this
 guard locks *speed*).  For each design it replays one workload through
@@ -14,6 +14,8 @@ and fails if the kernel / reference ratio falls below ``--min-ratio``::
         --workload MIX1
     PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke \
         --workload benchmarks/studies/multitenant_smoke_scenario.json
+    PYTHONPATH=src python benchmarks/bench_engine_guard.py --smoke \
+        --designs no-l3 bi sram ideal alloy --min-ratio 1.15
     PYTHONPATH=src python benchmarks/bench_engine_guard.py \
         --designs tagless --accesses 100000 --min-ratio 2.0
 
@@ -28,16 +30,17 @@ kernel the attributed run, against the attributed reference loop
 resize schedule (``tagless-resizable``) gets the scenario's ``resize``
 events armed on both paths, as ``Simulator.run_tenants`` arms them.
 
-The default floor (1.5x on the smoke workload) is deliberately well
-below the measured speedup: this is a tripwire for "someone put
-per-access work back on the kernel path" (or silently stopped selecting
-the kernel), not a performance contract for a particular machine.  The
+The default floor (1.5x on the smoke workload, for the default
+``tagless``) is deliberately well below the measured speedup: this is a
+tripwire for "someone put per-access work back on the kernel path" (or
+silently stopped selecting the kernel), not a performance contract for
+a particular machine.  The five comparators call their own L3 service
+from the kernel, so they gain less (1.3-1.7x on the smoke workloads)
+and CI guards them at 1.15x.  The
 design's whole ``stats()`` dictionary and every core's IPC are compared
 exactly across the two paths as a free correctness canary (plus every
 tenant's QoS dictionary on a scenario) -- a guard run that got faster by
 diverging is a failure, not a win.
-Designs without a kernel replay the reference loop both ways, so only
-``tagless`` and ``tagless-resizable`` can pass the default floor.
 """
 
 from __future__ import annotations
@@ -78,8 +81,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--designs", nargs="+", default=["tagless"],
                         choices=ALL_DESIGN_NAMES, metavar="DESIGN",
-                        help="designs to compare (default: tagless; it "
-                             "and tagless-resizable have a fused kernel)")
+                        help="designs to compare (default: tagless)")
     parser.add_argument("--workload", default="mcf",
                         help="SPEC program (one core), mix name such as "
                              "MIX1 (four cores) or tenant-scenario JSON "

@@ -13,7 +13,7 @@ times one workload twice in-process -- once plain, once with a full
 telemetry bundle attached -- and asserts the *enabled* overhead stays
 within ``--enabled-tolerance``.  An observed run always replays through
 the reference loop, so the plain run is pinned to that loop too:
-otherwise tagless's "overhead" would fold in its fused kernel's
+otherwise every design's "overhead" would fold in the fused kernel's
 speedup.  Both sides use best-of-N timings, the standard suppressor of
 scheduler noise, and the tolerance is deliberately loose (150%): this is
 a tripwire for "someone put work on the disabled path", not a profiler.

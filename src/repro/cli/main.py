@@ -941,10 +941,10 @@ def _short_location(filename: str, line: int) -> str:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile one simulation run under cProfile and rank the hot spots.
 
-    The run takes the same replay path as ``Simulator.run``: for the
-    tagless design that is the fused kernel, which shows up as one
-    ``_run_tagless_kernel`` frame with only its rare-event fallbacks
-    (fills, NC pages, superpages) broken out beneath it.
+    The run takes the same replay path as ``Simulator.run``: the fused
+    kernel, which shows up as one ``_run_kernel`` frame with only its
+    calls broken out beneath it (for the tagless design the rare-event
+    fallbacks, for the others also the design's L3 service).
     """
     import cProfile
     import pstats

@@ -1,14 +1,22 @@
-"""Fused replay kernel for the tagless design.
+"""Fused replay kernel, one frame for every design.
 
 :meth:`MemorySystemDesign.access_cycles` is a single hand-inlined
 function; the remaining per-access overhead is the *call* into it (and,
 inside, the per-access re-hoisting of every structure the path touches).
-The tagless kernel removes both: it replays every core of a run in a
-single loop with every hot structure -- cTLB dicts, on-die sets, GIPT,
-channel free-lists, timing constants -- bound to locals, the shared ones
-exactly once and the per-core ones once per burst of one core.  The
-tagless hit path has no tag check (the cTLB hands out a cache address
-directly), so the fused loop covers almost every access.
+The kernel removes both: it replays every core of a run in a single
+loop with every hot structure -- TLB dicts, on-die sets, channel
+free-lists, timing constants -- bound to locals, the shared ones
+exactly once and the per-core ones once per burst of one core.
+
+The frame -- argmin, segments, tenant attribution, replay boundaries,
+translation hits, on-die hits and fills, counter flush -- is the same
+for every design.  The path depends on the design at three places, all
+on miss branches: the TLB full miss, the dirty on-die write-backs and
+the on-die L2 miss.  There the tagless design runs inline (a cTLB
+victim hit or fill, two-namespace write-back routing, a DRAM-cache
+access with no tag check) and every other design calls its own
+``_refill_tlb`` (superpages only; a plain walk is inline),
+``_route_writebacks`` and ``_service_l2_miss``.
 
 :func:`run_interleaved_batched` is the simulator's replay entry point
 for bound traces, and :func:`repro.cpu.scheduled.run_schedule` for
@@ -20,8 +28,7 @@ reference loop's global time order (first minimum on clock ties).  It
 also attributes a tenant schedule's accesses to their tenants' QoS
 records, in that same order, and stops at the replay's boundaries --
 resize events, invariant sweeps, telemetry windows -- for ``replay``
-to run their callbacks.  A fused loop for the other designs' shared
-path was measured no faster than the reference loop, so none exists.
+to run their callbacks.
 
 Bit-identity discipline (the golden-stats oracle compares floats with
 ``==``):
@@ -30,9 +37,11 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   whole access is expressible inline does the kernel mutate anything;
   otherwise it falls back to the untouched scalar
   ``design.access_cycles`` call, which then performs every probe,
-  counter update and side effect itself.  Rare events -- superpages,
-  NC pages, PU waits -- therefore run the exact scalar code; fills run
-  inline in scalar order and hand evictions to the engine's own helper.
+  counter update and side effect itself.  The tagless design's rare
+  events -- superpages, NC pages, PU waits -- therefore run the exact
+  scalar code; fills run inline in scalar order and hand evictions to
+  the engine's own helper.  The other designs never fall back: their
+  rare event, a superpage, calls the design's own ``_refill_tlb``.
 - Integer counters are accumulated in locals (per-core ones in the
   core's slot) and flushed once at kernel exit: integer addition is
   exact and commutative, and nothing reads the counters while the
@@ -40,11 +49,16 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   boundary callbacks run after the kernel has stopped and flushed.
 - Float accumulators (latency sums, queue times, energy) are
   order-sensitive, so they cannot be batch-flushed like the integers.
-  Instead each lives in a *seeded local*: initialised from its
-  attribute, advanced by the same additions in the same order as the
-  scalar path (same rounding, same result), stored back at exit.  The
-  scalar-fallback site flushes the locals first and reloads after, so
-  fallback accesses always see -- and update -- the true totals.
+  A float that only the frame advances lives in a *seeded local*:
+  initialised from its attribute, advanced by the same additions in
+  the same order as the scalar path (same rounding, same result),
+  stored back at exit.  The scalar-fallback site flushes the locals
+  first and reloads after, so fallback accesses always see -- and
+  update -- the true totals.  Only ``l3_latency_cycles`` is seeded for
+  every design; the DRAM and walker floats are seeded for the tagless
+  design alone, whose service is inline.  The other designs' service
+  and routing calls advance those attributes themselves, so the kernel
+  adds its own walk terms to the attributes directly, in access order.
 
 The kernel runs only when no event tracer and no latency histogram is
 attached: it inlines the paths both observe.  Such runs replay through
@@ -84,16 +98,19 @@ def _observed(design: MemorySystemDesign) -> bool:
 def select_kernel(design: MemorySystemDesign):
     """The fused kernel for ``design``, or ``None`` for the reference loop.
 
-    Every tagless design gets it, the resizable variant included: its
+    Every design gets it unless something watches the paths it inlines
+    (:func:`_observed`), an on-die cache or DRAM device has a set or
+    channel count that is not a power of two (the kernel indexes them
+    with bitmasks), or a tagless engine traces events or predicts
+    footprints.  The resizable tagless variant gets it too: its
     capacity schedule is a replay boundary, not an access-path
     override.  The choice reads no class attribute, so a span tracer
     that wraps ``access_cycles`` leaves it unchanged.
     """
-    if not isinstance(design, TaglessDesign) or _observed(design):
+    if _observed(design):
         return None
-    engine = design.engine
     ondie = design.ondie[0]
-    pow2 = all(
+    if not all(
         n & (n - 1) == 0
         for n in (
             ondie.l1.num_sets,
@@ -101,14 +118,14 @@ def select_kernel(design: MemorySystemDesign):
             design.in_package.channels.num_channels,
             design.off_package.channels.num_channels,
         )
-    )
-    if (
-        pow2  # the kernel indexes sets/channels with bitmasks
-        and engine.trace_event is null_event
-        and engine.footprint is None
     ):
-        return _run_tagless_kernel
-    return None
+        return None
+    if isinstance(design, TaglessDesign) and (
+        design.engine.trace_event is not null_event
+        or design.engine.footprint is not None
+    ):
+        return None
+    return _run_kernel
 
 
 def run_interleaved_batched(
@@ -127,7 +144,7 @@ def run_interleaved_batched(
 
 
 # ----------------------------------------------------------------------
-# Tagless kernel: the full Figure 2 access path, fused.
+# The kernel: the access path of every design, fused.
 # ----------------------------------------------------------------------
 #: Layout of a kernel core slot (a list): per-core constants first, then
 #: the per-segment values from ``segment()``, then one tuple of the
@@ -138,11 +155,10 @@ _REM = _SEG + 8  # the segment's remaining-accesses count
 _RUN = 22
 
 
-def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
-                        clock_stop, *, _next=next, _iter=iter, _len=len,
-                        _min=min, _sum=sum, _islice=islice,
-                        _nextafter=math.nextafter) -> int:
-    """Replay the cores of ``active`` against the tagless design.
+def _run_kernel(design: MemorySystemDesign, active, qos, budget,
+                clock_stop, *, _next=next, _iter=iter, _len=len, _min=min,
+                _sum=sum, _islice=islice, _nextafter=math.nextafter) -> int:
+    """Replay the cores of ``active`` against ``design``.
 
     ``active`` is :func:`repro.cpu.multicore.replay`'s non-empty
     active list: cursors in argmin scan order, each at a position of
@@ -175,10 +191,11 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     from; a segment end is handled before it, as the reference loop
     does.
 
-    Shared structures -- GIPT, free queue, victim tracker, walker, both
-    DRAM devices and their channel free-lists, the seeded float
-    accumulators -- are hoisted once per call.  Per-core state (cTLB
-    maps, on-die sets, pending write-backs, page table, model floats,
+    Shared structures -- walker, both DRAM devices and their channel
+    free-lists, the seeded float accumulators, and for the tagless
+    design the GIPT, free queue and victim tracker -- are hoisted once
+    per call.  Per-core state (TLB maps, on-die sets, pending
+    write-backs, page table, model floats,
     trace cursor, same-page cache, integer counters) lives in a slot
     list per core that a switch stores and reloads.  At a segment end
     the kernel stores the model floats back and calls the cursor's
@@ -186,30 +203,42 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     TLB maps in place and retunes the model), then reloads the
     per-segment values and clears the same-page cache.
 
-    Inlines cTLB L1/L2 hits and on-die L1/L2 hits, plus the two paths
-    that dominate the tagless profile: the cTLB full miss resolving as
-    an in-package *victim hit* (walk + GIPT residence + cTLB install,
-    Figure 4's unshaded path) and the on-die full miss serviced by the
-    DRAM cache with zero tag check (``_service_l2_miss``'s cached
-    branch, with the closed-page ``access_block`` arithmetic inlined).
-    Only genuinely rare events leave the loop: NC pages, superpages,
-    PU waits.
+    Inlines TLB L1/L2 hits and on-die L1/L2 hits for every design.
+    Where the path depends on the design, a bool hoisted once per call
+    (``tagless``) picks the branch, on miss branches only:
+
+    - **TLB full miss.**  The tagless design inlines the two paths that
+      dominate its profile: the cTLB full miss resolving as an
+      in-package *victim hit* (walk + GIPT residence + cTLB install,
+      Figure 4's unshaded path) and the fill.  Its genuinely rare
+      events leave the loop: NC pages, superpages, PU waits.  The other
+      designs inline the conventional walk and install of
+      :meth:`MemorySystemDesign._refill_tlb`; a superpage PTE calls
+      that method instead (it offsets the frame into the run).
+    - **Dirty on-die write-backs.**  Tagless routes them inline by key
+      namespace; the other designs call ``_route_writebacks``.
+    - **On-die L2 miss.**  Tagless services it from the DRAM cache with
+      zero tag check (``_service_l2_miss``'s cached branch, with the
+      closed-page ``access_block`` arithmetic inlined); the other
+      designs call their own ``_service_l2_miss``, after the frame's
+      translation, so nothing is translated twice.
 
     Loop-level shortcuts, each a proof that some scalar work is the
     identity:
 
     - **Same-page run**: when an access repeats the core's previous
       virtual page, that page is by construction the most recently
-      used entry of both of its cTLB levels (the previous access made
+      used entry of both of its TLB levels (the previous access made
       it so), and fused-LRU's move-to-end of the newest key is the
       identity permutation.  The shortcut skips the TLB dicts entirely
       and reuses the cached translation.  Trace locality makes this
       the majority case (50-95% of accesses on the SPEC-like
       generators).  Other cores cannot invalidate the cached page:
-      their fills evict only pages no TLB holds
+      tagless fills evict only pages no TLB holds
       (``victims.select(protected=gipt.is_resident)``), and this page
-      is in its core's L2 TLB.  A TLB flush (segment end) and every
-      scalar fallback clear the cache.
+      is in its core's L2 TLB; no other design ever moves a page.  A
+      TLB flush (segment end) and every scalar fallback clear the
+      cache.
     - **Zero-stall exit**: with ``tlb_cycles == 0.0`` and an on-die L1
       hit, ``cost - l1_hit`` is exactly ``(0.0 + l1_hit_cycles) -
       float(l1_hit_cycles) == 0.0``, so the stall branch disappears;
@@ -244,44 +273,31 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     run the segment's tenant record is ``None``, and the attribution
     costs one ``is not None`` test per access (two on an L3-bound one).
 
-    Order-sensitive float accumulators live in *seeded locals*: each
-    is initialised from its attribute, accumulated sequentially (the
-    same additions in the same order as the scalar path, hence the same
-    rounding), and stored back at kernel exit.  The one scalar-fallback
-    site flushes them before calling ``access_cycles`` and reloads
-    after, so the scalar path always sees -- and updates -- the true
-    running totals.  The per-core handler total is seeded the same way,
-    from the core's slot.
+    Order-sensitive float accumulators that only the frame advances
+    live in *seeded locals*: each is initialised from its attribute,
+    accumulated sequentially (the same additions in the same order as
+    the scalar path, hence the same rounding), and stored back at
+    kernel exit.  The tagless design's one scalar-fallback site flushes
+    them before calling ``access_cycles`` and reloads after, so the
+    scalar path always sees -- and updates -- the true running totals.
+    Its per-core handler total is seeded the same way, from the core's
+    slot.  For the other designs only ``l3_latency_cycles`` is seeded:
+    their service and routing calls advance the rest.
     """
     # --- Shared structures and constants (identical for every core).
     first = active[0].model
     l1_hit = first._l1_hit
     cycle_ns = first._cycle_ns
-    access_cycles = design.access_cycles
+    tagless = isinstance(design, TaglessDesign)
 
     tlb0 = design.tlbs[0]
     l1_cap = tlb0.l1.capacity
     l2_cap = tlb0.l2.capacity
     tlb_l2_hit_cycles = design._tlb_l2_hit_cycles
 
-    engine = design.engine
-    gipt = engine.gipt
-    gipt_entries = gipt._entries
-    # FIFO ignores touches (its whole point); LRU/CLOCK need the call.
-    victims = engine.victims
-    on_touch = (None if type(victims) is FIFOVictimTracker
-                else victims.on_touch)
     walker = design.walker
     walk_cycles = walker._walk_cycles
     pte_nj = walker._pte_nj
-    free_queue = engine.free_queue
-    fq_free = free_queue._free
-    fq_alpha = free_queue.alpha
-    fq_allocate = free_queue.allocate
-    gipt_insert = gipt.insert
-    on_fill_v = victims.on_fill
-    maintain_alpha = engine._maintain_alpha
-    gipt_base = engine.gipt_base_page
     off_pkg = design.off_package
     off_energy = off_pkg.energy
     off_ch = off_pkg.channels
@@ -315,19 +331,6 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     ip_wb_nj = ip_energy.config.access_nj(64, 0)
     ip_page_tr = in_pkg._page_transfer_ns
     ip_fill_nj = ip_energy.config.access_nj(PAGE_BYTES, 1)
-    ip_next_refresh = in_pkg._next_refresh_ns
-
-    # GIPT posted-write device (Section 3.2: the table may live in
-    # either DRAM; off-package by default).
-    gipt_off = not engine.cache_config.gipt_in_package
-    gd = off_pkg if gipt_off else in_pkg
-    gd_banks = gd.banks.access
-    gd_free = gd.channels._free_at_ns
-    gd_bg = gd.channels._bg_until_ns
-    gd_mask = gd.channels.num_channels - 1
-    gd_tr64 = gd._block_transfer_ns
-    gd_nj0 = gd.energy.config.access_nj(64, 0)
-    gd_act_nj = gd.energy.config.act_pre_nj
 
     l1_hit_cycles = design._l1_hit_cycles
     l2_hit_cycles = design._l2_hit_cycles
@@ -335,26 +338,66 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     lines_per_page = LINES_PER_PAGE
 
     # Excess of the (tlb_cycles == 0.0, on-die L2 hit) case and of the
-    # idle-channel DRAM access (queue_ns == 0.0, whose latency is the
-    # service constant): same expressions the general path evaluates,
-    # evaluated once.  ``segment()`` divides them by each core's MLP.
+    # idle-channel DRAM-cache access (queue_ns == 0.0, whose latency is
+    # the service constant): same expressions the general path
+    # evaluates, evaluated once.  ``segment()`` divides them by each
+    # core's MLP.
     exc0_l2 = 0.0 + l2_hit_cycles - l1_hit
     l3_only0 = ip_sv * freq
     exc0_dram = 0.0 + l3_only0 - l1_hit
     l3_ns0 = l3_only0 * cycle_ns  # its demand latency, for attribution
 
-    # Order-sensitive float accumulators, seeded from their attributes
-    # (see the docstring).  Flushed/reloaded around the fallback call
-    # and stored back at exit.
-    f_off_dyn = off_energy.dynamic_nj
-    f_off_bg = off_ch.background_busy_ns
-    f_walker = walker.cycles_total
-    f_ip_dyn = ip_energy.dynamic_nj
-    f_ip_bg = ip_ch.background_busy_ns
-    f_ip_queue = ip_ch.queue_ns_total
-    f_ip_busy = ip_ch.demand_busy_ns
-    f_ip_lat = in_pkg.demand_latency_ns
+    # The one float only the frame advances for every design.
     f_l3 = design.l3_latency_cycles
+
+    if tagless:
+        access_cycles = design.access_cycles
+        handlers = design.handlers
+        engine = design.engine
+        gipt = engine.gipt
+        gipt_entries = gipt._entries
+        # FIFO ignores touches (its whole point); LRU/CLOCK need the
+        # call.
+        victims = engine.victims
+        on_touch = (None if type(victims) is FIFOVictimTracker
+                    else victims.on_touch)
+        free_queue = engine.free_queue
+        fq_free = free_queue._free
+        fq_alpha = free_queue.alpha
+        fq_allocate = free_queue.allocate
+        gipt_insert = gipt.insert
+        on_fill_v = victims.on_fill
+        maintain_alpha = engine._maintain_alpha
+        gipt_base = engine.gipt_base_page
+        ip_next_refresh = in_pkg._next_refresh_ns
+
+        # GIPT posted-write device (Section 3.2: the table may live in
+        # either DRAM; off-package by default).
+        gipt_off = not engine.cache_config.gipt_in_package
+        gd = off_pkg if gipt_off else in_pkg
+        gd_banks = gd.banks.access
+        gd_free = gd.channels._free_at_ns
+        gd_bg = gd.channels._bg_until_ns
+        gd_mask = gd.channels.num_channels - 1
+        gd_tr64 = gd._block_transfer_ns
+        gd_nj0 = gd.energy.config.access_nj(64, 0)
+        gd_act_nj = gd.energy.config.act_pre_nj
+
+        # The tagless service is inline, so the frame alone advances
+        # these too (see the docstring).  Flushed/reloaded around the
+        # fallback call and stored back at exit.
+        f_off_dyn = off_energy.dynamic_nj
+        f_off_bg = off_ch.background_busy_ns
+        f_walker = walker.cycles_total
+        f_ip_dyn = ip_energy.dynamic_nj
+        f_ip_bg = ip_ch.background_busy_ns
+        f_ip_queue = ip_ch.queue_ns_total
+        f_ip_busy = ip_ch.demand_busy_ns
+        f_ip_lat = in_pkg.demand_latency_ns
+    else:
+        refill_tlb = design._refill_tlb
+        route_writebacks = design._route_writebacks
+        service_l2_miss = design._service_l2_miss
 
     # Shared integer counters (GIPT, DRAM); per-core ones live in slots.
     n_gipt_acts = 0
@@ -408,9 +451,10 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
         tlb = design.tlbs[core_id]
         ondie = design.ondie[core_id]
         model = state.model
+        handler = handlers[core_id] if tagless else None
         slot = [
             k, core_id, 1 << core_id, ~(1 << core_id),
-            tlb.l1._map, tlb.l2._map, design.handlers[core_id],
+            tlb.l1._map, tlb.l2._map, handler,
             [s.entries for s in ondie.l1._sets],
             [s.entries for s in ondie.l2._sets],
             ondie.pending_writebacks, state, model,
@@ -419,8 +463,8 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
         # cycles, stall_cycles, handler total, same-page cache (last_vp
         # -1 never equals a virtual page number), per-core counters.
         slot.append((model.cycles, model.stall_cycles,
-                     design.handlers[core_id].cycles_total, -1, 0, 0, None,
-                     0, 0, 0, 0, 0, 0, 0))
+                     handler.cycles_total if tagless else 0.0,
+                     -1, 0, 0, None, 0, 0, 0, 0, 0, 0, 0))
         slots.append(slot)
     all_slots = slots[:]
     clocks = [slot[_RUN][0] for slot in slots]
@@ -540,7 +584,45 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
                                 # idempotent, so a superpage/NC outcome
                                 # still falls back safely.
                                 pte = table_entry(vp)
-                            if not (
+                            if not tagless:
+                                # Counted apart: n_tm inline walks,
+                                # n_fill superpage refills.
+                                if pte.superpage_order:
+                                    # The scalar refill offsets the
+                                    # frame into the superpage's run.
+                                    n_fill += 1
+                                    tlb_cycles, entry = refill_tlb(
+                                        core_id,
+                                        design.page_table(process_id),
+                                        vp, now_ns, line)
+                                    target = entry.target_page
+                                else:
+                                    # PageTableWalker.walk and the base
+                                    # _refill_tlb, inlined: the PTE
+                                    # read's energy and the walk time
+                                    # go straight to their attributes,
+                                    # which the design's service calls
+                                    # advance too.
+                                    n_tm += 1
+                                    off_energy.dynamic_nj += pte_nj
+                                    walker.cycles_total += walk_cycles
+                                    target = pte.physical_page
+                                    entry = TLBEntry(target, False)
+                                    # TLBHierarchy.install, inlined (vp
+                                    # is in neither level; no eviction
+                                    # callback).
+                                    if _len(l2_map) >= l2_cap:
+                                        evicted_vpn = _next(_iter(l2_map))
+                                        del l2_map[evicted_vpn]
+                                        l2_map[vp] = entry
+                                        l1_map.pop(evicted_vpn, None)
+                                    else:
+                                        l2_map[vp] = entry
+                                    if _len(l1_map) >= l1_cap:
+                                        del l1_map[_next(_iter(l1_map))]
+                                    l1_map[vp] = entry
+                                    tlb_cycles = walk_cycles
+                            elif not (
                                 pte.superpage_order != 0
                                 or pte.non_cacheable
                                 or pte.pending_until_ns > now_ns
@@ -836,38 +918,41 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
                             spill_entries[victim] = True
                 entries[line_key] = w
                 if pending_wb:
-                    # _route_writebacks/_writeback_line/
-                    # _async_block_write, inlined (both namespaces;
-                    # // LINES_PER_PAGE is >> 6).
                     now_ns = cycles * cycle_ns
-                    for wline in pending_wb:
-                        if wline >= PA_NAMESPACE_OFFSET:
-                            f_off_dyn += off_wb_nj
-                            n_wb_off += 1
-                            ch = (((wline - PA_NAMESPACE_OFFSET) >> 6)
-                                  & off_mask)
-                            start = now_ns
-                            if off_bg[ch] > start:
-                                start = off_bg[ch]
-                            if off_free[ch] > start:
-                                start = off_free[ch]
-                            off_bg[ch] = start + off_tr64
-                            f_off_bg += off_tr64
-                        else:
-                            wpage = wline >> 6
-                            f_ip_dyn += ip_wb_nj
-                            n_wb_ip += 1
-                            ch = wpage & ip_mask
-                            start = now_ns
-                            if ip_bg[ch] > start:
-                                start = ip_bg[ch]
-                            if ip_free[ch] > start:
-                                start = ip_free[ch]
-                            ip_bg[ch] = start + ip_tr64
-                            f_ip_bg += ip_tr64
-                            g2 = gipt_entries.get(wpage)
-                            if g2 is not None:
-                                g2.dirty = True
+                    if tagless:
+                        # _route_writebacks/_writeback_line/
+                        # _async_block_write, inlined (both namespaces;
+                        # // LINES_PER_PAGE is >> 6).
+                        for wline in pending_wb:
+                            if wline >= PA_NAMESPACE_OFFSET:
+                                f_off_dyn += off_wb_nj
+                                n_wb_off += 1
+                                ch = (((wline - PA_NAMESPACE_OFFSET) >> 6)
+                                      & off_mask)
+                                start = now_ns
+                                if off_bg[ch] > start:
+                                    start = off_bg[ch]
+                                if off_free[ch] > start:
+                                    start = off_free[ch]
+                                off_bg[ch] = start + off_tr64
+                                f_off_bg += off_tr64
+                            else:
+                                wpage = wline >> 6
+                                f_ip_dyn += ip_wb_nj
+                                n_wb_ip += 1
+                                ch = wpage & ip_mask
+                                start = now_ns
+                                if ip_bg[ch] > start:
+                                    start = ip_bg[ch]
+                                if ip_free[ch] > start:
+                                    start = ip_free[ch]
+                                ip_bg[ch] = start + ip_tr64
+                                f_ip_bg += ip_tr64
+                                g2 = gipt_entries.get(wpage)
+                                if g2 is not None:
+                                    g2.dirty = True
+                    else:
+                        route_writebacks(pending_wb, now_ns)
                 if hit_l2:
                     cycles += base_cpi
                     if tlb_cycles:
@@ -879,6 +964,25 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
                     elif st0_l2:
                         cycles += st0_l2
                         stall_cycles += st0_l2
+                    if cycles <= horizon:
+                        continue
+                    break
+
+                if not tagless:
+                    # --- The design's own L3 service, on the frame's
+                    # translation (access_cycles' L3 tail).
+                    cost = tlb_cycles + service_l2_miss(
+                        core_id, entry, vp, line, w, cycles * cycle_ns)
+                    f_l3 += cost
+                    if tq is not None:
+                        tq.l3_accesses += 1
+                        t_observe(cost * cycle_ns)
+                    cycles += base_cpi
+                    excess = cost - l1_hit
+                    if excess > 0:
+                        stall = excess / mlp
+                        cycles += stall
+                        stall_cycles += stall
                     if cycles <= horizon:
                         continue
                     break
@@ -1023,27 +1127,32 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
     active[:] = [slot[10] for slot in slots]
 
     # Float store-back (each was accumulated in scalar order).
-    off_energy.dynamic_nj = f_off_dyn
-    off_ch.background_busy_ns = f_off_bg
-    walker.cycles_total = f_walker
-    ip_energy.dynamic_nj = f_ip_dyn
-    ip_ch.background_busy_ns = f_ip_bg
-    ip_ch.queue_ns_total = f_ip_queue
-    ip_ch.demand_busy_ns = f_ip_busy
-    in_pkg.demand_latency_ns = f_ip_lat
     design.l3_latency_cycles = f_l3
+    if tagless:
+        off_energy.dynamic_nj = f_off_dyn
+        off_ch.background_busy_ns = f_off_bg
+        walker.cycles_total = f_walker
+        ip_energy.dynamic_nj = f_ip_dyn
+        ip_ch.background_busy_ns = f_ip_bg
+        ip_ch.queue_ns_total = f_ip_queue
+        ip_ch.demand_busy_ns = f_ip_busy
+        in_pkg.demand_latency_ns = f_ip_lat
 
     # Integer-counter flush (exact + commutative, hence deferrable).
     # Only the rarer outcomes were counted; the hot ones follow by
     # subtraction (every inline access is exactly one of t1/t2/tm/fill
-    # and exactly one of o1/o2/om).
+    # and exactly one of o1/o2/om).  For the other designs tm counts
+    # the inline walks and fill the superpage refills.
     tot_acc = tot_tw = tot_tm = tot_fill = tot_om = 0
     for slot in all_slots:
         core_id = slot[1]
         run = slot[_RUN]
         n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb = run[7:]
-        handler = design.handlers[core_id]
-        handler.cycles_total = run[2]
+        handler = slot[6]
+        if tagless:
+            handler.cycles_total = run[2]
+            handler.victim_hit += n_tm
+            handler.fill += n_fill
         n_acc = processed[slot[0]] - n_fb
         n_t1 = n_acc - n_t2 - n_tm - n_fill
         n_tw = n_tm + n_fill  # TLB full misses resolved inline (walks)
@@ -1056,8 +1165,6 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
         tlb.l1_hits += n_t1
         tlb.l2_hits += n_t2
         tlb.misses += n_tw
-        handler.victim_hit += n_tm
-        handler.fill += n_fill
         ondie = design.ondie[core_id]
         ondie.l1.hits += n_o1
         ondie.l1.misses += n_o2 + n_om
@@ -1073,13 +1180,18 @@ def _run_tagless_kernel(design: TaglessDesign, active, qos, budget,
         tot_fill += n_fill
         tot_om += n_om
     design.accesses += tot_acc
+    design.l3_accesses += tot_om
+    if not tagless:
+        # The superpage refills counted their own walks.
+        walker.walks += tot_tm
+        off_energy.read_bytes += 8 * tot_tm
+        return _sum(processed)
     walker.walks += tot_tw
     off_energy.read_bytes += 8 * tot_tw + PAGE_BYTES * tot_fill
     off_energy.activations += tot_fill
     engine.victim_hits += tot_tm
     engine.fills += tot_fill
     gipt.residence_updates += tot_tm + n_res_evict + 2 * tot_fill
-    design.l3_accesses += tot_om
     design.cache_accesses += tot_om
     ip_ch.requests += tot_om
     ip_energy.activations += tot_om + tot_fill

@@ -131,10 +131,10 @@ class Simulator:
 
         Replay goes through
         :func:`~repro.cpu.batched.run_interleaved_batched`, which picks
-        the execution path itself: the fused tagless kernel for every
-        core, multi-core argmin included, when the design is tagless
-        (``tagless-resizable`` too) and no event tracer or latency
-        histogram is attached, else the one replay loop
+        the execution path itself: the fused kernel for every core,
+        multi-core argmin included, for every design when no event
+        tracer or latency histogram is attached, else the one replay
+        loop
         :func:`~repro.cpu.multicore.replay` throughout.  Resize events,
         invariant sweeps and telemetry windows are replay boundaries
         that either path stops for.  Both paths are bit-identical (the
@@ -192,11 +192,10 @@ class Simulator:
         The scenario's own resize schedule (if any) is armed on designs
         that support one.  There is no warmup split: tenant arrival and
         departure *are* the phenomenon under study, so the measured
-        window is the whole schedule.  ``tagless`` and
-        ``tagless-resizable`` replay through the fused kernel,
-        per-tenant attribution included, unless an event tracer or a
-        latency histogram is attached; other designs use the reference
-        loop, with the same numbers.  Returns a
+        window is the whole schedule.  Every design replays through
+        the fused kernel, per-tenant attribution included, unless an
+        event tracer or a latency histogram is attached; then the
+        reference loop replays, with the same numbers.  Returns a
         :class:`SimulationResult` whose ``tenants`` field carries the
         per-tenant QoS breakdown (IPC, MPKI, demand-latency tail).
         """

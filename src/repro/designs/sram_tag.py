@@ -33,6 +33,10 @@ class SRAMTagDesign(L3CacheDesign):
             capacity_pages=config.cache_pages,
             config=config.sram_tag,
         )
+        # The tag probe gates every L3 access, hit or miss (Section
+        # 2.2).  Its latency is read once, not through the tag array's
+        # property chain per access: the array never resizes.
+        self._tag_cycles = float(self.tags.access_cycles)
 
     def _service_l2_miss(
         self,
@@ -44,8 +48,7 @@ class SRAMTagDesign(L3CacheDesign):
         now_ns: float,
     ) -> float:
         physical_page = entry.target_page
-        # The tag probe gates every L3 access, hit or miss (Section 2.2).
-        cycles = float(self.tags.access_cycles)
+        cycles = self._tag_cycles
 
         cache_page = self.tags.lookup(physical_page, is_write)
         if cache_page is not None:

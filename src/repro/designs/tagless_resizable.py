@@ -27,7 +27,8 @@ upper region, so ``repro check`` holds mid-schedule.  The schedule is a
 replay boundary source (:func:`repro.cpu.multicore.replay`): events are
 positioned in lifetime accesses, warmup included, and act before the
 access they are due at.  The access path is plain tagless, so the fused
-tagless kernel replays this design too, stopping for each event.
+kernel replays this design with the tagless branches, stopping for each
+event.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ class OnDieHierarchy(Counters):
 
     :meth:`access` is the plain model of the on-die probe, fill and
     spill sequence.  ``MemorySystemDesign.access_cycles`` and the fused
-    tagless kernel inline that sequence on the dict level; they surface
+    kernel inline that sequence on the dict level; they surface
     dirty L2 victims through :attr:`pending_writebacks`, a list reused
     across their miss-path accesses so the common case allocates nothing.
     ``tests/designs/test_inlined_access_path.py`` pins them to this

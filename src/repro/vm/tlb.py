@@ -106,9 +106,9 @@ class TLBHierarchy(Counters):
     """Inclusive L1+L2 TLB pair for one core.
 
     :meth:`lookup` is the plain model of the translation probe that
-    ``MemorySystemDesign.access_cycles`` and the fused tagless kernel
-    inline on the ``_map`` dicts; :meth:`install` is the refill they
-    call on a miss.
+    ``MemorySystemDesign.access_cycles`` and the fused kernel
+    inline on the ``_map`` dicts; :meth:`install` is the refill after a
+    walk, which the kernel inlines too.
     """
 
     __slots__ = ("l1", "l2", "on_l2_evict", "l1_hits", "l2_hits", "misses")

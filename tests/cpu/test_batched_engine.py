@@ -2,7 +2,7 @@
 
 ``Simulator.run`` replays through
 :func:`repro.cpu.batched.run_interleaved_batched`, which runs the fused
-tagless kernel where it applies and the reference loop
+kernel where it applies and the reference loop
 (:func:`repro.cpu.multicore.run_interleaved`) everywhere else.  These
 tests rerun each point with the simulator's replay swapped for the
 reference loop and compare the *entire* observable output -- the stats
@@ -11,10 +11,11 @@ per-core instruction/cycle/stall counts -- for every registered design,
 single- and quad-core.  The kernel owns the multi-core argmin, so the
 tagless cases then cover the interleave itself: uneven and empty cores,
 2 and 8 cores, exact clock ties, every victim policy, the GIPT in either
-DRAM, cross-core evictions and NC fallbacks in mid-burst, plus a
-fixed-seed property over drawn per-core segment lists, attributed to
+DRAM, cross-core evictions and NC fallbacks in mid-burst.  A fixed-seed
+property draws per-core segment lists and a design, attributed to
 their tenants or not (``test_scheduled.py`` covers attributed tenant
-schedules).  The golden-stats oracle additionally locks the production
+schedules), and a superpage test covers the comparators' refill
+call.  The golden-stats oracle additionally locks the production
 path against checked-in numbers.
 """
 
@@ -28,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.cpu.simulator as simulator_module
 from repro.common.config import default_system
-from repro.cpu.batched import _run_tagless_kernel, select_kernel
+from repro.cpu.batched import _run_kernel, select_kernel
 from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.cpu.scheduled import TenantQoS
 from repro.cpu.simulator import Simulator
@@ -99,14 +100,20 @@ def _fresh(design):
 
 @pytest.mark.parametrize("design", ALL_DESIGN_NAMES)
 def test_select_kernel_only_for_plain_tagless(design):
-    """The kernel replays the tagless designs, the resizable one
-    included (its schedule is a replay boundary), when nothing is
-    attached; every other design takes the reference loop."""
-    kernel = select_kernel(_fresh(design))
+    """The kernel replays every design when nothing is attached, the
+    resizable one included (its schedule is a replay boundary).  Of
+    the tagless designs it replays only plain ones: footprint caching
+    stands it down there; the other designs ignore that knob."""
+    assert select_kernel(_fresh(design)) is _run_kernel
+    config = default_system(cache_megabytes=256, num_cores=1,
+                            capacity_scale=64)
+    config = dataclasses.replace(config, dram_cache=dataclasses.replace(
+        config.dram_cache, footprint_caching=True))
+    kernel = select_kernel(create_design(design, config))
     if design in ("tagless", "tagless-resizable"):
-        assert kernel is not None
-    else:
         assert kernel is None
+    else:
+        assert kernel is _run_kernel
 
 
 @pytest.mark.parametrize("design", ALL_DESIGN_NAMES)
@@ -152,7 +159,7 @@ def test_installed_checker_keeps_the_kernel(monkeypatch):
     bindings = [(b.core_id, b.trace.name, [(None, b.process_id, b.trace)])
                 for b in _quad_core_bindings()]
     outcomes = []
-    for kernel in (_run_tagless_kernel, None):
+    for kernel in (_run_kernel, None):
         design = create_design("tagless", _config())
         checker = InvariantChecker(design, every=250)
         checker.install()
@@ -168,7 +175,7 @@ def test_installed_checker_keeps_the_kernel(monkeypatch):
     assert fallbacks < 600  # the sweeps' accesses plus the kernel's own
     plain = create_design("tagless", _config())
     assert _replay_outcome(plain, bindings,
-                           _kernel=_run_tagless_kernel) == kernel_run
+                           _kernel=_run_kernel) == kernel_run
 
 
 def test_observed_batched_run_stays_identical():
@@ -322,7 +329,7 @@ def _kernel_and_reference_replays(make_design, cores, tenants=None,
     design from ``make_design()``: one :func:`_replay_outcome` each."""
     return [_replay_outcome(make_design(), cores, tenants, _kernel=kernel,
                             **replay_kwargs)
-            for kernel in (_run_tagless_kernel, None)]
+            for kernel in (_run_kernel, None)]
 
 
 def test_kernel_clock_tie_goes_to_the_earlier_core():
@@ -422,15 +429,15 @@ def _drawn_windows(draw):
     return TimeseriesRecorder(draw(st.integers(20, 5_000)), "cycles")
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(drawn=_drawn_cores(), data=st.data())
 def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     """The kernel equals the reference loop on drawn segment lists, on
-    ``tagless`` or on ``tagless-resizable`` with a drawn resize
-    schedule, with 0-60 drawn pages pinned NC; and again with invariant
-    sweeps every 1-200 accesses and drawn telemetry windows, which the
-    kernel stops for: same sweeps, same windows, the numbers of the
-    unvalidated run.
+    a drawn design: ``tagless-resizable`` with a drawn resize schedule,
+    either tagless design with 0-60 drawn pages pinned NC; and again
+    with invariant sweeps every 1-200 accesses and drawn telemetry
+    windows, which the kernel stops for: same sweeps, same windows, the
+    numbers of the unvalidated run.
 
     The examples depend on which test modules are collected: Hypothesis
     (6.155) also draws literal constants gathered from the loaded
@@ -441,20 +448,23 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     config = _SMALL[len(cores)]
     accesses = sum(len(trace) for _, _, segments in cores
                    for _, _, trace in segments)
-    name, schedule, max_remap = "tagless", (), 0
-    if data.draw(st.booleans(), label="resizable"):
-        name = "tagless-resizable"
+    name = data.draw(st.sampled_from(ALL_DESIGN_NAMES), label="design")
+    schedule, max_remap, pins = (), 0, []
+    if name == "tagless-resizable":
         schedule, max_remap = data.draw(_drawn_resizes(config, accesses),
                                         label="resizes")
     period = data.draw(st.integers(1, 200), label="check period")
     windows = data.draw(_drawn_windows(), label="windows")
-    # The count is drawn first: a plain list draw stays at 0-1 pins in
-    # most examples, and then hardly any access meets a pinned page.
-    count = data.draw(st.integers(0, 60), label="NC pin count")
-    pins = data.draw(st.lists(st.tuples(st.integers(0, len(cores) - 1),
-                                        st.integers(0, 399)),
-                              min_size=count, max_size=count),
-                     label="NC pins")
+    if name.startswith("tagless"):
+        # The count is drawn first: a plain list draw stays at 0-1 pins
+        # in most examples, and then hardly any access meets a pinned
+        # page.
+        count = data.draw(st.integers(0, 60), label="NC pin count")
+        pins = data.draw(
+            st.lists(st.tuples(st.integers(0, len(cores) - 1),
+                               st.integers(0, 399)),
+                     min_size=count, max_size=count),
+            label="NC pins")
 
     def make_design():
         design = create_design(name, config)
@@ -469,14 +479,13 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
         make_design, cores, tenants, **switch)
     assert kernel == reference
     validated = []
-    for path in (_run_tagless_kernel, None):
+    for path in (_run_kernel, None):
         design = make_design()
         checker = InvariantChecker(design, every=period)
         checker.install()
         recorder = copy.deepcopy(windows)
         recorder.install(design)
-        if path is not None:
-            assert select_kernel(design) is path
+        assert select_kernel(design) is _run_kernel
         outcome = _replay_outcome(design, cores, tenants, _kernel=path,
                                   **switch)
         recorder.finalize()
@@ -485,6 +494,27 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     assert validated[0] == validated[1]
     assert validated[0][0] == kernel
     assert validated[0][1] == accesses // period + 1
+
+
+@pytest.mark.parametrize("design_name", [
+    name for name in ALL_DESIGN_NAMES if not name.startswith("tagless")])
+def test_comparator_replays_a_superpage_on_the_kernel(design_name):
+    """Pages 64-127 are one superpage: a TLB miss inside it calls the
+    design's own ``_refill_tlb``, which offsets the frame into the
+    contiguous run; the kernel walks every other page inline."""
+    def mapped():
+        design = create_design(design_name, _SMALL[1])
+        design.page_table(0).map_superpage(64, 6)
+        return design
+
+    rng = np.random.default_rng(3)
+    pages = rng.integers(0, 192, 2_000)
+    lines = rng.integers(0, 64, 2_000)
+    cores = [(0, "superpage", [(None, 0, _trace(pages, lines))])]
+    assert select_kernel(mapped()) is _run_kernel
+    kernel, reference = _kernel_and_reference_replays(mapped, cores)
+    assert kernel == reference
+    assert reference[1]["core0_tlb_misses"] > 64
 
 
 def _cpi_trace(name, n, gap, cpi):
@@ -523,7 +553,7 @@ def test_kernel_stops_for_cycle_windows_across_a_cpi_change():
     cores = [(0, "cpi", [("A", 0, _cpi_trace("first", 4, 0, 1.0)),
                          ("A", 0, _cpi_trace("second", 200, 40, 0.25))])]
     observed = []
-    for path in (_run_tagless_kernel, None):
+    for path in (_run_kernel, None):
         design = create_design("tagless", _SMALL[1])
         recorder = TimeseriesRecorder(100, "cycles")
         recorder.install(design)

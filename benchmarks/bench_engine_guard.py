@@ -35,12 +35,12 @@ The default floor (1.5x on the smoke workload, for the default
 tripwire for "someone put per-access work back on the kernel path" (or
 silently stopped selecting the kernel), not a performance contract for
 a particular machine.  The five comparators call their own L3 service
-from the kernel, so they gain less (1.3-1.7x on the smoke workloads)
-and CI guards them at 1.15x.  The
-design's whole ``stats()`` dictionary and every core's IPC are compared
-exactly across the two paths as a free correctness canary (plus every
-tenant's QoS dictionary on a scenario) -- a guard run that got faster by
-diverging is a failure, not a win.
+from the kernel, so they gain less (1.2-1.8x on the smoke workloads)
+and CI guards them at 1.15x.  The design's whole ``stats()`` dictionary
+and every core's IPC are compared exactly across the two paths as a
+free correctness canary (plus every tenant's QoS dictionary on a
+scenario) -- a guard run that got faster by diverging is a failure, not
+a win.
 """
 
 from __future__ import annotations

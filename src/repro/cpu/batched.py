@@ -1148,14 +1148,14 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         core_id = slot[1]
         run = slot[_RUN]
         n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb = run[7:]
-        handler = slot[6]
         if tagless:
+            handler = slot[6]
             handler.cycles_total = run[2]
             handler.victim_hit += n_tm
             handler.fill += n_fill
         n_acc = processed[slot[0]] - n_fb
         n_t1 = n_acc - n_t2 - n_tm - n_fill
-        n_tw = n_tm + n_fill  # TLB full misses resolved inline (walks)
+        n_tw = n_tm + n_fill  # TLB full misses (each walked)
         n_om = n_acc - n_o1 - n_o2
         tlb = design.tlbs[core_id]
         tlb.l1.hits += n_t1

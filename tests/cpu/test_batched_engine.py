@@ -501,20 +501,28 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
 def test_comparator_replays_a_superpage_on_the_kernel(design_name):
     """Pages 64-127 are one superpage: a TLB miss inside it calls the
     design's own ``_refill_tlb``, which offsets the frame into the
-    contiguous run; the kernel walks every other page inline."""
+    contiguous run; the kernel walks every other page inline.  Half the
+    accesses write, over more lines than the on-die L2 holds, so dirty
+    victims go through the design's write-back routing."""
     def mapped():
         design = create_design(design_name, _SMALL[1])
         design.page_table(0).map_superpage(64, 6)
         return design
 
     rng = np.random.default_rng(3)
-    pages = rng.integers(0, 192, 2_000)
-    lines = rng.integers(0, 64, 2_000)
-    cores = [(0, "superpage", [(None, 0, _trace(pages, lines))])]
+    trace = AccessTrace(
+        name="superpage",
+        virtual_pages=rng.integers(0, 192, 8_000),
+        lines=rng.integers(0, 64, 8_000).astype(np.int16),
+        writes=rng.random(8_000) < 0.5,
+        instruction_gaps=np.zeros(8_000, dtype=np.int64),
+    )
+    cores = [(0, "superpage", [(None, 0, trace)])]
     assert select_kernel(mapped()) is _run_kernel
     kernel, reference = _kernel_and_reference_replays(mapped, cores)
     assert kernel == reference
     assert reference[1]["core0_tlb_misses"] > 64
+    assert reference[1]["core0_ondie_writebacks"] > 0
 
 
 def _cpi_trace(name, n, gap, cpi):

@@ -30,12 +30,14 @@ from repro.harness.runner import Harness
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 FIGURE_NAMES = tuple(FIGURES)
 #: Per-core trace length of the figure goldens (the CI parallel check
-#: reruns fig9 and ablation_footprint at this length).
+#: reruns fig9 at this length).
 GOLDEN_ACCESSES = 600
 #: Figures pinned at another length, where 600 accesses leave a factor
 #: without effect: at 600, every alpha level evicts nothing and prints
-#: one identical row; at 12,000 the levels evict 7/10/22/74 pages.
-GOLDEN_LENGTHS = {"ablation_alpha": 12_000}
+#: one identical row (at 12,000 the levels evict 7/10/22/74 pages), and
+#: footprint caching never misses, so its rows match the full fills
+#: (the CI parallel check reruns ablation_footprint at 12,000).
+GOLDEN_LENGTHS = {"ablation_alpha": 12_000, "ablation_footprint": 12_000}
 VALIDATE_ACCESSES = 2000
 
 
@@ -111,6 +113,22 @@ def test_every_alpha_level_renders_its_own_row():
             if line.split(None, 1)[0].isdigit()]
     assert len(rows) == 4
     assert len(set(rows)) == len(rows)
+
+
+def test_footprint_rows_differ_where_footprints_miss():
+    """The footprint golden runs the partial-size fill and stream paths:
+    at 256 MB the footprint row misses and reads less off package than
+    the full-fill row.  At 512 MB MIX5 fits in the cache and the two
+    rows match (measured at 12,000 accesses)."""
+    rows = {}
+    for line in _golden("ablation_footprint.txt").splitlines():
+        cells = line.split()
+        if cells and cells[0].endswith("MB") and cells[0][:-2].isdigit():
+            rows[(cells[0], cells[1])] = cells[2:]
+    assert len(rows) == 4
+    assert rows[("256MB", "full-fill")] != rows[("256MB", "footprint")]
+    assert float(rows[("256MB", "footprint")][2]) > 0
+    assert rows[("512MB", "full-fill")] == rows[("512MB", "footprint")]
 
 
 @pytest.mark.parametrize("figure", FIGURE_NAMES)

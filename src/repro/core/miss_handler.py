@@ -64,6 +64,8 @@ class CTLBMissHandler(Counters):
         self.engine = engine
         self.walker = walker
         self.core_config = core_config
+        #: ns -> cycles (CoreConfig.cycles_from_ns's multiply).
+        self._freq = core_config.frequency_ghz
         for outcome in MissOutcome:
             setattr(self, outcome.value, 0)
         self.bypass = 0
@@ -106,9 +108,7 @@ class CTLBMissHandler(Counters):
         # PU busy-wait: another thread's fill for this page is in flight.
         waited = False
         if pte.pending_until_ns > now_ns:
-            cycles += self.core_config.cycles_from_ns(
-                pte.pending_until_ns - now_ns
-            )
+            cycles += (pte.pending_until_ns - now_ns) * self._freq
             waited = True
 
         if pte.valid_in_cache:
@@ -131,7 +131,7 @@ class CTLBMissHandler(Counters):
         )
         pte.pending_until_ns = now_ns + fill_ns
         pte.pending_update = False
-        cycles += self.core_config.cycles_from_ns(fill_ns)
+        cycles += fill_ns * self._freq
 
         self.engine.gipt.set_resident(cache_page, self.core_id)
         self.ctlb.install_cache_mapping(virtual_page, cache_page)

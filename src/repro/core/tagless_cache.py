@@ -91,6 +91,8 @@ class TaglessCacheEngine(Counters):
         #: ``free < alpha`` as a violation if the deficit legitimately
         #: predates the reset.
         self._alpha_deficit_ever = False
+        #: Energy of the 8 B PTE rewrite that completes an eviction.
+        self._pte_write_nj = off_package.energy.config.access_nj(8, 0)
 
     # ------------------------------------------------------------------
     # Fill path (cTLB miss, page not cached) -- the shaded path of Fig. 4
@@ -195,12 +197,7 @@ class TaglessCacheEngine(Counters):
             now_ns, entry.physical_page
         )
         # Lay the block into the cache behind the demand read.
-        self.in_package.channels.occupy_background(
-            self.in_package.channels.channel_of_page(cache_page),
-            now_ns,
-            self.in_package.timing.transfer_ns(64),
-        )
-        self.in_package.energy.charge(64, 0, is_write=True)
+        self.in_package.write_back_block(now_ns, cache_page)
         return latency_ns
 
     def note_victim_hit(self, cache_page: int) -> None:
@@ -269,9 +266,12 @@ class TaglessCacheEngine(Counters):
                 self.footprint.record(
                     entry.physical_page, entry.touched_mask
                 )
-            # Recover the PPN from the GIPT and rewrite the PTE.
+            # Recover the PPN from the GIPT and rewrite the PTE: an
+            # 8 B write (EnergyAccount.charge inlined, no activation).
             entry.pte.evict_from_cache()
-            self.off_package.energy.charge(8, 0, is_write=True)
+            pte_energy = self.off_package.energy
+            pte_energy.dynamic_nj += self._pte_write_nj
+            pte_energy.write_bytes += 8
             self.victims.on_evicted(cache_page)
             self.free_queue.mark_free(cache_page)
 

@@ -304,12 +304,12 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_free = off_ch._free_at_ns
     off_bg = off_ch._bg_until_ns
     off_mask = off_ch.num_channels - 1  # pow2, per select_kernel
-    off_tr64 = off_pkg.timing.transfer_ns(64)
-    off_wb_nj = off_energy.config.access_nj(64, 0)
+    off_tr64 = off_pkg._block_transfer_ns
+    off_wb_nj = off_pkg._block_wb_nj
     off_sv = off_pkg._block_service_ns
     off_page_tr = off_pkg._page_transfer_ns
     off_preempt = off_ch.preemption_ns
-    off_fill_nj = off_energy.config.access_nj(PAGE_BYTES, 1)
+    off_fill_nj = off_pkg._page_nj
 
     ondie0 = design.ondie[0]
     ol1_mask = ondie0.l1.num_sets - 1  # pow2, per select_kernel
@@ -327,10 +327,9 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     ip_tr = in_pkg._block_transfer_ns
     ip_sv = in_pkg._block_service_ns
     ip_nj = in_pkg._block_nj
-    ip_tr64 = in_pkg.timing.transfer_ns(64)
-    ip_wb_nj = ip_energy.config.access_nj(64, 0)
+    ip_wb_nj = in_pkg._block_wb_nj
     ip_page_tr = in_pkg._page_transfer_ns
-    ip_fill_nj = ip_energy.config.access_nj(PAGE_BYTES, 1)
+    ip_fill_nj = in_pkg._page_nj
 
     l1_hit_cycles = design._l1_hit_cycles
     l2_hit_cycles = design._l2_hit_cycles
@@ -380,7 +379,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         gd_bg = gd.channels._bg_until_ns
         gd_mask = gd.channels.num_channels - 1
         gd_tr64 = gd._block_transfer_ns
-        gd_nj0 = gd.energy.config.access_nj(64, 0)
+        gd_nj0 = gd._block_wb_nj
         gd_act_nj = gd.energy.config.act_pre_nj
 
         # The tagless service is inline, so the frame alone advances
@@ -921,8 +920,8 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                     now_ns = cycles * cycle_ns
                     if tagless:
                         # _route_writebacks/_writeback_line/
-                        # _async_block_write, inlined (both namespaces;
-                        # // LINES_PER_PAGE is >> 6).
+                        # DRAMDevice.write_back_block, inlined (both
+                        # namespaces; // LINES_PER_PAGE is >> 6).
                         for wline in pending_wb:
                             if wline >= PA_NAMESPACE_OFFSET:
                                 f_off_dyn += off_wb_nj
@@ -946,8 +945,8 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     start = ip_bg[ch]
                                 if ip_free[ch] > start:
                                     start = ip_free[ch]
-                                ip_bg[ch] = start + ip_tr64
-                                f_ip_bg += ip_tr64
+                                ip_bg[ch] = start + ip_tr
+                                f_ip_bg += ip_tr
                                 g2 = gipt_entries.get(wpage)
                                 if g2 is not None:
                                     g2.dirty = True

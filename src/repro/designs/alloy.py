@@ -45,11 +45,9 @@ class AlloyCacheDesign(L3CacheDesign):
         total_lines = config.cache_pages * LINES_PER_PAGE
         #: Usable block slots after the TAD tag tax.
         self.num_blocks = max(1, int(total_lines * (1 - TAG_CAPACITY_TAX)))
-        #: slot -> (physical line, dirty)
+        #: slot -> (physical line, dirty); a line's slot is
+        #: ``line % num_blocks``.
         self._slots: Dict[int, Tuple[int, bool]] = {}
-
-    def _slot_of(self, line: int) -> int:
-        return line % self.num_blocks
 
     def _service_l2_miss(
         self,
@@ -60,48 +58,41 @@ class AlloyCacheDesign(L3CacheDesign):
         is_write: bool,
         now_ns: float,
     ) -> float:
-        line = entry.target_page * LINES_PER_PAGE + line_index
-        slot = self._slot_of(line)
+        page = entry.target_page
+        line = page * LINES_PER_PAGE + line_index
+        slot = line % self.num_blocks
         # One in-package access always: the TAD read returns tag+data.
-        probe_ns = self.in_package.access_block(
-            now_ns, line // LINES_PER_PAGE, is_write
-        )
-        resident = self._slots.get(slot)
+        probe_ns = self.in_package.access_block(now_ns, page, is_write)
+        slots = self._slots
+        resident = slots.get(slot)
         if resident is not None and resident[0] == line:
             self.l3_hits += 1
-            self._slots[slot] = (line, resident[1] or is_write)
-            return self.core_cfg.cycles_from_ns(probe_ns)
+            if is_write and not resident[1]:
+                slots[slot] = (line, True)
+            return probe_ns * self._freq
 
         # Miss: fetch the block from off-package DRAM, install it, and
         # write back the dirty victim (both off the critical path except
         # the demand block itself).
         self.l3_misses += 1
         if resident is not None and resident[1]:
-            self._async_block_write(
-                self.off_package, resident[0] // LINES_PER_PAGE, now_ns
+            self.off_package.write_back_block(
+                now_ns, resident[0] // LINES_PER_PAGE
             )
             self.l3_writebacks += 1
-        fill_ns = self.off_package.access_block(
-            now_ns, line // LINES_PER_PAGE, is_write=False
-        )
-        self._async_block_write(
-            self.in_package, line // LINES_PER_PAGE, now_ns
-        )
-        self._slots[slot] = (line, is_write)
-        return self.core_cfg.cycles_from_ns(probe_ns + fill_ns)
+        fill_ns = self.off_package.access_block(now_ns, page, False)
+        self.in_package.write_back_block(now_ns, page)
+        slots[slot] = (line, is_write)
+        return (probe_ns + fill_ns) * self._freq
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
-        slot = self._slot_of(line)
+        slot = line % self.num_blocks
         resident = self._slots.get(slot)
         if resident is not None and resident[0] == line:
             self._slots[slot] = (line, True)
-            self._async_block_write(
-                self.in_package, line // LINES_PER_PAGE, now_ns
-            )
+            self.in_package.write_back_block(now_ns, line // LINES_PER_PAGE)
         else:
-            self._async_block_write(
-                self.off_package, line // LINES_PER_PAGE, now_ns
-            )
+            self.off_package.write_back_block(now_ns, line // LINES_PER_PAGE)
 
     def effective_capacity_fraction(self) -> float:
         """Usable data fraction of the in-package DRAM (Table 2's 'small

@@ -57,15 +57,15 @@ class BankInterleavingDesign(MemorySystemDesign):
             latency_ns = self.off_package.access_block(
                 now_ns, page - self.in_package_pages, is_write
             )
-        return self.core_cfg.cycles_from_ns(latency_ns)
+        return latency_ns * self._freq
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
         page = line // LINES_PER_PAGE
         if self.is_in_package(page):
-            self._async_block_write(self.in_package, page, now_ns)
+            self.in_package.write_back_block(now_ns, page)
         else:
-            self._async_block_write(
-                self.off_package, page - self.in_package_pages, now_ns
+            self.off_package.write_back_block(
+                now_ns, page - self.in_package_pages
             )
 
     def stats(self) -> dict:

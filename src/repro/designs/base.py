@@ -130,6 +130,9 @@ class MemorySystemDesign(Counters):
         # is only ever called on rare paths (TLB refills, evictions).
         self.trace_event = null_event
         self._cycle_time_ns = 1.0 / config.core.frequency_ghz
+        # ns -> core cycles (CoreConfig.cycles_from_ns's multiply,
+        # without the call): ``latency_ns * self._freq``.
+        self._freq = config.core.frequency_ghz
 
         # Replay boundaries (repro.cpu.multicore.replay): the sources,
         # in install order, and the lifetime access count they sit in
@@ -397,16 +400,7 @@ class MemorySystemDesign(Counters):
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
         """Default: dirty lines go home to off-package physical memory."""
-        self._async_block_write(self.off_package, line // LINES_PER_PAGE, now_ns)
-
-    @staticmethod
-    def _async_block_write(device: DRAMDevice, page: int, now_ns: float) -> None:
-        """A 64 B write nobody waits on: bus time + energy, no latency."""
-        device.energy.charge(64, 0, is_write=True)
-        channel = device.channels.channel_of_page(page)
-        device.channels.occupy_background(
-            channel, now_ns, device.timing.transfer_ns(64)
-        )
+        self.off_package.write_back_block(now_ns, line // LINES_PER_PAGE)
 
     # ------------------------------------------------------------------
     # Validation (repro.validate)

@@ -7,6 +7,7 @@ how much headroom remains above the tagless cache.
 
 from __future__ import annotations
 
+from repro.common.addressing import LINES_PER_PAGE
 from repro.designs.base import MemorySystemDesign
 from repro.vm.tlb import TLBEntry
 
@@ -30,9 +31,7 @@ class IdealDesign(MemorySystemDesign):
         latency_ns = self.in_package.access_block(
             now_ns, entry.target_page, is_write
         )
-        return self.core_cfg.cycles_from_ns(latency_ns)
+        return latency_ns * self._freq
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
-        from repro.common.addressing import LINES_PER_PAGE
-
-        self._async_block_write(self.in_package, line // LINES_PER_PAGE, now_ns)
+        self.in_package.write_back_block(now_ns, line // LINES_PER_PAGE)

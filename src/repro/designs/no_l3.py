@@ -27,4 +27,4 @@ class NoL3Design(MemorySystemDesign):
         latency_ns = self.off_package.access_block(
             now_ns, entry.target_page, is_write
         )
-        return self.core_cfg.cycles_from_ns(latency_ns)
+        return latency_ns * self._freq

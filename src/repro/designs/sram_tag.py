@@ -56,7 +56,7 @@ class SRAMTagDesign(L3CacheDesign):
             latency_ns = self.in_package.access_block(
                 now_ns, cache_page, is_write
             )
-            return cycles + self.core_cfg.cycles_from_ns(latency_ns)
+            return cycles + latency_ns * self._freq
 
         self.l3_misses += 1
         cache_page, eviction = self.tags.insert(physical_page, dirty=is_write)
@@ -78,7 +78,7 @@ class SRAMTagDesign(L3CacheDesign):
         self.in_package.stream_page(
             now_ns, cache_page, is_write=True, asynchronous=True
         )
-        return cycles + self.core_cfg.cycles_from_ns(fill_ns)
+        return cycles + fill_ns * self._freq
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
         """Dirty on-die victims land in the DRAM cache when the page is
@@ -88,9 +88,9 @@ class SRAMTagDesign(L3CacheDesign):
             cache_page = self.tags.lookup(page, is_write=True)
             # lookup() counted a probe; that is faithful -- the write-back
             # must locate the page in the cache too.
-            self._async_block_write(self.in_package, cache_page, now_ns)
+            self.in_package.write_back_block(now_ns, cache_page)
         else:
-            self._async_block_write(self.off_package, page, now_ns)
+            self.off_package.write_back_block(now_ns, page)
 
     # ------------------------------------------------------------------
     # Energy hooks

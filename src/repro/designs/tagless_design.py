@@ -155,7 +155,7 @@ class TaglessDesign(MemorySystemDesign):
             latency_ns = self.off_package.access_block(
                 now_ns, entry.target_page, is_write
             )
-            return self.core_cfg.cycles_from_ns(latency_ns)
+            return latency_ns * self._freq
 
         cache_page = entry.target_page
         engine = self.engine
@@ -186,15 +186,15 @@ class TaglessDesign(MemorySystemDesign):
             latency_ns = 0.0
         # No tag check: the cache address is final.  One in-package access.
         latency_ns += self.in_package.access_block(now_ns, cache_page, is_write)
-        return self.core_cfg.cycles_from_ns(latency_ns)
+        return latency_ns * self._freq
 
     def _writeback_line(self, line: int, now_ns: float) -> None:
         if line >= PA_NAMESPACE_OFFSET:
             page = (line - PA_NAMESPACE_OFFSET) // LINES_PER_PAGE
-            self._async_block_write(self.off_package, page, now_ns)
+            self.off_package.write_back_block(now_ns, page)
             return
         cache_page = line // LINES_PER_PAGE
-        self._async_block_write(self.in_package, cache_page, now_ns)
+        self.in_package.write_back_block(now_ns, cache_page)
         gipt_entry = self.engine.gipt.lookup(cache_page)
         if gipt_entry is not None:
             gipt_entry.dirty = True

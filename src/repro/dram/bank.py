@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.common.addressing import CACHE_LINE_BYTES
 from repro.common.config import DRAMTimingConfig
 from repro.common.stats import Counters
 
@@ -23,7 +24,9 @@ class BankArray(Counters):
     then activate)?
     """
 
-    __slots__ = ("timing", "_open_rows", "row_hits", "row_misses", "row_empties")
+    __slots__ = ("timing", "_open_rows", "row_hits", "row_misses",
+                 "row_empties", "_total_banks", "_block_hit_ns",
+                 "_block_empty_ns", "_block_miss_ns")
 
     COUNTERS = ("row_hits", "row_misses", "row_empties")
 
@@ -33,10 +36,16 @@ class BankArray(Counters):
         self.row_hits = 0
         self.row_misses = 0
         self.row_empties = 0
+        # Hoisted per-device constants: the bank count and the 64 B
+        # latencies every caller of access() asks for.
+        self._total_banks = timing.total_banks
+        self._block_hit_ns = timing.row_hit_ns(CACHE_LINE_BYTES)
+        self._block_empty_ns = timing.row_empty_ns(CACHE_LINE_BYTES)
+        self._block_miss_ns = timing.row_miss_ns(CACHE_LINE_BYTES)
 
     def bank_of_page(self, page_number: int) -> int:
         """Bank index a page maps to (modulo interleaving)."""
-        return page_number % self.timing.total_banks
+        return page_number % self._total_banks
 
     def open_row(self, bank: int) -> Optional[int]:
         """Page number currently open in ``bank``, or None if precharged."""
@@ -51,17 +60,22 @@ class BankArray(Counters):
             Core-visible latency of the access and the number of
             activate+precharge pairs it incurred (for energy accounting).
         """
-        bank = self.bank_of_page(page_number)
-        current = self._open_rows.get(bank)
+        bank = page_number % self._total_banks
+        open_rows = self._open_rows
+        current = open_rows.get(bank)
+        block = num_bytes == CACHE_LINE_BYTES
         if current == page_number:
             self.row_hits += 1
-            return self.timing.row_hit_ns(num_bytes), 0
-        self._open_rows[bank] = page_number
+            return (self._block_hit_ns if block
+                    else self.timing.row_hit_ns(num_bytes)), 0
+        open_rows[bank] = page_number
         if current is None:
             self.row_empties += 1
-            return self.timing.row_empty_ns(num_bytes), 1
+            return (self._block_empty_ns if block
+                    else self.timing.row_empty_ns(num_bytes)), 1
         self.row_misses += 1
-        return self.timing.row_miss_ns(num_bytes), 1
+        return (self._block_miss_ns if block
+                else self.timing.row_miss_ns(num_bytes)), 1
 
     def precharge_all(self) -> None:
         """Close every row (used between independent experiment phases)."""

@@ -66,7 +66,10 @@ class ChannelScheduler:
             start = now_ns
         bg_until = self._bg_until_ns[channel]
         if bg_until > start:
-            start = min(bg_until, start + self.preemption_ns)
+            # Preempt the burst: min(bg_until, start + preemption_ns).
+            start += self.preemption_ns
+            if bg_until < start:
+                start = bg_until
         queue_ns = start - now_ns
         self._free_at_ns[channel] = start + busy_ns
         self.queue_ns_total += queue_ns
@@ -84,10 +87,15 @@ class ChannelScheduler:
         """Buffer bus time for traffic nobody waits on (write-backs,
         lay-ins).  Drains behind demand traffic; delays demand by at most
         the preemption window."""
-        start = max(
-            now_ns, self._bg_until_ns[channel], self._free_at_ns[channel]
-        )
-        self._bg_until_ns[channel] = start + busy_ns
+        # max(now_ns, background tail, demand tail), as comparisons.
+        bg_until = self._bg_until_ns
+        start = now_ns
+        if bg_until[channel] > start:
+            start = bg_until[channel]
+        free_at = self._free_at_ns[channel]
+        if free_at > start:
+            start = free_at
+        bg_until[channel] = start + busy_ns
         self.background_busy_ns += busy_ns
 
     def free_at(self, channel: int) -> float:

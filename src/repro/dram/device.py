@@ -1,16 +1,28 @@
 """Facade combining bank, channel and energy models into one DRAM device.
 
-The rest of the simulator talks to DRAM exclusively through two verbs:
+The rest of the simulator talks to DRAM exclusively through five verbs:
 
 - :meth:`DRAMDevice.access_block` -- a demand 64 B read or write (an on-die
   cache miss being serviced);
-- :meth:`DRAMDevice.stream_page` -- a 4 KB bulk transfer (cache fill or
+- :meth:`DRAMDevice.fill_page` -- a demand page fill, critical block
+  first;
+- :meth:`DRAMDevice.stream_page` -- a 4 KB bulk transfer (cache lay-in or
   write-back), which is what page-granularity caching turns most
-  off-package traffic into.
+  off-package traffic into;
+- :meth:`DRAMDevice.posted_write_block` -- a 64 B posted store (GIPT
+  updates);
+- :meth:`DRAMDevice.write_back_block` -- a 64 B background write (dirty
+  on-die victims, block lay-ins).
 
-Both return the core-visible latency in nanoseconds; both may instead be
-*asynchronous*, in which case bus time and energy are charged but the
-caller observes zero latency (the tagless design's free-queue evictions).
+The demand verbs return the core-visible latency in nanoseconds;
+background traffic charges bus time and energy but the caller observes
+no latency (the tagless design's free-queue evictions).  Each verb's
+timing and energy constants are computed once in ``__init__`` with the
+expressions the general formulas evaluate, and its energy charge is
+written inline (the two 64 B hot paths, ``access_block`` and
+``write_back_block``, inline the channel reservation too), so the
+floats match the ``ChannelScheduler``/``EnergyAccount`` composition bit
+for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +72,15 @@ class DRAMDevice(Counters):
             timing.row_empty_ns(CACHE_LINE_BYTES) + timing.controller_ns
         )
         self._block_nj = energy.access_nj(CACHE_LINE_BYTES, 1)
-        # Full-page transfer time, for the fill/stream paths (footprint
-        # fills pass other sizes and take the computed branch).
+        # A 64 B access that activates no row (a row hit, or a write
+        # nobody waits on).
+        self._block_wb_nj = energy.access_nj(CACHE_LINE_BYTES, 0)
+        self._block_row_empty_ns = timing.row_empty_ns(CACHE_LINE_BYTES)
+        # Full-page transfer time and energy (one activation), for the
+        # fill/stream paths (footprint fills pass other sizes and take
+        # the computed branch).
         self._page_transfer_ns = timing.transfer_ns(PAGE_BYTES)
+        self._page_nj = energy.access_nj(PAGE_BYTES, 1)
 
     def _catch_up_refresh(self, now_ns: float) -> None:
         """Issue every refresh due by ``now_ns`` (tREFI cadence, tRFC
@@ -108,13 +126,14 @@ class DRAMDevice(Counters):
                 page_number, CACHE_LINE_BYTES
             )
             service_ns += self.timing.controller_ns
-            return self._finish_demand(
-                now_ns, page_number, CACHE_LINE_BYTES, is_write, service_ns,
-                activations,
-            )
-        # Closed-page fast path: every timing/energy quantity is a
-        # per-device constant, and the channel reservation
-        # (ChannelScheduler.occupy) is inlined verbatim.
+            nj = self._block_nj if activations else self._block_wb_nj
+        else:
+            # Closed page: every timing/energy quantity is a per-device
+            # constant.
+            service_ns = self._block_service_ns
+            activations = 1
+            nj = self._block_nj
+        # ChannelScheduler.occupy, inlined.
         channels = self.channels
         channel = page_number % channels.num_channels
         free_at = channels._free_at_ns
@@ -123,20 +142,23 @@ class DRAMDevice(Counters):
             start = now_ns
         bg_until = channels._bg_until_ns[channel]
         if bg_until > start:
-            start = min(bg_until, start + channels.preemption_ns)
+            start += channels.preemption_ns
+            if bg_until < start:
+                start = bg_until
         queue_ns = start - now_ns
         free_at[channel] = start + self._block_transfer_ns
         channels.queue_ns_total += queue_ns
         channels.requests += 1
         channels.demand_busy_ns += self._block_transfer_ns
+        # EnergyAccount.charge, inlined.
         energy = self.energy
-        energy.dynamic_nj += self._block_nj
-        energy.activations += 1
+        energy.dynamic_nj += nj
+        energy.activations += activations
         if is_write:
             energy.write_bytes += CACHE_LINE_BYTES
         else:
             energy.read_bytes += CACHE_LINE_BYTES
-        latency = queue_ns + self._block_service_ns
+        latency = queue_ns + service_ns
         self.demand_accesses += 1
         self.demand_latency_ns += latency
         histogram = self.latency_histogram
@@ -160,14 +182,41 @@ class DRAMDevice(Counters):
                 page_number, CACHE_LINE_BYTES
             )
         else:
-            service_ns = self.timing.row_empty_ns(CACHE_LINE_BYTES)
+            service_ns = self._block_row_empty_ns
             activations = 1
-        channel = self.channels.channel_of_page(page_number)
-        self.channels.occupy_background(
-            channel, now_ns, self._block_transfer_ns
+        channels = self.channels
+        channels.occupy_background(
+            page_number % channels.num_channels, now_ns,
+            self._block_transfer_ns,
         )
-        self.energy.charge(CACHE_LINE_BYTES, activations, is_write=True)
+        energy = self.energy
+        energy.dynamic_nj += (self._block_nj if activations
+                              else self._block_wb_nj)
+        energy.activations += activations
+        energy.write_bytes += CACHE_LINE_BYTES
         return service_ns
+
+    def write_back_block(self, now_ns: float, page_number: int) -> None:
+        """A 64 B write nobody waits on: bus time and energy, no latency.
+
+        Dirty on-die victims heading home, blocks laid into a DRAM
+        cache behind their demand read.  No row is activated and no
+        refresh is caught up: the write drains in idle bus slots.
+        """
+        channels = self.channels
+        channel = page_number % channels.num_channels
+        bg_until = channels._bg_until_ns
+        start = now_ns
+        if bg_until[channel] > start:
+            start = bg_until[channel]
+        free_at = channels._free_at_ns[channel]
+        if free_at > start:
+            start = free_at
+        bg_until[channel] = start + self._block_transfer_ns
+        channels.background_busy_ns += self._block_transfer_ns
+        energy = self.energy
+        energy.dynamic_nj += self._block_wb_nj
+        energy.write_bytes += CACHE_LINE_BYTES
 
     def fill_page(
         self, now_ns: float, page_number: int, num_bytes: int = PAGE_BYTES
@@ -182,19 +231,22 @@ class DRAMDevice(Counters):
         caching.  ``num_bytes`` < 4 KB models footprint-style partial
         fills (extension; see :mod:`repro.core.footprint`).
         """
-        if not (CACHE_LINE_BYTES <= num_bytes <= PAGE_BYTES):
-            raise ValueError(
-                f"fill size {num_bytes} outside [{CACHE_LINE_BYTES}, "
-                f"{PAGE_BYTES}]"
-            )
-        self._catch_up_refresh(now_ns)
-        service_ns = self._block_service_ns
-        transfer_ns = (self._page_transfer_ns if num_bytes == PAGE_BYTES
-                       else self.timing.transfer_ns(num_bytes))
-        channel = self.channels.channel_of_page(page_number)
-        queue_ns = self.channels.occupy(channel, now_ns, transfer_ns)
-        self.energy.charge(num_bytes, 1, is_write=False)
-        latency = queue_ns + service_ns
+        if num_bytes == PAGE_BYTES:
+            transfer_ns = self._page_transfer_ns
+            nj = self._page_nj
+        else:
+            transfer_ns, nj = self._partial_page_costs(num_bytes, "fill")
+        if now_ns >= self._next_refresh_ns:
+            self._catch_up_refresh(now_ns)
+        channels = self.channels
+        queue_ns = channels.occupy(
+            page_number % channels.num_channels, now_ns, transfer_ns
+        )
+        energy = self.energy
+        energy.dynamic_nj += nj
+        energy.activations += 1
+        energy.read_bytes += num_bytes
+        latency = queue_ns + self._block_service_ns
         self.demand_accesses += 1
         self.demand_latency_ns += latency
         histogram = self.latency_histogram
@@ -219,22 +271,28 @@ class DRAMDevice(Counters):
         proceed until the last byte (and by tests).  ``num_bytes`` < 4 KB
         models footprint-limited transfers.
         """
-        if not (CACHE_LINE_BYTES <= num_bytes <= PAGE_BYTES):
-            raise ValueError(
-                f"stream size {num_bytes} outside [{CACHE_LINE_BYTES}, "
-                f"{PAGE_BYTES}]"
-            )
-        self._catch_up_refresh(now_ns)
-        transfer_ns = (self._page_transfer_ns if num_bytes == PAGE_BYTES
-                       else self.timing.transfer_ns(num_bytes))
-        channel = self.channels.channel_of_page(page_number)
+        if num_bytes == PAGE_BYTES:
+            transfer_ns = self._page_transfer_ns
+            nj = self._page_nj
+        else:
+            transfer_ns, nj = self._partial_page_costs(num_bytes, "stream")
+        if now_ns >= self._next_refresh_ns:
+            self._catch_up_refresh(now_ns)
+        channels = self.channels
+        channel = page_number % channels.num_channels
+        energy = self.energy
         if asynchronous:
-            self.channels.occupy_background(channel, now_ns, transfer_ns)
-            self.energy.charge(num_bytes, 1, is_write)
+            channels.occupy_background(channel, now_ns, transfer_ns)
+            energy.dynamic_nj += nj
+            energy.activations += 1
+            if is_write:
+                energy.write_bytes += num_bytes
+            else:
+                energy.read_bytes += num_bytes
             return 0.0
         service_ns = self.timing.row_empty_ns(num_bytes)
-        queue_ns = self.channels.occupy(channel, now_ns, transfer_ns)
-        self.energy.charge(num_bytes, 1, is_write)
+        queue_ns = channels.occupy(channel, now_ns, transfer_ns)
+        energy.charge(num_bytes, 1, is_write)
         latency = queue_ns + service_ns
         self.demand_accesses += 1
         self.demand_latency_ns += latency
@@ -243,26 +301,16 @@ class DRAMDevice(Counters):
             histogram.observe(latency)
         return latency
 
-    def _finish_demand(
-        self,
-        now_ns: float,
-        page_number: int,
-        num_bytes: int,
-        is_write: bool,
-        service_ns: float,
-        activations: int,
-    ) -> float:
-        transfer_ns = self.timing.transfer_ns(num_bytes)
-        channel = self.channels.channel_of_page(page_number)
-        queue_ns = self.channels.occupy(channel, now_ns, transfer_ns)
-        self.energy.charge(num_bytes, activations, is_write)
-        latency = queue_ns + service_ns
-        self.demand_accesses += 1
-        self.demand_latency_ns += latency
-        histogram = self.latency_histogram
-        if histogram is not None:
-            histogram.observe(latency)
-        return latency
+    def _partial_page_costs(self, num_bytes: int, verb: str) -> tuple:
+        """``(transfer_ns, nj)`` of a one-activation transfer of part of
+        a page (footprint caching)."""
+        if not (CACHE_LINE_BYTES <= num_bytes <= PAGE_BYTES):
+            raise ValueError(
+                f"{verb} size {num_bytes} outside [{CACHE_LINE_BYTES}, "
+                f"{PAGE_BYTES}]"
+            )
+        return (self.timing.transfer_ns(num_bytes),
+                self.energy.config.access_nj(num_bytes, 1))
 
     # ------------------------------------------------------------------
     # Reporting

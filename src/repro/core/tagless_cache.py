@@ -267,11 +267,9 @@ class TaglessCacheEngine(Counters):
                     entry.physical_page, entry.touched_mask
                 )
             # Recover the PPN from the GIPT and rewrite the PTE: an
-            # 8 B write (EnergyAccount.charge inlined, no activation).
+            # 8 B write, no activation.
             entry.pte.evict_from_cache()
-            pte_energy = self.off_package.energy
-            pte_energy.dynamic_nj += self._pte_write_nj
-            pte_energy.write_bytes += 8
+            self.off_package.energy.charge(8, 0, True, self._pte_write_nj)
             self.victims.on_evicted(cache_page)
             self.free_queue.mark_free(cache_page)
 

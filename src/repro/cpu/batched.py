@@ -744,7 +744,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 # locality.
                                 gipt_page = gipt_base + (target >> 8)
                                 gch = gipt_page & gd_mask
-                                sv2, acts = gd_banks(gipt_page, 64)
+                                sv2, acts = gd_banks(gipt_page)
                                 start = now_ns + fill_ns
                                 if gd_bg[gch] > start:
                                     start = gd_bg[gch]
@@ -759,7 +759,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     f_ip_dyn += gd_nj0 + acts * gd_act_nj
                                 n_gipt_acts += acts
                                 fill_ns += sv2
-                                sv2, acts = gd_banks(gipt_page, 64)
+                                sv2, acts = gd_banks(gipt_page)
                                 start = now_ns + fill_ns
                                 if gd_bg[gch] > start:
                                     start = gd_bg[gch]

@@ -37,7 +37,7 @@ class BankArray(Counters):
         self.row_misses = 0
         self.row_empties = 0
         # Hoisted per-device constants: the bank count and the 64 B
-        # latencies every caller of access() asks for.
+        # hit/empty/miss latencies access() returns.
         self._total_banks = timing.total_banks
         self._block_hit_ns = timing.row_hit_ns(CACHE_LINE_BYTES)
         self._block_empty_ns = timing.row_empty_ns(CACHE_LINE_BYTES)
@@ -51,8 +51,8 @@ class BankArray(Counters):
         """Page number currently open in ``bank``, or None if precharged."""
         return self._open_rows.get(bank)
 
-    def access(self, page_number: int, num_bytes: int) -> tuple:
-        """Record an access to ``page_number`` and return its cost.
+    def access(self, page_number: int) -> tuple:
+        """Record a 64 B access to ``page_number`` and return its cost.
 
         Returns
         -------
@@ -63,19 +63,15 @@ class BankArray(Counters):
         bank = page_number % self._total_banks
         open_rows = self._open_rows
         current = open_rows.get(bank)
-        block = num_bytes == CACHE_LINE_BYTES
         if current == page_number:
             self.row_hits += 1
-            return (self._block_hit_ns if block
-                    else self.timing.row_hit_ns(num_bytes)), 0
+            return self._block_hit_ns, 0
         open_rows[bank] = page_number
         if current is None:
             self.row_empties += 1
-            return (self._block_empty_ns if block
-                    else self.timing.row_empty_ns(num_bytes)), 1
+            return self._block_empty_ns, 1
         self.row_misses += 1
-        return (self._block_miss_ns if block
-                else self.timing.row_miss_ns(num_bytes)), 1
+        return self._block_miss_ns, 1
 
     def precharge_all(self) -> None:
         """Close every row (used between independent experiment phases)."""

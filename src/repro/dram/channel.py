@@ -60,6 +60,9 @@ class ChannelScheduler:
         The request starts when the requester is ready, all earlier
         demand transfers have drained, and any in-flight background
         burst has been preempted (bounded by ``preemption_ns``).
+        ``DRAMDevice.access_block`` and the fused kernel
+        (``repro.cpu.batched._run_kernel``) write this body out inline
+        and must change with it.
         """
         start = self._free_at_ns[channel]
         if start < now_ns:
@@ -86,7 +89,9 @@ class ChannelScheduler:
     def occupy_background(self, channel: int, now_ns: float, busy_ns: float) -> None:
         """Buffer bus time for traffic nobody waits on (write-backs,
         lay-ins).  Drains behind demand traffic; delays demand by at most
-        the preemption window."""
+        the preemption window.  ``DRAMDevice.write_back_block`` and the
+        fused kernel (``repro.cpu.batched._run_kernel``) write this body
+        out inline and must change with it."""
         # max(now_ns, background tail, demand tail), as comparisons.
         bg_until = self._bg_until_ns
         start = now_ns

@@ -18,11 +18,11 @@ The demand verbs return the core-visible latency in nanoseconds;
 background traffic charges bus time and energy but the caller observes
 no latency (the tagless design's free-queue evictions).  Each verb's
 timing and energy constants are computed once in ``__init__`` with the
-expressions the general formulas evaluate, and its energy charge is
-written inline (the two 64 B hot paths, ``access_block`` and
-``write_back_block``, inline the channel reservation too), so the
-floats match the ``ChannelScheduler``/``EnergyAccount`` composition bit
-for bit.
+expressions the general formulas evaluate and handed to
+``ChannelScheduler``/``EnergyAccount``, so the floats match the general
+composition bit for bit.  The two 64 B verbs that run per access,
+``access_block`` and ``write_back_block``, write the channel
+reservation and energy charge out inline.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class DRAMDevice(Counters):
         # A 64 B access that activates no row (a row hit, or a write
         # nobody waits on).
         self._block_wb_nj = energy.access_nj(CACHE_LINE_BYTES, 0)
-        self._block_row_empty_ns = timing.row_empty_ns(CACHE_LINE_BYTES)
         # Full-page transfer time and energy (one activation), for the
         # fill/stream paths (footprint fills pass other sizes and take
         # the computed branch).
@@ -122,9 +121,7 @@ class DRAMDevice(Counters):
         if now_ns >= self._next_refresh_ns:
             self._catch_up_refresh(now_ns)
         if open_page:
-            service_ns, activations = self.banks.access(
-                page_number, CACHE_LINE_BYTES
-            )
+            service_ns, activations = self.banks.access(page_number)
             service_ns += self.timing.controller_ns
             nj = self._block_nj if activations else self._block_wb_nj
         else:
@@ -178,22 +175,19 @@ class DRAMDevice(Counters):
         header pointer's sequential pattern makes them highly local.
         """
         if open_page:
-            service_ns, activations = self.banks.access(
-                page_number, CACHE_LINE_BYTES
-            )
+            service_ns, activations = self.banks.access(page_number)
         else:
-            service_ns = self._block_row_empty_ns
+            service_ns = self.timing.row_empty_ns(CACHE_LINE_BYTES)
             activations = 1
         channels = self.channels
         channels.occupy_background(
             page_number % channels.num_channels, now_ns,
             self._block_transfer_ns,
         )
-        energy = self.energy
-        energy.dynamic_nj += (self._block_nj if activations
-                              else self._block_wb_nj)
-        energy.activations += activations
-        energy.write_bytes += CACHE_LINE_BYTES
+        self.energy.charge(
+            CACHE_LINE_BYTES, activations, True,
+            self._block_nj if activations else self._block_wb_nj,
+        )
         return service_ns
 
     def write_back_block(self, now_ns: float, page_number: int) -> None:
@@ -203,6 +197,8 @@ class DRAMDevice(Counters):
         cache behind their demand read.  No row is activated and no
         refresh is caught up: the write drains in idle bus slots.
         """
+        # ChannelScheduler.occupy_background and EnergyAccount.charge,
+        # inlined: this runs once per dirty on-die victim.
         channels = self.channels
         channel = page_number % channels.num_channels
         bg_until = channels._bg_until_ns
@@ -242,10 +238,7 @@ class DRAMDevice(Counters):
         queue_ns = channels.occupy(
             page_number % channels.num_channels, now_ns, transfer_ns
         )
-        energy = self.energy
-        energy.dynamic_nj += nj
-        energy.activations += 1
-        energy.read_bytes += num_bytes
+        self.energy.charge(num_bytes, 1, False, nj)
         latency = queue_ns + self._block_service_ns
         self.demand_accesses += 1
         self.demand_latency_ns += latency
@@ -280,19 +273,12 @@ class DRAMDevice(Counters):
             self._catch_up_refresh(now_ns)
         channels = self.channels
         channel = page_number % channels.num_channels
-        energy = self.energy
+        self.energy.charge(num_bytes, 1, is_write, nj)
         if asynchronous:
             channels.occupy_background(channel, now_ns, transfer_ns)
-            energy.dynamic_nj += nj
-            energy.activations += 1
-            if is_write:
-                energy.write_bytes += num_bytes
-            else:
-                energy.read_bytes += num_bytes
             return 0.0
         service_ns = self.timing.row_empty_ns(num_bytes)
         queue_ns = channels.occupy(channel, now_ns, transfer_ns)
-        energy.charge(num_bytes, 1, is_write)
         latency = queue_ns + service_ns
         self.demand_accesses += 1
         self.demand_latency_ns += latency

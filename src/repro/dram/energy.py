@@ -7,6 +7,8 @@ background power integrated over wall-clock time at the end of a run.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.common.config import DRAMEnergyConfig
 
 
@@ -28,9 +30,25 @@ class EnergyAccount:
         self.write_bytes = 0
         self.activations = 0
 
-    def charge(self, num_bytes: int, activations: int, is_write: bool) -> float:
-        """Charge one access; returns the nanojoules added."""
-        nj = self.config.access_nj(num_bytes, activations)
+    def charge(
+        self,
+        num_bytes: int,
+        activations: int,
+        is_write: bool,
+        nj: Optional[float] = None,
+    ) -> float:
+        """Charge one access; returns the nanojoules added.
+
+        ``nj`` is the access's energy when the caller has it hoisted
+        (``config.access_nj(num_bytes, activations)``, computed once per
+        device); otherwise it is computed here.  The per-access hot
+        paths write this body out inline and must change with it:
+        ``DRAMDevice.access_block``, ``DRAMDevice.write_back_block``,
+        ``PageTableWalker.walk`` and the fused kernel
+        (``repro.cpu.batched._run_kernel``).
+        """
+        if nj is None:
+            nj = self.config.access_nj(num_bytes, activations)
         self.dynamic_nj += nj
         self.activations += activations
         if is_write:

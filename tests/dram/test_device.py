@@ -124,8 +124,9 @@ def test_full_reset_clears_rows(off_pkg):
 # ----------------------------------------------------------------------
 # Every verb against the composition it replaces
 # ----------------------------------------------------------------------
-# Each verb hoists its per-device constants and inlines the channel
-# reservation and energy charge.  The references below are the general
+# Each verb hoists its per-device constants (``access_block`` and
+# ``write_back_block`` also inline the channel reservation and energy
+# charge).  The references below are the general
 # composition -- ``EnergyAccount.charge`` for the energy,
 # ``timing.transfer_ns``/``row_empty_ns`` for the times, and the
 # channel scheduler's ``max()``/``min()`` arithmetic for the
@@ -213,7 +214,7 @@ def ref_access_block(device, now_ns, page, is_write, open_page):
     device._catch_up_refresh(now_ns)
     t = device.timing
     if open_page:
-        service_ns, activations = device.banks.access(page, 64)
+        service_ns, activations = device.banks.access(page)
         service_ns += t.controller_ns
     else:
         service_ns, activations = t.row_empty_ns(64) + t.controller_ns, 1
@@ -223,7 +224,7 @@ def ref_access_block(device, now_ns, page, is_write, open_page):
 
 def ref_posted_write_block(device, now_ns, page, open_page):
     if open_page:
-        service_ns, activations = device.banks.access(page, 64)
+        service_ns, activations = device.banks.access(page)
     else:
         service_ns, activations = device.timing.row_empty_ns(64), 1
     _ref_background(device, now_ns, page, 64, activations, True)

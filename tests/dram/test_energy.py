@@ -39,6 +39,15 @@ def test_charges_accumulate(account):
     assert account.dynamic_nj == pytest.approx(2 * 16.896 + 15.0)
 
 
+def test_charge_with_hoisted_energy_matches_computed(account):
+    hoisted = account.config.access_nj(64, 1)
+    nj = account.charge(64, 1, True, hoisted)
+    assert nj == hoisted
+    reference = EnergyAccount(account.config)
+    reference.charge(64, 1, True)
+    assert account.as_dict() == reference.as_dict()
+
+
 def test_background_energy_watts_times_ns(account):
     # 1 W for 1000 ns = 1000 nJ (W * ns == nJ).
     assert account.background_nj(1000.0) == pytest.approx(1000.0)

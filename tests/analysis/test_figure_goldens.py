@@ -36,8 +36,11 @@ GOLDEN_ACCESSES = 600
 #: without effect: at 600, every alpha level evicts nothing and prints
 #: one identical row (at 12,000 the levels evict 7/10/22/74 pages), and
 #: footprint caching never misses, so its rows match the full fills
-#: (the CI parallel check reruns ablation_footprint at 12,000).
-GOLDEN_LENGTHS = {"ablation_alpha": 12_000, "ablation_footprint": 12_000}
+#: (the CI parallel check reruns ablation_footprint at 12,000).  The
+#: victim policies print one row up to 12,000 accesses and part only
+#: at the figure's own length, 50,000.
+GOLDEN_LENGTHS = {"ablation_alpha": 12_000, "ablation_footprint": 12_000,
+                  "ablation_victim_policy": 50_000}
 VALIDATE_ACCESSES = 2000
 
 
@@ -129,6 +132,22 @@ def test_footprint_rows_differ_where_footprints_miss():
     assert rows[("256MB", "full-fill")] != rows[("256MB", "footprint")]
     assert float(rows[("256MB", "footprint")][2]) > 0
     assert rows[("512MB", "full-fill")] == rows[("512MB", "footprint")]
+
+
+def test_victim_policies_print_different_ipcs():
+    """The victim-policy golden runs each policy's replacement choices:
+    FIFO, CLOCK and LRU read three different IPCs on every mix
+    (MIX3 1.597/2.030/2.096 at 50,000 accesses)."""
+    lines = _golden("ablation_victim_policy.txt").splitlines()
+    mixes = {}
+    for line in lines:
+        cells = line.split()
+        if cells and cells[0].startswith("MIX"):
+            mixes[cells[0]] = cells[1:]
+    assert sorted(mixes) == ["MIX3", "MIX5"]
+    for cells in mixes.values():
+        assert len(cells) == 3
+        assert len(set(cells)) == 3
 
 
 @pytest.mark.parametrize("figure", FIGURE_NAMES)

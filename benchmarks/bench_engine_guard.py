@@ -35,10 +35,11 @@ The default floor (1.5x on the smoke workload, for the default
 tripwire for "someone put per-access work back on the kernel path" (or
 silently stopped selecting the kernel), not a performance contract for
 a particular machine.  The five comparators call their own L3 service
-from the kernel, so they gain less and CI guards them at 1.15x.  On a
-shared 2-vCPU host, nine runs each gave alloy 1.16-1.66x (median 1.49x)
-and ideal 1.27-2.16x (median 1.68x) on mcf, and alloy 1.34-1.74x
-(median 1.54x) and ideal 1.20-1.69x (median 1.47x) on MIX1.  The design's whole ``stats()`` dictionary
+from the kernel, so they gain less and CI guards them at 1.15x.  The
+reference loop calls the plain structure models, so the ratios sit well
+above both floors: on a shared 2-vCPU host, three runs gave the
+comparators 1.95-2.93x on mcf and 1.99-2.93x on MIX1 (sram lowest at
+1.95x), and tagless 2.55-3.58x.  The design's whole ``stats()`` dictionary
 and every core's IPC are compared exactly across the two paths as a
 free correctness canary (plus every tenant's QoS dictionary on a
 scenario) -- a guard run that got faster by diverging is a failure, not

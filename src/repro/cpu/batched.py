@@ -1,12 +1,14 @@
 """Fused replay kernel, one frame for every design.
 
-:meth:`MemorySystemDesign.access_cycles` is a single hand-inlined
-function; the remaining per-access overhead is the *call* into it (and,
-inside, the per-access re-hoisting of every structure the path touches).
-The kernel removes both: it replays every core of a run in a single
-loop with every hot structure -- TLB dicts, on-die sets, channel
-free-lists, timing constants -- bound to locals, the shared ones
-exactly once and the per-core ones once per burst of one core.
+:meth:`MemorySystemDesign.access_cycles` is the plain reference path:
+one call per access into the structure models (``TLBHierarchy.lookup``,
+``OnDieHierarchy.access``, the design's service hooks), stepped by the
+reference loop's core-model calls.  The kernel replays every core of a
+run in a single loop instead, with those models' probes and fills
+written out on their dicts and every hot structure -- TLB dicts, on-die
+sets, channel free-lists, timing constants -- bound to locals, the
+shared ones exactly once and the per-core ones once per burst of one
+core.
 
 The frame -- argmin, segments, tenant attribution, replay boundaries,
 translation hits, on-die hits and fills, counter flush -- is the same
@@ -35,13 +37,14 @@ Bit-identity discipline (the golden-stats oracle compares floats with
 
 - Each access is first *classified with read-only probes*.  Only if the
   whole access is expressible inline does the kernel mutate anything;
-  otherwise it falls back to the untouched scalar
+  otherwise it falls back to the reference path's
   ``design.access_cycles`` call, which then performs every probe,
-  counter update and side effect itself.  The tagless design's rare
-  events -- superpages, NC pages, PU waits -- therefore run the exact
-  scalar code; fills run inline in scalar order and hand evictions to
-  the engine's own helper.  The other designs never fall back: their
-  rare event, a superpage, calls the design's own ``_refill_tlb``.
+  counter update and side effect itself through the structure models.
+  The tagless design's rare events -- superpages, NC pages, PU waits --
+  therefore run the reference code; fills run inline in reference order
+  and hand evictions to the engine's own helper.  The other designs
+  never fall back: their rare event, a superpage, calls the design's
+  own ``_refill_tlb``.
 - Integer counters are accumulated in locals (per-core ones in the
   core's slot) and flushed once at kernel exit: integer addition is
   exact and commutative, and nothing reads the counters while the

@@ -17,12 +17,12 @@ invariant sweeps and telemetry windows act at *boundaries* of the
 replay, which the fused kernel and the reference loop both run to and
 stop at (see :func:`replay`).
 
-This module is the hot path of every experiment in the repository: the
-inner loops below run once per simulated memory reference.  They are
-therefore written for throughput -- slotted per-core state objects,
-hot values bound to locals, the default interval core model inlined --
-while producing *bit-identical* results to the straightforward
-formulation (the golden-stats suite enforces this).
+The reference loop, :func:`_run_argmin`, is the plain formulation: it
+calls the core model's methods and the design's
+:meth:`~repro.designs.base.MemorySystemDesign.access_cycles` once per
+access.  The fused kernel (:mod:`repro.cpu.batched`) replays the same
+accesses inline and must match it bit for bit (the golden-stats suite
+and the kernel-vs-reference tests enforce this).
 """
 
 from __future__ import annotations
@@ -127,78 +127,11 @@ class _CoreState:
         return prefix[-1] - prefix[self.pos] + self.length - self.pos
 
 
-def _run_single(state: _CoreState, access_cycles, budget: int) -> int:
-    """Replay up to ``budget`` accesses of one core's current segment
-    with no scheduling overhead; returns how many ran.
-
-    The reference loop's single-core regime -- the whole run for
-    single-programmed workloads, the end-game for mixes -- whenever the
-    fused kernel does not replay the run.  The default MLP interval
-    model's arithmetic is inlined (same operations in the same order as
-    ``CoreTimingModel.advance_instructions`` / ``account_memory``, so
-    the floats come out identical) and its state kept in locals until
-    the loop exits; other core models fall back to method calls.
-    Boundary callbacks, which may read the models, run only between
-    these runs (see :func:`replay`).
-    """
-    model = state.model
-    pages = state.pages
-    lines = state.lines
-    writes = state.writes
-    gaps = state.gaps
-    pos = state.pos
-    end = min(state.length, pos + budget)
-    core_id = state.core_id
-    process_id = state.process_id
-
-    if type(model) is CoreTimingModel:
-        base_cpi = model.base_cpi
-        mlp = model.mlp
-        l1_hit = model._l1_hit
-        cycle_ns = model._cycle_ns
-        cycles = model.cycles
-        instructions = model.instructions
-        stall_cycles = model.stall_cycles
-        while pos < end:
-            # advance_instructions(gap)
-            gap = gaps[pos]
-            instructions += gap
-            cycles += gap * base_cpi
-            cost = access_cycles(
-                core_id, process_id, pages[pos], lines[pos], writes[pos],
-                cycles * cycle_ns,
-            )
-            # account_memory(cost)
-            instructions += 1
-            cycles += base_cpi
-            excess = cost - l1_hit
-            if excess > 0:
-                stall = excess / mlp
-                cycles += stall
-                stall_cycles += stall
-            pos += 1
-        model.cycles = cycles
-        model.instructions = instructions
-        model.stall_cycles = stall_cycles
-    else:
-        advance = model.advance_instructions
-        account = model.account_memory
-        while pos < end:
-            advance(gaps[pos])
-            account(access_cycles(
-                core_id, process_id, pages[pos], lines[pos], writes[pos],
-                model.time_ns,
-            ))
-            pos += 1
-    ran = pos - state.pos
-    state.pos = pos
-    return ran
-
-
 def _run_argmin(design: MemorySystemDesign, active: List[_CoreState],
-                access_cycles, qos, budget: int, tail: int) -> int:
-    """Step the earliest core one access at a time, for up to ``budget``
-    accesses or until ``tail`` cores are left; returns how many ran.
+                access_cycles, qos, budget: int) -> int:
+    """The reference loop: step the earliest core one access at a time,
+    for up to ``budget`` accesses or until every core ends; returns how
+    many ran.
 
     (4 cores: a linear argmin scan beats a heap.)  Ties go to the
     earliest-bound core, matching min()'s first-minimum semantics.  A
@@ -207,8 +140,6 @@ def _run_argmin(design: MemorySystemDesign, active: List[_CoreState],
     cycle deltas to its tenant, and an L3-bound one feeds the tenant's
     demand-latency histogram.
     """
-    if len(active) <= tail:
-        return 0
     cycle_ns = 1.0 / design.config.core.frequency_ghz
     ran = 0
     for ran in range(1, budget + 1):
@@ -242,38 +173,17 @@ def _run_argmin(design: MemorySystemDesign, active: List[_CoreState],
         best.pos = pos + 1
         if best.pos >= best.length and not best.next_segment():
             del active[best_index]
-            if len(active) <= tail:
+            if not active:
                 break
-    return ran
-
-
-def _run_reference(design: MemorySystemDesign, active: List[_CoreState],
-                   access_cycles, qos, budget: int) -> int:
-    """The reference loop: run ``budget`` accesses (fewer if every core
-    ends first) in global time order; returns how many ran.
-
-    An unattributed run leaves the argmin loop for the tight
-    single-core loop once one core is left.  An attributed run keeps
-    that tail in the argmin loop, so the per-access float order of the
-    attribution never changes.
-    """
-    ran = _run_argmin(design, active, access_cycles, qos, budget,
-                      0 if qos is not None else 1)
-    while active and ran < budget:
-        state = active[0]
-        ran += _run_single(state, access_cycles, budget - ran)
-        if state.pos < state.length:
-            break
-        if not state.next_segment():
-            del active[0]
     return ran
 
 
 #: Fewest accesses a run between two boundaries must have for the fused
 #: kernel to replay it: entering the kernel hoists every structure and
 #: leaving it flushes every counter.  On a 4-core MIX1 tagless replay
-#: with a boundary every 32 accesses the two paths run level; every 16,
-#: the reference loop is faster.
+#: (20,000 accesses per core, a no-op boundary every N accesses, best of
+#: 5 on a shared 2-vCPU host) the kernel ran 1.40-1.72x the reference
+#: loop's speed at N = 32, 1.04-1.16x at 24 and 0.80-0.84x at 16.
 _MIN_KERNEL_RUN = 32
 
 
@@ -397,7 +307,7 @@ def replay(
     elif _kernel is not None and active:
         _kernel(design, active, qos, None, math.inf)
     else:
-        _run_reference(design, active, access_cycles, qos, end - start)
+        _run_argmin(design, active, access_cycles, qos, end - start)
     design.replayed_accesses = end
 
     results = [
@@ -436,7 +346,7 @@ def _replay_to_boundaries(design, cores, states, active, access_cycles, qos,
             if kernel is not None and budget >= _MIN_KERNEL_RUN:
                 count += kernel(design, active, qos, limit, math.inf)
             else:
-                count += _run_reference(design, active, access_cycles, qos,
+                count += _run_argmin(design, active, access_cycles, qos,
                                         budget)
         elif kernel is not None and budget >= _MIN_KERNEL_RUN:
             if max_gap_cycles is None:
@@ -447,7 +357,7 @@ def _replay_to_boundaries(design, cores, states, active, access_cycles, qos,
         if active:
             count += 1
             _run_argmin(design, active, _boundary_access(
-                access_cycles, due, count, models), qos, 1, 0)
+                access_cycles, due, count, models), qos, 1)
 
 
 def _boundary_access(access_cycles, due, number: int, models):

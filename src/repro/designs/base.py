@@ -46,9 +46,9 @@ class AccessCost:
     penalty, per Section 5.1); ``l3_involved`` marks whether the access
     reached beyond the on-die caches at all.
 
-    The simulation engine itself never allocates one of these: the hot
-    path is :meth:`MemorySystemDesign.access_cycles`, which returns the
-    bare latency and parks the remaining fields on the design.
+    The replay loops never allocate one of these: they call
+    :meth:`MemorySystemDesign.access_cycles`, which returns the bare
+    latency and parks the remaining fields on the design.
     :meth:`MemorySystemDesign.access` is the allocating adapter kept for
     tests, tools and any caller that wants the full record.
     """
@@ -108,14 +108,15 @@ class MemorySystemDesign(Counters):
         self.accesses = 0
 
         # Side-channel fields of the most recent access_cycles() call,
-        # read by the access() adapter when building an AccessCost.
+        # read by the access() adapter when building an AccessCost and
+        # by the replay loops' tenant attribution.
         self._last_tlb_level = "l1"
         self._last_ondie_level = "l1"
         self._last_l3_cycles = 0.0
         self._last_l3_involved = False
 
-        # Hoisted hot-path constant: config.scaled_tlb is a property
-        # that rebuilds a TLBConfig (dataclasses.replace) on every read.
+        # Read once: config.scaled_tlb is a property that rebuilds a
+        # TLBConfig (dataclasses.replace) on every read.
         self._tlb_l2_hit_cycles = float(scaled_tlb.l2_hit_cycles)
 
         # On-die hit latencies come from the cache configs themselves
@@ -174,152 +175,56 @@ class MemorySystemDesign(Counters):
     ) -> float:
         """Perform one memory reference; returns its latency in cycles.
 
-        This is the engine's hot path: it is called once per simulated
-        memory reference, so the L1-TLB-hit + on-die-L1-hit common case
-        is a hand-inlined short circuit (two dict probes, no allocation,
-        no further calls).  The full per-access record is available via
-        the :meth:`access` adapter; here the non-latency fields land in
-        ``_last_*`` attributes instead of a fresh ``AccessCost``.
+        The plain composition of the structure models: the TLB lookup
+        (a refill on a miss), the on-die access on the line key, the
+        routing of its dirty victims and, on an on-die miss, the
+        design's L3 service.  The fused kernel (:mod:`repro.cpu.batched`)
+        replays the same sequence inline and falls back to this call for
+        what it does not inline.  The non-latency fields of the access
+        land in ``_last_*`` attributes instead of a fresh
+        ``AccessCost``; :meth:`access` builds the full record.
         """
         if not (0 <= line_index < LINES_PER_PAGE):
             raise SimulationError(f"line index {line_index} out of page")
         self.accesses += 1
-        tlb = self.tlbs[core_id]
-
-        # --- Translation.  Inlined L1 TLB probe (TLB.lookup hit branch
-        # plus TLBHierarchy.lookup's L2 recency sync, verbatim).
-        l1_tlb = tlb.l1
-        l1_map = l1_tlb._map
-        entry = l1_map.get(virtual_page)
-        if entry is not None:
-            l1_tlb.hits += 1
-            l1_map[virtual_page] = l1_map.pop(virtual_page)
-            tlb.l1_hits += 1
-            l2_map = tlb.l2._map
-            if virtual_page in l2_map:
-                l2_map[virtual_page] = l2_map.pop(virtual_page)
-            tlb_level = "l1"
+        tlb_level, entry = self.tlbs[core_id].lookup(virtual_page)
+        if tlb_level == "l1":
             tlb_cycles = 0.0
+        elif tlb_level == "l2":
+            tlb_cycles = self._tlb_l2_hit_cycles
         else:
-            l1_tlb.misses += 1
-            # Inlined L2 half of TLBHierarchy.lookup: L2 probe, and on
-            # a hit the promotion into L1 (TLB.insert, verbatim).
-            l2_tlb = tlb.l2
-            l2_map = l2_tlb._map
-            entry = l2_map.get(virtual_page)
-            if entry is not None:
-                l2_tlb.hits += 1
-                l2_map[virtual_page] = l2_map.pop(virtual_page)
-                tlb.l2_hits += 1
-                if virtual_page in l1_map:
-                    del l1_map[virtual_page]
-                elif len(l1_map) >= l1_tlb.capacity:
-                    del l1_map[next(iter(l1_map))]
-                l1_map[virtual_page] = entry
-                tlb_level = "l2"
-                tlb_cycles = self._tlb_l2_hit_cycles
-            else:
-                l2_tlb.misses += 1
-                tlb.misses += 1
-                tlb_level = "miss"
-                table = self.page_table(process_id)
-                tlb_cycles, entry = self._refill_tlb(
-                    core_id, table, virtual_page, now_ns, line_index
-                )
+            tlb_cycles, entry = self._refill_tlb(
+                core_id, self.page_table(process_id), virtual_page, now_ns,
+                line_index,
+            )
 
-        # --- On-die lookup.  The inline key computation matches
-        # _line_key for every design when the NC bit is clear (the
-        # subclass override only diverges for non-cacheable pages).
-        if entry.non_cacheable:
-            line_key = self._line_key(entry, line_index)
-        else:
-            line_key = entry.target_page * LINES_PER_PAGE + line_index
+        result = self.ondie[core_id].access(
+            self._line_key(entry, line_index), is_write
+        )
+        if result.writebacks:
+            self._route_writebacks(result.writebacks, now_ns)
 
-        # Inlined on-die L1 probe (SetAssociativeCache.lookup's hit
-        # branch).
-        ondie = self.ondie[core_id]
-        l1 = ondie.l1
-        l1_set = l1._sets[line_key % l1.num_sets]
-        entries = l1_set.entries
-        if line_key in entries:
-            l1.hits += 1
-            entries[line_key] = entries.pop(line_key) or is_write
-            ondie.l1_hits += 1
-            self._last_tlb_level = tlb_level
-            self._last_ondie_level = "l1"
-            self._last_l3_cycles = 0.0
-            self._last_l3_involved = False
-            return tlb_cycles + self._l1_hit_cycles
-
-        # Inlined miss path of OnDieHierarchy.access: book the L1 miss,
-        # probe L2, fill L1 and drain dirty spills -- the same dict
-        # operations as its lookup/insert/contains/mark_dirty calls
-        # (``entries`` above is already the L1 set the fill lands in).
-        l1.misses += 1
-        writebacks = ondie.pending_writebacks
-        writebacks.clear()
-        ondie_l2 = ondie.l2
-        l2_set = ondie_l2._sets[line_key % ondie_l2.num_sets]
-        l2_entries = l2_set.entries
-        if line_key in l2_entries:
-            ondie_l2.hits += 1
-            l2_entries[line_key] = l2_entries.pop(line_key) or is_write
-            ondie.l2_hits += 1
-            ondie_level = "l2"
-        else:
-            ondie_l2.misses += 1
-            ondie.misses += 1
-            if len(l2_entries) >= l2_set.ways:
-                victim = next(iter(l2_entries))
-                if l2_entries.pop(victim):
-                    writebacks.append(victim)
-                    ondie.writebacks += 1
-            l2_entries[line_key] = False
-            ondie_level = "miss"
-        # Fill L1 (the line just missed it, so it is not resident).
-        if len(entries) >= l1_set.ways:
-            victim = next(iter(entries))
-            if entries.pop(victim):
-                # Dirty L1 victim drains into L2; a dirty line L2 must
-                # evict to make room continues toward memory.
-                spill_set = ondie_l2._sets[victim % ondie_l2.num_sets]
-                spill_entries = spill_set.entries
-                if victim in spill_entries:
-                    spill_entries[victim] = True
-                else:
-                    if len(spill_entries) >= spill_set.ways:
-                        spilled = next(iter(spill_entries))
-                        if spill_entries.pop(spilled):
-                            writebacks.append(spilled)
-                            ondie.writebacks += 1
-                    spill_entries[victim] = True
-        entries[line_key] = is_write
-        if writebacks:
-            self._route_writebacks(writebacks, now_ns)
-
-        cycles = tlb_cycles
+        ondie_level = result.level
         l3_cycles = 0.0
-        l3_involved = False
-        if ondie_level == "l2":
-            cycles += self._l2_hit_cycles
+        if ondie_level == "l1":
+            cycles = tlb_cycles + self._l1_hit_cycles
+        elif ondie_level == "l2":
+            cycles = tlb_cycles + self._l2_hit_cycles
         else:
-            l3_involved = True
             # All memory-system requests are issued at the core's issue
             # time.  Adding partial latencies here would make timestamps
             # run ahead of the MLP-overlapped core clock and manufacture
             # phantom queueing between an access and its own successor.
-            l3_only = self._service_l2_miss(
+            l3_cycles = cycles = tlb_cycles + self._service_l2_miss(
                 core_id, entry, virtual_page, line_index, is_write, now_ns
             )
-            cycles += l3_only
-            l3_cycles = tlb_cycles + l3_only
             self.l3_accesses += 1
             self.l3_latency_cycles += l3_cycles
 
         self._last_tlb_level = tlb_level
         self._last_ondie_level = ondie_level
         self._last_l3_cycles = l3_cycles
-        self._last_l3_involved = l3_involved
+        self._last_l3_involved = ondie_level == "miss"
         return cycles
 
     def access(

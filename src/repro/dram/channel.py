@@ -23,7 +23,11 @@ from __future__ import annotations
 
 
 class ChannelScheduler:
-    """Tracks when each channel's data bus next becomes free."""
+    """Tracks when each channel's data bus next becomes free.
+
+    Pages interleave across channels: every DRAM verb puts page ``p`` on
+    channel ``p % num_channels``.
+    """
 
     __slots__ = (
         "num_channels",
@@ -49,10 +53,6 @@ class ChannelScheduler:
         self.requests = 0
         self.demand_busy_ns = 0.0
         self.background_busy_ns = 0.0
-
-    def channel_of_page(self, page_number: int) -> int:
-        """Channel a page maps to (pages interleave across channels)."""
-        return page_number % self.num_channels
 
     def occupy(self, channel: int, now_ns: float, busy_ns: float) -> float:
         """Reserve the bus for a demand transfer; returns queuing delay.

@@ -37,32 +37,29 @@ class AccessResult:
 class OnDieHierarchy(Counters):
     """Write-back, write-allocate, LRU L1 + L2 with inclusion-free flow.
 
-    :meth:`access` is the plain model of the on-die probe, fill and
-    spill sequence.  ``MemorySystemDesign.access_cycles`` and the fused
-    kernel inline that sequence on the dict level; they surface
-    dirty L2 victims through :attr:`pending_writebacks`, a list reused
-    across their miss-path accesses so the common case allocates nothing.
-    ``tests/designs/test_inlined_access_path.py`` pins them to this
+    :meth:`access` is the on-die probe, fill and spill sequence of
+    ``MemorySystemDesign.access_cycles``.  The fused kernel
+    (:mod:`repro.cpu.batched`) inlines that sequence on the set dicts
+    and surfaces dirty L2 victims through :attr:`pending_writebacks`, a
+    list reused across its miss-path accesses so the common case
+    allocates nothing; the kernel-vs-reference tests pin it to this
     model.
     """
 
-    __slots__ = ("l1_config", "l2_config", "l1", "l2", "l1_hits",
-                 "l2_hits", "misses", "writebacks", "pending_writebacks",
-                 "_l1_entries", "_l2_entries")
+    __slots__ = ("l1", "l2", "l1_hits", "l2_hits", "misses", "writebacks",
+                 "pending_writebacks", "_l1_entries", "_l2_entries")
 
     COUNTERS = ("l1_hits", "l2_hits", "misses", "writebacks")
 
     def __init__(self, l1: OnDieCacheConfig, l2: OnDieCacheConfig):
-        self.l1_config = l1
-        self.l2_config = l2
         self.l1 = SetAssociativeCache(l1.num_sets, l1.associativity)
         self.l2 = SetAssociativeCache(l2.num_sets, l2.associativity)
         self.l1_hits = 0
         self.l2_hits = 0
         self.misses = 0
         self.writebacks = 0
-        #: Dirty L2 victim lines of the most recent inlined miss-path
-        #: access.
+        #: Dirty L2 victim lines of the fused kernel's most recent
+        #: miss-path access.
         self.pending_writebacks: List[int] = []
         # Each level's set dicts (line -> dirty), bound once for
         # invalidate_page.

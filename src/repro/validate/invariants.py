@@ -1,10 +1,11 @@
 """Run-time invariant checking for the simulated memory-system designs.
 
-PR 2 rewrote the per-access hot path with hand-inlined probes, fused
-residency/recency dicts and lazy replacement structures -- exactly the
-kind of optimisation that can break the paper's structural guarantees
-(the alpha free-block reserve, GIPT<->cTLB consistency, tagless
-residency) without moving the golden stats of the pinned traces.  This
+The per-access hot path, the fused kernel, runs hand-inlined probes
+over fused residency/recency dicts and lazy replacement structures --
+exactly the kind of optimisation that can break the paper's structural
+guarantees (the alpha free-block reserve, GIPT<->cTLB consistency,
+tagless residency) without moving the golden stats of the pinned
+traces.  This
 module provides the safety net: every design registers cheap, strictly
 read-only assertions over its own state, and an
 :class:`InvariantChecker` runs them every ``every`` accesses during a

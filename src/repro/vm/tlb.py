@@ -105,10 +105,11 @@ class TLB(Counters):
 class TLBHierarchy(Counters):
     """Inclusive L1+L2 TLB pair for one core.
 
-    :meth:`lookup` is the plain model of the translation probe that
-    ``MemorySystemDesign.access_cycles`` and the fused kernel
-    inline on the ``_map`` dicts; :meth:`install` is the refill after a
-    walk, which the kernel inlines too.
+    :meth:`lookup` is the translation probe of
+    ``MemorySystemDesign.access_cycles``; :meth:`install` is the refill
+    after a walk.  The fused kernel (:mod:`repro.cpu.batched`) inlines
+    both on the ``_map`` dicts, and the kernel-vs-reference tests pin
+    it to them.
     """
 
     __slots__ = ("l1", "l2", "on_l2_evict", "l1_hits", "l2_hits", "misses")

@@ -89,10 +89,9 @@ def test_schedule_omits_idle_cores(small_mp_config):
 def test_unattributed_replay_matches_attributed(small_mp_config,
                                                 design_name):
     """Without a QoS map the kernel replays every core's segments
-    (tagless), or the reference loop's single-core tail walks its
-    remaining segments in the tight loop (no-l3, with the kernel left
-    out); the numbers must equal the attributed replay that keeps every
-    access in the argmin loop."""
+    (tagless), or the reference loop does with no attribution (no-l3,
+    with the kernel left out); the numbers must equal the attributed
+    replay of the reference loop."""
     schedule = build_schedule(scenario(), num_cores=4)
     switch = dict(switch_cycles=schedule.scenario.context_switch_cycles,
                   flush_tlb=True)

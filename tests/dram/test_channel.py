@@ -1,8 +1,12 @@
 """Channel occupancy / queuing model tests."""
 
+import dataclasses
+
 import pytest
 
+from repro.common.config import default_system
 from repro.dram.channel import ChannelScheduler
+from repro.dram.device import DRAMDevice
 
 
 def test_idle_channel_has_no_queue():
@@ -56,10 +60,14 @@ def test_channels_are_independent():
 
 
 def test_channel_of_page_interleaves():
-    sched = ChannelScheduler(2)
-    assert sched.channel_of_page(0) == 0
-    assert sched.channel_of_page(1) == 1
-    assert sched.channel_of_page(2) == 0
+    """A verb on page ``p`` occupies channel ``p % num_channels``."""
+    cfg = default_system()
+    timing = dataclasses.replace(cfg.off_package, channels=3)
+    for page in range(7):
+        device = DRAMDevice(timing, cfg.off_package_energy)
+        device.write_back_block(0.0, page)
+        busy = [until > 0.0 for until in device.channels._bg_until_ns]
+        assert busy == [channel == page % 3 for channel in range(3)]
 
 
 def test_mean_queue(atol=1e-9):

@@ -158,7 +158,7 @@ def _state(device):
 def _ref_background(device, now_ns, page, num_bytes, activations,
                     is_write):
     ch = device.channels
-    channel = ch.channel_of_page(page)
+    channel = page % ch.num_channels
     busy_ns = device.timing.transfer_ns(num_bytes)
     start = max(now_ns, ch._bg_until_ns[channel], ch._free_at_ns[channel])
     ch._bg_until_ns[channel] = start + busy_ns
@@ -169,7 +169,7 @@ def _ref_background(device, now_ns, page, num_bytes, activations,
 def _ref_demand(device, now_ns, page, num_bytes, activations, is_write,
                 service_ns):
     ch = device.channels
-    channel = ch.channel_of_page(page)
+    channel = page % ch.num_channels
     busy_ns = device.timing.transfer_ns(num_bytes)
     start = max(ch._free_at_ns[channel], now_ns)
     bg_until = ch._bg_until_ns[channel]

@@ -263,6 +263,24 @@ def test_sweep_validate_flag_parses():
     assert args.validate is True
 
 
+def test_trace_capture_mode_writes_artifacts(tmp_path, capsys):
+    trace_path = str(tmp_path / "t.perfetto.json")
+    series_path = str(tmp_path / "t.timeseries.jsonl")
+    code, _ = run_cli(
+        capsys, "run", "tagless", "sphinx3", "--accesses", "3000",
+        "--interval", "256",
+        "--trace", trace_path, "--timeseries", series_path,
+    )
+    assert code == 0
+    document = json.loads(open(trace_path).read())
+    assert document["traceEvents"]
+    from repro.obs import load_timeseries
+
+    meta, columns, _hist = load_timeseries(series_path)
+    assert meta["design"] == "tagless"
+    assert columns["free_queue_depth"]
+
+
 def test_report_renders_captured_artifact(tmp_path, capsys):
     series_path = str(tmp_path / "t.timeseries.jsonl")
     run_cli(capsys, "run", "no-l3", "sphinx3", "--accesses", "2500",
@@ -281,25 +299,17 @@ def test_report_rejects_non_artifact(tmp_path):
 
 
 def test_run_trace_flags_add_artifact_keys(tmp_path, capsys):
-    """One observed run writes both artifacts and names them in the
-    JSON metrics."""
-    from repro.obs import load_timeseries
-
     trace_path = str(tmp_path / "r.perfetto.json")
     series_path = str(tmp_path / "r.timeseries.jsonl")
     code, out = run_cli(
         capsys, "run", "tagless", "sphinx3", "--accesses", "3000",
-        "--interval", "256", "--json",
-        "--trace", trace_path, "--timeseries", series_path,
+        "--json", "--trace", trace_path, "--timeseries", series_path,
     )
     assert code == 0
     metrics = json.loads(out)
     assert metrics["trace"] == trace_path
     assert metrics["timeseries"] == series_path
     assert json.loads(open(trace_path).read())["traceEvents"]
-    meta, columns, _hist = load_timeseries(series_path)
-    assert meta["design"] == "tagless"
-    assert columns["free_queue_depth"]
 
 
 def test_run_without_trace_flags_keeps_plain_keys(capsys):

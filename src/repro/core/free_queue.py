@@ -56,7 +56,12 @@ class FreeQueue(Counters):
         return self._free[0] if self._free else None
 
     def allocate(self) -> int:
-        """Hand the HP block to a fill and advance the pointer."""
+        """Hand the HP block to a fill and advance the pointer.
+
+        The fused kernel's fill (:func:`repro.cpu.batched._run_kernel`)
+        pops the pool itself and counts ``allocations`` at its exit; it
+        calls this method only on an empty pool, to raise.
+        """
         if not self._free:
             raise SimulationError(
                 "cache fill found no free block: the alpha invariant was "

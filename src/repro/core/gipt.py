@@ -88,7 +88,12 @@ class GlobalInvertedPageTable(Counters):
     # Entry lifecycle
     # ------------------------------------------------------------------
     def insert(self, cache_page: int, physical_page: int, pte: PageTableEntry) -> GIPTEntry:
-        """Create the reverse mapping when a page is filled into the cache."""
+        """Create the reverse mapping when a page is filled into the cache.
+
+        The fused kernel's fill (:func:`repro.cpu.batched._run_kernel`)
+        writes this body out and counts ``inserts`` at its exit; it
+        calls this method only when a check here would raise.
+        """
         self._check_range(cache_page)
         if cache_page in self._entries:
             raise SimulationError(
@@ -138,7 +143,14 @@ class GlobalInvertedPageTable(Counters):
         self.residence_updates += 1
 
     def clear_resident(self, cache_page: int, core_id: int) -> None:
-        """Mark the page as having left ``core_id``'s TLB reach."""
+        """Mark the page as having left ``core_id``'s TLB reach.
+
+        Two copies write this body out, for the TLB evictions of the
+        tagless design: its TLB-eviction callback
+        (``TaglessDesign._make_tlb_hierarchy``), which a context
+        switch's flush runs for every L2 entry, and the fused kernel's
+        inline TLB install (:func:`repro.cpu.batched._run_kernel`).
+        """
         self._check_core(core_id)
         entry = self._entries.get(cache_page)
         if entry is None:
@@ -149,8 +161,9 @@ class GlobalInvertedPageTable(Counters):
         self.residence_updates += 1
 
     def is_resident(self, cache_page: int) -> bool:
+        """True when some core's TLB maps the page (the victim filter)."""
         entry = self._entries.get(cache_page)
-        return entry is not None and entry.resident_anywhere()
+        return entry is not None and entry.residence_mask != 0
 
     # ------------------------------------------------------------------
     # Size model

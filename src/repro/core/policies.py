@@ -73,6 +73,8 @@ class FIFOVictimTracker(VictimTracker):
         self.skips = 0
 
     def on_fill(self, cache_page: int) -> None:
+        """Queue the page under a fresh epoch.  The fused kernel's fill
+        (:func:`repro.cpu.batched._run_kernel`) writes this body out."""
         epoch = self._epoch.get(cache_page, 0) + 1
         self._epoch[cache_page] = epoch
         self._queue.append((cache_page, epoch))

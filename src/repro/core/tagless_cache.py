@@ -16,10 +16,16 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.common.addressing import PAGE_BYTES
 from repro.common.config import CoreConfig, DRAMCacheConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import Counters
-from repro.core.footprint import FootprintHistoryTable, mask_bit, mask_bytes
+from repro.core.footprint import (
+    FULL_MASK,
+    FootprintHistoryTable,
+    mask_bit,
+    mask_bytes,
+)
 from repro.core.free_queue import FreeQueue
 from repro.core.gipt import GlobalInvertedPageTable
 from repro.core.policies import make_victim_tracker
@@ -209,9 +215,24 @@ class TaglessCacheEngine(Counters):
     # Replacement (asynchronous)
     # ------------------------------------------------------------------
     def _maintain_alpha(self, now_ns: float) -> None:
-        """Restore the invariant that >= alpha blocks are free."""
-        while self.free_queue.needs_eviction():
-            victim = self.victims.select(protected=self.gipt.is_resident)
+        """Restore the invariant that >= alpha blocks are free.
+
+        The one eviction path: :meth:`allocate_and_fill` calls it after
+        every fill, and so does the fused kernel
+        (:func:`repro.cpu.batched._run_kernel`) after each of its inline
+        fills that leaves fewer than alpha blocks free.  It reads the
+        free pool and queues victims on the pending deque directly
+        (``FreeQueue.needs_eviction`` and ``enqueue_eviction``, written
+        out).
+        """
+        free_queue = self.free_queue
+        free = free_queue._free
+        alpha = free_queue.alpha
+        pending = free_queue._pending
+        select = self.victims.select
+        is_resident = self.gipt.is_resident
+        while len(free) < alpha:
+            victim = select(is_resident)
             if victim is None:
                 # Every cached page is inside some TLB's reach.  Possible
                 # only when the cache is barely larger than total TLB
@@ -219,10 +240,10 @@ class TaglessCacheEngine(Counters):
                 self.alpha_deficits += 1
                 self._alpha_deficit_ever = True
                 self.trace_event("cache", "alpha_deficit", now_ns, None, 0,
-                                 {"free": self.free_queue.free_blocks,
-                                  "alpha": self.free_queue.alpha})
+                                 {"free": len(free), "alpha": alpha})
                 break
-            self.free_queue.enqueue_eviction(victim)
+            pending.append(victim)
+            free_queue.evictions_enqueued += 1
             self._drain_evictions(now_ns)
 
     def _drain_evictions(self, now_ns: float) -> None:
@@ -231,24 +252,52 @@ class TaglessCacheEngine(Counters):
         State changes are applied immediately; bus time and energy are
         charged as background traffic so no core-visible latency accrues
         -- the asynchronous-eviction property of Section 3.1.
+
+        Serves the reference path, the fused kernel's fills (through
+        :meth:`_maintain_alpha`) and the resizable design's shrinks
+        alike.  ``GlobalInvertedPageTable.remove``,
+        ``PageTableEntry.evict_from_cache`` and the PTE write's
+        ``EnergyAccount.charge`` are written out; an entry that is
+        missing or still TLB-resident calls ``remove`` itself, which
+        raises as it always has.  ``FreeQueue.mark_free`` stays a call:
+        the resizable engine's queue overrides it.
         """
-        while True:
-            cache_page = self.free_queue.pop_pending()
-            if cache_page is None:
-                return
-            entry = self.gipt.remove(cache_page)
-            self.trace_event("cache", "evict", now_ns, None, 0,
-                             {"ca": cache_page, "dirty": entry.dirty})
-            if self.on_page_evicted is not None:
+        free_queue = self.free_queue
+        pending = free_queue._pending
+        gipt = self.gipt
+        entries = gipt._entries
+        trace_event = self.trace_event
+        traced = trace_event is not null_event
+        on_page_evicted = self.on_page_evicted
+        footprint = self.footprint
+        on_evicted = self.victims.on_evicted
+        mark_free = free_queue.mark_free
+        off_energy = self.off_package.energy
+        pte_write_nj = self._pte_write_nj
+        while pending:
+            cache_page = pending.popleft()
+            entry = entries.get(cache_page)
+            if entry is None or entry.residence_mask:
+                gipt.remove(cache_page)  # raises: the checks failed
+            del entries[cache_page]
+            gipt.removals += 1
+            if traced:
+                trace_event("cache", "evict", now_ns, None, 0,
+                            {"ca": cache_page, "dirty": entry.dirty})
+            if on_page_evicted is not None:
                 # Stale on-die lines tagged with this cache address must
                 # go; their dirt is subsumed by the page write-back.
-                self.on_page_evicted(
+                on_page_evicted(
                     cache_page, entry.touched_cores, entry.touched_mask
                 )
             if entry.dirty:
                 # Read the (resident part of the) page out of the cache
                 # and write it home.
-                resident_bytes = mask_bytes(entry.fetched_mask)
+                # (A full page, the only size without footprint
+                # caching, skips the bit count.)
+                fetched = entry.fetched_mask
+                resident_bytes = (PAGE_BYTES if fetched == FULL_MASK
+                                  else mask_bytes(fetched))
                 self.in_package.stream_page(
                     now_ns, cache_page, is_write=False, asynchronous=True,
                     num_bytes=resident_bytes,
@@ -258,20 +307,22 @@ class TaglessCacheEngine(Counters):
                     asynchronous=True, num_bytes=resident_bytes,
                 )
                 self.writebacks += 1
-                self.trace_event("cache", "writeback", now_ns, None, 0,
-                                 {"ca": cache_page,
-                                  "bytes": resident_bytes})
-            if self.footprint is not None:
+                if traced:
+                    trace_event("cache", "writeback", now_ns, None, 0,
+                                {"ca": cache_page,
+                                 "bytes": resident_bytes})
+            if footprint is not None:
                 # Teach the predictor what this residency actually used.
-                self.footprint.record(
-                    entry.physical_page, entry.touched_mask
-                )
+                footprint.record(entry.physical_page, entry.touched_mask)
             # Recover the PPN from the GIPT and rewrite the PTE: an
             # 8 B write, no activation.
-            entry.pte.evict_from_cache()
-            self.off_package.energy.charge(8, 0, True, self._pte_write_nj)
-            self.victims.on_evicted(cache_page)
-            self.free_queue.mark_free(cache_page)
+            pte = entry.pte
+            pte.cache_page = None
+            pte.valid_in_cache = False
+            off_energy.dynamic_nj += pte_write_nj
+            off_energy.write_bytes += 8
+            on_evicted(cache_page)
+            mark_free(cache_page)
 
     # ------------------------------------------------------------------
     # Invariant checks and reporting

@@ -41,10 +41,15 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   ``design.access_cycles`` call, which then performs every probe,
   counter update and side effect itself through the structure models.
   The tagless design's rare events -- superpages, NC pages, PU waits --
-  therefore run the reference code; fills run inline in reference order
-  and hand evictions to the engine's own helper.  The other designs
-  never fall back: their rare event, a superpage, calls the design's
-  own ``_refill_tlb``.
+  therefore run the reference code.  Fills run inline in reference
+  order, down to the helpers the reference fill calls (the free-queue
+  pop, the GIPT insert, a FIFO tracker's fill, the posted GIPT writes'
+  row buffer, the PTE rewrite); where a check of those helpers would
+  fail, the kernel calls the helper, which raises as it always has.
+  Evictions go to the engine's ``_maintain_alpha``, the one eviction
+  path, which the reference loop takes too.  The other designs never
+  fall back: their rare event, a superpage, calls the design's own
+  ``_refill_tlb``.
 - Integer counters are accumulated in locals (per-core ones in the
   core's slot) and flushed once at kernel exit: integer addition is
   exact and commutative, and nothing reads the counters while the
@@ -75,11 +80,13 @@ from itertools import islice
 from typing import List
 
 from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
+from repro.core.gipt import GIPTEntry
 from repro.core.policies import FIFOVictimTracker
 from repro.cpu.multicore import BoundTrace, CoreResult, run_interleaved
 from repro.designs.base import PA_NAMESPACE_OFFSET, MemorySystemDesign
 from repro.designs.tagless_design import TaglessDesign
 from repro.obs.events import null_event
+from repro.vm.page_table import PageTableEntry
 from repro.vm.tlb import TLBEntry
 
 
@@ -213,11 +220,24 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     - **TLB full miss.**  The tagless design inlines the two paths that
       dominate its profile: the cTLB full miss resolving as an
       in-package *victim hit* (walk + GIPT residence + cTLB install,
-      Figure 4's unshaded path) and the fill.  Its genuinely rare
-      events leave the loop: NC pages, superpages, PU waits.  The other
-      designs inline the conventional walk and install of
+      Figure 4's unshaded path) and the fill.  The fill calls none of
+      the reference fill's helpers: ``FreeQueue.allocate``,
+      ``GIPT.insert``, ``FIFOVictimTracker.on_fill`` (LRU and CLOCK
+      keep the call), the first posted GIPT write's
+      ``BankArray.access`` (the second is a row hit by construction)
+      and ``PageTableEntry.install_in_cache`` are written out, and
+      their counters are counted at flush.  An empty pool after the
+      synchronous eviction, or a cache page the GIPT already holds,
+      calls ``allocate`` or ``insert`` to raise.  Evictions run in the
+      engine's ``_maintain_alpha``/``_drain_evictions``, one copy for
+      both paths.  Its genuinely rare events leave the loop: NC pages,
+      superpages, PU waits.  The other designs inline the conventional
+      walk and install of
       :meth:`MemorySystemDesign._refill_tlb`; a superpage PTE calls
-      that method instead (it offsets the frame into the run).
+      that method instead (it offsets the frame into the run).  Every
+      design materialises a first-touched PTE inline
+      (``PageTable.entry`` for a table with no unsplit superpage; a
+      table with one keeps the call).
     - **Dirty on-die write-backs.**  Tagless routes them inline by key
       namespace; the other designs call ``_route_writebacks``.
     - **On-die L2 miss.**  Tagless services it from the DRAM cache with
@@ -338,6 +358,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     l2_hit_cycles = design._l2_hit_cycles
     freq = design.core_cfg.frequency_ghz
     lines_per_page = LINES_PER_PAGE
+    frame_allocate = design.allocator.allocate
 
     # Excess of the (tlb_cycles == 0.0, on-die L2 hit) case and of the
     # idle-channel DRAM-cache access (queue_ns == 0.0, whose latency is
@@ -358,17 +379,25 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         engine = design.engine
         gipt = engine.gipt
         gipt_entries = gipt._entries
-        # FIFO ignores touches (its whole point); LRU/CLOCK need the
-        # call.
+        gipt_cap = gipt.capacity_pages
+        gipt_insert = gipt.insert
+        # FIFO ignores touches (its whole point) and its fill is
+        # inline; LRU/CLOCK need both calls.
         victims = engine.victims
-        on_touch = (None if type(victims) is FIFOVictimTracker
-                    else victims.on_touch)
+        fifo = type(victims) is FIFOVictimTracker
+        if fifo:
+            on_touch = None
+            fifo_epoch = victims._epoch
+            fifo_push = victims._queue.append
+            fifo_live = victims._live.add
+        else:
+            on_touch = victims.on_touch
+            on_fill_v = victims.on_fill
         free_queue = engine.free_queue
         fq_free = free_queue._free
+        fq_take = fq_free.popleft
         fq_alpha = free_queue.alpha
         fq_allocate = free_queue.allocate
-        gipt_insert = gipt.insert
-        on_fill_v = victims.on_fill
         maintain_alpha = engine._maintain_alpha
         gipt_base = engine.gipt_base_page
         ip_next_refresh = in_pkg._next_refresh_ns
@@ -377,13 +406,20 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         # either DRAM; off-package by default).
         gipt_off = not engine.cache_config.gipt_in_package
         gd = off_pkg if gipt_off else in_pkg
-        gd_banks = gd.banks.access
+        gd_banks = gd.banks
+        gd_rows = gd_banks._open_rows
+        gd_num_banks = gd_banks._total_banks
+        gd_hit_ns = gd_banks._block_hit_ns
+        gd_empty_ns = gd_banks._block_empty_ns
+        gd_miss_ns = gd_banks._block_miss_ns
         gd_free = gd.channels._free_at_ns
         gd_bg = gd.channels._bg_until_ns
         gd_mask = gd.channels.num_channels - 1
         gd_tr64 = gd._block_transfer_ns
+        # A write's energy with 0 and with 1 activation: the same sums
+        # as ``gd_nj0 + acts * act_pre_nj`` (0 * x adds exactly 0.0).
         gd_nj0 = gd._block_wb_nj
-        gd_act_nj = gd.energy.config.act_pre_nj
+        gd_nj1 = gd_nj0 + gd.energy.config.act_pre_nj
 
         # The tagless service is inline, so the frame alone advances
         # these too (see the docstring).  Flushed/reloaded around the
@@ -402,7 +438,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         service_l2_miss = design._service_l2_miss
 
     # Shared integer counters (GIPT, DRAM); per-core ones live in slots.
-    n_gipt_acts = 0
+    n_gd_hits = n_gd_empties = n_gd_misses = 0  # first GIPT write's row
     n_res_evict = 0
     n_ip_write = 0
     n_wb_ip = n_wb_off = 0
@@ -440,7 +476,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 column.__setstate__(pos)
         accesses = bases[k] = zip(*columns)
         return (
-            state.process_id, table._entries, table.entry,
+            state.process_id, table._entries, table,
             model.base_cpi, mlp,
             exc0_l2 / mlp if exc0_l2 > 0 else 0.0,
             exc0_dram / mlp if exc0_dram > 0 else 0.0,
@@ -501,7 +537,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         slot = slots[index]
         (k, core_id, core_bit, clear_bit, l1_map, l2_map, handler,
          ol1_ent, ol2_ent, pending_wb, state, model,
-         process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
+         process_id, pte_map, table, base_cpi, mlp, st0_l2,
          st0_dram, accesses, remaining, tq, run) = slot
         (cycles, stall_cycles, f_handler, last_vp, last_target, last_base,
          last_entry, n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb) = run
@@ -582,10 +618,16 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                             pte = pte_map.get(vp)
                             if pte is None:
                                 # Materialise the PTE exactly where the
-                                # scalar walk would.  table.entry is
-                                # idempotent, so a superpage/NC outcome
-                                # still falls back safely.
-                                pte = table_entry(vp)
+                                # scalar walk would; it is idempotent,
+                                # so a superpage/NC outcome still falls
+                                # back safely.  PageTable.entry, written
+                                # out for a table with no unsplit
+                                # superpage.
+                                if table._superpages:
+                                    pte = table.entry(vp)
+                                else:
+                                    pte = pte_map[vp] = PageTableEntry(
+                                        vp, frame_allocate())
                             if not tagless:
                                 # Counted apart: n_tm inline walks,
                                 # n_fill superpage refills.
@@ -594,9 +636,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     # frame into the superpage's run.
                                     n_fill += 1
                                     tlb_cycles, entry = refill_tlb(
-                                        core_id,
-                                        design.page_table(process_id),
-                                        vp, now_ns, line)
+                                        core_id, table, vp, now_ns, line)
                                     target = entry.target_page
                                 else:
                                     # PageTableWalker.walk and the base
@@ -676,7 +716,11 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 # CTLBMissHandler.handle /
                                 # allocate_and_fill / fill_page /
                                 # stream_page / posted_write_block, in
-                                # scalar order.
+                                # scalar order, and so are the helpers
+                                # they call; their integer counters are
+                                # counted at flush.  Where an inlined
+                                # check fails, the helper itself is
+                                # called to raise.
                                 n_fill += 1
                                 f_off_dyn += pte_nj
                                 f_walker += walk_cycles
@@ -696,15 +740,29 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     f_ip_dyn = ip_energy.dynamic_nj
                                     f_ip_bg = ip_ch.background_busy_ns
                                     ip_next_refresh = in_pkg._next_refresh_ns
-                                target = fq_allocate()
-                                g = gipt_insert(target, pte.physical_page,
-                                                pte)
+                                    if not fq_free:
+                                        fq_allocate()  # raises: no block
+                                # FreeQueue.allocate and GIPT.insert.
+                                target = fq_take()
+                                if (target in gipt_entries
+                                        or not 0 <= target < gipt_cap):
+                                    gipt_insert(target, pte.physical_page,
+                                                pte)  # raises
+                                g = gipt_entries[target] = GIPTEntry(
+                                    pte.physical_page, pte)
                                 # Protect the page for the filling core
                                 # before any victim is chosen
                                 # (allocate_and_fill's first
                                 # set_resident).
                                 g.residence_mask |= core_bit
-                                on_fill_v(target)
+                                if fifo:
+                                    # FIFOVictimTracker.on_fill.
+                                    epoch = fifo_epoch.get(target, 0) + 1
+                                    fifo_epoch[target] = epoch
+                                    fifo_push((target, epoch))
+                                    fifo_live(target)
+                                else:
+                                    on_fill_v(target)
                                 # fill_page: demand-read the page from
                                 # off-package DRAM, critical block
                                 # first.
@@ -744,10 +802,25 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 # Two posted GIPT writes (Section 3.4),
                                 # open-page: the header pointer's
                                 # sequential walk gives them high row
-                                # locality.
+                                # locality.  The first one's
+                                # BankArray.access, inlined:
                                 gipt_page = gipt_base + (target >> 8)
                                 gch = gipt_page & gd_mask
-                                sv2, acts = gd_banks(gipt_page)
+                                bank = gipt_page % gd_num_banks
+                                open_row = gd_rows.get(bank)
+                                if open_row == gipt_page:
+                                    n_gd_hits += 1
+                                    sv2 = gd_hit_ns
+                                    gd_nj = gd_nj0
+                                else:
+                                    gd_rows[bank] = gipt_page
+                                    if open_row is None:
+                                        n_gd_empties += 1
+                                        sv2 = gd_empty_ns
+                                    else:
+                                        n_gd_misses += 1
+                                        sv2 = gd_miss_ns
+                                    gd_nj = gd_nj1
                                 start = now_ns + fill_ns
                                 if gd_bg[gch] > start:
                                     start = gd_bg[gch]
@@ -756,13 +829,14 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 gd_bg[gch] = start + gd_tr64
                                 if gipt_off:
                                     f_off_bg += gd_tr64
-                                    f_off_dyn += gd_nj0 + acts * gd_act_nj
+                                    f_off_dyn += gd_nj
                                 else:
                                     f_ip_bg += gd_tr64
-                                    f_ip_dyn += gd_nj0 + acts * gd_act_nj
-                                n_gipt_acts += acts
+                                    f_ip_dyn += gd_nj
                                 fill_ns += sv2
-                                sv2, acts = gd_banks(gipt_page)
+                                # The second write opens nothing: it hits
+                                # the row the first one left open (the
+                                # same page, nothing in between).
                                 start = now_ns + fill_ns
                                 if gd_bg[gch] > start:
                                     start = gd_bg[gch]
@@ -771,13 +845,14 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 gd_bg[gch] = start + gd_tr64
                                 if gipt_off:
                                     f_off_bg += gd_tr64
-                                    f_off_dyn += gd_nj0 + acts * gd_act_nj
+                                    f_off_dyn += gd_nj0
                                 else:
                                     f_ip_bg += gd_tr64
-                                    f_ip_dyn += gd_nj0 + acts * gd_act_nj
-                                n_gipt_acts += acts
-                                fill_ns += sv2
-                                pte.install_in_cache(target)
+                                    f_ip_dyn += gd_nj0
+                                fill_ns += gd_hit_ns
+                                # PageTableEntry.install_in_cache.
+                                pte.cache_page = target
+                                pte.valid_in_cache = True
                                 engine.fill_latency_ns += fill_ns
                                 if _len(fq_free) < fq_alpha:
                                     # Asynchronous eviction (Figure 5):
@@ -1085,7 +1160,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 live = False
                 break
             seg = slot[_SEG:_RUN] = segment(state, k)
-            (process_id, pte_map, table_entry, base_cpi, mlp, st0_l2,
+            (process_id, pte_map, table, base_cpi, mlp, st0_l2,
              st0_dram, accesses, remaining, tq) = seg
             cycles = model.cycles  # plus the context-switch charge
             last_vp = -1  # the TLB may have been flushed
@@ -1193,6 +1268,8 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_energy.activations += tot_fill
     engine.victim_hits += tot_tm
     engine.fills += tot_fill
+    free_queue.allocations += tot_fill
+    gipt.inserts += tot_fill
     gipt.residence_updates += tot_tm + n_res_evict + 2 * tot_fill
     design.cache_accesses += tot_om
     ip_ch.requests += tot_om
@@ -1205,8 +1282,12 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_pkg.demand_accesses += tot_fill
     in_pkg.demand_accesses += tot_om
     # Posted GIPT writes: two 64 B stores per fill on whichever device
-    # hosts the table, with data-dependent activations (row buffer).
+    # hosts the table, with data-dependent activations (row buffer);
+    # every second write is a row hit.
+    gd_banks.row_hits += n_gd_hits + tot_fill
+    gd_banks.row_empties += n_gd_empties
+    gd_banks.row_misses += n_gd_misses
     gd_energy = off_energy if gipt_off else ip_energy
-    gd_energy.activations += n_gipt_acts
+    gd_energy.activations += n_gd_empties + n_gd_misses
     gd_energy.write_bytes += 128 * tot_fill
     return _sum(processed)

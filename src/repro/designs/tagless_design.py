@@ -99,11 +99,21 @@ class TaglessDesign(MemorySystemDesign):
     # cTLB wiring
     # ------------------------------------------------------------------
     def _make_tlb_hierarchy(self, core_id: int, tlb_cfg) -> TLBHierarchy:
+        clear_bit = ~(1 << core_id)
+
         def on_evict(virtual_page: int, entry: TLBEntry) -> None:
             # A cache-mapped page left this core's TLB reach: clear its
             # residence bit so the replacement logic may evict it.
-            if self.engine is not None and not entry.non_cacheable:
-                self.engine.gipt.clear_resident(entry.target_page, core_id)
+            # GlobalInvertedPageTable.clear_resident, written out (a
+            # context switch's flush runs this for every L2 entry; the
+            # core id is in range by construction).
+            engine = self.engine
+            if engine is not None and not entry.non_cacheable:
+                gipt = engine.gipt
+                gipt_entry = gipt._entries.get(entry.target_page)
+                if gipt_entry is not None:
+                    gipt_entry.residence_mask &= clear_bit
+                    gipt.residence_updates += 1
 
         return TLBHierarchy(
             tlb_cfg.l1_entries, tlb_cfg.l2_entries, on_l2_evict=on_evict

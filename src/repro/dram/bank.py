@@ -59,6 +59,11 @@ class BankArray(Counters):
         (latency_ns, activations):
             Core-visible latency of the access and the number of
             activate+precharge pairs it incurred (for energy accounting).
+
+        The fused kernel's fill (:func:`repro.cpu.batched._run_kernel`)
+        writes this body out for the first of its two posted GIPT
+        writes and counts the row outcomes at its exit; the second
+        write, to the same page with nothing in between, is a row hit.
         """
         bank = page_number % self._total_banks
         open_rows = self._open_rows

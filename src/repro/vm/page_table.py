@@ -72,7 +72,11 @@ class PageTableEntry:
         return self.physical_page
 
     def install_in_cache(self, cache_page: int) -> None:
-        """Rewrite the PTE after a cache fill: PA replaced by CA, VC set."""
+        """Rewrite the PTE after a cache fill: PA replaced by CA, VC set.
+
+        The fused kernel's fill (:func:`repro.cpu.batched._run_kernel`)
+        writes this body out.
+        """
         self.cache_page = cache_page
         self.valid_in_cache = True
 
@@ -229,13 +233,16 @@ class PageTable:
 
         Inside an unsplit superpage this returns the *base* PTE, whose
         ``superpage_order`` tells the handler it covers the whole run.
+        The fused kernel (:func:`repro.cpu.batched._run_kernel`) writes
+        out the first touch of a table with no unsplit superpage.
         """
         pte = self._entries.get(virtual_page)
         if pte is not None:
             return pte
-        location = self.superpage_base(virtual_page)
-        if location is not None:
-            return self._entries[location[0]]
+        if self._superpages:
+            location = self.superpage_base(virtual_page)
+            if location is not None:
+                return self._entries[location[0]]
         pte = PageTableEntry(
             virtual_page=virtual_page,
             physical_page=self.allocator.allocate(),

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.cpu.simulator as simulator_module
 from repro.common.config import default_system
+from repro.common.errors import SimulationError
 from repro.cpu.batched import _run_kernel, select_kernel
 from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.cpu.scheduled import TenantQoS
@@ -330,6 +331,55 @@ def _kernel_and_reference_replays(make_design, cores, tenants=None,
     return [_replay_outcome(make_design(), cores, tenants, _kernel=kernel,
                             **replay_kwargs)
             for kernel in (_run_kernel, None)]
+
+
+def _double_allocation(engine):
+    """A live cache page at the head of the free pool."""
+    engine.free_queue._free.appendleft(next(iter(engine.gipt._entries)))
+
+
+def _resident_at_eviction(engine):
+    """A TLB-resident page queued for eviction ahead of the next
+    victim, and a pool the next fill leaves short of alpha."""
+    free_queue = engine.free_queue
+    free_queue._pending.append(next(
+        ca for ca, g in engine.gipt._entries.items() if g.residence_mask))
+    while len(free_queue._free) > free_queue.alpha:
+        free_queue._free.pop()
+
+
+def _exhausted_pool(engine):
+    """No free block, and a residence bit no TLB clears on every cached
+    page: the synchronous eviction finds no victim."""
+    engine.free_queue._free.clear()
+    for g in engine.gipt._entries.values():
+        g.residence_mask |= 2
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_double_allocation, "double allocation"),
+    (_resident_at_eviction, "while TLB-resident"),
+    (_exhausted_pool, "found no free block"),
+], ids=["double-allocation", "resident-at-eviction", "exhausted-pool"])
+def test_kernel_fill_raises_as_the_reference_does(corrupt, message):
+    """The kernel's fill writes out ``FreeQueue.allocate`` and
+    ``GIPT.insert``, and the engine's drain ``GIPT.remove``; where one
+    of their checks fails, the helper itself is called and raises the
+    reference loop's error, word for word."""
+    raised = []
+    for kernel in (_run_kernel, None):
+        design = create_design("tagless", _SMALL[1])
+        # 100 fills: the last 32 pages stay in the L2 TLB (resident),
+        # the first 68 are evictable.
+        pages = list(range(100))
+        replay(design, [(0, "warm", [(None, 0, _trace(pages, [0] * 100))])],
+               _kernel=kernel)
+        corrupt(design.engine)
+        with pytest.raises(SimulationError, match=message) as info:
+            replay(design, [(0, "fill", [(None, 0, _trace([1000], [0]))])],
+                   _kernel=kernel)
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
 
 
 def test_kernel_clock_tie_goes_to_the_earlier_core():

@@ -183,6 +183,41 @@ def test_kernel_attributes_cross_core_evictions(small_mp_config):
     assert stats["engine_fq_evictions_completed"] > 0
 
 
+def test_kernel_attributes_a_resizing_schedule(small_mp_config):
+    """``tagless-resizable`` shrinks to 60 % mid-run and grows back: the
+    kernel stops at each resize, and both paths return every evicted
+    block through the engine's one drain, in the same order -- the
+    shrink's displaced pages into the gated set (``GatedFreeQueue``'s
+    ``mark_free``), the fills' victims into the pool."""
+    schedule = build_schedule(scenario(tenants=8, tenant_accesses=600),
+                              num_cores=4)
+    returned = []
+
+    def resizing_design():
+        design = create_design("tagless-resizable", small_mp_config)
+        design.set_resize_schedule(((1600, 0.6), (3200, 1.0)),
+                                   max_remap_per_resize=8)
+        free_queue = design.engine.free_queue
+        mark_free = free_queue.mark_free
+        log = []
+        returned.append(log)
+
+        def logged(cache_page):
+            log.append((cache_page,
+                        cache_page >= free_queue.active_capacity))
+            mark_free(cache_page)
+
+        free_queue.mark_free = logged
+        return design
+
+    stats = _schedule_matches_reference(resizing_design, schedule)
+    kernel_log, reference_log = returned
+    assert kernel_log == reference_log
+    assert stats["resize_events"] == 2
+    assert any(gated for _, gated in kernel_log)
+    assert any(not gated for _, gated in kernel_log)
+
+
 def test_kernel_attributes_nc_fallbacks(small_mp_config):
     """NC pins on one tenant's hottest pages: its accesses to them fall
     back to the scalar path, whose L3 cost the kernel reads back from

@@ -18,7 +18,7 @@ observable behaviour of the paper's asynchronous eviction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.common.errors import SimulationError
 from repro.common.stats import Counters
@@ -50,11 +50,6 @@ class FreeQueue(Counters):
     # ------------------------------------------------------------------
     # Header-pointer side
     # ------------------------------------------------------------------
-    @property
-    def header_pointer(self) -> Optional[int]:
-        """The next cache page a fill will receive (None if exhausted)."""
-        return self._free[0] if self._free else None
-
     def allocate(self) -> int:
         """Hand the HP block to a fill and advance the pointer.
 
@@ -75,10 +70,6 @@ class FreeQueue(Counters):
     def free_blocks(self) -> int:
         return len(self._free)
 
-    def needs_eviction(self) -> bool:
-        """True when the pool has dropped below alpha free blocks."""
-        return len(self._free) < self.alpha
-
     # ------------------------------------------------------------------
     # Eviction side
     # ------------------------------------------------------------------
@@ -86,12 +77,6 @@ class FreeQueue(Counters):
         """Queue a victim for the asynchronous eviction process."""
         self._pending.append(cache_page)
         self.evictions_enqueued += 1
-
-    def pop_pending(self) -> Optional[int]:
-        """Take the oldest queued victim (the background drain)."""
-        if not self._pending:
-            return None
-        return self._pending.popleft()
 
     def mark_free(self, cache_page: int) -> None:
         """Return a fully evicted block to the free pool."""

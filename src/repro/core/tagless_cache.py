@@ -222,8 +222,8 @@ class TaglessCacheEngine(Counters):
         (:func:`repro.cpu.batched._run_kernel`) after each of its inline
         fills that leaves fewer than alpha blocks free.  It reads the
         free pool and queues victims on the pending deque directly
-        (``FreeQueue.needs_eviction`` and ``enqueue_eviction``, written
-        out).
+        (``FreeQueue.enqueue_eviction`` written out), and the drain
+        takes them from its head.
         """
         free_queue = self.free_queue
         free = free_queue._free

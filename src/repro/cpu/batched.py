@@ -11,14 +11,37 @@ shared ones exactly once and the per-core ones once per burst of one
 core.
 
 The frame -- argmin, segments, tenant attribution, replay boundaries,
-translation hits, on-die hits and fills, counter flush -- is the same
-for every design.  The path depends on the design at three places, all
-on miss branches: the TLB full miss, the dirty on-die write-backs and
-the on-die L2 miss.  There the tagless design runs inline (a cTLB
-victim hit or fill, two-namespace write-back routing, a DRAM-cache
-access with no tag check) and every other design calls its own
-``_refill_tlb`` (superpages only; a plain walk is inline),
-``_route_writebacks`` and ``_service_l2_miss``.
+translation hits, on-die hits and fills, the write-back router, the
+DRAM demand access, counter flush -- is the same for every design.
+Past the TLB, a design decides one thing: where a block lives.  Each
+decides it with a read-only classification, written out in the kernel
+(:data:`_CLASSIFIERS` names the designs; the tagless design and its
+subclasses have their own branch):
+
+- tagless: GIPT bookkeeping, then in package at the cache page (no
+  tag check);
+- ideal: in package; no-l3: off package; BI: split at
+  ``in_package_pages``;
+- SRAM-tag: one fused ``pop``/reinsert probe of the page's tag set; a
+  hit is in package at ``set * ways + way``, behind the tag latency;
+- Alloy: a slot hit is in package at the physical page; a slot miss
+  probes in package, fetches the block off package and lays it into
+  its slot, all inline.
+
+One inline demand block per device -- ``DRAMDevice.access_block``'s
+closed-page arithmetic with the idle-channel shortcut -- then serves the
+access, and one write-back router sends each dirty on-die victim to
+``write_back_block``'s arithmetic on the device its design names (an
+SRAM-tag victim to its cached page, with a counted probe that marks it
+dirty; an Alloy victim to its slot; a tagless one by key namespace,
+marking its GIPT entry dirty).  An SRAM-tag miss calls the design's own
+``_service_l2_miss``: the classification's probe left no trace, so the
+hook's re-probe is exact.  A design class the kernel has no
+classification for replays through the reference loop
+(:func:`select_kernel`).  The TLB full miss
+keeps its per-design paths: the tagless cTLB victim hit and fill run
+inline, a conventional walk runs inline, a superpage calls the design's
+``_refill_tlb``.
 
 :func:`run_interleaved_batched` is the simulator's replay entry point
 for bound traces, and :func:`repro.cpu.scheduled.run_schedule` for
@@ -57,16 +80,22 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   boundary callbacks run after the kernel has stopped and flushed.
 - Float accumulators (latency sums, queue times, energy) are
   order-sensitive, so they cannot be batch-flushed like the integers.
-  A float that only the frame advances lives in a *seeded local*:
-  initialised from its attribute, advanced by the same additions in
-  the same order as the scalar path (same rounding, same result),
-  stored back at exit.  The scalar-fallback site flushes the locals
-  first and reloads after, so fallback accesses always see -- and
-  update -- the true totals.  Only ``l3_latency_cycles`` is seeded for
-  every design; the DRAM and walker floats are seeded for the tagless
-  design alone, whose service is inline.  The other designs' service
-  and routing calls advance those attributes themselves, so the kernel
-  adds its own walk terms to the attributes directly, in access order.
+  They live in *seeded locals*, under one rule for every design: both
+  devices' DRAM floats, the walker's cycle total and
+  ``l3_latency_cycles`` are initialised from their attributes, advanced
+  by the same additions in the same order as the scalar path (same
+  rounding, same result) and stored back at exit; a float is a local
+  only while no called hook advances it, so every call out of the
+  kernel that may advance one -- a design hook, the engine's eviction
+  path, the scalar fallback -- stores the locals before and reloads
+  them (with both devices' refresh deadlines) after.  Calls out thus
+  always see, and update, the true totals.
+- A tenant's demand latencies are order-sensitive too (the histogram
+  total is a float sum): the kernel appends them to a per-tenant list,
+  in access order, and folds the list into its histogram with
+  ``Histogram.observe_all``, which adds them in that order, whenever a
+  core has appended ``_LOG_CHUNK`` of them and at exit.  Folding a prefix and
+  then the rest is the same left fold, so the chunking is exact.
 
 The kernel runs only when no event tracer and no latency histogram is
 attached: it inlines the paths both observe.  Such runs replay through
@@ -83,11 +112,34 @@ from repro.common.addressing import LINES_PER_PAGE, PAGE_BYTES
 from repro.core.gipt import GIPTEntry
 from repro.core.policies import FIFOVictimTracker
 from repro.cpu.multicore import BoundTrace, CoreResult, run_interleaved
+from repro.designs.alloy import AlloyCacheDesign
+from repro.designs.bank_interleave import BankInterleavingDesign
 from repro.designs.base import PA_NAMESPACE_OFFSET, MemorySystemDesign
+from repro.designs.ideal import IdealDesign
+from repro.designs.no_l3 import NoL3Design
+from repro.designs.sram_tag import SRAMTagDesign
 from repro.designs.tagless_design import TaglessDesign
 from repro.obs.events import null_event
 from repro.vm.page_table import PageTableEntry
 from repro.vm.tlb import TLBEntry
+
+
+#: The classification the kernel writes out for each comparator design,
+#: by exact class (the tagless design, subclasses included, has its own
+#: branch).  A design class not listed replays through the reference
+#: loop.
+_CLASSIFIERS = {
+    NoL3Design: "no-l3",
+    IdealDesign: "ideal",
+    BankInterleavingDesign: "bi",
+    SRAMTagDesign: "sram",
+    AlloyCacheDesign: "alloy",
+}
+
+#: A core folds its tenant's latency log into the histogram once it has
+#: appended this many entries since its last fold, so a long attributed
+#: run holds at most this many unfolded latencies per tenant and core.
+_LOG_CHUNK = 4096
 
 
 def _observed(design: MemorySystemDesign) -> bool:
@@ -111,11 +163,13 @@ def select_kernel(design: MemorySystemDesign):
     Every design gets it unless something watches the paths it inlines
     (:func:`_observed`), an on-die cache or DRAM device has a set or
     channel count that is not a power of two (the kernel indexes them
-    with bitmasks), or a tagless engine traces events or predicts
-    footprints.  The resizable tagless variant gets it too: its
-    capacity schedule is a replay boundary, not an access-path
-    override.  The choice reads no class attribute, so a span tracer
-    that wraps ``access_cycles`` leaves it unchanged.
+    with bitmasks), a tagless engine traces events or predicts
+    footprints, or the design is neither tagless nor of a class in
+    :data:`_CLASSIFIERS` (the kernel has no classification for it).
+    The resizable tagless variant gets it too: its capacity schedule is
+    a replay boundary, not an access-path override.  The choice reads
+    no class attribute, so a span tracer that wraps ``access_cycles``
+    leaves it unchanged.
     """
     if _observed(design):
         return None
@@ -130,10 +184,11 @@ def select_kernel(design: MemorySystemDesign):
         )
     ):
         return None
-    if isinstance(design, TaglessDesign) and (
-        design.engine.trace_event is not null_event
-        or design.engine.footprint is not None
-    ):
+    if isinstance(design, TaglessDesign):
+        if (design.engine.trace_event is not null_event
+                or design.engine.footprint is not None):
+            return None
+    elif type(design) not in _CLASSIFIERS:
         return None
     return _run_kernel
 
@@ -153,6 +208,35 @@ def run_interleaved_batched(
     return run_interleaved(design, bindings, _kernel=select_kernel(design))
 
 
+def _load_floats(design: MemorySystemDesign) -> tuple:
+    """The kernel's seeded floats, then both devices' refresh deadlines.
+
+    Order: in-package dynamic energy, background busy, queue, demand
+    busy and demand latency; the same five off package; the walker's
+    cycle total; ``l3_latency_cycles``.
+    """
+    ip, off = design.in_package, design.off_package
+    ip_ch, off_ch = ip.channels, off.channels
+    return (ip.energy.dynamic_nj, ip_ch.background_busy_ns,
+            ip_ch.queue_ns_total, ip_ch.demand_busy_ns, ip.demand_latency_ns,
+            off.energy.dynamic_nj, off_ch.background_busy_ns,
+            off_ch.queue_ns_total, off_ch.demand_busy_ns,
+            off.demand_latency_ns, design.walker.cycles_total,
+            design.l3_latency_cycles, ip._next_refresh_ns,
+            off._next_refresh_ns)
+
+
+def _store_floats(design: MemorySystemDesign, floats: tuple) -> None:
+    """Store the kernel's seeded floats, in :func:`_load_floats` order."""
+    ip, off = design.in_package, design.off_package
+    ip_ch, off_ch = ip.channels, off.channels
+    (ip.energy.dynamic_nj, ip_ch.background_busy_ns, ip_ch.queue_ns_total,
+     ip_ch.demand_busy_ns, ip.demand_latency_ns, off.energy.dynamic_nj,
+     off_ch.background_busy_ns, off_ch.queue_ns_total,
+     off_ch.demand_busy_ns, off.demand_latency_ns,
+     design.walker.cycles_total, design.l3_latency_cycles) = floats
+
+
 # ----------------------------------------------------------------------
 # The kernel: the access path of every design, fused.
 # ----------------------------------------------------------------------
@@ -160,9 +244,10 @@ def run_interleaved_batched(
 #: the per-segment values from ``segment()``, then one tuple of the
 #: running values a burst stores back (one item store, not a slice).
 _SEG = 12
-_ACC = _SEG + 7  # the segment's access iterator (a limited burst's slice)
-_REM = _SEG + 8  # the segment's remaining-accesses count
-_RUN = 22
+_ACC = _SEG + 8  # the segment's access iterator (a limited burst's slice)
+_REM = _SEG + 9  # the segment's remaining-accesses count
+_TQ = _SEG + 10  # the segment's tenant record (None: unattributed)
+_RUN = 25
 
 
 def _run_kernel(design: MemorySystemDesign, active, qos, budget,
@@ -213,9 +298,11 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     TLB maps in place and retunes the model), then reloads the
     per-segment values and clears the same-page cache.
 
-    Inlines TLB L1/L2 hits and on-die L1/L2 hits for every design.
-    Where the path depends on the design, a bool hoisted once per call
-    (``tagless``) picks the branch, on miss branches only:
+    Inlines TLB L1/L2 hits, on-die L1/L2 hits, the write-back router
+    and the DRAM demand access for every design.  Where the path
+    depends on the design, bools hoisted once per call (``tagless``,
+    then one per comparator kind) pick the branch, on miss branches
+    only:
 
     - **TLB full miss.**  The tagless design inlines the two paths that
       dominate its profile: the cTLB full miss resolving as an
@@ -238,13 +325,24 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
       design materialises a first-touched PTE inline
       (``PageTable.entry`` for a table with no unsplit superpage; a
       table with one keeps the call).
-    - **Dirty on-die write-backs.**  Tagless routes them inline by key
-      namespace; the other designs call ``_route_writebacks``.
-    - **On-die L2 miss.**  Tagless services it from the DRAM cache with
-      zero tag check (``_service_l2_miss``'s cached branch, with the
-      closed-page ``access_block`` arithmetic inlined); the other
-      designs call their own ``_service_l2_miss``, after the frame's
-      translation, so nothing is translated twice.
+    - **Dirty on-die write-backs.**  One router for every design: the
+      design names the device and page each victim drains to (see the
+      module docstring), and ``write_back_block``'s arithmetic runs
+      inline for it.  SRAM-tag probes count at flush.
+    - **On-die L2 miss.**  The design's classification picks the page
+      and the device; the device's one inline demand block serves it
+      (``access_block``'s closed-page path, with an idle-channel
+      shortcut whose cost and stall are hoisted constants).  The
+      SRAM-tag latency rides in the in-package block as a hoisted
+      ``ip_extra`` (0.0 elsewhere, an exact no-op).  An Alloy slot
+      miss runs its in-package probe, its dirty victim's write-back,
+      its off-package fetch and the in-package fill inline, in
+      ``AlloyCacheDesign._service_l2_miss``'s order.  An SRAM-tag
+      miss calls the design's own ``_service_l2_miss``, after the
+      frame's translation, so nothing is translated twice.  The
+      blocks' integer counters (requests, activations, bytes, the
+      designs' hit, miss and write-back counters, SRAM-tag probes)
+      are counted at flush.
 
     Loop-level shortcuts, each a proof that some scalar work is the
     identity:
@@ -285,33 +383,50 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     delta per access (at the top of the next access, or where the burst
     or segment ends) and never a per-segment ``end - start``.  The
     context-switch charge falls between two segments' deltas, so no
-    tenant gets it.  Each L3-bound access adds one to the tenant's
-    ``l3_accesses`` and observes ``cost * cycle_ns`` in its
-    demand-latency histogram; a scalar fallback reads the cost from
-    the design's ``_last_l3_*`` side channel instead.  A tenant can run
-    on two cores whose clocks overlap, so its running cycle total is a
+    tenant gets it.  Each L3-bound access appends ``cost * cycle_ns``
+    to the tenant's latency log (the list's ``append``, bound once per
+    segment in the slot); a scalar fallback reads the cost from the
+    design's ``_last_l3_*`` side channel instead.  Once a core has
+    appended ``_LOG_CHUNK`` latencies to a log, and at exit, the log is
+    folded into its tenant's demand-latency histogram
+    (``Histogram.observe_all``, in log order), adds its length to the
+    tenant's ``l3_accesses`` and is emptied, so a long run holds a
+    bounded log.  A tenant can run on two cores whose clocks overlap,
+    so its running cycle total is a
     seeded local per burst: loaded when the burst (or the segment)
     starts and stored back when it ends.  Bursts run in global order,
     so the additions land in the reference order.  In an unattributed
     run the segment's tenant record is ``None``, and the attribution
-    costs one ``is not None`` test per access (two on an L3-bound one).
+    costs one ``is not None`` test per access (two on an L3-bound one;
+    an attributed L3-bound access also counts down its core's room in
+    the log).
 
-    Order-sensitive float accumulators that only the frame advances
-    live in *seeded locals*: each is initialised from its attribute,
+    Order-sensitive float accumulators live in *seeded locals*, one
+    rule for every design: each is initialised from its attribute,
     accumulated sequentially (the same additions in the same order as
     the scalar path, hence the same rounding), and stored back at
-    kernel exit.  The tagless design's one scalar-fallback site flushes
-    them before calling ``access_cycles`` and reloads after, so the
-    scalar path always sees -- and updates -- the true running totals.
-    Its per-core handler total is seeded the same way, from the core's
-    slot.  For the other designs only ``l3_latency_cycles`` is seeded:
-    their service and routing calls advance the rest.
+    kernel exit.  A float is a local only while no called hook
+    advances it: every call out that may advance one -- the tagless
+    fallback to ``access_cycles`` and the engine's ``_maintain_alpha``,
+    a comparator's ``_refill_tlb`` and SRAM-tag's ``_service_l2_miss``
+    -- stores the locals before (:func:`_store_floats`) and reloads
+    them and both refresh deadlines after (:func:`_load_floats`).
+    The tagless per-core handler total is seeded the same way, from
+    the core's slot.
     """
     # --- Shared structures and constants (identical for every core).
     first = active[0].model
     l1_hit = first._l1_hit
     cycle_ns = first._cycle_ns
     tagless = isinstance(design, TaglessDesign)
+    # The comparators' classification of an on-die miss (one bool per
+    # kind, hoisted once per call; select_kernel admits no other class).
+    kind = None if tagless else _CLASSIFIERS[type(design)]
+    sram = kind == "sram"
+    no_l3 = kind == "no-l3"
+    bi = kind == "bi"
+    ideal = kind == "ideal"
+    alloy = kind == "alloy"
 
     tlb0 = design.tlbs[0]
     l1_cap = tlb0.l1.capacity
@@ -328,6 +443,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_bg = off_ch._bg_until_ns
     off_mask = off_ch.num_channels - 1  # pow2, per select_kernel
     off_tr64 = off_pkg._block_transfer_ns
+    off_nj = off_pkg._block_nj
     off_wb_nj = off_pkg._block_wb_nj
     off_sv = off_pkg._block_service_ns
     off_page_tr = off_pkg._page_transfer_ns
@@ -360,18 +476,32 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     lines_per_page = LINES_PER_PAGE
     frame_allocate = design.allocator.allocate
 
-    # Excess of the (tlb_cycles == 0.0, on-die L2 hit) case and of the
-    # idle-channel DRAM-cache access (queue_ns == 0.0, whose latency is
-    # the service constant): same expressions the general path
-    # evaluates, evaluated once.  ``segment()`` divides them by each
-    # core's MLP.
+    # What an in-package demand access adds before its DRAM latency:
+    # the SRAM tag probe, which gates every L3 access of that design
+    # (its ``_service_l2_miss`` returns ``tag + latency * freq``), and
+    # 0.0 elsewhere (``0.0 + x`` is ``x`` for every latency).
+    ip_extra = design._tag_cycles if sram else 0.0
+    # Cost of an idle-channel demand access (queue_ns == 0.0, so the
+    # latency is the service constant) on each device, its demand
+    # latency for attribution, and its excess in the tlb_cycles == 0.0
+    # case; likewise the on-die L2 hit's.  The same expressions the
+    # general path evaluates, evaluated once; ``segment()`` divides the
+    # excesses by each core's MLP.
     exc0_l2 = 0.0 + l2_hit_cycles - l1_hit
-    l3_only0 = ip_sv * freq
-    exc0_dram = 0.0 + l3_only0 - l1_hit
-    l3_ns0 = l3_only0 * cycle_ns  # its demand latency, for attribution
+    ip_l3_0 = ip_extra + ip_sv * freq
+    ip_l3_ns0 = ip_l3_0 * cycle_ns
+    exc0_ip = 0.0 + ip_l3_0 - l1_hit
+    off_l3_0 = off_sv * freq
+    off_l3_ns0 = off_l3_0 * cycle_ns
+    exc0_off = 0.0 + off_l3_0 - l1_hit
 
-    # The one float only the frame advances for every design.
-    f_l3 = design.l3_latency_cycles
+    # Seeded float locals, for every design, and the mirrors of both
+    # devices' refresh deadlines.  Every call out of the kernel into
+    # code that may advance them stores them before (_store_floats)
+    # and reloads them after (_load_floats); the exit stores them.
+    (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy, f_ip_lat, f_off_dyn, f_off_bg,
+     f_off_queue, f_off_busy, f_off_lat, f_walker, f_l3, ip_next_refresh,
+     off_next_refresh) = _load_floats(design)
 
     if tagless:
         access_cycles = design.access_cycles
@@ -400,7 +530,6 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         fq_allocate = free_queue.allocate
         maintain_alpha = engine._maintain_alpha
         gipt_base = engine.gipt_base_page
-        ip_next_refresh = in_pkg._next_refresh_ns
 
         # GIPT posted-write device (Section 3.2: the table may live in
         # either DRAM; off-package by default).
@@ -420,28 +549,27 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         # as ``gd_nj0 + acts * act_pre_nj`` (0 * x adds exactly 0.0).
         gd_nj0 = gd._block_wb_nj
         gd_nj1 = gd_nj0 + gd.energy.config.act_pre_nj
-
-        # The tagless service is inline, so the frame alone advances
-        # these too (see the docstring).  Flushed/reloaded around the
-        # fallback call and stored back at exit.
-        f_off_dyn = off_energy.dynamic_nj
-        f_off_bg = off_ch.background_busy_ns
-        f_walker = walker.cycles_total
-        f_ip_dyn = ip_energy.dynamic_nj
-        f_ip_bg = ip_ch.background_busy_ns
-        f_ip_queue = ip_ch.queue_ns_total
-        f_ip_busy = ip_ch.demand_busy_ns
-        f_ip_lat = in_pkg.demand_latency_ns
     else:
         refill_tlb = design._refill_tlb
-        route_writebacks = design._route_writebacks
         service_l2_miss = design._service_l2_miss
+        if sram:
+            tags = design.tags
+            tag_maps = [tag_set.mapping for tag_set in tags._sets]
+            tag_sets = tags.num_sets
+            tag_ways = tags.ways
+            tag_dirty = tags._dirty
+        elif bi:
+            bi_split = design.in_package_pages
+        elif alloy:
+            alloy_slots = design._slots
+            alloy_blocks = design.num_blocks
 
     # Shared integer counters (GIPT, DRAM); per-core ones live in slots.
     n_gd_hits = n_gd_empties = n_gd_misses = 0  # first GIPT write's row
     n_res_evict = 0
-    n_ip_write = 0
-    n_wb_ip = n_wb_off = 0
+    n_ip_write = n_off = n_off_write = n_hook = 0  # demand blocks, hooks
+    n_amiss = n_avict = 0  # Alloy slot misses; those evicting dirty slots
+    n_wb_ip = n_wb_off = n_wb_probe = 0  # write-backs; sram's probes
 
     #: Accesses each core loaded in this call, from its cursor to its
     #: segments' ends; a stop takes the unrun ones back.
@@ -449,6 +577,26 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     #: Each core's access iterator over its current segment; a limited
     #: burst runs a slice of it.
     bases = [None] * _len(active)
+    #: Tenant id -> the demand latencies (ns) of its L3-bound accesses
+    #: not yet in its histogram, in global order; folded in whenever it
+    #: holds ``log_chunk`` of them, and at exit.
+    latency_logs = {}
+    log_chunk = _LOG_CHUNK
+
+    def fold(tq, log):
+        """Move ``log`` into ``tq``'s histogram, in log order; returns
+        the room the emptied log has.
+
+        Each core counts down a room of its own (``t_room``, kept in its
+        slot and reset from the log's length at a segment switch) and
+        folds the log when it reaches 0.  Cores that run one tenant at
+        once share its log, so a log holds fewer than ``log_chunk``
+        entries per such core.
+        """
+        tq.demand_latency.observe_all(log)
+        tq.l3_accesses += _len(log)
+        log.clear()
+        return log_chunk
 
     def segment(state, k):
         """Per-segment slot values of ``state``'s current segment, from
@@ -463,9 +611,14 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         else:
             instructions = _sum(gaps) + _len(gaps)
         model.instructions += instructions
-        tq = None if qos is None else qos[state.tenant_id]
-        if tq is not None:
+        tq = t_log = log = None
+        if qos is not None:
+            tq = qos[state.tenant_id]
             tq.instructions += instructions
+            log = latency_logs.get(state.tenant_id)
+            if log is None:
+                log = latency_logs[state.tenant_id] = []
+            t_log = log.append
         processed[k] += _len(gaps) - pos
         mlp = model.mlp
         table = design.page_table(state.process_id)
@@ -479,8 +632,9 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
             state.process_id, table._entries, table,
             model.base_cpi, mlp,
             exc0_l2 / mlp if exc0_l2 > 0 else 0.0,
-            exc0_dram / mlp if exc0_dram > 0 else 0.0,
-            accesses, columns[0].__length_hint__, tq,
+            exc0_ip / mlp if exc0_ip > 0 else 0.0,
+            exc0_off / mlp if exc0_off > 0 else 0.0,
+            accesses, columns[0].__length_hint__, tq, t_log, log,
         )
 
     slots = []
@@ -499,10 +653,11 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         ]
         slot += segment(state, k)
         # cycles, stall_cycles, handler total, same-page cache (last_vp
-        # -1 never equals a virtual page number), per-core counters.
+        # -1 never equals a virtual page number), the latency log's room
+        # (see fold), per-core counters.
         slot.append((model.cycles, model.stall_cycles,
                      handler.cycles_total if tagless else 0.0,
-                     -1, 0, 0, None, 0, 0, 0, 0, 0, 0, 0))
+                     -1, 0, 0, None, log_chunk, 0, 0, 0, 0, 0, 0, 0))
         slots.append(slot)
     all_slots = slots[:]
     clocks = [slot[_RUN][0] for slot in slots]
@@ -537,14 +692,15 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         slot = slots[index]
         (k, core_id, core_bit, clear_bit, l1_map, l2_map, handler,
          ol1_ent, ol2_ent, pending_wb, state, model,
-         process_id, pte_map, table, base_cpi, mlp, st0_l2,
-         st0_dram, accesses, remaining, tq, run) = slot
+         process_id, pte_map, table, base_cpi, mlp, st0_l2, st0_ip,
+         st0_off, accesses, remaining, tq, t_log, t_list, run) = slot
         (cycles, stall_cycles, f_handler, last_vp, last_target, last_base,
-         last_entry, n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb) = run
+         last_entry, t_room, n_fb, n_t2, n_tm, n_fill, n_o1, n_o2,
+         n_owb) = run
         if tq is not None:
             # Seeded per burst: the tenant may have run on another core
             # since this core's last burst.
-            t_cycles, t_observe = tq.cycles, tq.demand_latency.observe
+            t_cycles = tq.cycles
             t_start = cycles
         # Burst horizon.  The other clocks' first minimum (``nxt``) is
         # the reference loop's next pick once this core stops being
@@ -635,19 +791,25 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     # The scalar refill offsets the
                                     # frame into the superpage's run.
                                     n_fill += 1
+                                    _store_floats(design, (
+                                        f_ip_dyn, f_ip_bg, f_ip_queue,
+                                        f_ip_busy, f_ip_lat, f_off_dyn,
+                                        f_off_bg, f_off_queue, f_off_busy,
+                                        f_off_lat, f_walker, f_l3))
                                     tlb_cycles, entry = refill_tlb(
                                         core_id, table, vp, now_ns, line)
+                                    (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy,
+                                     f_ip_lat, f_off_dyn, f_off_bg,
+                                     f_off_queue, f_off_busy, f_off_lat,
+                                     f_walker, f_l3, ip_next_refresh,
+                                     off_next_refresh) = _load_floats(design)
                                     target = entry.target_page
                                 else:
                                     # PageTableWalker.walk and the base
-                                    # _refill_tlb, inlined: the PTE
-                                    # read's energy and the walk time
-                                    # go straight to their attributes,
-                                    # which the design's service calls
-                                    # advance too.
+                                    # _refill_tlb, inlined.
                                     n_tm += 1
-                                    off_energy.dynamic_nj += pte_nj
-                                    walker.cycles_total += walk_cycles
+                                    f_off_dyn += pte_nj
+                                    f_walker += walk_cycles
                                     target = pte.physical_page
                                     entry = TLBEntry(target, False)
                                     # TLBHierarchy.install, inlined (vp
@@ -730,16 +892,17 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     # synchronously (rare) -- run the
                                     # real engine machinery over the
                                     # true totals.
-                                    off_energy.dynamic_nj = f_off_dyn
-                                    off_ch.background_busy_ns = f_off_bg
-                                    ip_energy.dynamic_nj = f_ip_dyn
-                                    ip_ch.background_busy_ns = f_ip_bg
+                                    _store_floats(design, (
+                                        f_ip_dyn, f_ip_bg, f_ip_queue,
+                                        f_ip_busy, f_ip_lat, f_off_dyn,
+                                        f_off_bg, f_off_queue, f_off_busy,
+                                        f_off_lat, f_walker, f_l3))
                                     maintain_alpha(now_ns)
-                                    f_off_dyn = off_energy.dynamic_nj
-                                    f_off_bg = off_ch.background_busy_ns
-                                    f_ip_dyn = ip_energy.dynamic_nj
-                                    f_ip_bg = ip_ch.background_busy_ns
-                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                    (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy,
+                                     f_ip_lat, f_off_dyn, f_off_bg,
+                                     f_off_queue, f_off_busy, f_off_lat,
+                                     f_walker, f_l3, ip_next_refresh,
+                                     off_next_refresh) = _load_floats(design)
                                     if not fq_free:
                                         fq_allocate()  # raises: no block
                                 # FreeQueue.allocate and GIPT.insert.
@@ -766,8 +929,9 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 # fill_page: demand-read the page from
                                 # off-package DRAM, critical block
                                 # first.
-                                if now_ns >= off_pkg._next_refresh_ns:
+                                if now_ns >= off_next_refresh:
                                     off_pkg._catch_up_refresh(now_ns)
+                                    off_next_refresh = off_pkg._next_refresh_ns
                                 ch = pte.physical_page & off_mask
                                 start = off_free[ch]
                                 if start < now_ns:
@@ -779,11 +943,11 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                         start = bg_until
                                 queue_ns = start - now_ns
                                 off_free[ch] = start + off_page_tr
-                                off_ch.queue_ns_total += queue_ns
-                                off_ch.demand_busy_ns += off_page_tr
+                                f_off_queue += queue_ns
+                                f_off_busy += off_page_tr
                                 f_off_dyn += off_fill_nj
                                 fill_ns = queue_ns + off_sv
-                                off_pkg.demand_latency_ns += fill_ns
+                                f_off_lat += fill_ns
                                 # stream_page: lay the page into the
                                 # cache behind the read (background
                                 # traffic).
@@ -858,16 +1022,17 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                     # Asynchronous eviction (Figure 5):
                                     # the engine helper reads the true
                                     # totals.
-                                    off_energy.dynamic_nj = f_off_dyn
-                                    off_ch.background_busy_ns = f_off_bg
-                                    ip_energy.dynamic_nj = f_ip_dyn
-                                    ip_ch.background_busy_ns = f_ip_bg
+                                    _store_floats(design, (
+                                        f_ip_dyn, f_ip_bg, f_ip_queue,
+                                        f_ip_busy, f_ip_lat, f_off_dyn,
+                                        f_off_bg, f_off_queue, f_off_busy,
+                                        f_off_lat, f_walker, f_l3))
                                     maintain_alpha(now_ns)
-                                    f_off_dyn = off_energy.dynamic_nj
-                                    f_off_bg = off_ch.background_busy_ns
-                                    f_ip_dyn = ip_energy.dynamic_nj
-                                    f_ip_bg = ip_ch.background_busy_ns
-                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                    (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy,
+                                     f_ip_lat, f_off_dyn, f_off_bg,
+                                     f_off_queue, f_off_busy, f_off_lat,
+                                     f_walker, f_l3, ip_next_refresh,
+                                     off_next_refresh) = _load_floats(design)
                                 pte.pending_until_ns = now_ns + fill_ns
                                 pte.pending_update = False
                                 # The handler's second set_resident (a
@@ -897,41 +1062,32 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 f_handler += h_cycles
                                 tlb_cycles = h_cycles
                     if target < 0:
-                        # The one scalar-fallback site: flush the seeded
-                        # float locals so access_cycles sees true
-                        # totals, reload after (it advanced them),
-                        # resync the refresh mirror, and invalidate the
+                        # The one scalar-fallback site: store the seeded
+                        # float locals (the core's handler total too) so
+                        # access_cycles sees true totals, reload after
+                        # (it advanced them), and invalidate the
                         # same-page cache.
-                        off_energy.dynamic_nj = f_off_dyn
-                        off_ch.background_busy_ns = f_off_bg
-                        walker.cycles_total = f_walker
+                        _store_floats(design, (
+                            f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy, f_ip_lat,
+                            f_off_dyn, f_off_bg, f_off_queue, f_off_busy,
+                            f_off_lat, f_walker, f_l3))
                         handler.cycles_total = f_handler
-                        ip_energy.dynamic_nj = f_ip_dyn
-                        ip_ch.background_busy_ns = f_ip_bg
-                        ip_ch.queue_ns_total = f_ip_queue
-                        ip_ch.demand_busy_ns = f_ip_busy
-                        in_pkg.demand_latency_ns = f_ip_lat
-                        design.l3_latency_cycles = f_l3
                         n_fb += 1
                         cost = access_cycles(
                             core_id, process_id, vp, line, w,
                             cycles * cycle_ns
                         )
-                        f_off_dyn = off_energy.dynamic_nj
-                        f_off_bg = off_ch.background_busy_ns
-                        f_walker = walker.cycles_total
+                        (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy, f_ip_lat,
+                         f_off_dyn, f_off_bg, f_off_queue, f_off_busy,
+                         f_off_lat, f_walker, f_l3, ip_next_refresh,
+                         off_next_refresh) = _load_floats(design)
                         f_handler = handler.cycles_total
-                        f_ip_dyn = ip_energy.dynamic_nj
-                        f_ip_bg = ip_ch.background_busy_ns
-                        f_ip_queue = ip_ch.queue_ns_total
-                        f_ip_busy = ip_ch.demand_busy_ns
-                        f_ip_lat = in_pkg.demand_latency_ns
-                        f_l3 = design.l3_latency_cycles
-                        ip_next_refresh = in_pkg._next_refresh_ns
                         last_vp = -1
                         if tq is not None and design._last_l3_involved:
-                            tq.l3_accesses += 1
-                            t_observe(design._last_l3_cycles * cycle_ns)
+                            t_log(design._last_l3_cycles * cycle_ns)
+                            t_room -= 1
+                            if not t_room:
+                                t_room = fold(tq, t_list)
                         cycles += base_cpi
                         excess = cost - l1_hit
                         if excess > 0:
@@ -995,41 +1151,75 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                             spill_entries[victim] = True
                 entries[line_key] = w
                 if pending_wb:
+                    # --- The one write-back router: _route_writebacks,
+                    # _writeback_line and DRAMDevice.write_back_block,
+                    # inlined.  The design names the device a dirty
+                    # victim drains to (``home``: off package) and its
+                    # page there; // LINES_PER_PAGE is >> 6.
                     now_ns = cycles * cycle_ns
-                    if tagless:
-                        # _route_writebacks/_writeback_line/
-                        # DRAMDevice.write_back_block, inlined (both
-                        # namespaces; // LINES_PER_PAGE is >> 6).
-                        for wline in pending_wb:
-                            if wline >= PA_NAMESPACE_OFFSET:
-                                f_off_dyn += off_wb_nj
-                                n_wb_off += 1
-                                ch = (((wline - PA_NAMESPACE_OFFSET) >> 6)
-                                      & off_mask)
-                                start = now_ns
-                                if off_bg[ch] > start:
-                                    start = off_bg[ch]
-                                if off_free[ch] > start:
-                                    start = off_free[ch]
-                                off_bg[ch] = start + off_tr64
-                                f_off_bg += off_tr64
+                    for wline in pending_wb:
+                        if tagless:
+                            # By key namespace; an in-package victim
+                            # dirties its cached page.
+                            home = wline >= PA_NAMESPACE_OFFSET
+                            if home:
+                                wpage = (wline - PA_NAMESPACE_OFFSET) >> 6
                             else:
                                 wpage = wline >> 6
-                                f_ip_dyn += ip_wb_nj
-                                n_wb_ip += 1
-                                ch = wpage & ip_mask
-                                start = now_ns
-                                if ip_bg[ch] > start:
-                                    start = ip_bg[ch]
-                                if ip_free[ch] > start:
-                                    start = ip_free[ch]
-                                ip_bg[ch] = start + ip_tr
-                                f_ip_bg += ip_tr
                                 g2 = gipt_entries.get(wpage)
                                 if g2 is not None:
                                     g2.dirty = True
-                    else:
-                        route_writebacks(pending_wb, now_ns)
+                        elif sram:
+                            # SRAMTagArray.contains, then lookup's hit (a
+                            # counted probe, MRU, dirty), fused into one
+                            # probe of the set.
+                            wpage = wline >> 6
+                            tag_set = wpage % tag_sets
+                            tag_map = tag_maps[tag_set]
+                            way = tag_map.pop(wpage, None)
+                            home = way is None
+                            if not home:
+                                tag_map[wpage] = way
+                                n_wb_probe += 1
+                                wpage = tag_set * tag_ways + way
+                                tag_dirty[wpage] = True
+                        elif alloy:
+                            wpage = wline >> 6
+                            aslot = wline % alloy_blocks
+                            home = (aslot not in alloy_slots
+                                    or alloy_slots[aslot][0] != wline)
+                            if not home:
+                                alloy_slots[aslot] = (wline, True)
+                        else:
+                            wpage = wline >> 6
+                            if bi:
+                                home = wpage >= bi_split
+                                if home:
+                                    wpage -= bi_split
+                            else:
+                                home = no_l3
+                        if home:
+                            ch = wpage & off_mask
+                            start = now_ns
+                            if off_bg[ch] > start:
+                                start = off_bg[ch]
+                            if off_free[ch] > start:
+                                start = off_free[ch]
+                            off_bg[ch] = start + off_tr64
+                            f_off_bg += off_tr64
+                            f_off_dyn += off_wb_nj
+                            n_wb_off += 1
+                        else:
+                            ch = wpage & ip_mask
+                            start = now_ns
+                            if ip_bg[ch] > start:
+                                start = ip_bg[ch]
+                            if ip_free[ch] > start:
+                                start = ip_free[ch]
+                            ip_bg[ch] = start + ip_tr
+                            f_ip_bg += ip_tr
+                            f_ip_dyn += ip_wb_nj
+                            n_wb_ip += 1
                 if hit_l2:
                     cycles += base_cpi
                     if tlb_cycles:
@@ -1045,43 +1235,233 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                         continue
                     break
 
-                if not tagless:
-                    # --- The design's own L3 service, on the frame's
-                    # translation (access_cycles' L3 tail).
-                    cost = tlb_cycles + service_l2_miss(
-                        core_id, entry, vp, line, w, cycles * cycle_ns)
-                    f_l3 += cost
-                    if tq is not None:
-                        tq.l3_accesses += 1
-                        t_observe(cost * cycle_ns)
-                    cycles += base_cpi
-                    excess = cost - l1_hit
-                    if excess > 0:
-                        stall = excess / mlp
-                        cycles += stall
-                        stall_cycles += stall
-                    if cycles <= horizon:
-                        continue
-                    break
+                # --- L3 service.  The design classifies where the
+                # block lives, read-only; one demand block per device
+                # serves it.
+                if tagless:
+                    # A DRAM-cache hit by construction: no tag check.
+                    g = gipt_entries.get(target)
+                    if g is None:
+                        design._service_l2_miss(  # canonical raise
+                            core_id, entry, vp, line, w, cycles * cycle_ns
+                        )
+                    if on_touch is not None:
+                        on_touch(target)
+                    g.touched_mask |= 1 << line
+                    g.touched_cores |= core_bit
+                    if w:
+                        g.dirty = True
+                    ch = target & ip_mask
+                else:
+                    # ``ch``: in package, on that channel; else
+                    # ``home``: off package at that page; else a tag
+                    # or slot miss.
+                    ch = home = -1
+                    if sram:
+                        # SRAMTagArray.lookup as one fused probe: a hit
+                        # moves the page to MRU (and marks its cache
+                        # page dirty on a write); a miss leaves no
+                        # trace, so the hook's own probe repeats it.
+                        tag_set = target % tag_sets
+                        tag_map = tag_maps[tag_set]
+                        way = tag_map.pop(target, None)
+                        if way is not None:
+                            tag_map[target] = way
+                            page = tag_set * tag_ways + way
+                            ch = page & ip_mask
+                            if w:
+                                tag_dirty[page] = True
+                    elif alloy:
+                        # A slot hit: the TAD read is the whole access.
+                        aslot = line_key % alloy_blocks
+                        resident = alloy_slots.get(aslot)
+                        if resident is not None and resident[0] == line_key:
+                            ch = target & ip_mask
+                            if w and not resident[1]:
+                                alloy_slots[aslot] = (line_key, True)
+                    elif no_l3:
+                        home = target
+                    elif bi:
+                        if target < bi_split:
+                            ch = target & ip_mask
+                        else:
+                            home = target - bi_split
+                    elif ideal:
+                        ch = target & ip_mask
+                    if ch < 0:
+                        now_ns = cycles * cycle_ns
+                        if home < 0:
+                            if alloy:
+                                # A slot miss: AlloyCacheDesign's
+                                # _service_l2_miss, inlined.  The TAD
+                                # probe in package, the dirty victim's
+                                # write-back and the block's fetch off
+                                # package, then the block laid into its
+                                # slot behind the fetch; the same
+                                # arithmetic as the demand blocks and
+                                # the router, in the hook's order.
+                                n_amiss += 1
+                                n_ip_write += w
+                                if now_ns >= ip_next_refresh:
+                                    in_pkg._catch_up_refresh(now_ns)
+                                    ip_next_refresh = in_pkg._next_refresh_ns
+                                ch = target & ip_mask
+                                start = ip_free[ch]
+                                if start < now_ns:
+                                    start = now_ns
+                                bg_until = ip_bg[ch]
+                                if bg_until > start:
+                                    start = start + ip_preempt
+                                    if bg_until < start:
+                                        start = bg_until
+                                queue_ns = start - now_ns
+                                ip_free[ch] = start + ip_tr
+                                f_ip_queue += queue_ns
+                                f_ip_busy += ip_tr
+                                f_ip_dyn += ip_nj
+                                probe_ns = queue_ns + ip_sv
+                                f_ip_lat += probe_ns
+                                if resident is not None and resident[1]:
+                                    n_avict += 1
+                                    n_wb_off += 1
+                                    home = (resident[0] >> 6) & off_mask
+                                    start = now_ns
+                                    if off_bg[home] > start:
+                                        start = off_bg[home]
+                                    if off_free[home] > start:
+                                        start = off_free[home]
+                                    off_bg[home] = start + off_tr64
+                                    f_off_bg += off_tr64
+                                    f_off_dyn += off_wb_nj
+                                if now_ns >= off_next_refresh:
+                                    off_pkg._catch_up_refresh(now_ns)
+                                    off_next_refresh = off_pkg._next_refresh_ns
+                                home = target & off_mask
+                                start = off_free[home]
+                                if start < now_ns:
+                                    start = now_ns
+                                bg_until = off_bg[home]
+                                if bg_until > start:
+                                    start = start + off_preempt
+                                    if bg_until < start:
+                                        start = bg_until
+                                queue_ns = start - now_ns
+                                off_free[home] = start + off_tr64
+                                f_off_queue += queue_ns
+                                f_off_busy += off_tr64
+                                f_off_dyn += off_nj
+                                fill_ns = queue_ns + off_sv
+                                f_off_lat += fill_ns
+                                start = now_ns
+                                if ip_bg[ch] > start:
+                                    start = ip_bg[ch]
+                                if ip_free[ch] > start:
+                                    start = ip_free[ch]
+                                ip_bg[ch] = start + ip_tr
+                                f_ip_bg += ip_tr
+                                f_ip_dyn += ip_wb_nj
+                                n_wb_ip += 1
+                                alloy_slots[aslot] = (line_key, w)
+                                cost = tlb_cycles + (probe_ns + fill_ns) * freq
+                            else:
+                                # An SRAM-tag miss: the design's own
+                                # service, on the frame's translation,
+                                # with the seeded floats stored around
+                                # the call.
+                                n_hook += 1
+                                _store_floats(design, (
+                                    f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy,
+                                    f_ip_lat, f_off_dyn, f_off_bg,
+                                    f_off_queue, f_off_busy, f_off_lat,
+                                    f_walker, f_l3))
+                                cost = tlb_cycles + service_l2_miss(
+                                    core_id, entry, vp, line, w, now_ns)
+                                (f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy,
+                                 f_ip_lat, f_off_dyn, f_off_bg, f_off_queue,
+                                 f_off_busy, f_off_lat, f_walker, f_l3,
+                                 ip_next_refresh,
+                                 off_next_refresh) = _load_floats(design)
+                        else:
+                            # --- Off-package demand block: access_block's
+                            # closed-page path, inlined.
+                            if now_ns >= off_next_refresh:
+                                off_pkg._catch_up_refresh(now_ns)
+                                off_next_refresh = off_pkg._next_refresh_ns
+                            ch = home & off_mask
+                            n_off += 1
+                            n_off_write += w
+                            if off_free[ch] <= now_ns and off_bg[ch] <= now_ns:
+                                # Idle channel (see the in-package block).
+                                off_free[ch] = now_ns + off_tr64
+                                f_off_busy += off_tr64
+                                f_off_dyn += off_nj
+                                f_off_lat += off_sv
+                                cycles += base_cpi
+                                if tlb_cycles:
+                                    cost = tlb_cycles + off_l3_0
+                                    f_l3 += cost
+                                    if tq is not None:
+                                        t_log(cost * cycle_ns)
+                                        t_room -= 1
+                                        if not t_room:
+                                            t_room = fold(tq, t_list)
+                                    excess = cost - l1_hit
+                                    if excess > 0:
+                                        stall = excess / mlp
+                                        cycles += stall
+                                        stall_cycles += stall
+                                else:
+                                    f_l3 += off_l3_0
+                                    if tq is not None:
+                                        t_log(off_l3_ns0)
+                                        t_room -= 1
+                                        if not t_room:
+                                            t_room = fold(tq, t_list)
+                                    if st0_off:
+                                        cycles += st0_off
+                                        stall_cycles += st0_off
+                                if cycles <= horizon:
+                                    continue
+                                break
+                            start = off_free[ch]
+                            if start < now_ns:
+                                start = now_ns
+                            bg_until = off_bg[ch]
+                            if bg_until > start:
+                                start = start + off_preempt
+                                if bg_until < start:
+                                    start = bg_until
+                            queue_ns = start - now_ns
+                            off_free[ch] = start + off_tr64
+                            f_off_queue += queue_ns
+                            f_off_busy += off_tr64
+                            f_off_dyn += off_nj
+                            latency = queue_ns + off_sv
+                            f_off_lat += latency
+                            cost = tlb_cycles + latency * freq
+                        f_l3 += cost
+                        if tq is not None:
+                            t_log(cost * cycle_ns)
+                            t_room -= 1
+                            if not t_room:
+                                t_room = fold(tq, t_list)
+                        cycles += base_cpi
+                        excess = cost - l1_hit
+                        if excess > 0:
+                            stall = excess / mlp
+                            cycles += stall
+                            stall_cycles += stall
+                        if cycles <= horizon:
+                            continue
+                        break
 
-                # --- DRAM-cache service: guaranteed hit, no tag check.
-                g = gipt_entries.get(target)
-                if g is None:
-                    design._service_l2_miss(  # canonical raise
-                        core_id, entry, vp, line, w, cycles * cycle_ns
-                    )
-                if on_touch is not None:
-                    on_touch(target)
-                g.touched_mask |= 1 << line
-                g.touched_cores |= core_bit
-                if w:
-                    g.dirty = True
-                # DRAMDevice.access_block, closed-page path, inlined.
+                # --- In-package demand block: access_block's
+                # closed-page path, inlined, on channel ``ch``.
                 now_ns = cycles * cycle_ns
                 if now_ns >= ip_next_refresh:
                     in_pkg._catch_up_refresh(now_ns)
                     ip_next_refresh = in_pkg._next_refresh_ns
-                ch = target & ip_mask
+                n_ip_write += w
                 if ip_free[ch] <= now_ns and ip_bg[ch] <= now_ns:
                     # Idle channel: queue_ns is exactly 0.0, so the
                     # queue add is the identity (the accumulator is
@@ -1090,28 +1470,31 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                     ip_free[ch] = now_ns + ip_tr
                     f_ip_busy += ip_tr
                     f_ip_dyn += ip_nj
-                    n_ip_write += w
                     f_ip_lat += ip_sv
                     cycles += base_cpi
                     if tlb_cycles:
-                        cost = tlb_cycles + l3_only0
+                        cost = tlb_cycles + ip_l3_0
                         f_l3 += cost
                         if tq is not None:
-                            tq.l3_accesses += 1
-                            t_observe(cost * cycle_ns)
+                            t_log(cost * cycle_ns)
+                            t_room -= 1
+                            if not t_room:
+                                t_room = fold(tq, t_list)
                         excess = cost - l1_hit
                         if excess > 0:
                             stall = excess / mlp
                             cycles += stall
                             stall_cycles += stall
                     else:
-                        f_l3 += l3_only0
+                        f_l3 += ip_l3_0
                         if tq is not None:
-                            tq.l3_accesses += 1
-                            t_observe(l3_ns0)
-                        if st0_dram:
-                            cycles += st0_dram
-                            stall_cycles += st0_dram
+                            t_log(ip_l3_ns0)
+                            t_room -= 1
+                            if not t_room:
+                                t_room = fold(tq, t_list)
+                        if st0_ip:
+                            cycles += st0_ip
+                            stall_cycles += st0_ip
                     if cycles <= horizon:
                         continue
                     break
@@ -1128,15 +1511,15 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 f_ip_queue += queue_ns
                 f_ip_busy += ip_tr
                 f_ip_dyn += ip_nj
-                n_ip_write += w
                 latency = queue_ns + ip_sv
                 f_ip_lat += latency
-                l3_only = latency * freq
-                cost = tlb_cycles + l3_only
+                cost = tlb_cycles + (ip_extra + latency * freq)
                 f_l3 += cost
                 if tq is not None:
-                    tq.l3_accesses += 1
-                    t_observe(cost * cycle_ns)
+                    t_log(cost * cycle_ns)
+                    t_room -= 1
+                    if not t_room:
+                        t_room = fold(tq, t_list)
                 cycles += base_cpi
                 excess = cost - l1_hit
                 if excess > 0:
@@ -1160,14 +1543,17 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 live = False
                 break
             seg = slot[_SEG:_RUN] = segment(state, k)
-            (process_id, pte_map, table, base_cpi, mlp, st0_l2,
-             st0_dram, accesses, remaining, tq) = seg
+            (process_id, pte_map, table, base_cpi, mlp, st0_l2, st0_ip,
+             st0_off, accesses, remaining, tq, t_log, t_list) = seg
             cycles = model.cycles  # plus the context-switch charge
             last_vp = -1  # the TLB may have been flushed
             if tq is not None:
                 # The switch charge belongs to no tenant.
-                t_cycles, t_observe = tq.cycles, tq.demand_latency.observe
+                t_cycles = tq.cycles
                 t_start = cycles
+                t_room = log_chunk - _len(t_list)
+                if t_room <= 0:
+                    t_room = fold(tq, t_list)
             if limited:
                 done += n0
                 n0 = remaining()
@@ -1177,7 +1563,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 break
 
         slot[_RUN] = (cycles, stall_cycles, f_handler, last_vp, last_target,
-                      last_base, last_entry,
+                      last_base, last_entry, t_room,
                       n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb)
         if live:
             clocks[index] = cycles
@@ -1192,7 +1578,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     # After a stop, hand every unfinished core back at its position.
     for slot in slots:
         k, state, model, tq, run = (slot[0], slot[10], slot[11],
-                                    slot[_SEG + 9], slot[_RUN])
+                                    slot[_TQ], slot[_RUN])
         model.cycles = run[0]
         model.stall_cycles = run[1]
         state.pos = state.length - slot[_REM]()
@@ -1203,17 +1589,13 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         processed[k] -= state.length - state.pos
     active[:] = [slot[10] for slot in slots]
 
-    # Float store-back (each was accumulated in scalar order).
-    design.l3_latency_cycles = f_l3
-    if tagless:
-        off_energy.dynamic_nj = f_off_dyn
-        off_ch.background_busy_ns = f_off_bg
-        walker.cycles_total = f_walker
-        ip_energy.dynamic_nj = f_ip_dyn
-        ip_ch.background_busy_ns = f_ip_bg
-        ip_ch.queue_ns_total = f_ip_queue
-        ip_ch.demand_busy_ns = f_ip_busy
-        in_pkg.demand_latency_ns = f_ip_lat
+    # Float store-back (each was accumulated in scalar order), and each
+    # tenant's latency log folded into its histogram in that order.
+    _store_floats(design, (
+        f_ip_dyn, f_ip_bg, f_ip_queue, f_ip_busy, f_ip_lat, f_off_dyn,
+        f_off_bg, f_off_queue, f_off_busy, f_off_lat, f_walker, f_l3))
+    for tenant_id, log in latency_logs.items():
+        fold(qos[tenant_id], log)
 
     # Integer-counter flush (exact + commutative, hence deferrable).
     # Only the rarer outcomes were counted; the hot ones follow by
@@ -1224,7 +1606,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     for slot in all_slots:
         core_id = slot[1]
         run = slot[_RUN]
-        n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb = run[7:]
+        n_fb, n_t2, n_tm, n_fill, n_o1, n_o2, n_owb = run[8:]
         if tagless:
             handler = slot[6]
             handler.cycles_total = run[2]
@@ -1258,10 +1640,36 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         tot_om += n_om
     design.accesses += tot_acc
     design.l3_accesses += tot_om
+    # Every inline L3-bound access ran exactly one of the in-package
+    # demand block, the off-package one and a hook (which counts its
+    # own work), but an Alloy slot miss, which ran both blocks.
+    n_ip = tot_om - n_off - n_hook
+    n_off += n_amiss
+    in_pkg.demand_accesses += n_ip
+    ip_ch.requests += n_ip
+    ip_energy.activations += n_ip
+    ip_energy.read_bytes += 64 * (n_ip - n_ip_write)
+    ip_energy.write_bytes += 64 * (n_ip_write + n_wb_ip)
+    off_pkg.demand_accesses += n_off
+    off_ch.requests += n_off
+    off_energy.activations += n_off
+    off_energy.read_bytes += 64 * (n_off - n_off_write)
+    off_energy.write_bytes += 64 * (n_off_write + n_wb_off)
     if not tagless:
         # The superpage refills counted their own walks.
         walker.walks += tot_tm
         off_energy.read_bytes += 8 * tot_tm
+        # The in-package blocks were the designs' hits.
+        if sram:
+            design.l3_hits += n_ip
+            tags.probes += n_ip + n_wb_probe
+            tags.hits += n_ip + n_wb_probe
+        elif alloy:
+            design.l3_hits += n_ip - n_amiss
+            design.l3_misses += n_amiss
+            design.l3_writebacks += n_avict
+        elif bi:
+            design.in_package_hits += n_ip
         return _sum(processed)
     walker.walks += tot_tw
     off_energy.read_bytes += 8 * tot_tw + PAGE_BYTES * tot_fill
@@ -1272,15 +1680,10 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     gipt.inserts += tot_fill
     gipt.residence_updates += tot_tm + n_res_evict + 2 * tot_fill
     design.cache_accesses += tot_om
-    ip_ch.requests += tot_om
-    ip_energy.activations += tot_om + tot_fill
-    ip_energy.read_bytes += 64 * (tot_om - n_ip_write)
-    ip_energy.write_bytes += (64 * (n_ip_write + n_wb_ip)
-                              + PAGE_BYTES * tot_fill)
-    off_energy.write_bytes += 64 * n_wb_off
+    ip_energy.activations += tot_fill
+    ip_energy.write_bytes += PAGE_BYTES * tot_fill
     off_ch.requests += tot_fill
     off_pkg.demand_accesses += tot_fill
-    in_pkg.demand_accesses += tot_om
     # Posted GIPT writes: two 64 B stores per fill on whichever device
     # hosts the table, with data-dependent activations (row buffer);
     # every second write is a row hit.

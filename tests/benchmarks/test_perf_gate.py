@@ -1,4 +1,5 @@
-"""The perf gate's decision rule over paired perfbench runs.
+"""The perf gate's decision rule over paired perfbench runs, and the copy of
+the working files it measures the change from.
 
 The gate lives outside the package (it is a script), so it is loaded by
 file path here.  Runs are the JSON objects perfbench prints last.
@@ -7,6 +8,7 @@ file path here.  Runs are the JSON objects perfbench prints last.
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -113,3 +115,38 @@ def test_base_dir_without_perfbench_is_refused(gate, tmp_path, capsys):
         gate.main([str(tmp_path)])
     assert exit_info.value.code == 2
     assert "holds no perfbench/run.py" in capsys.readouterr().err
+
+
+def _git(tree, *args):
+    subprocess.run(["git", *args], cwd=tree, check=True,
+                   capture_output=True)
+
+
+def test_change_is_measured_from_a_copy_of_its_working_files(gate,
+                                                             tmp_path):
+    """Tracked files as edited, untracked files too, ignored files and
+    tracked files deleted from the working tree not; the copy is a new
+    directory inside the given parent."""
+    tree = tmp_path / "tree"
+    (tree / "pkg").mkdir(parents=True)
+    (tree / "pkg" / "mod.py").write_text("x = 1\n")
+    (tree / "gone.py").write_text("y = 1\n")
+    (tree / ".gitignore").write_text("out/\n")
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "-c", "user.name=t", "-c", "user.email=t@t", "commit",
+         "-q", "-m", "base")
+    (tree / "pkg" / "mod.py").write_text("x = 2\n")
+    (tree / "new.py").write_text("z = 3\n")
+    (tree / "gone.py").unlink()
+    (tree / "out").mkdir()
+    (tree / "out" / "result.json").write_text("{}")
+    parent = tmp_path / "siblings"
+    parent.mkdir()
+    copy = gate.copy_working_files(str(tree), str(parent))
+    assert os.path.dirname(copy) == str(parent)
+    files = sorted(os.path.relpath(os.path.join(root, name), copy)
+                   for root, _, names in os.walk(copy) for name in names)
+    assert files == [".gitignore", "new.py", os.path.join("pkg", "mod.py")]
+    with open(os.path.join(copy, "pkg", "mod.py")) as handle:
+        assert handle.read() == "x = 2\n"

@@ -207,6 +207,60 @@ class TestHistogram:
         assert a.buckets == combined.buckets
         assert a.percentile(fraction) == combined.percentile(fraction)
 
+    @staticmethod
+    def _observed_one_by_one(values, before=()):
+        h = Histogram("lat", num_buckets=8)
+        for value in before:
+            h.observe(value)
+        for value in values:
+            h.observe(value)
+        return h
+
+    @staticmethod
+    def _numbers(h):
+        return (h.buckets, h.count, h.total, h.min, h.max)
+
+    def test_observe_all_equals_repeated_observe(self):
+        """Zero, values below 1, values past the last bucket (8 buckets
+        end at 64), from an empty and from a used histogram."""
+        values = [0.0, 0.25, 0.999, 1.0, 3.5, 63.9, 64.0, 1e6, 1e16, 1.0,
+                  1.0, 1.0, 0.5]
+        for before in ((), (2.0, 1e16)):
+            h = self._observed_one_by_one((), before)
+            h.observe_all(values)
+            expected = self._observed_one_by_one(values, before)
+            assert self._numbers(h) == self._numbers(expected)
+            assert h.buckets[0] == 4
+            assert h.buckets[-1] == 3 + len(before) // 2
+
+    def test_observe_all_total_is_the_left_fold(self):
+        """1e16 + 1.0 rounds back to 1e16, so repeated observe leaves the
+        total at 1e16; an exactly rounded sum would give 1e16 + 4."""
+        values = [1e16, 1.0, 1.0, 1.0]
+        h = Histogram("lat")
+        h.observe_all(values)
+        assert h.total == 1e16 == self._observed_one_by_one(values).total
+        assert math.fsum(values) == 1e16 + 4
+
+    def test_observe_all_of_nothing_changes_nothing(self):
+        h = self._observed_one_by_one([5.0, 0.5])
+        before = self._numbers(h)
+        h.observe_all([])
+        assert self._numbers(h) == before
+        empty = Histogram("lat")
+        empty.observe_all([])
+        assert (empty.count, empty.total, empty.min, empty.max) == (
+            0, 0.0, math.inf, -math.inf)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=50),
+           st.lists(st.floats(min_value=0.0, max_value=1e12), max_size=5))
+    def test_observe_all_matches_observe_on_drawn_values(self, values,
+                                                         before):
+        h = self._observed_one_by_one((), before)
+        h.observe_all(values)
+        expected = self._observed_one_by_one(values, before)
+        assert self._numbers(h) == self._numbers(expected)
+
 
 class TestGeometricMean:
     def test_known_value(self):

@@ -108,7 +108,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-#: Cores a tenant scenario is scheduled onto (the ``tenants`` default).
+#: Cores a tenant scenario is scheduled onto (what a tenant JobSpec uses).
 SCENARIO_CORES = 4
 
 

@@ -1,16 +1,17 @@
-"""CI chaos gate: a sweep under injected faults must degrade gracefully.
+"""CI chaos gate: a campaign under injected faults must degrade gracefully.
 
-Runs a small ``repro sweep`` with a hang, a worker SIGKILL and a flaky
-job injected via ``REPRO_FAULT_INJECT``, then asserts the acceptance
-contract of the fault-tolerance layer:
+Runs a small ``repro campaign run`` (a 2x2 study, one repetition) with a
+hang, a worker SIGKILL and a flaky job injected via
+``REPRO_FAULT_INJECT``, then asserts the acceptance contract of the
+fault-tolerance layer:
 
-1. the sweep completes (no stall, no ``BrokenProcessPool`` abort) with
+1. the run completes (no stall, no ``BrokenProcessPool`` abort) with
    exactly the expected per-job statuses -- ``timeout`` for the hung
    point, ``worker-crashed`` for the killed one, ``ok`` (after one
    retry) for the flaky one, plain ``ok`` for the rest;
-2. re-running with ``--resume`` on the produced artifact, faults
+2. ``repro campaign resume`` on the campaign directory, faults
    disabled, recomputes *only* the failed points -- every previously
-   good point is seeded from the artifact, and the whole sweep ends
+   good point is seeded from the artifact, and the whole campaign ends
    green.
 
 Exit code 0 on success, 1 with a report of every violated expectation.
@@ -30,9 +31,16 @@ import tempfile
 
 from repro.cli.main import main as cli_main
 
-#: The swept grid: 2 designs x 2 workloads (single-core SPEC points).
+#: The study's grid: 2 designs x 2 workloads (single-core SPEC points).
 DESIGNS = ("no-l3", "tagless")
 WORKLOADS = ("sphinx3", "libquantum")
+STUDY = {
+    "name": "chaos",
+    "repetitions": 1,
+    "factors": {"design": list(DESIGNS), "workload": list(WORKLOADS)},
+    "fixed": {"accesses": 2000},
+    "metrics": ["ipc"],
+}
 
 #: Injected faults, keyed by spec-label substrings.
 FAULTS = ("hang:tagless/sphinx3,"
@@ -71,20 +79,23 @@ def run(timeout_s: float) -> int:
             print(f"  [FAIL] {message}")
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        first = os.path.join(tmp, "chaos.jsonl")
-        argv = ["sweep", "--designs", *DESIGNS, "--workloads", *WORKLOADS,
-                "--accesses", "2000", "--jobs", "2", "--no-cache",
-                "--timeout", str(timeout_s), "--retries", "1",
-                "--retry-backoff", "0"]
+        study = os.path.join(tmp, "chaos.json")
+        with open(study, "w") as handle:
+            json.dump(STUDY, handle)
+        out_dir = os.path.join(tmp, "chaos")
+        artifact = os.path.join(out_dir, "jobs.jsonl")
+        flags = ["--jobs", "2", "--no-cache", "--timeout", str(timeout_s),
+                 "--retries", "1", "--retry-backoff", "0"]
 
-        print(f"chaos sweep: {FAULTS}")
+        print(f"chaos campaign: {FAULTS}")
         os.environ["REPRO_FAULT_INJECT"] = FAULTS
         try:
-            code = cli_main(argv + ["--out", first])
+            code = cli_main(["campaign", "run", study, "--out", out_dir,
+                             *flags])
         finally:
             del os.environ["REPRO_FAULT_INJECT"]
-        rows, summary = _job_rows(first)
-        expect(code == 1, f"faulted sweep exits 1 (got {code})")
+        rows, summary = _job_rows(artifact)
+        expect(code == 1, f"faulted campaign exits 1 (got {code})")
         expect(len(rows) == len(EXPECTED),
                f"all {len(EXPECTED)} points recorded (got {len(rows)})")
         for label, status in EXPECTED.items():
@@ -103,11 +114,10 @@ def run(timeout_s: float) -> int:
                f"summary counts 3 consumed retries "
                f"(got {summary.get('retries')})")
 
-        print("resume sweep: faults cleared, seeding from artifact")
-        second = os.path.join(tmp, "resumed.jsonl")
-        code = cli_main(argv + ["--out", second, "--resume", first])
-        rows, summary = _job_rows(second)
-        expect(code == 0, f"resumed sweep exits 0 (got {code})")
+        print("campaign resume: faults cleared, seeding from artifact")
+        code = cli_main(["campaign", "resume", out_dir, *flags])
+        rows, summary = _job_rows(artifact)
+        expect(code == 0, f"resumed campaign exits 0 (got {code})")
         for label in EXPECTED:
             got = rows.get(label, {}).get("status")
             expect(got == "ok", f"{label}: recovered to ok (got {got})")

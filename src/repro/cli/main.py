@@ -16,7 +16,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.machine import MachineSpec, build_system
 from repro.cpu.multicore import BoundTrace
 from repro.cpu.simulator import Simulator
-from repro.designs.registry import ALL_DESIGN_NAMES, DESIGN_NAMES
+from repro.designs.registry import ALL_DESIGN_NAMES
 from repro.harness import (
     Harness,
     JobSpec,
@@ -37,7 +37,7 @@ from repro.workloads.spec import SPEC_ORDER, SPEC_PROFILES
 
 
 def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Machine-spec flags shared by run/experiment/sweep/campaign run."""
+    """Machine-spec flags shared by run/experiment/campaign run."""
     parser.add_argument("--machine", dest="machine_file", default=None,
                         metavar="FILE",
                         help="machine spec file (.json or .toml): a named "
@@ -82,8 +82,24 @@ def _bounded(kind, minimum, strict: bool = False):
     return parse
 
 
+def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--timeout``/``--retries``: shared by ``run`` and the harness set.
+
+    Either one sends a ``run`` point through a supervised worker.
+    """
+    parser.add_argument("--timeout", type=_bounded(float, 0, strict=True),
+                        default=None, metavar="SECONDS",
+                        help="per-job wall-clock budget; a job past it is "
+                             "killed and reported status=timeout (default: "
+                             "$REPRO_JOB_TIMEOUT for harness commands, "
+                             "else unbounded)")
+    parser.add_argument("--retries", type=_bounded(int, 0), default=0,
+                        help="extra attempts granted to each failed job "
+                             "(default 0: fail on first error)")
+
+
 def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
-    """Execution flags shared by experiment/sweep/campaign run/resume.
+    """Execution flags shared by experiment/campaign run/campaign resume.
 
     Every one of them configures the single harness lifecycle in
     :func:`_harness_session`; out-of-range values are refused at parse
@@ -97,14 +113,7 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="compute every point fresh; do not read or "
                              "write the result cache")
-    parser.add_argument("--timeout", type=_bounded(float, 0, strict=True),
-                        default=None, metavar="SECONDS",
-                        help="per-job wall-clock budget; a job past it is "
-                             "killed and reported status=timeout (default: "
-                             "$REPRO_JOB_TIMEOUT, else unbounded)")
-    parser.add_argument("--retries", type=_bounded(int, 0), default=0,
-                        help="extra attempts granted to each failed job "
-                             "(default 0: fail on first error)")
+    _add_supervision_arguments(parser)
     parser.add_argument("--retry-backoff", type=_bounded(float, 0),
                         default=0.5, metavar="SECONDS",
                         help="delay before the first retry, doubling each "
@@ -124,38 +133,6 @@ def _add_harness_arguments(parser: argparse.ArgumentParser) -> None:
                              "to PATH on exit; a .prom suffix selects "
                              "Prometheus text exposition, anything else "
                              "JSONL")
-
-
-def _add_point_arguments(parser: argparse.ArgumentParser, *,
-                         cache_mb: bool = True) -> None:
-    """Simulation-point flags shared by run/sweep/profile.
-
-    ``sweep`` takes ``--cache-sizes`` instead of ``--cache-mb``.
-    """
-    if cache_mb:
-        parser.add_argument("--cache-mb", type=int, default=1024,
-                            help="nominal DRAM cache size in MB "
-                                 "(default 1024)")
-    parser.add_argument("--scale", type=int, default=64,
-                        help="capacity scale factor (default 64)")
-    parser.add_argument("--replacement", default="fifo",
-                        choices=REPLACEMENT_POLICIES,
-                        help="tagless victim policy (default fifo)")
-    parser.add_argument("--warmup", type=float, default=0.25,
-                        help="fraction of each trace that warms state "
-                             "unmeasured (default 0.25)")
-
-
-def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Artifact-resume and telemetry flags of ``experiment``/``sweep``.
-
-    ``campaign`` resumes from its own directory and has no harness
-    telemetry files, so these stay off its parsers.
-    """
-    parser.add_argument("--resume", default=None, metavar="ARTIFACT",
-                        help="seed completed points from a prior run's "
-                             "JSONL artifact; only missing/failed points "
-                             "are recomputed")
     parser.add_argument("--trace", dest="trace_out", default=None,
                         metavar="PATH",
                         help="write a Perfetto JSON trace of the harness "
@@ -165,6 +142,21 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write a JSONL progress time-series "
                              "(jobs/errors/cache hits over wall time) to "
                              "PATH")
+
+
+def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
+    """Simulation-point flags shared by run/profile."""
+    parser.add_argument("--cache-mb", type=int, default=1024,
+                        help="nominal DRAM cache size in MB "
+                             "(default 1024)")
+    parser.add_argument("--scale", type=int, default=64,
+                        help="capacity scale factor (default 64)")
+    parser.add_argument("--replacement", default="fifo",
+                        choices=REPLACEMENT_POLICIES,
+                        help="tagless victim policy (default fifo)")
+    parser.add_argument("--warmup", type=float, default=0.25,
+                        help="fraction of each trace that warms state "
+                             "unmeasured (default 0.25)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a workload on a design")
     run.add_argument("design", choices=ALL_DESIGN_NAMES)
     run.add_argument("workload",
-                     help="SPEC/PARSEC program or MIX1..MIX8")
+                     help="SPEC/PARSEC program, MIX1..MIX8, or a tenant "
+                          "scenario .json file (replayed on four cores; "
+                          "the file, not --accesses/--warmup, sets its "
+                          "length)")
     run.add_argument("--accesses", type=_bounded(int, 0), default=100_000)
     _add_point_arguments(run)
     run.add_argument("--json", action="store_true",
@@ -195,14 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--interval", type=_bounded(int, 1), default=1024,
                      help="time-series window size in accesses "
                           "(default 1024)")
-    run.add_argument("--timeout", type=_bounded(float, 0, strict=True),
-                     default=None, metavar="SECONDS",
-                     help="wall-clock budget; the run executes in a "
-                          "supervised worker and is killed past it "
-                          "(incompatible with --trace/--timeseries)")
-    run.add_argument("--retries", type=_bounded(int, 0), default=0,
-                     help="extra attempts if the run fails (supervised "
-                          "mode, like --timeout)")
+    _add_supervision_arguments(run)
     _add_machine_arguments(run)
 
     experiment = sub.add_parser(
@@ -220,35 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "timestamped file under <cache-dir>/runs)")
     _add_machine_arguments(experiment)
     _add_harness_arguments(experiment)
-    _add_sweep_arguments(experiment)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a cartesian design x workload x cache-size sweep "
-             "and record every point to JSONL",
-    )
-    sweep.add_argument("--designs", nargs="+", default=list(DESIGN_NAMES),
-                       choices=ALL_DESIGN_NAMES, metavar="DESIGN",
-                       help=f"designs to sweep (default: paper order; "
-                            f"choices: {', '.join(ALL_DESIGN_NAMES)})")
-    sweep.add_argument("--workloads", nargs="+", required=True,
-                       metavar="WORKLOAD",
-                       help="SPEC/PARSEC programs or MIX1..MIX8")
-    sweep.add_argument("--cache-sizes", nargs="+", type=int, default=[1024],
-                       metavar="MB", help="nominal cache sizes in MB")
-    sweep.add_argument("--accesses", type=_bounded(int, 0), default=50_000,
-                       help="per-core trace length (default 50k)")
-    _add_point_arguments(sweep, cache_mb=False)
-    sweep.add_argument("--out", default="sweep.jsonl",
-                       help="JSONL artifact path (default sweep.jsonl)")
-    sweep.add_argument("--json", action="store_true",
-                       help="print the run summary as JSON")
-    sweep.add_argument("--validate", action="store_true",
-                       help="run every job with the repro.validate "
-                            "invariant checker installed")
-    _add_machine_arguments(sweep)
-    _add_harness_arguments(sweep)
-    _add_sweep_arguments(sweep)
+    experiment.add_argument("--resume", default=None, metavar="ARTIFACT",
+                            help="seed completed points from a prior run's "
+                                 "JSONL artifact; only missing/failed "
+                                 "points are recomputed")
 
     campaign = sub.add_parser(
         "campaign",
@@ -355,43 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     merge_trace.add_argument("--out", required=True, metavar="PATH",
                              help="merged Perfetto JSON output path")
 
-    tenants = sub.add_parser(
-        "tenants",
-        help="replay a multi-tenant scenario (context-switched schedule, "
-             "optional runtime cache resizing) and report per-tenant QoS",
-    )
-    tenants.add_argument("scenario", metavar="SCENARIO",
-                         help="scenario JSON file "
-                              "(see examples/studies/multitenant_scenario"
-                              ".json)")
-    tenants.add_argument("--design", default="tagless-resizable",
-                         choices=ALL_DESIGN_NAMES,
-                         help="design to replay the schedule on "
-                              "(default tagless-resizable; the scenario's "
-                              "resize events only apply to designs that "
-                              "support a capacity schedule)")
-    tenants.add_argument("--cache-mb", type=int, default=512,
-                         help="DRAM cache size in MB (default 512: with "
-                              "--scale 512 and --tlb-scale 32 the cache "
-                              "stays comfortably above total TLB reach)")
-    tenants.add_argument("--cores", type=int, default=4,
-                         help="cores the tenants are scheduled onto")
-    tenants.add_argument("--scale", type=int, default=512,
-                         help="capacity scale-down factor (default 512)")
-    tenants.add_argument("--replacement", default="fifo",
-                         choices=REPLACEMENT_POLICIES,
-                         help="victim selection policy")
-    tenants.add_argument("--tlb-scale", type=int, default=32,
-                         help="TLB reach scale-down matching --scale "
-                              "(default 32)")
-    tenants.add_argument("--validate", action="store_true",
-                         help="run with the invariant checker installed "
-                              "(sweeps hold mid-resize)")
-    tenants.add_argument("--every", type=_bounded(int, 1), default=None,
-                         help="accesses between invariant sweeps")
-    tenants.add_argument("--json", action="store_true",
-                         help="machine-readable output")
-
     validate = sub.add_parser(
         "validate",
         help="grade the paper's headline claims against this build",
@@ -452,10 +378,13 @@ def _point_spec(args: argparse.Namespace, design: str, workload: str,
                 accesses: int, **fields) -> JobSpec:
     """The JobSpec of one ``run``/``profile`` point.
 
-    The same description every sweep point has, so a single point
+    The same description every campaign point has, so a single point
     simulates exactly what the harness would (four threads on four
-    cores for a PARSEC program, for example).
+    cores for a PARSEC program, for example).  A ``.json`` workload is a
+    tenant-scenario file: the job replays its schedule.
     """
+    if workload.endswith(".json"):
+        fields["scenario"] = workload
     return JobSpec(
         design=design,
         workload=workload,
@@ -466,6 +395,32 @@ def _point_spec(args: argparse.Namespace, design: str, workload: str,
         warmup_fraction=args.warmup,
         **fields,
     )
+
+
+def _print_tenant_tables(result) -> None:
+    """The per-tenant QoS table and the per-resize churn table."""
+    print(f"  {'tenant':>6s} {'profile':>10s} {'arrive':>6s} "
+          f"{'footprint':>9s} {'instrs':>9s} {'ipc':>7s} {'mpki':>7s} "
+          f"{'p50 ns':>8s} {'p99 ns':>8s}")
+    for t in result.tenants:
+        print(f"  {t['tenant']:>6d} {t['profile']:>10s} "
+              f"{t['arrival_round']:>6d} {t['footprint_pages']:>9d} "
+              f"{t['instructions']:>9d} {t['ipc']:>7.3f} {t['mpki']:>7.2f} "
+              f"{t['p50_demand_ns']:>8.0f} {t['p99_demand_ns']:>8.0f}")
+    worst = max(result.tenants, key=lambda t: t["p99_demand_ns"],
+                default=None)
+    if worst is not None:
+        print(f"  worst p99 demand: tenant {worst['tenant']} "
+              f"({worst['profile']}) at {worst['p99_demand_ns']:.0f} ns")
+    if result.resize_events:
+        print(f"  resize events ({len(result.resize_events)}):")
+        print(f"    {'at':>8s} {'from':>6s} {'to':>6s} {'remap':>6s} "
+              f"{'evict':>6s} {'shoot':>6s} {'budget':>6s}")
+        for e in result.resize_events:
+            print(f"    {e['at_access']:>8d} {e['from_pages']:>6d} "
+                  f"{e['to_pages']:>6d} {e['remapped']:>6d} "
+                  f"{e['evicted']:>6d} {e['shootdowns']:>6d} "
+                  f"{e['max_remap']:>6d}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -524,11 +479,19 @@ def cmd_run(args: argparse.Namespace) -> int:
             metrics["trace"] = args.trace_out
         if args.timeseries_out:
             metrics["timeseries"] = args.timeseries_out
+    tenant_job = spec.workload_kind == "tenants"
+    if tenant_job:
+        metrics["context_switches"] = result.stats["context_switches"]
     if args.json:
+        if tenant_job:
+            metrics["tenants"] = result.tenants
+            metrics["resize_events"] = result.resize_events
         print(json.dumps(metrics, indent=2))
-    else:
-        for key, value in metrics.items():
-            print(f"{key:24s}: {value}")
+        return 0
+    for key, value in metrics.items():
+        print(f"{key:24s}: {value}")
+    if tenant_job:
+        _print_tenant_tables(result)
     return 0
 
 
@@ -593,8 +556,7 @@ def _fleet_observers(args: argparse.Namespace, name: str,
                      record: RunRecord) -> list:
     """Observers behind ``--trace``/``--timeseries`` and ``--live``."""
     observers = []
-    if getattr(args, "trace_out", None) or getattr(args, "timeseries_out",
-                                                   None):
+    if args.trace_out or args.timeseries_out:
         from repro.obs import HarnessObserver
 
         harness_obs = HarnessObserver(record, label=name)
@@ -616,8 +578,8 @@ def _harness_session(args: argparse.Namespace, name: str,
                      resume_path: Optional[str] = None):
     """Build the harness from the shared flags; finish it on the way out.
 
-    The one execution lifecycle of ``experiment``, ``sweep`` and
-    ``campaign run``/``resume``.  Yields ``(harness, artifact)``: the
+    The one execution lifecycle of ``experiment`` and ``campaign
+    run``/``resume``.  Yields ``(harness, artifact)``: the
     run record, then the progress reporter, the JSONL artifact and any
     fleet observers, all labelled ``name``, ride the harness's one
     observer slot, in that order.  The record counts each job event
@@ -693,37 +655,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    specs: List[JobSpec] = []
-    machine = _machine_from_args(args)
-    for design in args.designs:
-        for workload in args.workloads:
-            for size in args.cache_sizes:
-                specs.append(JobSpec(
-                    design=design,
-                    workload=workload,
-                    accesses=args.accesses,
-                    cache_megabytes=size,
-                    replacement=args.replacement,
-                    capacity_scale=args.scale,
-                    warmup_fraction=args.warmup,
-                    validate=args.validate,
-                    machine=machine,
-                ))
-
-    with _harness_session(args, "sweep", args.out, total=len(specs),
-                          resume_path=args.resume) as (harness, artifact):
-        harness.run(specs)
-
-    summary = {**artifact.counters, "artifact": args.out}
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"{summary['jobs']} jobs ({summary['errors']} errors, "
-              f"{summary['cache_hits']} cache hits) -> {args.out}")
-    return 1 if summary["errors"] else 0
-
-
 def _campaign_spec(args: argparse.Namespace):
     """Load the study file of ``campaign run``."""
     from repro.campaign import CampaignSpec
@@ -739,8 +670,6 @@ def _campaign_spec(args: argparse.Namespace):
 def _campaign_execute(spec, out_dir: str, args: argparse.Namespace,
                       resume: bool) -> int:
     """Shared body of ``campaign run`` and ``campaign resume``."""
-    import os
-
     from repro.campaign import (
         CampaignRun,
         expand,
@@ -867,8 +796,6 @@ def _merge_machine_into_campaign(spec, machine: MachineSpec):
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    import os
-
     from repro.campaign import CampaignSpec
 
     if args.campaign_command == "run":
@@ -1078,74 +1005,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_tenants(args: argparse.Namespace) -> int:
-    """Replay a multi-tenant scenario and print the QoS breakdown."""
-    from repro.workloads.tenants import TenantScenarioSpec, build_schedule
-
-    scenario = TenantScenarioSpec.from_file(args.scenario)
-    config = dataclasses.replace(
-        build_system(
-            cache_megabytes=args.cache_mb,
-            num_cores=args.cores,
-            replacement=args.replacement,
-            capacity_scale=args.scale,
-        ),
-        tlb_scale=args.tlb_scale,
-    )
-    schedule = build_schedule(scenario, num_cores=args.cores)
-    result = Simulator(config).run_tenants(
-        args.design, schedule,
-        validate=args.validate or None,
-        validate_every=args.every,
-    )
-
-    if args.json:
-        print(json.dumps({
-            "design": args.design,
-            "scenario": scenario.to_dict(),
-            "schedule_digest": schedule.digest(),
-            "ipc": result.ipc_sum,
-            "elapsed_ms": result.elapsed_ns / 1e6,
-            "energy_j": result.total_energy_j,
-            "context_switches": result.stats["context_switches"],
-            "tenants": result.tenants,
-            "resize_events": result.resize_events,
-        }, indent=2))
-        return 0
-
-    print(f"scenario {scenario.name}: {len(schedule.tenants)} tenants on "
-          f"{args.cores} cores, {schedule.total_accesses} accesses, "
-          f"design {args.design}")
-    print(f"  ipc {result.ipc_sum:.3f}  elapsed "
-          f"{result.elapsed_ns / 1e6:.3f} ms  "
-          f"context switches {int(result.stats['context_switches'])}  "
-          f"tlb entries flushed "
-          f"{int(result.stats['context_switch_tlb_entries'])}")
-    print(f"  {'tenant':>6s} {'profile':>10s} {'arrive':>6s} "
-          f"{'footprint':>9s} {'instrs':>9s} {'ipc':>7s} {'mpki':>7s} "
-          f"{'p50 ns':>8s} {'p99 ns':>8s}")
-    for t in result.tenants:
-        print(f"  {t['tenant']:>6d} {t['profile']:>10s} "
-              f"{t['arrival_round']:>6d} {t['footprint_pages']:>9d} "
-              f"{t['instructions']:>9d} {t['ipc']:>7.3f} {t['mpki']:>7.2f} "
-              f"{t['p50_demand_ns']:>8.0f} {t['p99_demand_ns']:>8.0f}")
-    worst = max(result.tenants, key=lambda t: t["p99_demand_ns"],
-                default=None)
-    if worst is not None:
-        print(f"  worst p99 demand: tenant {worst['tenant']} "
-              f"({worst['profile']}) at {worst['p99_demand_ns']:.0f} ns")
-    if result.resize_events:
-        print(f"  resize events ({len(result.resize_events)}):")
-        print(f"    {'at':>8s} {'from':>6s} {'to':>6s} {'remap':>6s} "
-              f"{'evict':>6s} {'shoot':>6s} {'budget':>6s}")
-        for e in result.resize_events:
-            print(f"    {e['at_access']:>8d} {e['from_pages']:>6d} "
-                  f"{e['to_pages']:>6d} {e['remapped']:>6d} "
-                  f"{e['evicted']:>6d} {e['shootdowns']:>6d} "
-                  f"{e['max_remap']:>6d}")
-    return 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     """Structural and differential validation (the `repro check` gate).
 
@@ -1159,8 +1018,6 @@ def cmd_check(args: argparse.Namespace) -> int:
        cross-design bounds (ideal >= tagless >= bi >= no-l3, no-l3's
        off-package demand as the ceiling) are asserted.
     """
-    import dataclasses as _dc
-
     from repro.validate import differential, reference
     from repro.validate.invariants import InvariantViolation
 
@@ -1170,7 +1027,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # A small cache over a scaled-down footprint keeps fill/evict churn
     # high -- the same shape the golden-stats fixtures pin -- so the
     # invariants see the interesting transitions, not a half-empty cache.
-    config = _dc.replace(
+    config = dataclasses.replace(
         build_system(cache_megabytes=128, num_cores=1, capacity_scale=512),
         tlb_scale=32,
     )
@@ -1233,13 +1090,11 @@ _COMMANDS = {
     "workloads": cmd_workloads,
     "run": cmd_run,
     "experiment": cmd_experiment,
-    "sweep": cmd_sweep,
     "campaign": cmd_campaign,
     "profile": cmd_profile,
     "report": cmd_report,
     "status": cmd_status,
     "merge-trace": cmd_merge_trace,
-    "tenants": cmd_tenants,
     "validate": cmd_validate,
     "check": cmd_check,
 }

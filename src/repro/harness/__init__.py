@@ -4,7 +4,8 @@ content-addressed result caching, and JSONL run artifacts.
 :func:`repro.analysis.experiments.run_figure` expands each paper figure
 into :class:`JobSpec` points and dispatches them through a
 :class:`Harness`;
-``repro sweep`` exposes the same machinery for ad-hoc cartesian sweeps.
+``repro campaign run`` runs a study file's factor grid through the same
+machinery, and ``repro run`` executes one point's spec.
 
 Typical use::
 

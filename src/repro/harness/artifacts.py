@@ -146,10 +146,9 @@ class RunArtifact:
     def counters(self) -> Dict[str, int]:
         """The record's execution-health counters (a live copy).
 
-        The same numbers the summary record carries; exposed so the
-        ``--json`` summaries of ``repro sweep``/``experiment`` can
-        surface retry/timeout/crash counts without re-reading the
-        artifact.
+        The same numbers the summary record carries; exposed so
+        ``repro experiment --json`` can surface retry/timeout/crash
+        counts without re-reading the artifact.
         """
         return dict(self.record.health)
 

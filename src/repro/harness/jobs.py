@@ -358,8 +358,8 @@ def execute_job(spec: JobSpec, bindings=None,
     already materialised (the shared-memory dispatch path of
     :mod:`repro.harness.shm`); it must describe exactly what
     ``spec.bindings()`` would generate.  ``telemetry`` is handed to
-    ``Simulator.run`` for in-process callers (``repro run``/``trace``);
-    the worker pool never passes one.
+    ``Simulator.run`` or ``Simulator.run_tenants`` for in-process
+    callers (``repro run``); the worker pool never passes one.
     """
     previous_seed = rng.BASE_SEED
     override = spec.base_seed is not None and spec.base_seed != previous_seed
@@ -382,6 +382,7 @@ def execute_job(spec: JobSpec, bindings=None,
                 spec.design,
                 schedule,
                 validate=spec.validate or None,
+                telemetry=telemetry,
             )
         if bindings is None:
             bindings = spec.bindings()

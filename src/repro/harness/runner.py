@@ -31,7 +31,7 @@ preserving bit-identical legacy behaviour.
 
 Callers that need every point (the figure runners) raise
 :class:`HarnessError` on any failure; callers that stream artifacts
-(``repro sweep``) simply record the failed rows.
+(``repro campaign run``) simply record the failed rows.
 """
 
 from __future__ import annotations

@@ -202,4 +202,4 @@ def test_missing_scenario_fails_before_any_job(capsys, tmp_path,
 def test_tenants_missing_scenario_is_a_clean_error(tmp_path):
     missing = str(tmp_path / "missing.json")
     with pytest.raises(SystemExit, match="cannot read scenario file"):
-        main(["tenants", missing])
+        main(["run", "tagless-resizable", missing])

@@ -2,11 +2,17 @@
 
 import argparse
 import json
+import os
 
 import pytest
 
 from repro.cli.main import build_parser, main
 from repro.common.config import REPLACEMENT_POLICIES
+
+#: The CI-sized tenant scenario (8 tenants, a shrink and a grow).
+SMOKE_SCENARIO = os.path.join(os.path.dirname(__file__), "..", "..",
+                              "benchmarks", "studies",
+                              "multitenant_smoke_scenario.json")
 
 
 def run_cli(capsys, *argv):
@@ -140,31 +146,32 @@ def test_experiment_progress_counts_against_the_grid(tmp_path, capsys):
     assert "/?]" not in err
 
 
-def test_sweep_writes_jsonl_artifact(tmp_path, capsys):
+def test_sweep_writes_jsonl_artifact(tmp_path, capsys, write_study):
     from repro.harness import read_artifact
 
-    out_path = str(tmp_path / "sweep.jsonl")
-    code, out = run_cli(
-        capsys, "sweep", "--designs", "no-l3", "tagless",
-        "--workloads", "sphinx3", "--cache-sizes", "512", "1024",
-        "--accesses", "2000", "--out", out_path, "--no-cache", "--json",
-    )
+    study = write_study(design=["no-l3", "tagless"], workload=["sphinx3"],
+                        cache_mb=[512, 1024], fixed={"accesses": 2000})
+    out_dir = tmp_path / "camp"
+    code, out = run_cli(capsys, "campaign", "run", study,
+                        "--out", str(out_dir), "--no-cache", "--json")
     assert code == 0
     summary = json.loads(out)
     assert summary["jobs"] == 4
     assert summary["errors"] == 0
     jobs = [
-        r for r in read_artifact(out_path) if r["record"] == "job"
+        r for r in read_artifact(str(out_dir / "jobs.jsonl"))
+        if r["record"] == "job"
     ]
     assert len(jobs) == 4
     assert {j["spec"]["cache_megabytes"] for j in jobs} == {512, 1024}
     assert all(j["metrics"]["ipc"] > 0 for j in jobs)
 
 
-def test_sweep_rejects_unknown_workload(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--workloads", "not-a-program",
-              "--out", str(tmp_path / "x.jsonl"), "--no-cache"])
+def test_sweep_rejects_unknown_workload(tmp_path, write_study):
+    study = write_study(design=["tagless"], workload=["not-a-program"])
+    with pytest.raises(SystemExit, match="unknown workload"):
+        main(["campaign", "run", study, "--out", str(tmp_path / "camp"),
+              "--no-cache"])
 
 
 def test_profile_json_report(capsys):
@@ -219,9 +226,9 @@ def test_profile_rejects_bad_top(capsys):
     ["report", "series.jsonl", "--width", "0"],
     ["experiment", "fig13", "--accesses", "0"],
     ["experiment", "fig13", "--accesses", "-5"],
-    ["sweep", "--workloads", "mcf", "--accesses", "-5"],
+    ["campaign", "run", "study.json", "--retries", "-1"],
     ["check", "--every", "0"],
-    ["tenants", "scenario.json", "--every", "0"],
+    ["run", "tagless-resizable", "scenario.json", "--interval", "0"],
     ["validate", "--accesses", "0"],
     ["validate", "--accesses", "-5"],
 ])
@@ -254,13 +261,6 @@ def test_check_rejects_negative_accesses(capsys):
 def test_check_rejects_unknown_design():
     with pytest.raises(SystemExit):
         main(["check", "--design", "not-a-design"])
-
-
-def test_sweep_validate_flag_parses():
-    parser = build_parser()
-    args = parser.parse_args(["sweep", "--designs", "tagless",
-                              "--workloads", "sphinx3", "--validate"])
-    assert args.validate is True
 
 
 def test_trace_capture_mode_writes_artifacts(tmp_path, capsys):
@@ -331,11 +331,57 @@ def test_run_telemetry_does_not_change_metrics(tmp_path, capsys):
     assert traced_metrics == plain_metrics
 
 
-def test_sweep_timeseries_flag_writes_progress_artifact(tmp_path, capsys):
+def test_tenant_run_prints_qos_and_resize_tables(capsys):
+    """A ``.json`` workload is a tenant job: one QoS row per tenant, the
+    worst tail, then one churn row per resize, after the metrics."""
+    argv = ["run", "tagless-resizable", SMOKE_SCENARIO, "--cache-mb", "512",
+            "--scale", "512", "--set", "tlb_scale=32"]
+    _, text = run_cli(capsys, *argv)
+    _, data = run_cli(capsys, *argv, "--json")
+    data = json.loads(data)
+    lines = text.splitlines()
+    assert lines[0] == "design                  : tagless-resizable"
+    head = next(i for i, line in enumerate(lines)
+                if line.split()[:2] == ["tenant", "profile"])
+    worst = next(i for i, line in enumerate(lines)
+                 if line.startswith("  worst p99 demand: tenant "))
+    rows = [line.split() for line in lines[head + 1:worst]]
+    assert [(int(r[0]), r[1]) for r in rows] == [
+        (t["tenant"], t["profile"]) for t in data["tenants"]]
+    events = data["resize_events"]
+    assert lines[worst + 1] == f"  resize events ({len(events)}):"
+    churn = [line.split() for line in lines[worst + 3:]]
+    assert [int(r[0]) for r in churn] == [e["at_access"] for e in events]
+
+
+def test_tenant_run_telemetry_does_not_change_metrics(tmp_path, capsys):
+    argv = ["run", "tagless-resizable", SMOKE_SCENARIO, "--json"]
+    _, plain = run_cli(capsys, *argv)
+    trace_path = str(tmp_path / "t.perfetto.json")
+    series_path = str(tmp_path / "t.timeseries.jsonl")
+    _, traced = run_cli(capsys, *argv, "--trace", trace_path,
+                        "--timeseries", series_path)
+    plain_metrics = json.loads(plain)
+    traced_metrics = json.loads(traced)
+    assert traced_metrics.pop("trace") == trace_path
+    assert traced_metrics.pop("timeseries") == series_path
+    assert traced_metrics == plain_metrics
+    assert plain_metrics["tenants"] and plain_metrics["resize_events"]
+    assert json.loads(open(trace_path).read())["traceEvents"]
+    from repro.obs import load_timeseries
+
+    meta, columns, _hist = load_timeseries(series_path)
+    assert meta["design"] == "tagless-resizable"
+    assert columns["free_queue_depth"]
+
+
+def test_sweep_timeseries_flag_writes_progress_artifact(tmp_path, capsys,
+                                                        write_study):
     series_path = str(tmp_path / "progress.jsonl")
+    study = write_study(design=["no-l3"], workload=["sphinx3"],
+                        fixed={"accesses": 1500})
     code, _ = run_cli(
-        capsys, "sweep", "--designs", "no-l3", "--workloads", "sphinx3",
-        "--accesses", "1500", "--out", str(tmp_path / "s.jsonl"),
+        capsys, "campaign", "run", study, "--out", str(tmp_path / "camp"),
         "--no-cache", "--timeseries", series_path,
     )
     assert code == 0
@@ -368,5 +414,5 @@ def test_replacement_choices_are_the_declared_policies():
                for name, sub in subparsers.choices.items()
                for action in sub._actions
                if "--replacement" in action.option_strings}
-    assert sorted(choices) == ["profile", "run", "sweep", "tenants"]
+    assert sorted(choices) == ["profile", "run"]
     assert all(c == REPLACEMENT_POLICIES for c in choices.values())

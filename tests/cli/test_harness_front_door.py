@@ -1,11 +1,10 @@
 """The one harness front door: shared flags, ``--metrics``, one tally.
 
-``experiment``, ``sweep``, ``campaign run`` and ``campaign resume`` take
-the same execution flags from one parser helper and run through one
-harness lifecycle; every job-health summary they emit comes from one
-tally.  These tests pin all three properties, and that the
-simulation-point flags of ``trace``/``run``/``sweep``/``profile`` come
-from one helper too.
+``experiment``, ``campaign run`` and ``campaign resume`` take the same
+execution flags from one parser helper and run through one harness
+lifecycle; every job-health summary they emit comes from one tally.
+These tests pin all three properties, and that the simulation-point
+flags of ``run``/``profile`` come from one helper too.
 """
 
 import argparse
@@ -24,12 +23,11 @@ from repro.obs import get_registry, load_timeseries, set_registry
 #: Flags every harness command shares (one helper adds them all).
 SHARED_FLAGS = ("--jobs", "--cache-dir", "--no-cache", "--timeout",
                 "--retries", "--retry-backoff", "--resume-strict",
-                "--live", "--metrics")
+                "--live", "--metrics", "--trace", "--timeseries")
 
 #: Minimal argv reaching each harness command's parser.
 COMMANDS = {
     "experiment": ["experiment", "fig13"],
-    "sweep": ["sweep", "--workloads", "sphinx3"],
     "campaign run": ["campaign", "run", "study.json"],
     "campaign resume": ["campaign", "resume", "campaign-dir"],
 }
@@ -61,6 +59,7 @@ class TestSharedFlags:
             "--jobs": 1, "--cache-dir": None, "--no-cache": False,
             "--timeout": None, "--retries": 0, "--retry-backoff": 0.5,
             "--resume-strict": False, "--live": False, "--metrics": None,
+            "--trace": None, "--timeseries": None,
         }
         for command in COMMANDS:
             assert defaults[command] == defaults["experiment"], command
@@ -76,13 +75,23 @@ class TestSharedFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(COMMANDS[command] + list(bad))
 
+    def test_run_shares_the_supervision_flags(self):
+        """``run``'s ``--timeout``/``--retries`` are the harness set's."""
+        def table(*command):
+            return {option: (action.default, action.metavar, action.help)
+                    for action in _subparser(build_parser(),
+                                             *command)._actions
+                    for option in action.option_strings
+                    if option in ("--timeout", "--retries")}
+
+        assert table("run") == table("experiment")
+        assert len(table("run")) == 2
+
 
 #: Simulation-point flags and the commands that share them (one helper
-#: adds them all; ``sweep`` takes ``--cache-sizes`` instead of
-#: ``--cache-mb``).
+#: adds them all).
 POINT_COMMANDS = {
     "run": ("--cache-mb", "--scale", "--replacement", "--warmup"),
-    "sweep": ("--scale", "--replacement", "--warmup"),
     "profile": ("--cache-mb", "--scale", "--replacement", "--warmup"),
 }
 
@@ -127,17 +136,6 @@ class TestMetricsFlag:
     EXPECTED = {"repro_cache_lookups_total",
                 "repro_pool_jobs_submitted_total"}
 
-    def test_sweep_writes_snapshot(self, tmp_path, capsys, fresh_registry):
-        path = str(tmp_path / "fleet.jsonl")
-        code = main(["sweep", "--designs", "no-l3", "tagless",
-                     "--workloads", "sphinx3", "--accesses", "1500",
-                     "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-                     "--out", str(tmp_path / "s.jsonl"), "--metrics", path])
-        assert code == 0
-        assert self.EXPECTED <= _metric_names(path)
-        assert f"metrics: {path}" in capsys.readouterr().err
-        assert get_registry().enabled
-
     def test_campaign_run_writes_snapshot(self, tmp_path, capsys,
                                           fresh_registry):
         study = tmp_path / "study.json"
@@ -157,6 +155,8 @@ class TestMetricsFlag:
         names = _metric_names(path)
         assert self.EXPECTED <= names
         assert "repro_campaign_points_expanded_total" in names
+        assert f"metrics: {path}" in capsys.readouterr().err
+        assert get_registry().enabled
 
 
 #: A crash that outlives its retry and a flaky point healed by it.
@@ -184,9 +184,13 @@ def _expected(counts):
     return {key: EXPECTED[key] for key in counts}
 
 
+#: The run label of the faulted study's campaign (progress and --live).
+LABEL = "campaign-tally-unit"
+
+
 def _progress_summary(err):
     """``jobs``/``errors`` of the progress reporter's end-of-run line."""
-    match = re.search(r"^sweep: (\d+) jobs, (\d+) errors, ", err, re.M)
+    match = re.search(rf"^{LABEL}: (\d+) jobs, (\d+) errors, ", err, re.M)
     assert match, err
     return {"jobs": int(match[1]), "errors": int(match[2])}
 
@@ -194,7 +198,7 @@ def _progress_summary(err):
 def _live_header(err):
     """Counts of the last ``--live`` frame's header line."""
     head = [line for line in err.splitlines()
-            if line.startswith("sweep: workers ")][-1]
+            if line.startswith(f"{LABEL}: workers ")][-1]
     counts = dict(re.findall(r"(jobs|cache|resumed|retries|errors) (\d+)",
                              head))
     return {"jobs": int(counts["jobs"]), "cache_hits": int(counts["cache"]),
@@ -228,44 +232,40 @@ def _trace_counts(path):
 
 
 def test_every_health_summary_comes_from_one_tally(tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   write_study):
     monkeypatch.setenv("REPRO_FAULT_INJECT", FAULTS)
+    study = write_study("tally-unit", design=DESIGNS, workload=WORKLOADS,
+                        fixed={"accesses": 1500})
 
-    # The same faulted sweep twice: with the line-per-job progress
+    # The same faulted study twice: with the line-per-job progress
     # reporter, then with --live owning stderr; both write the harness
     # trace and timeseries.
     views = {}
     for mode in ("progress", "live"):
-        sweep_artifact = str(tmp_path / f"{mode}.jsonl")
+        out_dir = str(tmp_path / mode)
         trace = str(tmp_path / f"{mode}.perfetto.json")
         timeseries = str(tmp_path / f"{mode}.timeseries.jsonl")
-        code = main(["sweep", "--designs", *DESIGNS,
-                     "--workloads", *WORKLOADS, "--accesses", "1500",
+        code = main(["campaign", "run", study, "--out", out_dir,
                      "--jobs", "2", "--retries", "1",
-                     "--retry-backoff", "0", "--no-cache",
-                     "--out", sweep_artifact, "--json",
+                     "--retry-backoff", "0", "--no-cache", "--json",
                      "--trace", trace, "--timeseries", timeseries]
                     + (["--live"] if mode == "live" else []))
         assert code == 1
         captured = capsys.readouterr()
-        sweep_json = json.loads(captured.out)
-        assert sweep_json.pop("artifact") == sweep_artifact
+        summary = json.loads(captured.out)
+        assert summary["out_dir"] == out_dir
         views[mode] = captured.err
-        assert sweep_json == EXPECTED
-        assert _summary_record(sweep_artifact) == EXPECTED
+        assert {key: summary[key] for key in EXPECTED} == EXPECTED
+        assert _summary_record(os.path.join(out_dir, "jobs.jsonl")) \
+            == EXPECTED
         for counts in (_last_window(timeseries), _trace_counts(trace)):
             assert counts == _expected(counts)
     for counts in (_progress_summary(views["progress"]),
                    _live_header(views["live"])):
         assert counts == _expected(counts)
 
-    spec = CampaignSpec.from_dict({
-        "name": "tally-unit",
-        "repetitions": 1,
-        "factors": {"design": DESIGNS, "workload": WORKLOADS},
-        "fixed": {"accesses": 1500},
-        "metrics": ["ipc"],
-    })
+    spec = CampaignSpec.from_file(study)
     out_dir = str(tmp_path / "camp")
     os.makedirs(out_dir)
     with open(os.path.join(out_dir, "spec.json"), "w") as handle:
@@ -296,16 +296,20 @@ def test_campaign_ctrl_c_closes_artifact_and_exits_130(tmp_path, capsys,
     assert summary["record"] == "summary" and summary["jobs"] == 0
 
 
-def test_unbuildable_sweep_point_fails_alone(tmp_path, capsys):
-    """A point whose machine does not build is one failed row; the sweep
-    still runs the other points and exits 1 without a traceback."""
-    artifact = str(tmp_path / "s.jsonl")
-    code = main(["sweep", "--workloads", "mcf", "--designs", "tagless",
-                 "--accesses", "100", "--cache-sizes", "0", "1024",
-                 "--no-cache", "--out", artifact])
+def test_unbuildable_sweep_point_fails_alone(tmp_path, capsys,
+                                            write_study):
+    """A point whose machine does not build is one failed row; the
+    campaign still runs the other points and exits 1 without a
+    traceback."""
+    study = write_study(design=["tagless"], workload=["mcf"],
+                        cache_mb=[0, 1024], fixed={"accesses": 100})
+    out_dir = tmp_path / "camp"
+    code = main(["campaign", "run", study, "--out", str(out_dir),
+                 "--no-cache"])
     assert code == 1
     assert "Traceback" not in capsys.readouterr().err
-    rows = [r for r in read_artifact(artifact) if r["record"] == "job"]
+    rows = [r for r in read_artifact(str(out_dir / "jobs.jsonl"))
+            if r["record"] == "job"]
     assert [r["status"] for r in rows] == ["error", "ok"]
     assert "ConfigurationError" in rows[0]["error"]
     assert "resolved" not in rows[0]["machine"]
@@ -313,21 +317,25 @@ def test_unbuildable_sweep_point_fails_alone(tmp_path, capsys):
 
 
 def test_progress_eta_paces_on_computed_jobs(tmp_path, capsys,
-                                             monkeypatch):
+                                             monkeypatch, write_study):
     """Cache hits land at once and cost nothing: the ETA after the first
     computed job must pace on that job alone, not on the hits."""
-    sweep = ["sweep", "--designs", "no-l3",
-             "--workloads", "sphinx3", "libquantum", "--accesses", "300",
-             "--cache-dir", str(tmp_path / "cache")]
-    warm = ["--cache-sizes", "128", "256", "512", "1024"]
-    assert main(sweep + warm + ["--out", str(tmp_path / "warm.jsonl")]) == 0
+    def campaign(name, sizes, *flags):
+        study = write_study(name, design=["no-l3"],
+                            workload=["sphinx3", "libquantum"],
+                            cache_mb=sizes, fixed={"accesses": 300})
+        return main(["campaign", "run", study,
+                     "--out", str(tmp_path / name),
+                     "--cache-dir", str(tmp_path / "cache"), *flags])
+
+    warm = [128, 256, 512, 1024]
+    assert campaign("warm", warm) == 0
     capsys.readouterr()
     # The first computed job fails once and retries after a 2 s backoff,
     # so it lands no sooner than 2 s in, with one computed job to go.
     monkeypatch.setenv("REPRO_FAULT_INJECT", "flaky:no-l3/sphinx3@2048MB:1")
-    assert main(sweep + warm + ["2048", "--retries", "1",
-                                "--retry-backoff", "2",
-                                "--out", str(tmp_path / "s.jsonl")]) == 0
+    assert campaign("eta", warm + [2048], "--retries", "1",
+                    "--retry-backoff", "2") == 0
     lines = capsys.readouterr().err.splitlines()
     first_computed = next(line for line in lines
                           if line.startswith("[9/10] "))

@@ -267,8 +267,8 @@ class TestMachineField:
 class TestCoreCount:
     """``num_cores`` left unset resolves from the workload kind: one
     core for a SPEC program, four for every other kind.  The resolved
-    value is what the figure runners, ``sweep`` and campaigns used to
-    pass by hand, so every existing cache key is unchanged."""
+    value is what the figure runners and campaigns used to pass by
+    hand, so every existing cache key is unchanged."""
 
     REPO = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))

@@ -3,7 +3,8 @@
 A tenant schedule whose private VPN windows span more pages than the
 machine's off-package DRAM is refused by ``Simulator.run_tenants``; this
 catches that for each campaign spec with a ``scenario`` and for each
-``repro.cli tenants`` command in the docs, before anyone runs them.
+``repro.cli run <design> <file>.json`` command in the docs, before
+anyone runs them.
 """
 
 import glob
@@ -16,8 +17,7 @@ import pytest
 
 from repro.campaign.compile import expand
 from repro.campaign.spec import CampaignSpec
-from repro.cli.main import build_parser
-from repro.common.machine import build_system
+from repro.cli.main import _machine_from_args, _point_spec, build_parser
 from repro.workloads.tenants import TenantScenarioSpec, build_schedule
 
 _REPO = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -38,29 +38,36 @@ def _scenario_studies():
     return paths
 
 
+#: A documented ``repro.cli run <design> <file>.json ...`` command.
+_TENANT_RUN = re.compile(r"repro\.cli (run\s+\S+\s+\S+\.json\b.*)")
+
+
 def _documented_tenant_commands():
     commands = []
     for doc in ("README.md", "EXPERIMENTS.md"):
         with open(os.path.join(_REPO, doc)) as handle:
             text = handle.read().replace("\\\n", " ")
         for line in text.splitlines():
-            match = re.search(r"repro\.cli (tenants .*)", line)
+            match = _TENANT_RUN.search(line)
             if match:
                 commands.append((doc, " ".join(match.group(1).split())))
     return commands
+
+
+def _assert_fits(spec):
+    schedule = build_schedule(
+        TenantScenarioSpec.from_file(spec.scenario),
+        num_cores=spec.num_cores, base_seed=spec.effective_seed,
+    )
+    assert (schedule.total_span_pages
+            <= spec.system_config().off_package_pages), spec.label
 
 
 @pytest.mark.parametrize("study", _scenario_studies())
 def test_campaign_scenarios_fit_the_machine(study, monkeypatch):
     monkeypatch.chdir(_REPO)
     for job in expand(CampaignSpec.from_file(study)):
-        spec = job.spec
-        schedule = build_schedule(
-            TenantScenarioSpec.from_file(spec.scenario),
-            num_cores=spec.num_cores, base_seed=spec.effective_seed,
-        )
-        assert (schedule.total_span_pages
-                <= spec.system_config().off_package_pages), spec.label
+        _assert_fits(job.spec)
 
 
 @pytest.mark.parametrize("doc,command", _documented_tenant_commands())
@@ -68,13 +75,10 @@ def test_documented_tenant_commands_fit_the_machine(doc, command,
                                                     monkeypatch):
     monkeypatch.chdir(_REPO)
     args = build_parser().parse_args(shlex.split(command))
-    config = build_system(
-        cache_megabytes=args.cache_mb, num_cores=args.cores,
-        replacement=args.replacement, capacity_scale=args.scale,
-    )
-    schedule = build_schedule(TenantScenarioSpec.from_file(args.scenario),
-                              num_cores=args.cores)
-    assert schedule.total_span_pages <= config.off_package_pages
+    spec = _point_spec(args, args.design, args.workload, args.accesses,
+                       machine=_machine_from_args(args))
+    assert spec.workload_kind == "tenants"
+    _assert_fits(spec)
 
 
 def test_the_scans_find_the_shipped_examples():

@@ -82,6 +82,16 @@ def _bounded(kind, minimum, strict: bool = False):
     return parse
 
 
+class _NoteGiven(argparse.Action):
+    """Store the value and note the flag in ``args.given``, so a command
+    can refuse a flag it would ignore even at its default value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()),
+                           self.option_strings[0])
+
+
 def _add_supervision_arguments(parser: argparse.ArgumentParser) -> None:
     """``--timeout``/``--retries``: shared by ``run`` and the harness set.
 
@@ -155,6 +165,7 @@ def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=REPLACEMENT_POLICIES,
                         help="tagless victim policy (default fifo)")
     parser.add_argument("--warmup", type=float, default=0.25,
+                        action=_NoteGiven,
                         help="fraction of each trace that warms state "
                              "unmeasured (default 0.25)")
 
@@ -173,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload",
                      help="SPEC/PARSEC program, MIX1..MIX8, or a tenant "
                           "scenario .json file (replayed on four cores; "
-                          "the file, not --accesses/--warmup, sets its "
-                          "length)")
-    run.add_argument("--accesses", type=_bounded(int, 0), default=100_000)
+                          "the file sets its length and warmup, so "
+                          "--accesses/--warmup are refused)")
+    run.add_argument("--accesses", type=_bounded(int, 0), default=100_000,
+                     action=_NoteGiven)
     _add_point_arguments(run)
     run.add_argument("--json", action="store_true",
                      help="emit metrics as JSON")
@@ -424,11 +436,17 @@ def _print_tenant_tables(result) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.workload.endswith(".json") and getattr(args, "given", ()):
+        raise ConfigurationError(
+            f"{', '.join(sorted(set(args.given)))}: a tenant scenario sets "
+            f"its own length and warmup, so run refuses the flag"
+        )
     # Resolved once: the machine file is read a single time, so the
     # printed ``machine`` block is the machine that was simulated.
     machine = _machine_from_args(args)
     spec = _point_spec(args, args.design, args.workload, args.accesses,
                        timeout_s=args.timeout, machine=machine)
+    tenant_job = spec.workload_kind == "tenants"
     telemetry = None
     if args.timeout is not None or args.retries > 0:
         # Supervised: the point runs in a killable worker process, so a
@@ -466,6 +484,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "energy_j": result.total_energy_j,
         "edp_js": result.edp,
     }
+    if tenant_job:
+        del metrics["warmup_fraction"]  # the scenario sets its warmup
     if not machine.is_default:
         # Key appears only when the machine was customised, so default
         # invocations keep byte-identical output.
@@ -479,7 +499,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             metrics["trace"] = args.trace_out
         if args.timeseries_out:
             metrics["timeseries"] = args.timeseries_out
-    tenant_job = spec.workload_kind == "tenants"
     if tenant_job:
         metrics["context_switches"] = result.stats["context_switches"]
     if args.json:

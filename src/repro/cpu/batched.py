@@ -97,8 +97,12 @@ Bit-identity discipline (the golden-stats oracle compares floats with
   core has appended ``_LOG_CHUNK`` of them and at exit.  Folding a prefix and
   then the rest is the same left fold, so the chunking is exact.
 
-The kernel runs only when no event tracer and no latency histogram is
-attached: it inlines the paths both observe.  Such runs replay through
+The kernel indexes on-die sets, DRAM channels and banks with ``% n``,
+the structure models' rule, so every machine shape replays on it.  It
+stands down (:func:`select_kernel`) only when an event tracer or the
+off-package latency histogram is attached, since it inlines the paths
+both observe, when a tagless engine predicts footprints, and for a
+design class it has no classification for.  Such runs replay through
 the reference loop, which produces the same numbers.
 """
 
@@ -145,27 +149,33 @@ _LOG_CHUNK = 4096
 def _observed(design: MemorySystemDesign) -> bool:
     """True when something watches the paths the kernel inlines.
 
-    Event tracers rebind ``trace_event``; latency histograms hang off
-    the DRAM devices.  The kernel bypasses both, so either means it
-    must stand down.  (Resize schedules, invariant sweeps and telemetry
-    windows act at replay boundaries, which the kernel stops for.)
+    Event tracers rebind ``trace_event`` (on the design, and on a
+    tagless design's engine); telemetry hangs its latency histogram off
+    the off-package device.  The kernel bypasses all three, so any one
+    means it must stand down.  (Resize schedules, invariant sweeps and
+    telemetry windows act at replay boundaries, which the kernel stops
+    for.)
     """
     return (
         design.trace_event is not null_event
-        or design.in_package.latency_histogram is not None
         or design.off_package.latency_histogram is not None
+        or (isinstance(design, TaglessDesign)
+            and design.engine.trace_event is not null_event)
     )
 
 
 def select_kernel(design: MemorySystemDesign):
     """The fused kernel for ``design``, or ``None`` for the reference loop.
 
-    Every design gets it unless something watches the paths it inlines
-    (:func:`_observed`), an on-die cache or DRAM device has a set or
-    channel count that is not a power of two (the kernel indexes them
-    with bitmasks), a tagless engine traces events or predicts
-    footprints, or the design is neither tagless nor of a class in
-    :data:`_CLASSIFIERS` (the kernel has no classification for it).
+    Every design gets it, whatever its set and channel counts (the
+    kernel indexes them with ``%``, as the structure models do), except
+    when:
+
+    - something watches the paths it inlines (:func:`_observed`);
+    - a tagless engine predicts footprints;
+    - the design is neither tagless nor of a class in
+      :data:`_CLASSIFIERS` (the kernel has no classification for it).
+
     The resizable tagless variant gets it too: its capacity schedule is
     a replay boundary, not an access-path override.  The choice reads
     no class attribute, so a span tracer that wraps ``access_cycles``
@@ -173,20 +183,8 @@ def select_kernel(design: MemorySystemDesign):
     """
     if _observed(design):
         return None
-    ondie = design.ondie[0]
-    if not all(
-        n & (n - 1) == 0
-        for n in (
-            ondie.l1.num_sets,
-            ondie.l2.num_sets,
-            design.in_package.channels.num_channels,
-            design.off_package.channels.num_channels,
-        )
-    ):
-        return None
     if isinstance(design, TaglessDesign):
-        if (design.engine.trace_event is not null_event
-                or design.engine.footprint is not None):
+        if design.engine.footprint is not None:
             return None
     elif type(design) not in _CLASSIFIERS:
         return None
@@ -289,10 +287,12 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     Shared structures -- walker, both DRAM devices and their channel
     free-lists, the seeded float accumulators, and for the tagless
     design the GIPT, free queue and victim tracker -- are hoisted once
-    per call.  Per-core state (TLB maps, on-die sets, pending
-    write-backs, page table, model floats,
-    trace cursor, same-page cache, integer counters) lives in a slot
-    list per core that a switch stores and reloads.  At a segment end
+    per call, with the on-die set and DRAM channel counts the kernel
+    indexes with ``%`` (any count, as in the structure models).
+    Per-core state (TLB maps, on-die sets, pending write-backs, page
+    table, model floats, trace cursor, same-page cache, integer
+    counters) lives in a slot list per core that a switch stores and
+    reloads.  At a segment end
     the kernel stores the model floats back and calls the cursor's
     ``next_segment()`` (which charges the context switch, flushes the
     TLB maps in place and retunes the model), then reloads the
@@ -441,7 +441,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_ch = off_pkg.channels
     off_free = off_ch._free_at_ns
     off_bg = off_ch._bg_until_ns
-    off_mask = off_ch.num_channels - 1  # pow2, per select_kernel
+    off_channels = off_ch.num_channels
     off_tr64 = off_pkg._block_transfer_ns
     off_nj = off_pkg._block_nj
     off_wb_nj = off_pkg._block_wb_nj
@@ -451,9 +451,9 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     off_fill_nj = off_pkg._page_nj
 
     ondie0 = design.ondie[0]
-    ol1_mask = ondie0.l1.num_sets - 1  # pow2, per select_kernel
+    ol1_sets = ondie0.l1.num_sets
     ol1_ways = ondie0.l1._sets[0].ways
-    ol2_mask = ondie0.l2.num_sets - 1
+    ol2_sets = ondie0.l2.num_sets
     ol2_ways = ondie0.l2._sets[0].ways
 
     in_pkg = design.in_package
@@ -461,7 +461,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
     ip_ch = in_pkg.channels
     ip_free = ip_ch._free_at_ns
     ip_bg = ip_ch._bg_until_ns
-    ip_mask = ip_ch.num_channels - 1
+    ip_channels = ip_ch.num_channels
     ip_preempt = ip_ch.preemption_ns
     ip_tr = in_pkg._block_transfer_ns
     ip_sv = in_pkg._block_service_ns
@@ -543,7 +543,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
         gd_miss_ns = gd_banks._block_miss_ns
         gd_free = gd.channels._free_at_ns
         gd_bg = gd.channels._bg_until_ns
-        gd_mask = gd.channels.num_channels - 1
+        gd_channels = gd.channels.num_channels
         gd_tr64 = gd._block_transfer_ns
         # A write's energy with 0 and with 1 activation: the same sums
         # as ``gd_nj0 + acts * act_pre_nj`` (0 * x adds exactly 0.0).
@@ -726,7 +726,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                     # levels, so the scalar path's move-to-end is the
                     # identity and its probes are pure counter traffic.
                     line_key = last_base + line
-                    entries = ol1_ent[line_key & ol1_mask]
+                    entries = ol1_ent[line_key % ol1_sets]
                     v = entries.pop(line_key, None)
                     if v is not None:
                         # Zero-stall exit: cost == l1_hit exactly.
@@ -932,7 +932,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 if now_ns >= off_next_refresh:
                                     off_pkg._catch_up_refresh(now_ns)
                                     off_next_refresh = off_pkg._next_refresh_ns
-                                ch = pte.physical_page & off_mask
+                                ch = pte.physical_page % off_channels
                                 start = off_free[ch]
                                 if start < now_ns:
                                     start = now_ns
@@ -954,7 +954,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 if now_ns >= ip_next_refresh:
                                     in_pkg._catch_up_refresh(now_ns)
                                     ip_next_refresh = in_pkg._next_refresh_ns
-                                ch = target & ip_mask
+                                ch = target % ip_channels
                                 start = now_ns
                                 if ip_bg[ch] > start:
                                     start = ip_bg[ch]
@@ -969,7 +969,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 # locality.  The first one's
                                 # BankArray.access, inlined:
                                 gipt_page = gipt_base + (target >> 8)
-                                gch = gipt_page & gd_mask
+                                gch = gipt_page % gd_channels
                                 bank = gipt_page % gd_num_banks
                                 open_row = gd_rows.get(bank)
                                 if open_row == gipt_page:
@@ -1102,7 +1102,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                     last_base = target * lines_per_page
                     last_entry = entry
                     line_key = last_base + line
-                    entries = ol1_ent[line_key & ol1_mask]
+                    entries = ol1_ent[line_key % ol1_sets]
                     v = entries.pop(line_key, None)
                     if v is not None:
                         n_o1 += 1
@@ -1122,7 +1122,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 # here).
                 if pending_wb:
                     pending_wb.clear()
-                l2_entries = ol2_ent[line_key & ol2_mask]
+                l2_entries = ol2_ent[line_key % ol2_sets]
                 v = l2_entries.pop(line_key, None)
                 if v is not None:
                     n_o2 += 1
@@ -1139,7 +1139,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                 if _len(entries) >= ol1_ways:
                     victim = _next(_iter(entries))
                     if entries.pop(victim):
-                        spill_entries = ol2_ent[victim & ol2_mask]
+                        spill_entries = ol2_ent[victim % ol2_sets]
                         if victim in spill_entries:
                             spill_entries[victim] = True
                         else:
@@ -1199,7 +1199,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                             else:
                                 home = no_l3
                         if home:
-                            ch = wpage & off_mask
+                            ch = wpage % off_channels
                             start = now_ns
                             if off_bg[ch] > start:
                                 start = off_bg[ch]
@@ -1210,7 +1210,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                             f_off_dyn += off_wb_nj
                             n_wb_off += 1
                         else:
-                            ch = wpage & ip_mask
+                            ch = wpage % ip_channels
                             start = now_ns
                             if ip_bg[ch] > start:
                                 start = ip_bg[ch]
@@ -1251,7 +1251,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                     g.touched_cores |= core_bit
                     if w:
                         g.dirty = True
-                    ch = target & ip_mask
+                    ch = target % ip_channels
                 else:
                     # ``ch``: in package, on that channel; else
                     # ``home``: off package at that page; else a tag
@@ -1268,7 +1268,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                         if way is not None:
                             tag_map[target] = way
                             page = tag_set * tag_ways + way
-                            ch = page & ip_mask
+                            ch = page % ip_channels
                             if w:
                                 tag_dirty[page] = True
                     elif alloy:
@@ -1276,18 +1276,18 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                         aslot = line_key % alloy_blocks
                         resident = alloy_slots.get(aslot)
                         if resident is not None and resident[0] == line_key:
-                            ch = target & ip_mask
+                            ch = target % ip_channels
                             if w and not resident[1]:
                                 alloy_slots[aslot] = (line_key, True)
                     elif no_l3:
                         home = target
                     elif bi:
                         if target < bi_split:
-                            ch = target & ip_mask
+                            ch = target % ip_channels
                         else:
                             home = target - bi_split
                     elif ideal:
-                        ch = target & ip_mask
+                        ch = target % ip_channels
                     if ch < 0:
                         now_ns = cycles * cycle_ns
                         if home < 0:
@@ -1305,7 +1305,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 if now_ns >= ip_next_refresh:
                                     in_pkg._catch_up_refresh(now_ns)
                                     ip_next_refresh = in_pkg._next_refresh_ns
-                                ch = target & ip_mask
+                                ch = target % ip_channels
                                 start = ip_free[ch]
                                 if start < now_ns:
                                     start = now_ns
@@ -1324,7 +1324,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 if resident is not None and resident[1]:
                                     n_avict += 1
                                     n_wb_off += 1
-                                    home = (resident[0] >> 6) & off_mask
+                                    home = (resident[0] >> 6) % off_channels
                                     start = now_ns
                                     if off_bg[home] > start:
                                         start = off_bg[home]
@@ -1336,7 +1336,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                                 if now_ns >= off_next_refresh:
                                     off_pkg._catch_up_refresh(now_ns)
                                     off_next_refresh = off_pkg._next_refresh_ns
-                                home = target & off_mask
+                                home = target % off_channels
                                 start = off_free[home]
                                 if start < now_ns:
                                     start = now_ns
@@ -1387,7 +1387,7 @@ def _run_kernel(design: MemorySystemDesign, active, qos, budget,
                             if now_ns >= off_next_refresh:
                                 off_pkg._catch_up_refresh(now_ns)
                                 off_next_refresh = off_pkg._next_refresh_ns
-                            ch = home & off_mask
+                            ch = home % off_channels
                             n_off += 1
                             n_off_write += w
                             if off_free[ch] <= now_ns and off_bg[ch] <= now_ns:

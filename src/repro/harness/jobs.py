@@ -262,7 +262,9 @@ class JobSpec:
         Any change to a config knob, the workload recipe, the warmup
         split, the library base seed, :data:`SCHEMA_VERSION`, or the
         simulator code itself (:func:`code_fingerprint`) yields a
-        different key, so stale results can never be replayed.
+        different key, so stale results can never be replayed.  A
+        tenant job's key holds :data:`_TENANT_UNREAD` in place of the
+        fields its replay never reads.
         """
         payload = self.to_dict()
         # Execution policy, not simulation input: two runs differing
@@ -287,6 +289,11 @@ class JobSpec:
             from repro.workloads.tenants import TenantScenarioSpec
             payload["scenario"] = \
                 TenantScenarioSpec.from_file(self.scenario).spec_hash()
+        if self.workload_kind == "tenants":
+            # The scenario file, not these fields, describes a tenant
+            # replay: hashed at their defaults, specs differing only
+            # there share a key (and default specs keep theirs).
+            payload.update(_TENANT_UNREAD)
         payload["base_seed"] = self.effective_seed
         payload["schema"] = SCHEMA_VERSION
         payload["code"] = code_fingerprint()
@@ -346,6 +353,15 @@ class JobSpec:
             BoundTrace(core_id=0, process_id=0,
                        trace=generator.generate(self.accesses))
         ]
+
+
+#: The fields a tenant job's replay never reads, at their defaults: the
+#: values :meth:`JobSpec.cache_key` hashes for every tenant job.
+_TENANT_UNREAD = {
+    f.name: f.default for f in dataclasses.fields(JobSpec)
+    if f.name in ("accesses", "warmup_fraction", "parsec_threads",
+                  "nc_threshold")
+}
 
 
 def execute_job(spec: JobSpec, bindings=None,

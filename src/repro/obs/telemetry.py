@@ -13,8 +13,9 @@ knows how to wire all three into a design and tear them back out:
   bit-for-bit back on its unobserved fast path afterwards.
 
 The fused kernel inlines the paths the tracer and the histogram
-observe, so either keeps a run on the reference loop; the recorder
-alone does not.
+observe, so either keeps a run on the reference loop
+(:func:`repro.cpu.batched.select_kernel`); the recorder alone does
+not, since its windows are replay boundaries the kernel stops for.
 ``Simulator.run(..., telemetry=...)`` installs after the warmup
 boundary: telemetry observes the measured window, like the stats.
 """

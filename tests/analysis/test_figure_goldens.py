@@ -14,6 +14,7 @@ After an intended change to the simulated numbers, regenerate with::
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from unittest import mock
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import FIGURES
 from repro.cli.main import main
 from repro.harness.runner import Harness
@@ -41,6 +43,11 @@ GOLDEN_ACCESSES = 600
 #: at the figure's own length, 50,000.
 GOLDEN_LENGTHS = {"ablation_alpha": 12_000, "ablation_footprint": 12_000,
                   "ablation_victim_policy": 50_000}
+#: ``(figure, factor)`` pairs whose levels print the same values at the
+#: figure's golden length.  Fig 11's FIFO and LRU print the same IPC on
+#: all eight mixes at 600, 12,000 and 40,000 accesses; at the figure's
+#: own 140,000 only MIX3 and MIX5 part, a 13 s run.
+SAME_ACROSS_LEVELS = {("fig11", "replacement")}
 VALIDATE_ACCESSES = 2000
 
 
@@ -54,7 +61,9 @@ def _cli(argv):
 
 
 def figure_outputs(figure, workdir):
-    """The figure's text stdout and its ``--json`` payload.
+    """The figure's text stdout, its ``--json`` payload and the
+    :class:`~repro.analysis.experiments.FigureResult` the text run
+    rendered.
 
     The JSON run replays the text run's points from a shared result
     cache, so both come from one set of simulations.  The volatile
@@ -64,11 +73,34 @@ def figure_outputs(figure, workdir):
     common = ["experiment", figure, "--accesses", str(accesses),
               "--cache-dir", os.path.join(workdir, "cache"),
               "--artifact", os.path.join(workdir, f"{figure}.jsonl")]
-    _, text = _cli(common)
+    results = []
+    run_figure = experiments.run_figure
+
+    def recording_run_figure(*args, **kwargs):
+        results.append(run_figure(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(experiments, "run_figure", recording_run_figure):
+        _, text = _cli(common)
     _, raw = _cli(common + ["--json"])
     data = json.loads(raw)
     data.pop("harness")
-    return text, json.dumps(data, indent=2) + "\n"
+    return text, json.dumps(data, indent=2) + "\n", results[0]
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """``figure -> figure_outputs(figure)``, each figure run once per
+    module, so the byte-identity and knob tests share one simulation."""
+    runs = {}
+
+    def run(figure):
+        if figure not in runs:
+            runs[figure] = figure_outputs(
+                figure, str(tmp_path_factory.mktemp(figure)))
+        return runs[figure]
+
+    return run
 
 
 def validate_output():
@@ -102,10 +134,34 @@ def _golden(name):
 
 
 @pytest.mark.parametrize("figure", FIGURE_NAMES)
-def test_figure_tables_and_json_byte_identical(figure, tmp_path):
-    text, payload = figure_outputs(figure, str(tmp_path))
+def test_figure_tables_and_json_byte_identical(figure, golden_run):
+    text, payload, _ = golden_run(figure)
     assert text == _golden(f"{figure}.txt")
     assert payload == _golden(f"{figure}.json")
+
+
+@pytest.mark.parametrize("figure", FIGURE_NAMES)
+def test_every_factor_changes_a_rendered_value(figure, golden_run):
+    """A knob the golden cannot see is a knob it cannot pin: for each
+    factor with more than one level, rendering every cell with its
+    first level's result must change the figure's text (or leave it
+    unrenderable), except for the :data:`SAME_ACROSS_LEVELS` pairs,
+    where it must not."""
+    text, _, result = golden_run(figure)
+    for position, (factor, levels) in enumerate(result.levels.items()):
+        if len(levels) < 2:
+            continue
+        collapsed = dataclasses.replace(result, results={
+            cell: result.results[
+                cell[:position] + (levels[0],) + cell[position + 1:]]
+            for cell in result.results})
+        try:
+            unchanged = "\n\n".join(collapsed.tables()) + "\n" == text
+        except KeyError:
+            # The renderer reads a stat only the level's own results
+            # carry (table2's per-design counters): the level shows.
+            unchanged = False
+        assert unchanged == ((figure, factor) in SAME_ACROSS_LEVELS), factor
 
 
 def test_every_alpha_level_renders_its_own_row():
@@ -165,7 +221,7 @@ def regenerate():
     outputs = {"validate.txt": validate_output()}
     with tempfile.TemporaryDirectory() as workdir:
         for figure in FIGURE_NAMES:
-            text, payload = figure_outputs(figure, workdir)
+            text, payload, _ = figure_outputs(figure, workdir)
             outputs[f"{figure}.txt"] = text
             outputs[f"{figure}.json"] = payload
             outputs[f"{figure}.jobs.jsonl"] = figure_jobs(figure, workdir)

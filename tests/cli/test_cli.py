@@ -352,6 +352,24 @@ def test_tenant_run_prints_qos_and_resize_tables(capsys):
     assert lines[worst + 1] == f"  resize events ({len(events)}):"
     churn = [line.split() for line in lines[worst + 3:]]
     assert [int(r[0]) for r in churn] == [e["at_access"] for e in events]
+    # The scenario sets the warmup; run prints no value it did not use.
+    assert "warmup_fraction" not in data
+    assert not any(line.startswith("warmup_fraction") for line in lines)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--accesses", "7"], ["--warmup", "0.9"], ["--warmup=0.25"],
+    ["--accesses", "100000", "--warmup", "0.9"],
+])
+def test_tenant_run_refuses_the_flags_it_ignores(flags):
+    """The scenario file sets a tenant run's length and warmup, so an
+    explicit ``--accesses`` or ``--warmup`` is refused by name, even at
+    its default value."""
+    with pytest.raises(SystemExit) as refused:
+        main(["run", "tagless-resizable", SMOKE_SCENARIO, *flags])
+    named = sorted({flag.split("=")[0] for flag in flags
+                    if flag.startswith("--")})
+    assert str(refused.value).startswith(", ".join(named) + ": ")
 
 
 def test_tenant_run_telemetry_does_not_change_metrics(tmp_path, capsys):

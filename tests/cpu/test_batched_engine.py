@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 import repro.cpu.simulator as simulator_module
 from repro.common.config import default_system
 from repro.common.errors import SimulationError
+from repro.common.machine import MachineSpec
 from repro.cpu.batched import _run_kernel, select_kernel
 from repro.cpu.multicore import BoundTrace, replay, run_interleaved
 from repro.cpu.scheduled import TenantQoS
@@ -479,11 +480,28 @@ def _drawn_windows(draw):
     return TimeseriesRecorder(draw(st.integers(20, 5_000)), "cycles")
 
 
+@st.composite
+def _drawn_shape(draw, config):
+    """``config`` with 1-6 channels per DRAM device and 1-24 L1 and
+    1-96 L2 on-die sets, mostly not powers of two."""
+    def ondie_bytes(level, sets):
+        return (sets * level.associativity * level.line_bytes
+                * config.ondie_scale)
+
+    return MachineSpec(overrides={
+        "in_package.channels": draw(st.integers(1, 6)),
+        "off_package.channels": draw(st.integers(1, 6)),
+        "l1.capacity_bytes": ondie_bytes(config.l1, draw(st.integers(1, 24))),
+        "l2.capacity_bytes": ondie_bytes(config.l2, draw(st.integers(1, 96))),
+    }).resolve(config)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(drawn=_drawn_cores(), data=st.data())
 def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     """The kernel equals the reference loop on drawn segment lists, on
-    a drawn design: ``tagless-resizable`` with a drawn resize schedule,
+    a drawn machine shape (:func:`_drawn_shape`) and a drawn design:
+    ``tagless-resizable`` with a drawn resize schedule,
     either tagless design with 0-60 drawn pages pinned NC; and again
     with invariant sweeps every 1-200 accesses and drawn telemetry
     windows, which the kernel stops for: same sweeps, same windows, the
@@ -495,7 +513,7 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     suite does.  Reproduce a failure with ``pytest tests -k
     drawn_traces``."""
     cores, tenants, switch = drawn
-    config = _SMALL[len(cores)]
+    config = data.draw(_drawn_shape(_SMALL[len(cores)]), label="shape")
     accesses = sum(len(trace) for _, _, segments in cores
                    for _, _, trace in segments)
     name = data.draw(st.sampled_from(ALL_DESIGN_NAMES), label="design")
@@ -544,6 +562,63 @@ def test_kernel_equals_reference_on_drawn_traces(drawn, data):
     assert validated[0] == validated[1]
     assert validated[0][0] == kernel
     assert validated[0][1] == accesses // period + 1
+
+
+#: Machine shapes whose set or channel counts are not powers of two.
+#: On the small machine: 6 in-package and 3 off-package channels;
+#: 42 L1 and 682 L2 sets at ``ondie_scale=3``; 96 sets in a 768 KB L2.
+_ODD_SHAPES = {
+    "channels-6-3": {"in_package.channels": 6, "off_package.channels": 3},
+    "ondie-scale-3": {"ondie_scale": 3},
+    "l2-768k": {"l2.capacity_bytes": 768 * 1024},
+}
+
+
+@pytest.mark.parametrize("shape", _ODD_SHAPES)
+@pytest.mark.parametrize("design_name", ALL_DESIGN_NAMES)
+def test_kernel_replays_odd_machine_shapes(design_name, shape):
+    """Set and channel counts that are not powers of two replay on the
+    kernel, with the reference loop's numbers: 1-core ``mcf``, then
+    6,000 half-written lines, more than the on-die L2 holds but at
+    ``ondie_scale=3`` (dirty victims to route), and 4-core ``MIX1``
+    attributed to two tenants (with a shrink and a regrow for
+    ``tagless-resizable``)."""
+    spec = MachineSpec(overrides=_ODD_SHAPES[shape])
+    mcf = TraceGenerator(spec_profile("mcf"), capacity_scale=512)
+    rng = np.random.default_rng(5)
+    scatter = AccessTrace(
+        name="scatter",
+        virtual_pages=rng.integers(0, 192, 6_000),
+        lines=rng.integers(0, 64, 6_000).astype(np.int16),
+        writes=rng.random(6_000) < 0.5,
+        instruction_gaps=np.zeros(6_000, dtype=np.int64),
+    )
+    mix = mix_traces("MIX1", accesses_per_program=600, capacity_scale=512)
+    runs = [
+        (1, [(0, "mcf", [(None, 0, mcf.generate(2_000)),
+                         (None, 0, scatter)])], None),
+        (4, [(core, trace.name, [(core % 2, core, trace)])
+             for core, trace in enumerate(mix)], (0, 1)),
+    ]
+    for num_cores, cores, tenants in runs:
+        config = spec.resolve(_SMALL[num_cores])
+
+        def make_design():
+            design = create_design(design_name, config)
+            if tenants and design_name == "tagless-resizable":
+                design.set_resize_schedule(
+                    [(600, design.min_capacity_pages()), (1_500, 1.0)])
+            return design
+
+        assert select_kernel(make_design()) is _run_kernel
+        kernel, reference = _kernel_and_reference_replays(
+            make_design, cores, tenants)
+        assert kernel == reference
+        if tenants is None:
+            if shape != "ondie-scale-3":
+                assert reference[1]["core0_ondie_writebacks"] > 0
+        elif design_name == "tagless-resizable":
+            assert len(reference[4]) == 2
 
 
 @pytest.mark.parametrize("design_name", [

@@ -96,6 +96,30 @@ class TestCacheKeys:
             design="tagless", workload="sphinx3", accesses=4_000
         ).cache_key()
 
+    def test_key_ignores_fields_the_replay_never_reads(self, scenario_file,
+                                                      monkeypatch):
+        """The scenario file sets a tenant replay's length, warmup and
+        threads, so specs differing only in ``accesses``,
+        ``warmup_fraction``, ``parsec_threads`` or ``nc_threshold``
+        share a key; a plain spec keeps the key those fields give it."""
+        import repro.harness.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "_FINGERPRINT", "pinned")
+        unread = dict(accesses=7, warmup_fraction=0.9, parsec_threads=2,
+                      nc_threshold=3)
+        key = tenant_spec(scenario_file).cache_key()
+        for name, value in unread.items():
+            assert tenant_spec(scenario_file,
+                               **{name: value}).cache_key() == key
+        assert tenant_spec(scenario_file, **unread).cache_key() == key
+        # Keys of plain specs, taken before tenant keys left these out.
+        assert JobSpec(design="tagless", workload="sphinx3", accesses=4_000,
+                       warmup_fraction=0.5, nc_threshold=3).cache_key() == (
+            "a0bad902d7f3e8079b532e68c404ba66121fe54a6274f7e353ae456926eeaded")
+        assert JobSpec(design="tagless", workload="streamcluster",
+                       parsec_threads=2).cache_key() == (
+            "6f494c25838acafcf7f0c305a461712a2667fa5831867bf45ebeb1a3847d02ce")
+
 
 class TestExecution:
     def test_execute_reports_tenants_and_resizes(self, scenario_file):
